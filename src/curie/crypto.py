@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from curie.errors import CurieError
+from curie.errors import CurieError, MalformedPayload
 
 
 class ParamError(CurieError):
@@ -42,6 +42,7 @@ class KeyMismatch(CurieError):
 
 DEFAULT_KEY_BITS = 2048
 DEFAULT_SCALE_BITS = 20
+MIN_KEY_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class HEParams:
         return int(self.n_max * (self.scale * self.v_max) ** 2 * self.m_max)
 
     def validate(self) -> None:
-        if self.key_bits < 16:
+        if self.key_bits < MIN_KEY_BITS:
             raise ParamError("key size too small to form a modulus")
         if self.scale_bits < 1:
             raise ParamError("fixed-point scale must be at least 2^1")
@@ -300,10 +301,23 @@ def _pack_bigint(v: int) -> bytes:
     return len(raw).to_bytes(4, "big") + raw
 
 
-def _unpack_bigint(buf: bytes, offset: int) -> tuple[int, int]:
-    size = int.from_bytes(buf[offset:offset + 4], "big")
-    start = offset + 4
-    return int.from_bytes(buf[start:start + size], "big"), start + size
+def _take(buf: bytes, offset: int, size: int, what: str) -> bytes:
+    if offset + size > len(buf):
+        raise MalformedPayload(
+            f"{what} needs {size} bytes at offset {offset}, "
+            f"{max(len(buf) - offset, 0)} left")
+    return buf[offset:offset + size]
+
+
+def _unpack_bigint(buf: bytes, offset: int, what: str) -> tuple[int, int]:
+    """Inverse of :func:`_pack_bigint`; only its minimal big-endian
+    form is accepted, so a parsed value re-serializes to the same
+    bytes."""
+    size = int.from_bytes(_take(buf, offset, 4, f"{what} length"), "big")
+    raw = _take(buf, offset + 4, size, what)
+    if size == 0 or (size > 1 and raw[0] == 0):
+        raise MalformedPayload(f"{what} is not in minimal form")
+    return int.from_bytes(raw, "big"), offset + 4 + size
 
 
 def serialize_cipher_matrix(C: CipherMatrix) -> bytes:
@@ -314,13 +328,26 @@ def serialize_cipher_matrix(C: CipherMatrix) -> bytes:
 
 def parse_cipher_matrix(buf: bytes, pk: PublicKey, offset: int = 0
                         ) -> tuple[CipherMatrix, int]:
-    rows = int.from_bytes(buf[offset:offset + 2], "big")
-    cols = int.from_bytes(buf[offset + 2:offset + 4], "big")
-    scale = int.from_bytes(buf[offset + 4:offset + 12], "big")
+    """Parse one cipher matrix at *offset*; returns it and the offset
+    after it.  Raises :class:`MalformedPayload` unless the bytes are a
+    nonempty matrix with a positive scale whose every cell is a
+    ciphertext residue in (0, n^2)."""
+    if offset < 0:
+        raise MalformedPayload(f"negative offset {offset}")
+    head = _take(buf, offset, 12, "cipher matrix header")
+    rows = int.from_bytes(head[0:2], "big")
+    cols = int.from_bytes(head[2:4], "big")
+    scale = int.from_bytes(head[4:12], "big")
+    if rows == 0 or cols == 0:
+        raise MalformedPayload(f"empty cipher matrix shape ({rows}, {cols})")
+    if scale == 0:
+        raise MalformedPayload("cipher matrix scale is zero")
     offset += 12
     cells = []
-    for _ in range(rows * cols):
-        v, offset = _unpack_bigint(buf, offset)
+    for i in range(rows * cols):
+        v, offset = _unpack_bigint(buf, offset, f"cell {i}")
+        if not 0 < v < pk.nsquare:
+            raise MalformedPayload(f"cell {i} is not a residue in (0, n^2)")
         cells.append(v)
     return CipherMatrix(pk, scale, (rows, cols), tuple(cells)), offset
 
@@ -330,5 +357,13 @@ def serialize_public_key(pk: PublicKey) -> bytes:
 
 
 def parse_public_key(buf: bytes, offset: int = 0) -> tuple[PublicKey, int]:
-    n, offset = _unpack_bigint(buf, offset)
+    """Parse a public key at *offset*; returns it and the offset after
+    it.  Raises :class:`MalformedPayload` unless the modulus is odd and
+    at least as large as the smallest key :class:`HEParams` allows."""
+    if offset < 0:
+        raise MalformedPayload(f"negative offset {offset}")
+    n, offset = _unpack_bigint(buf, offset, "public modulus")
+    if n.bit_length() < MIN_KEY_BITS or n % 2 == 0:
+        raise MalformedPayload("public modulus is not an odd number of at "
+                               f"least {MIN_KEY_BITS} bits")
     return PublicKey(n), offset

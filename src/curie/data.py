@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -174,13 +174,6 @@ class Dataset:
             raise UnknownColumn(f"no column named {name!r}")
         return self.columns[name]
 
-    def row(self, i: int) -> dict:
-        return {name: vals[i] for name, vals in self.columns.items()}
-
-    def rows(self) -> Iterator[dict]:
-        for i in range(self.n):
-            yield self.row(i)
-
     def take(self, indices: Sequence[int]) -> "Dataset":
         cols = {name: tuple(vals[i] for i in indices)
                 for name, vals in self.columns.items()}
@@ -272,16 +265,6 @@ def load_dataset(source, schema: Schema, provenance: str | None = None) -> Datas
         for name, raw in zip(header, row):
             cols[name].append(_coerce_cell(raw, ctypes[name], f"row {ridx}, column {name!r}"))
     return Dataset(schema, {n: tuple(v) for n, v in cols.items()}, provenance)
-
-
-def dump_csv(ds: Dataset) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    names = [c.name for c in ds.schema.columns]
-    writer.writerow(names)
-    for row in ds.rows():
-        writer.writerow([row[n] for n in names])
-    return buf.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +385,8 @@ def normalize_columns(ds: Dataset, bounds: NormalizationMap | None = None
             lo, hi = bounds[c.name]
             if hi <= lo:
                 raise DegenerateColumn(f"column {c.name!r}: max ({hi}) <= min ({lo})")
-            new_cols[c.name] = tuple(normalize_value(float(v), lo, hi) for v in vals)
+            new_cols[c.name] = tuple(
+                normalize_value(np.asarray(vals, dtype=float), lo, hi).tolist())
         else:
             new_cols[c.name] = vals
     return (Dataset(normalized_schema(ds.schema), new_cols, ds.provenance),
@@ -438,26 +422,47 @@ class DesignEncoding:
     def width(self) -> int:
         return len(self.features)
 
-    def encode_row(self, row: Mapping) -> np.ndarray:
-        x = np.zeros(self.width)
+    def encode(self, ds: Dataset) -> np.ndarray:
+        """The design matrix of *ds*, one row per data row, built column
+        by column.  Columns are looked up by name, so *ds* may carry the
+        raw or the normalized schema; levels and kinds come from the
+        encoding's own schema."""
+        X = np.empty((ds.n, self.width))
+        encoded: dict[str, np.ndarray | dict] = {}
         for j, feat in enumerate(self.features):
             if feat[0] == "intercept":
-                x[j] = 1.0
-            elif feat[0] == "numeric":
-                v = row[feat[1]]
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise SchemaMismatch(f"column {feat[1]!r}: expected numeric, got {v!r}")
-                x[j] = float(v)
-            elif feat[0] == "onehot":
-                level = row[feat[1]]
-                col = self.schema.column(feat[1])
-                if level not in col.ctype.levels:
+                X[:, j] = 1.0
+                continue
+            name = feat[1]
+            if name not in encoded:
+                encoded[name] = self._encode_column(ds, name)
+            X[:, j] = encoded[name][feat[2]] if feat[0] == "onehot" else encoded[name]
+        return X
+
+    def _encode_column(self, ds: Dataset, name: str
+                       ) -> np.ndarray | dict[str, np.ndarray]:
+        """Floats for a numeric column, 0/1 for a boolean, and a
+        level -> 0/1 indicator map for a categorical."""
+        if name not in ds.columns:
+            raise SchemaMismatch(f"dataset is missing column {name!r}")
+        vals = ds.columns[name]
+        ctype = self.schema.column(name).ctype
+        if ctype.is_numeric:
+            for t in set(map(type, vals)):
+                if issubclass(t, bool) or not issubclass(t, (int, float)):
+                    bad = next(v for v in vals if type(v) is t)
                     raise SchemaMismatch(
-                        f"column {feat[1]!r}: {level!r} not in declared levels")
-                x[j] = 1.0 if level == feat[2] else 0.0
-            else:
-                x[j] = 1.0 if row[feat[1]] else 0.0
-        return x
+                        f"column {name!r}: expected numeric, got {bad!r}")
+            return np.asarray(vals, dtype=float)
+        cells = np.fromiter(vals, dtype=object, count=len(vals))
+        if ctype.kind == "boolean":
+            return cells.astype(bool)
+        hits = {level: cells == level for level in ctype.levels}
+        known = np.logical_or.reduce(list(hits.values()))
+        if not known.all():
+            bad = vals[int(np.argmin(known))]
+            raise SchemaMismatch(f"column {name!r}: {bad!r} not in declared levels")
+        return hits
 
     def to_json(self) -> list:
         return [list(f) for f in self.features]
@@ -474,11 +479,8 @@ def to_design_matrix(ds: Dataset, encoding: DesignEncoding | None = None) -> Des
     if ds.n == 0:
         raise SchemaMismatch("cannot build a design matrix from an empty dataset")
     enc = encoding or DesignEncoding(ds.schema)
-    X = np.empty((ds.n, enc.width))
-    for i, row in enumerate(ds.rows()):
-        X[i] = enc.encode_row(row)
     Y = np.asarray(ds.column(ds.schema.target), dtype=float)
-    return DesignMatrix(X, Y, enc)
+    return DesignMatrix(enc.encode(ds), Y, enc)
 
 
 # --------------------------------------------------------------------------
@@ -597,16 +599,18 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
                 prob = p.boolean_probs.get(c.name, 0.5)
                 cols[c.name] = [bool(v) for v in rng.random(p.n) < prob]
 
+        cols[schema.target] = [0.0] * p.n
+        X = enc.encode(Dataset(schema, {k: tuple(v) for k, v in cols.items()}))
+        base = np.asarray(p.coefficients)
+        overrides = {level: np.asarray(eta)
+                     for level, eta in p.level_coefficients.items()}
+        levels = cols[p.level_column] if p.level_column is not None else None
         doses = []
         for i in range(p.n):
-            row = {name: vals[i] for name, vals in cols.items()}
-            eta = np.asarray(p.coefficients)
-            if p.level_column is not None:
-                override = p.level_coefficients.get(row[p.level_column])
-                if override is not None:
-                    eta = np.asarray(override)
-            row[schema.target] = 0.0
-            y = float(eta @ enc.encode_row(row))
+            eta = base if levels is None else overrides.get(levels[i], base)
+            # one dot per row, not X @ eta: a matrix product rounds the
+            # doses differently in the last bits
+            y = float(eta @ X[i])
             if p.noise_sigma > 0:
                 y += float(rng.normal(0.0, p.noise_sigma))
             doses.append(max(y, p.min_dose))

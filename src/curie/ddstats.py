@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from curie.cpl.ast import Algorithm, Evaluate
-from curie.errors import CurieError
+from curie.errors import CurieError, MalformedPayload
 from curie.transport import MessageLog
 
 
@@ -152,6 +152,9 @@ def salted_hashes(values: Sequence, salt: bytes) -> frozenset[bytes]:
     )
 
 
+_BLINDED_FIELDS = {"column", "salt", "size", "hashes", "scaled", "affine"}
+
+
 @dataclass(frozen=True)
 class BlindedColumn:
     """One column prepared for owner-side evaluation.
@@ -179,15 +182,30 @@ class BlindedColumn:
         }
 
     @classmethod
-    def from_payload(cls, obj: dict) -> "BlindedColumn":
-        return cls(
-            column=obj["column"],
-            salt=bytes.fromhex(obj["salt"]),
-            size=obj["size"],
-            hashes=frozenset(bytes.fromhex(h) for h in obj["hashes"]),
-            scaled=tuple(obj["scaled"]),
-            affine=tuple(obj["affine"]),
-        )
+    def from_payload(cls, obj) -> "BlindedColumn":
+        """Inverse of :meth:`to_payload`; raises :class:`MalformedPayload`
+        on anything it could not have produced."""
+        if not isinstance(obj, dict) or obj.keys() != _BLINDED_FIELDS:
+            raise MalformedPayload("blinded column fields do not match")
+        size, scaled, affine = obj["size"], obj["scaled"], obj["affine"]
+        if not isinstance(obj["column"], str):
+            raise MalformedPayload("blinded column name is not a string")
+        if type(size) is not int or size < 0:
+            raise MalformedPayload(f"blinded column size {size!r} is not a count")
+        for values in (scaled, affine):
+            if not isinstance(values, list) or not all(
+                    type(v) in (int, float) for v in values):
+                raise MalformedPayload("masked values are not a list of numbers")
+        if len(scaled) != len(affine) or len(scaled) not in (0, size):
+            raise MalformedPayload("masked value counts do not match the size")
+        if not isinstance(obj["hashes"], list):
+            raise MalformedPayload("blinded hashes are not a list")
+        try:
+            salt = bytes.fromhex(obj["salt"])
+            hashes = frozenset(bytes.fromhex(h) for h in obj["hashes"])
+        except (TypeError, ValueError):
+            raise MalformedPayload("salt or hashes are not hex strings") from None
+        return cls(obj["column"], salt, size, hashes, tuple(scaled), tuple(affine))
 
 
 def blind_column(column: str, values: Sequence, rng: random.Random) -> BlindedColumn:

@@ -22,6 +22,7 @@ its own share clause's intent.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,7 +40,7 @@ from curie.ddstats import (
     evaluate_blinded,
     resolve_comparator,
 )
-from curie.errors import CurieError
+from curie.errors import CurieError, MalformedPayload
 from curie.transport import MessageLog
 
 
@@ -58,6 +59,9 @@ EMPTY = "empty"
 
 # --------------------------------------------------------------------------
 # member contexts and evaluation environments
+
+_PROFILE_FIELDS = {"member_id", "attributes", "alliances", "data_size"}
+
 
 @dataclass(frozen=True)
 class PublicProfile:
@@ -78,9 +82,21 @@ class PublicProfile:
         }
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "PublicProfile":
-        return cls(obj["member_id"], dict(obj["attributes"]),
-                   frozenset(obj["alliances"]), int(obj["data_size"]))
+    def from_json(cls, obj) -> "PublicProfile":
+        """Inverse of :meth:`to_json`; raises :class:`MalformedPayload`
+        on anything it could not have produced."""
+        if not isinstance(obj, dict) or obj.keys() != _PROFILE_FIELDS:
+            raise MalformedPayload("public profile fields do not match")
+        member_id, attributes = obj["member_id"], obj["attributes"]
+        alliances, data_size = obj["alliances"], obj["data_size"]
+        if not isinstance(member_id, str) or not isinstance(attributes, dict):
+            raise MalformedPayload("profile id or attributes are mistyped")
+        if not isinstance(alliances, list) or not all(
+                isinstance(a, str) for a in alliances):
+            raise MalformedPayload("profile alliances are not a list of names")
+        if type(data_size) is not int or data_size < 0:
+            raise MalformedPayload(f"profile data size {data_size!r} is not a count")
+        return cls(member_id, attributes, frozenset(alliances), data_size)
 
 
 @dataclass(frozen=True)
@@ -348,12 +364,46 @@ class AcquireRequest:
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "AcquireRequest":
-        body = json.loads(payload.decode())
-        blinded = {c: BlindedColumn.from_payload(p)
-                   for c, p in body.get("blinded", {}).items()}
-        plain = {c: tuple(v) for c, v in body.get("plain", {}).items()}
-        return cls(PublicProfile.from_json(body["requester"]),
-                   parse_policy(body["policy"]), blinded, plain, body["mode"])
+        """Inverse of :meth:`to_payload`.  Raises :class:`MalformedPayload`
+        (or the policy parser's error) on anything it could not have
+        produced, so a parsed request re-encodes to an equal request."""
+        try:
+            body = json.loads(payload.decode(), parse_float=_finite_float,
+                              parse_constant=_no_constant)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedPayload(f"request is not JSON: {exc}") from None
+        if not isinstance(body, dict):
+            raise MalformedPayload("request is not a JSON object")
+        mode = body.get("mode")
+        if mode not in ("blinded", "plain") or body.keys() != {
+                "requester", "policy", "mode", mode}:
+            raise MalformedPayload(
+                f"request fields {sorted(body)} do not match mode {mode!r}")
+        columns = body[mode]
+        if not isinstance(body["policy"], str) or not isinstance(columns, dict):
+            raise MalformedPayload("request policy or columns are mistyped")
+        requester = PublicProfile.from_json(body["requester"])
+        policy = parse_policy(body["policy"])
+        if mode == "plain":
+            if not all(isinstance(v, list) for v in columns.values()):
+                raise MalformedPayload("plain columns are not lists")
+            plain = {c: tuple(v) for c, v in columns.items()}
+            return cls(requester, policy, plain=plain, mode=mode)
+        blinded = {c: BlindedColumn.from_payload(p) for c, p in columns.items()}
+        if any(b.column != c for c, b in blinded.items()):
+            raise MalformedPayload("a blinded column is filed under another name")
+        return cls(requester, policy, blinded=blinded)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise MalformedPayload(f"number {text} overflows a float")
+    return value
+
+
+def _no_constant(name: str):
+    raise MalformedPayload(f"non-finite number {name} in request")
 
 
 def build_request(requester: MemberContext, owner_id: str,

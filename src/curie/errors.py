@@ -7,3 +7,8 @@ callers (and the CLI) can distinguish expected failures from bugs.
 
 class CurieError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class MalformedPayload(CurieError):
+    """Bytes a wire parser was handed that its serializer could not have
+    produced: truncated, mistyped, or out of range."""

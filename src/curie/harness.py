@@ -50,9 +50,12 @@ from curie.regression import (
     DoseModel,
     clinical_metrics,
     functional_mechanism,
+    mean_absolute_errors,
+    scoring_matrix,
     solve_ols_pruned,
+    validation_doses,
 )
-from curie.ring import LocalStats, local_stats, run_ring_session
+from curie.ring import LocalStats, RingResult, local_stats, run_ring_session
 from curie.transport import MessageLog
 
 CONFIG_VERSION = 1
@@ -384,16 +387,17 @@ def _stats_provider(scenario: Scenario, agreements: Sequence[Agreement]):
     return provider
 
 
-def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport:
-    """Negotiate, optionally aggregate and model, and assemble a report.
-
-    The ``negotiate`` mode's report is byte-identical across runs for
-    one config+seed (serialize with ``include_timings=False``).
-    """
-    if mode not in (MODE_NEGOTIATE, MODE_FULL, MODE_FULL_DP):
-        raise ValueError(f"unknown mode {mode!r}")
+def _negotiate_and_pool(cfg: ConsortiumConfig, timings: dict[str, float],
+                        pool: bool
+                        ) -> tuple[Scenario, list[Agreement], MessageLog,
+                                   RingResult | None]:
+    """The pipeline both :func:`run_scenario` and :func:`dp_sweep`
+    drive: build the scenario, negotiate every pair, and, when *pool* is
+    set and the initiator acquired something, run the initiator's ring
+    session.  Each phase's wall time lands in *timings*."""
+    t0 = time.perf_counter()
     scenario = build_scenario(cfg)
-    timings: dict[str, float] = {}
+    timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     agreements, nego_log = negotiate_consortium(
@@ -402,6 +406,31 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         timings=timings)
     timings["negotiation"] = time.perf_counter() - t0
     timings.setdefault("dd", 0.0)
+
+    if not pool or not any(a.requester == cfg.initiator for a in agreements):
+        # negotiation only, or nothing acquired (single-source
+        # policies): no ring session and no pooled model
+        return scenario, agreements, nego_log, None
+    result = run_ring_session(
+        list(cfg.ring_order), cfg.initiator,
+        _stats_provider(scenario, agreements),
+        cfg.he, random.Random(_seed_for(cfg.seed, "ring")))
+    for phase, seconds in result.timings.items():
+        timings[phase] = timings.get(phase, 0.0) + seconds
+    return scenario, agreements, nego_log, result
+
+
+def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport:
+    """Negotiate, optionally aggregate and model, and assemble a report.
+
+    The ``negotiate`` mode's report is byte-identical across runs for
+    one config+seed (serialize with ``include_timings=False``).
+    """
+    if mode not in (MODE_NEGOTIATE, MODE_FULL, MODE_FULL_DP):
+        raise ValueError(f"unknown mode {mode!r}")
+    timings: dict[str, float] = {}
+    scenario, agreements, nego_log, result = _negotiate_and_pool(
+        cfg, timings, pool=mode != MODE_NEGOTIATE)
 
     report = ScenarioReport(
         consortium=cfg.name,
@@ -416,6 +445,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         return report
 
     # local models always come out of a full run
+    t0 = time.perf_counter()
     for ctx in scenario.contexts:
         report.local_rows[ctx.member_id] = ctx.dataset.n
         model = _fit_local_model(scenario, ctx)
@@ -424,34 +454,29 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
                 model, scenario.validation)
         else:
             report.local_clinical[ctx.member_id] = None
+    timings["local_models"] = time.perf_counter() - t0
 
-    initiator_agreements = [a for a in agreements if a.requester == cfg.initiator]
-    if not initiator_agreements:
-        # nothing was acquired (single-source policies): local models only
+    if result is None:
         return report
-
-    ring_log = MessageLog()
-    result = run_ring_session(
-        list(cfg.ring_order), cfg.initiator,
-        _stats_provider(scenario, agreements),
-        cfg.he, random.Random(_seed_for(cfg.seed, "ring")), log=ring_log)
-    for phase, seconds in result.timings.items():
-        timings[phase] = timings.get(phase, 0.0) + seconds
-    report.message_counts["ring"] = len(ring_log)
+    report.message_counts["ring"] = len(result.transcript)
     report.pooled_rows = result.n_pool
 
+    t0 = time.perf_counter()
     eta = solve_ols_pruned(result.O_pool, result.V_pool)
     pooled_model = DoseModel(eta, scenario.encoding, scenario.bounds)
     report.pooled_model = pooled_model
     if scenario.validation is not None:
         report.pooled_clinical = clinical_metrics(pooled_model, scenario.validation)
+    timings["pooled_model"] = time.perf_counter() - t0
 
     if mode == MODE_FULL_DP:
         if not cfg.dp.enabled:
             raise ConfigError("dp.enabled", "dp sweep requested but dp is disabled")
+        t0 = time.perf_counter()
         report.dp_table = dp_sweep_from_stats(
             result.O_pool, result.V_pool, scenario, cfg.dp.epsilons,
             cfg.dp.repetitions)
+        timings["dp_sweep"] = time.perf_counter() - t0
     return report
 
 
@@ -493,16 +518,20 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
     local_mae = (clinical_metrics(local_model, scenario.validation).mae
                  if local_model is not None else None)
 
+    # the cohort is encoded once; each budget's repetitions are scored
+    # together against it
+    X = scoring_matrix(scenario.encoding, scenario.bounds, scenario.validation)
+    y = validation_doses(scenario.validation)
+    target_bounds = scenario.bounds[cfg.schema.target]
+    V = V_pool.reshape(-1)
     table: list[dict] = []
     for eps in epsilons:
-        maes = np.empty(repetitions)
-        for rep in range(repetitions):
-            rng = np.random.default_rng(
-                _seed_for(cfg.seed, f"dp:{eps}:{rep}"))
-            eta = functional_mechanism(O_pool, V_pool.reshape(-1), d, eps, rng)
-            model = DoseModel(eta, scenario.encoding, scenario.bounds,
-                              privacy="dp", epsilon=eps)
-            maes[rep] = clinical_metrics(model, scenario.validation).mae
+        etas = np.array([
+            functional_mechanism(
+                O_pool, V, d, eps,
+                np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}:{rep}")))
+            for rep in range(repetitions)])
+        maes = mean_absolute_errors(X, etas, y, target_bounds)
         ci_rng = np.random.default_rng(_seed_for(cfg.seed, f"dpci:{eps}"))
         lo, hi = bootstrap_ci(maes, ci_rng)
         row = {
@@ -526,17 +555,15 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
 def dp_sweep(cfg: ConsortiumConfig, epsilons: Sequence[float] | None = None,
              repetitions: int | None = None,
              keep_samples: bool = False) -> list[dict]:
-    """Convenience wrapper: run the full pipeline, then sweep."""
+    """Convenience wrapper: run the full pipeline, then sweep.  Raises
+    :class:`ConfigError` when the initiator acquires nothing, since
+    there is then no pooled model."""
     if not cfg.dp.enabled:
         raise ConfigError("dp.enabled", "dp sweep requires dp.enabled")
-    scenario = build_scenario(cfg)
-    agreements, _ = negotiate_consortium(
-        scenario.contexts, mode=cfg.dd_mode, comparator=cfg.dd_comparator,
-        rng=random.Random(_seed_for(cfg.seed, "negotiate")))
-    result = run_ring_session(
-        list(cfg.ring_order), cfg.initiator,
-        _stats_provider(scenario, agreements), cfg.he,
-        random.Random(_seed_for(cfg.seed, "ring")))
+    scenario, _, _, result = _negotiate_and_pool(cfg, {}, pool=True)
+    if result is None:
+        raise ConfigError("initiator", f"{cfg.initiator!r} acquires nothing, "
+                                       "so there is no pooled model to sweep")
     return dp_sweep_from_stats(
         result.O_pool, result.V_pool, scenario,
         epsilons or cfg.dp.epsilons, repetitions or cfg.dp.repetitions,

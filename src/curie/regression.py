@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -213,29 +212,32 @@ class DoseModel:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def predict(model: DoseModel, row: Mapping) -> float:
-    """Dose prediction in original units for one raw patient row."""
-    schema = model.encoding.schema
-    normalized = {}
-    for col in schema.feature_columns:
-        if col.name not in row:
-            raise SchemaMismatch(f"row is missing column {col.name!r}")
-        v = row[col.name]
-        if col.name in model.bounds:
-            lo, hi = model.bounds[col.name]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaMismatch(f"column {col.name!r}: expected numeric, got {v!r}")
-            normalized[col.name] = normalize_value(float(v), lo, hi)
-        else:
-            normalized[col.name] = v
-    x = model.encoding.encode_row(normalized)
-    y_norm = float(model.eta @ x)
-    lo, hi = model.bounds[schema.target]
-    return denormalize_value(y_norm, lo, hi)
+def scoring_matrix(encoding: DesignEncoding, bounds: NormalizationMap,
+                   ds: Dataset) -> np.ndarray:
+    """Design matrix of the raw rows of *ds* in a model's [-1, 1] space:
+    encode once, then map every bounded numeric feature affinely."""
+    X = encoding.encode(ds)
+    for j, feat in enumerate(encoding.features):
+        if feat[0] == "numeric" and feat[1] in bounds:
+            lo, hi = bounds[feat[1]]
+            X[:, j] = normalize_value(X[:, j], lo, hi)
+    return X
 
 
 def predict_dataset(model: DoseModel, ds: Dataset) -> np.ndarray:
-    return np.array([predict(model, row) for row in ds.rows()])
+    """Dose predictions in original units, one per raw row of *ds*."""
+    X = scoring_matrix(model.encoding, model.bounds, ds)
+    lo, hi = model.bounds[model.encoding.schema.target]
+    return denormalize_value(X @ model.eta, lo, hi)
+
+
+def mean_absolute_errors(X: np.ndarray, etas: np.ndarray, y: np.ndarray,
+                         target_bounds: tuple[float, float]) -> np.ndarray:
+    """MAE of each coefficient vector (a row of *etas*) scored on the
+    scoring matrix *X* against the true doses *y*."""
+    lo, hi = target_bounds
+    yhat = denormalize_value(etas @ X.T, lo, hi)    # one row per model
+    return np.abs(yhat - y).mean(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +261,17 @@ class ClinicalReport:
         }
 
 
+def validation_doses(validation: Dataset) -> np.ndarray:
+    """The cohort's true doses; raises :class:`EmptyValidation` when
+    there are none or one is not positive."""
+    if validation.n == 0:
+        raise EmptyValidation("validation cohort is empty")
+    y = np.asarray(validation.column(validation.schema.target), dtype=float)
+    if np.any(y <= 0):
+        raise EmptyValidation("validation doses must be positive")
+    return y
+
+
 def clinical_metrics(model: DoseModel, validation: Dataset) -> ClinicalReport:
     """MAE, MAPE, and the weekly-dose safety-window partition.
 
@@ -266,11 +279,7 @@ def clinical_metrics(model: DoseModel, validation: Dataset) -> ClinicalReport:
     daily dose) falls within 20% of the weekly true dose; below the
     window is under-prescription, above is over-prescription.
     """
-    if validation.n == 0:
-        raise EmptyValidation("validation cohort is empty")
-    y = np.asarray(validation.column(validation.schema.target), dtype=float)
-    if np.any(y <= 0):
-        raise EmptyValidation("validation doses must be positive")
+    y = validation_doses(validation)
     yhat = predict_dataset(model, validation)
     err = np.abs(yhat - y)
     mae = float(err.mean())

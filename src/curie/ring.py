@@ -52,6 +52,7 @@ PHASE_RING = "ring_accumulate"
 _PHASE_TAGS = {PHASE_PUBLIC_KEY: 1, PHASE_RING: 2}
 _TAG_PHASES = {v: k for k, v in _PHASE_TAGS.items()}
 ENVELOPE_VERSION = 1
+_ENVELOPE_HEAD = 19    # version, 16-byte session id, phase tag, sender length
 
 
 # --------------------------------------------------------------------------
@@ -104,15 +105,25 @@ def pack_envelope(session_id: bytes, phase: str, sender: str, payload: bytes) ->
 
 
 def unpack_envelope(buf: bytes) -> tuple[bytes, str, str, bytes]:
+    """Inverse of :func:`pack_envelope`; raises :class:`ProtocolError`
+    on anything it could not have produced."""
+    if len(buf) < _ENVELOPE_HEAD:
+        raise ProtocolError(f"envelope of {len(buf)} bytes is shorter than "
+                            f"its {_ENVELOPE_HEAD}-byte header")
     if buf[0] != ENVELOPE_VERSION:
         raise ProtocolError(f"unsupported envelope version {buf[0]}")
     session_id = buf[1:17]
     phase = _TAG_PHASES.get(buf[17])
     if phase is None:
         raise ProtocolError(f"unknown phase tag {buf[17]}")
-    slen = buf[18]
-    sender = buf[19:19 + slen].decode()
-    return session_id, phase, sender, buf[19 + slen:]
+    end = _ENVELOPE_HEAD + buf[18]
+    if len(buf) < end:
+        raise ProtocolError("envelope ends inside the sender id")
+    try:
+        sender = buf[_ENVELOPE_HEAD:end].decode()
+    except UnicodeDecodeError:
+        raise ProtocolError("sender id is not UTF-8") from None
+    return session_id, phase, sender, buf[end:]
 
 
 def _pack_stats_payload(*matrices: crypto.CipherMatrix) -> bytes:
@@ -174,7 +185,10 @@ class _RingMember:
         self.pk: crypto.PublicKey | None = None
 
     def on_public_key(self, payload: bytes) -> None:
-        self.pk, _ = crypto.parse_public_key(payload)
+        pk, end = crypto.parse_public_key(payload)
+        if end != len(payload):
+            raise ProtocolError(f"{self.member_id}: trailing bytes after the key")
+        self.pk = pk
 
     def on_accumulate(self, payload: bytes, m: int) -> bytes:
         if self.pk is None:

@@ -8,7 +8,6 @@ exact bytes that crossed member boundaries.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from curie.errors import CurieError
@@ -37,15 +36,12 @@ class Message:
 @dataclass
 class MessageLog:
     messages: list[Message] = field(default_factory=list)
-    latency_s: float = 0.0
 
     def send(self, sender: str, receiver: str, kind: str, payload: bytes = b"") -> Message:
         if sender == receiver:
             raise TransportError("a member cannot message itself")
         msg = Message(sender, receiver, kind, payload)
         self.messages.append(msg)
-        if self.latency_s > 0:
-            time.sleep(self.latency_s)
         return msg
 
     def __len__(self) -> int:

@@ -8,8 +8,10 @@ from curie.crypto import (
     DimMismatch,
     HEParams,
     KeyMismatch,
+    MalformedPayload,
     Overflow,
     ParamError,
+    PublicKey,
     add_cipher,
     decode_fixed,
     decrypt_matrix,
@@ -21,6 +23,9 @@ from curie.crypto import (
     serialize_cipher_matrix,
     serialize_public_key,
 )
+from curie.errors import CurieError
+
+from wire_fuzz import byte_mutations
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +236,46 @@ def test_public_key_wire_roundtrip(keys):
     parsed, consumed = parse_public_key(buf)
     assert consumed == len(buf)
     assert parsed.n == keys.public.n
+
+
+def test_truncated_cipher_matrix_rejected(keys, small_he_params):
+    C = encrypt_matrix(keys.public, np.array([[1.0, 2.0], [3.0, 4.0]]),
+                       small_he_params.scale, random.Random(5))
+    buf = serialize_cipher_matrix(C)
+    for cut in (1, 3, len(buf) - 12):
+        with pytest.raises(MalformedPayload):
+            parse_cipher_matrix(buf[:-cut], keys.public)
+
+
+def test_malformed_public_keys_rejected(keys):
+    raw = serialize_public_key(keys.public)[4:]
+    padded = (len(raw) + 1).to_bytes(4, "big") + b"\x00" + raw
+    for buf in (b"", b"\x00\x00\x00\x02\x01", b"\x00\x00\x00\x01\x00",
+                serialize_public_key(PublicKey(1 << 40)), padded):
+        with pytest.raises(MalformedPayload):
+            parse_public_key(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_cipher_matrix_total_on_arbitrary_bytes(keys, small_he_params, data):
+    valid = serialize_cipher_matrix(encrypt_matrix(
+        keys.public, np.array([[1.0, -2.0]]), small_he_params.scale,
+        random.Random(8)))
+    blob = data.draw(byte_mutations(valid))
+    try:
+        C, end = parse_cipher_matrix(blob, keys.public)
+    except CurieError:
+        return
+    assert serialize_cipher_matrix(C) == blob[:end]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_public_key_total_on_arbitrary_bytes(keys, data):
+    blob = data.draw(byte_mutations(serialize_public_key(keys.public)))
+    try:
+        pk, end = parse_public_key(blob)
+    except CurieError:
+        return
+    assert serialize_public_key(pk) == blob[:end]

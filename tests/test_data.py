@@ -37,7 +37,7 @@ def test_load_eight_input_schema():
     assert ds.n == 3
     assert ds.column("vkorc1") == ("A/A", "A/G", "G/G")
     assert ds.column("inducer") == (False, True, False)
-    assert ds.row(0)["dose"] == 31.5
+    assert ds.column("dose")[0] == 31.5
 
 
 def test_load_empty_file_with_header():
@@ -104,8 +104,8 @@ def test_conjunction_matches_row_scan_oracle():
     ds = _mixed_dataset()
     filters = [RowFilter("age", ">", 25), RowFilter("weight", ">", 150)]
     got = apply_selections(ds, filters)
-    expected = [i for i in range(ds.n)
-                if ds.row(i)["age"] > 25 and ds.row(i)["weight"] > 150]
+    age, weight = ds.column("age"), ds.column("weight")
+    expected = [i for i in range(ds.n) if age[i] > 25 and weight[i] > 150]
     assert got.n == len(expected)
 
 
@@ -222,9 +222,75 @@ def test_design_row_count_tracks_filtering():
 
 
 def test_unknown_level_rejected():
-    enc = DesignEncoding(_mixed_dataset().schema)
+    ds = _mixed_dataset()
+    enc = DesignEncoding(ds.schema)
+    martian = from_rows(ds.schema, [dict(age=1, race="Martian", weight=1.0,
+                                         dose=1.0)])
     with pytest.raises(SchemaMismatch):
-        enc.encode_row(dict(age=1, race="Martian", weight=1.0))
+        enc.encode(martian)
+
+
+def test_encode_matches_hand_written_matrix():
+    sch = Schema((
+        Column("age", ColumnType("integer")),
+        Column("race", ColumnType("categorical", ("Asian", "Black", "White"))),
+        Column("weight", ColumnType("real")),
+        Column("inducer", ColumnType("boolean")),
+        Column("dose", ColumnType("real")),
+    ), target="dose")
+    ds = from_rows(sch, [
+        dict(age=30, race="Asian", weight=60.5, inducer=True, dose=20.0),
+        dict(age=22, race="White", weight=80.0, inducer=False, dose=25.0),
+        dict(age=41, race="Black", weight=72.25, inducer=True, dose=30.0),
+    ])
+    # intercept, age, weight, race=Black, race=White (Asian is the
+    # reference level), inducer
+    expected = np.array([
+        [1.0, 30.0, 60.5, 0.0, 0.0, 1.0],
+        [1.0, 22.0, 80.0, 0.0, 1.0, 0.0],
+        [1.0, 41.0, 72.25, 1.0, 0.0, 1.0],
+    ])
+    np.testing.assert_array_equal(DesignEncoding(sch).encode(ds), expected)
+
+
+def _row_loop_encode(enc, ds):
+    """Reference encoder: one row at a time, feature by feature."""
+    X = np.zeros((ds.n, enc.width))
+    for i in range(ds.n):
+        for j, feat in enumerate(enc.features):
+            if feat[0] == "intercept":
+                X[i, j] = 1.0
+            elif feat[0] == "numeric":
+                X[i, j] = float(ds.column(feat[1])[i])
+            elif feat[0] == "onehot":
+                X[i, j] = 1.0 if ds.column(feat[1])[i] == feat[2] else 0.0
+            else:
+                X[i, j] = 1.0 if ds.column(feat[1])[i] else 0.0
+    return X
+
+
+def test_encode_matches_row_loop_on_synthetic_members():
+    sets = synth_members(5, warfarin_schema(), _profiles(sigma=1.0))
+    enc = DesignEncoding(warfarin_schema())
+    for ds in sets:
+        np.testing.assert_array_equal(enc.encode(ds), _row_loop_encode(enc, ds))
+
+
+@pytest.mark.parametrize("bad", ["12", True, None])
+def test_encode_rejects_non_numeric_values(bad):
+    ds = _mixed_dataset()
+    rows = [dict(age=bad, race="Asian", weight=1.0, dose=1.0)]
+    with pytest.raises(SchemaMismatch):
+        DesignEncoding(ds.schema).encode(from_rows(ds.schema, rows))
+
+
+def test_encode_rejects_missing_column():
+    ds = _mixed_dataset()
+    narrow = Schema(tuple(c for c in ds.schema.columns if c.name != "weight"),
+                    target="dose")
+    lacking = from_rows(narrow, [dict(age=1, race="Asian", dose=1.0)])
+    with pytest.raises(SchemaMismatch):
+        DesignEncoding(ds.schema).encode(lacking)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -17,7 +18,9 @@ from curie.engine import (
     negotiate_pair,
     resolve_clause,
 )
+from curie.errors import CurieError, MalformedPayload
 
+from wire_fuzz import byte_mutations
 from worked_example import (
     EXPECTED_DEFAULT,
     EXPECTED_LARGE_OVERLAP,
@@ -356,6 +359,87 @@ def test_acquire_request_wire_roundtrip():
     assert direct.status == via_wire.status
     assert filter_triples(direct) == filter_triples(via_wire)
     assert direct.provenance == via_wire.provenance
+
+
+def _request_payloads():
+    from curie.engine import build_request
+
+    m1, _, _ = build_contexts()
+    return {mode: build_request(m1, "M2", mode=mode,
+                                rng=random.Random(4)).to_payload()
+            for mode in ("blinded", "plain")}
+
+
+_REQUESTS = _request_payloads()
+
+
+def _with_overflowing_attribute(payload: bytes) -> bytes:
+    body = json.loads(payload)
+    body["requester"]["attributes"]["big"] = 7
+    return json.dumps(body).encode().replace(b'"big": 7', b'"big": 1e400')
+
+
+def _with_hashes_as_object(payload: bytes) -> bytes:
+    body = json.loads(payload)
+    for column in body["blinded"].values():
+        column["hashes"] = {h: 0 for h in column["hashes"]}
+    return json.dumps(body).encode()
+
+
+@pytest.mark.parametrize("payload", [
+    b"", b"{}", b"[]", b"\xff", b'{"mode": "plain"}',
+    _REQUESTS["blinded"][:-3],
+    _REQUESTS["plain"].replace(b'"mode": "plain"', b'"mode": "blinded"'),
+    _with_overflowing_attribute(_REQUESTS["plain"]),
+    _with_hashes_as_object(_REQUESTS["blinded"]),
+])
+def test_malformed_acquire_requests_rejected(payload):
+    from curie.engine import AcquireRequest
+
+    with pytest.raises(MalformedPayload):
+        AcquireRequest.from_payload(payload)
+
+
+def _json_paths(obj, prefix=()):
+    yield prefix
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _field_mutations(draw):
+    """A valid request body with one field replaced or deleted."""
+    body = json.loads(draw(st.sampled_from(sorted(_REQUESTS.values()))))
+    path = draw(st.sampled_from(list(_json_paths(body))[1:]))
+    parent = body
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_json_values)
+    return json.dumps(body).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(byte_mutations(_REQUESTS["plain"]), _field_mutations()))
+def test_acquire_request_parser_total_on_arbitrary_bytes(blob):
+    from curie.engine import AcquireRequest
+
+    try:
+        request = AcquireRequest.from_payload(blob)
+    except CurieError:
+        return
+    assert AcquireRequest.from_payload(request.to_payload()) == request
 
 
 def test_consortium_records_per_pair_type_errors_as_empty():

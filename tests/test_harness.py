@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ import pytest
 from curie.cli import main as cli_main
 from curie.harness import (
     MODE_FULL,
+    MODE_FULL_DP,
     MODE_NEGOTIATE,
     ConfigError,
+    DPSettings,
     bench,
     dp_sweep,
     load_config,
@@ -166,6 +170,33 @@ def test_dp_sweep_rows_and_reproducibility():
         assert lo <= row["mean_mae"] <= hi
     again = dp_sweep(cfg, epsilons=[1.0, 100.0], repetitions=5)
     assert table == again
+
+
+def test_dp_sweep_matches_the_simulate_sweep():
+    cfg = load_config(config_path("default_dp"))
+    cfg = dataclasses.replace(cfg, dp=DPSettings(True, (1.0, 100.0), 5))
+    assert dp_sweep(cfg) == run_scenario(cfg, MODE_FULL_DP).dp_table
+
+
+def test_dp_sweep_needs_a_pooled_model():
+    cfg = load_config(config_path("p1_single"))
+    cfg = dataclasses.replace(cfg, dp=DPSettings(True, (1.0,), 2))
+    assert run_scenario(cfg, MODE_FULL).pooled_model is None
+    with pytest.raises(ConfigError):
+        dp_sweep(cfg)
+
+
+def test_report_timings_cover_the_simulate_wall_time():
+    cfg = load_config(config_path("example3"))
+    t0 = time.perf_counter()
+    report = run_scenario(cfg, MODE_FULL_DP)
+    wall = time.perf_counter() - t0
+    assert set(report.timings) == {
+        "build", "negotiation", "dd", "local_models", "keygen", "encrypt",
+        "evaluate", "decrypt", "pooled_model", "dp_sweep"}
+    # "dd" is the part of "negotiation" spent on data-dependent statistics
+    covered = sum(v for k, v in report.timings.items() if k != "dd")
+    assert 0.9 * wall <= covered <= wall, (covered, wall, report.timings)
 
 
 def test_dp_sweep_single_repetition_has_no_ci():

@@ -22,7 +22,6 @@ from curie.regression import (
     SingularMatrix,
     clinical_metrics,
     functional_mechanism,
-    predict,
     predict_dataset,
     sensitivity_bound,
     solve_ols,
@@ -192,12 +191,36 @@ def test_noiseless_model_predicts_exactly():
 
 
 def test_out_of_schema_row_rejected():
-    from curie.data import SchemaMismatch
+    from curie.data import Dataset, Schema, SchemaMismatch
     model, ds = _trained_model()
-    row = ds.row(0)
-    row.pop("age")
+    first = ds.take([0])
+    narrow = Schema(tuple(c for c in ds.schema.columns if c.name != "age"),
+                    target=ds.schema.target)
+    without_age = Dataset(narrow, {k: v for k, v in first.columns.items()
+                                   if k != "age"})
     with pytest.raises(SchemaMismatch):
-        predict(model, row)
+        predict_dataset(model, without_age)
+
+
+def test_predict_dataset_matches_hand_computed_dose():
+    from curie.data import Column, ColumnType, Schema, from_rows
+    sch = Schema((
+        Column("age", ColumnType("integer")),
+        Column("vkorc1", ColumnType("categorical", ("A/A", "A/G"))),
+        Column("inducer", ColumnType("boolean")),
+        Column("dose", ColumnType("real")),
+    ), target="dose")
+    bounds = {"age": (20.0, 80.0), "dose": (0.0, 60.0)}
+    # features: intercept, age, vkorc1=A/G, inducer
+    eta = np.array([0.1, 0.5, -0.2, 0.3])
+    model = DoseModel(eta, DesignEncoding(sch), bounds)
+    ds = from_rows(sch, [dict(age=65, vkorc1="A/G", inducer=True, dose=1.0),
+                         dict(age=20, vkorc1="A/A", inducer=False, dose=1.0)])
+    # row 1: age 65 -> 2 * 45 / 60 - 1 = 0.5;
+    #        y = 0.1 + 0.5 * 0.5 - 0.2 + 0.3 = 0.45 -> 1.45 / 2 * 60 = 43.5
+    # row 2: age 20 -> -1;  y = 0.1 - 0.5 = -0.4 -> 0.6 / 2 * 60 = 18.0
+    np.testing.assert_allclose(predict_dataset(model, ds), [43.5, 18.0],
+                               rtol=1e-12)
 
 
 def test_perfect_model_metrics():
@@ -212,13 +235,9 @@ def test_constant_overprediction_lands_over_window():
     model, ds = _trained_model(sigma=0.0)
     # a model that over-predicts by exactly 30%: score the exact model
     # against a cohort whose true doses are deflated by 1.3
-    deflated_rows = []
-    for row in ds.rows():
-        r = dict(row)
-        r["dose"] = row["dose"] / 1.3
-        deflated_rows.append(r)
-    from curie.data import from_rows
-    deflated = from_rows(ds.schema, deflated_rows)
+    from curie.data import Dataset
+    deflated = Dataset(ds.schema, {
+        **ds.columns, "dose": tuple(d / 1.3 for d in ds.column("dose"))})
     report = clinical_metrics(model, deflated)
     assert report.over == 1.0
     assert report.in_window == 0.0

@@ -2,18 +2,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from curie.data import RowFilter
 from curie.engine import Agreement
+from curie.errors import CurieError
 from curie.ring import (
+    PHASE_RING,
     EmptyRelease,
     LocalStats,
+    ProtocolError,
     audit_transcript,
     local_stats,
+    pack_envelope,
     run_ring_session,
     unpack_envelope,
 )
 
+from wire_fuzz import byte_mutations
 from worked_example import build_contexts
 
 
@@ -43,8 +49,7 @@ def test_single_row_stats_are_rank_one_outer_product():
     dm_x = stats.O
     assert stats.n == 1
     assert np.linalg.matrix_rank(dm_x) == 1
-    row = ds.row(0)
-    assert stats.V[0, 0] == pytest.approx(row["dose"])  # intercept entry
+    assert stats.V[0, 0] == pytest.approx(ds.column("dose")[0])  # intercept entry
 
 
 def test_stats_match_row_loop_oracle():
@@ -77,7 +82,7 @@ def test_agreement_filters_are_applied():
     agreement = Agreement("M1", "M3", "partial",
                           selections=(RowFilter("race", "=", "Asian"),))
     stats = local_stats(m1.dataset, agreement)
-    expected_rows = sum(1 for r in m1.dataset.rows() if r["race"] == "Asian")
+    expected_rows = sum(1 for race in m1.dataset.column("race") if race == "Asian")
     assert stats.n == expected_rows
 
 
@@ -156,6 +161,27 @@ def test_envelope_roundtrip(small_he_params):
         assert session_id == result.transcript.session_id
         assert sender == msg.sender
         assert phase == msg.kind
+
+
+@pytest.mark.parametrize("buf", [b"", b"\x01", b"\x02" + bytes(18),
+                                 b"\x01" + bytes(16) + b"\x09\x00",
+                                 b"\x01" + bytes(16) + b"\x02\x05P1"])
+def test_malformed_envelopes_raise_protocol_error(buf):
+    with pytest.raises(ProtocolError):
+        unpack_envelope(buf)
+
+
+_ENVELOPE = pack_envelope(bytes(range(16)), PHASE_RING, "P1", b"payload")
+
+
+@settings(max_examples=300, deadline=None)
+@given(byte_mutations(_ENVELOPE))
+def test_unpack_envelope_total_on_arbitrary_bytes(blob):
+    try:
+        fields = unpack_envelope(blob)
+    except CurieError:
+        return
+    assert pack_envelope(*fields) == blob
 
 
 # ---------------------------------------------------------------------------
