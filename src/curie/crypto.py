@@ -3,9 +3,18 @@ encoded real matrices.
 
 Paillier with the g = n + 1 simplification: ciphertext of m is
 (1 + m*n) * r^n mod n^2, so adding plaintexts is multiplying
-ciphertexts.  Reals are encoded as round(x * S) with a power-of-two
-scale S; signed values wrap modulo n and are recovered from the upper
-half of the residue range.
+ciphertexts.  Decryption works modulo p^2 and q^2 and recombines by
+the CRT (Paillier, EUROCRYPT 1999, section 7).  Reals are encoded as
+round(x * S) with a power-of-two scale S; signed values wrap modulo n
+and are recovered from the upper half of the residue range.
+
+A :class:`SlotLayout` packs k signed encoded entries into one
+plaintext, P = sum(s_i * B^i) with B = 2^w.  The slot width w is the
+bit length of :attr:`HEParams.entry_bound` plus two bits, one for the
+sign and one of carry headroom, so slot-wise sums of in-contract
+entries never spill into the next slot; k is as many slots as the
+key's signed capacity n/3 holds.  Adding packed ciphertexts adds every
+slot at once, and balanced base-B digits recover the signed sums.
 
 Key sizes are configurable; the 2048-bit default is for deployments,
 test suites use much smaller keys (the homomorphic identities do not
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +63,10 @@ class HEParams:
     starts: the signed plaintext headroom (n/3) must exceed
     n_max * (S * v_max)^2 * m_max, a deliberately loose bound on any
     value the session's additions can accumulate.
+
+    :attr:`entry_bound` is the tight per-entry bound the ring's slot
+    layout is sized from: the largest encoded O, V or count entry the
+    same contract allows.
     """
 
     key_bits: int = DEFAULT_KEY_BITS
@@ -70,6 +84,17 @@ class HEParams:
         # conservative session bound; see class docstring
         return int(self.n_max * (self.scale * self.v_max) ** 2 * self.m_max)
 
+    @property
+    def entry_bound(self) -> int:
+        # every pooled row adds at most v_max^2 to an entry of O or V,
+        # and 1 to the count; computed exactly from the float v_max
+        v = max(Fraction(self.v_max), Fraction(1))
+        return math.ceil(self.n_max * v * v * self.scale) + 1
+
+    @property
+    def slot_bits(self) -> int:
+        return self.entry_bound.bit_length() + 2
+
     def validate(self) -> None:
         if self.key_bits < MIN_KEY_BITS:
             raise ParamError("key size too small to form a modulus")
@@ -82,6 +107,10 @@ class HEParams:
             raise ParamError(
                 f"{self.key_bits}-bit modulus cannot hold the session bound "
                 f"{self.plaintext_bound} (headroom {headroom})")
+        if self.slot_bits > self.key_bits - 2:
+            raise ParamError(
+                f"{self.key_bits}-bit modulus cannot hold one "
+                f"{self.slot_bits}-bit statistic slot")
 
 
 # --------------------------------------------------------------------------
@@ -105,6 +134,19 @@ def decode_fixed(k: int, scale: int) -> float:
 # keys
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+_SIEVE_LIMIT = 1 << 12
+
+
+def _odd_prime_product(limit: int) -> int:
+    product = 1
+    for i in range(3, limit, 2):
+        if all(i % d for d in range(3, math.isqrt(i) + 1, 2)):
+            product *= i
+    return product
+
+
+# one gcd against this rejects a candidate with a factor below 2^12
+_SIEVE = _odd_prime_product(_SIEVE_LIMIT)
 
 
 def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
@@ -135,6 +177,8 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
 def _random_prime(bits: int, rng: random.Random) -> int:
     while True:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if candidate > _SIEVE_LIMIT and math.gcd(candidate, _SIEVE) != 1:
+            continue
         if _is_probable_prime(candidate, rng):
             return candidate
 
@@ -169,16 +213,39 @@ class PublicKey:
         return k % self.n
 
 
+def _crt_half(prime: int, n: int) -> int:
+    """h = L(g^(prime-1) mod prime^2)^-1 mod prime, with g = n + 1 and
+    L(u) = (u - 1) / prime."""
+    return pow((pow(n + 1, prime - 1, prime * prime) - 1) // prime, -1, prime)
+
+
 @dataclass(frozen=True)
 class SecretKey:
+    """lam = (p-1)(q-1) and mu = lam^-1 mod n give the textbook
+    decryption L(c^lam mod n^2) * mu mod n; :meth:`decrypt_raw` computes
+    the same residue from the factors, half-size exponents modulo p^2
+    and q^2 recombined by the CRT."""
+
     public: PublicKey
     lam: int = field(repr=False)
     mu: int = field(repr=False)
+    p: int = field(repr=False)
+    q: int = field(repr=False)
+    hp: int = field(init=False, repr=False)
+    hq: int = field(init=False, repr=False)
+    p_inv: int = field(init=False, repr=False)   # p^-1 mod q
+
+    def __post_init__(self):
+        n = self.public.n
+        object.__setattr__(self, "hp", _crt_half(self.p, n))
+        object.__setattr__(self, "hq", _crt_half(self.q, n))
+        object.__setattr__(self, "p_inv", pow(self.p, -1, self.q))
 
     def decrypt_raw(self, c: int) -> int:
-        n, n2 = self.public.n, self.public.nsquare
-        u = pow(c, self.lam, n2)
-        return (((u - 1) // n) * self.mu) % n
+        p, q = self.p, self.q
+        mp = (pow(c, p - 1, p * p) - 1) // p * self.hp % p
+        mq = (pow(c, q - 1, q * q) - 1) // q * self.hq % q
+        return mp + (mq - mp) * self.p_inv % q * p
 
 
 @dataclass(frozen=True)
@@ -203,7 +270,79 @@ def keygen(params: HEParams, rng: random.Random) -> KeyPair:
     phi = (p - 1) * (q - 1)
     public = PublicKey(n)
     mu = pow(phi, -1, n)
-    return KeyPair(public, SecretKey(public, phi, mu))
+    return KeyPair(public, SecretKey(public, phi, mu, p, q))
+
+
+# --------------------------------------------------------------------------
+# slot packing
+
+@dataclass(frozen=True)
+class SlotLayout:
+    """k signed entries of at most *entry_bound* per plaintext, each in
+    a *width*-bit slot: P = sum(s_i * 2^(width*i)), first entry in the
+    least significant slot.
+
+    Slot-wise sums stay inside (-2^(width-1), 2^(width-1)) while the
+    pooled entries honour the bound, and |P| < 2^(width*k-1) never
+    exceeds the key's signed capacity, so a packed plaintext survives
+    the ring's homomorphic additions and its residue mask exactly.
+    """
+
+    entry_bound: int
+    width: int
+    per_plaintext: int
+
+    @classmethod
+    def for_key(cls, params: HEParams, pk: PublicKey) -> "SlotLayout":
+        """The session's layout: from the parameters every member
+        validated and the public key the initiator broadcast."""
+        width = params.slot_bits
+        k = pk.max_int.bit_length() // width
+        if k < 1:
+            raise ParamError(f"public key holds no {width}-bit slot")
+        return cls(params.entry_bound, width, k)
+
+    def plaintexts(self, entries: int) -> int:
+        return -(-entries // self.per_plaintext)
+
+    def pack(self, entries: Sequence[int]) -> list[int]:
+        """Signed plaintexts holding *entries*.  Every entry is checked
+        before any is packed; one past the bound raises
+        :class:`Overflow`."""
+        for e in entries:
+            if abs(e) > self.entry_bound:
+                raise Overflow(f"encoded entry {e} exceeds the slot bound "
+                               f"{self.entry_bound}")
+        k, w = self.per_plaintext, self.width
+        out = []
+        for start in range(0, len(entries), k):
+            P = 0
+            for e in reversed(entries[start:start + k]):
+                P = (P << w) + int(e)
+            out.append(P)
+        return out
+
+    def unpack(self, plaintexts: Sequence[int], count: int) -> list[int]:
+        """Balanced base-2^width digits of signed (summed) plaintexts:
+        the inverse of :meth:`pack` on slot-wise sums.  Raises
+        :class:`Overflow` when a plaintext has digits past its slots,
+        which in-contract sums never produce."""
+        if len(plaintexts) != self.plaintexts(count):
+            raise DimMismatch(f"{len(plaintexts)} plaintexts cannot hold "
+                              f"exactly {count} entries")
+        k, w = self.per_plaintext, self.width
+        low, half = (1 << w) - 1, 1 << (w - 1)
+        out: list[int] = []
+        for P in plaintexts:
+            for _ in range(min(k, count - len(out))):
+                digit = P & low
+                if digit >= half:
+                    digit -= 1 << w
+                out.append(digit)
+                P = (P - digit) >> w
+            if P:
+                raise Overflow("a packed sum overflowed its slots")
+        return out
 
 
 # --------------------------------------------------------------------------

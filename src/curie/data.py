@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from curie.errors import CurieError
+from curie.errors import CurieError, PolicyTypeError
 
 
 class SchemaMismatch(CurieError):
@@ -290,19 +290,19 @@ _ORDER_OPS = ("<", ">")
 def _match(cell, op: str, value, ctype: ColumnType, column: str) -> bool:
     if op == "in":
         if not isinstance(value, tuple):
-            raise TypeError(f"'in' filter on {column!r} needs a value list")
+            raise PolicyTypeError(f"'in' filter on {column!r} needs a value list")
         return cell in value
     if op in _ORDER_OPS:
         if not ctype.is_numeric:
-            raise TypeError(f"ordering filter on non-numeric column {column!r}")
+            raise PolicyTypeError(f"ordering filter on non-numeric column {column!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TypeError(f"filter on {column!r}: {value!r} is not numeric")
+            raise PolicyTypeError(f"filter on {column!r}: {value!r} is not numeric")
         return cell < value if op == "<" else cell > value
     if op == "=":
         return cell == value
     if op == "!=":
         return cell != value
-    raise TypeError(f"unsupported filter operation {op!r}")
+    raise PolicyTypeError(f"unsupported filter operation {op!r}")
 
 
 def apply_selections(ds: Dataset, filters: Sequence[RowFilter]) -> Dataset:

@@ -40,7 +40,7 @@ from curie.ddstats import (
     evaluate_blinded,
     resolve_comparator,
 )
-from curie.errors import CurieError, MalformedPayload
+from curie.errors import CurieError, MalformedPayload, PolicyTypeError
 from curie.transport import MessageLog
 
 
@@ -165,7 +165,7 @@ def eval_conditional(cond: ast.Comparison, env: EvalEnv) -> bool:
     ``in`` tests set membership: against an attribute value list when
     the right side names one, otherwise against the named alliance of
     the member on the left.  Other comparisons use the operands'
-    natural order and raise TypeError when the operands are of
+    natural order and raise PolicyTypeError when the operands are of
     different kinds.
     """
     if isinstance(cond.lhs, ast.SizeOfData):
@@ -177,19 +177,19 @@ def eval_conditional(cond: ast.Comparison, env: EvalEnv) -> bool:
 
     if cond.op == "in":
         if not isinstance(cond.rhs, ast.VarRef):
-            raise TypeError("'in' requires a $variable on the right")
+            raise PolicyTypeError("'in' requires a $variable on the right")
         values = env.lookup_list(cond.rhs.name)
         if values is not None:
             return lhs_value in values
         # fall back to alliance membership: "M2 in $EU"
         if not isinstance(lhs_value, str):
-            raise TypeError(f"cannot test {lhs_value!r} for alliance membership")
+            raise PolicyTypeError(f"cannot test {lhs_value!r} for alliance membership")
         return cond.rhs.name in env.alliances_of(lhs_value)
 
     rhs_value = (env.lookup(cond.rhs.name) if isinstance(cond.rhs, ast.VarRef)
                  else cond.rhs.as_python())
     if not _comparable(lhs_value, rhs_value):
-        raise TypeError(
+        raise PolicyTypeError(
             f"incomparable operands {lhs_value!r} and {rhs_value!r}")
     if cond.op == "=":
         return lhs_value == rhs_value
@@ -199,7 +199,7 @@ def eval_conditional(cond: ast.Comparison, env: EvalEnv) -> bool:
         return lhs_value < rhs_value
     if cond.op == ">":
         return lhs_value > rhs_value
-    raise TypeError(f"unsupported operation {cond.op!r}")
+    raise PolicyTypeError(f"unsupported operation {cond.op!r}")
 
 
 # --------------------------------------------------------------------------
@@ -576,7 +576,7 @@ def negotiate_consortium(contexts: Sequence[MemberContext],
             try:
                 agreement = answer_request(owner, request, comparator, audit,
                                            timings=timings)
-            except (CurieError, TypeError) as exc:
+            except CurieError as exc:
                 agreement = Agreement(owner_id, requester_id, EMPTY,
                                       reason=f"negotiation error: {exc}")
             log.send(owner_id, requester_id, "negotiation_output",

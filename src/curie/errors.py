@@ -12,3 +12,9 @@ class CurieError(Exception):
 class MalformedPayload(CurieError):
     """Bytes a wire parser was handed that its serializer could not have
     produced: truncated, mistyped, or out of range."""
+
+
+class PolicyTypeError(CurieError, TypeError):
+    """A policy compares or filters operands of incompatible kinds: an
+    error in member input, typed so negotiation can turn it into an
+    empty agreement while genuine ``TypeError`` bugs still surface."""

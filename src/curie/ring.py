@@ -5,14 +5,22 @@ across a ring of members:
 
 1. the initiator generates a session keypair and broadcasts the public
    key (n - 1 messages),
-2. the initiator injects encrypted uniform random masks into the ring;
-   every other member homomorphically adds its encrypted local
-   statistics (members with nothing to contribute add encrypted zeros,
-   so ring position does not reveal participation) and forwards;
-   n ring messages return the accumulated ciphertexts to the initiator,
-3. the initiator decrypts, subtracts its masks in the residue domain
-   (so the pooled output is bit-identical across mask draws), adds its
-   own statistics, and decodes the pooled O, V, and row count.
+2. each member flattens its statistics into one vector, the upper
+   triangle of the symmetric O row by row (m(m+1)/2 entries), then V
+   (m entries), then the count, encodes it in fixed point, and packs
+   it k entries per plaintext in the :class:`crypto.SlotLayout` that
+   every member derives from the session parameters, the public key
+   and m.  The initiator injects one encrypted uniform residue mask
+   per packed plaintext; every other member homomorphically adds its
+   encrypted packed vector (members with nothing to contribute add
+   encrypted zeros, so ring position does not reveal participation)
+   and forwards.  Each ring payload is one (1, ceil(cells / k)) cipher
+   matrix; n ring messages return it to the initiator,
+3. the initiator decrypts, subtracts its masks in the residue domain,
+   splits the signed plaintexts into balanced slot digits, adds its own
+   encoded entries, decodes, and mirrors the triangle into the pooled
+   O.  Every step is exact integer arithmetic, so the pooled O, V and
+   row count are bit-identical across mask and key draws.
 
 Every payload crossing a member boundary is a ciphertext; the
 transcript records the exact bytes for the leakage audit.
@@ -95,6 +103,30 @@ def zero_stats(m: int) -> LocalStats:
     return LocalStats(np.zeros((m, m)), np.zeros((m, 1)), 0)
 
 
+def stat_cells(m: int) -> int:
+    """Entries of the pooled vector: O's upper triangle, V, the count."""
+    return m * (m + 1) // 2 + m + 1
+
+
+def _encode_stats(stats: LocalStats, scale: int) -> list[int]:
+    upper = stats.O[np.triu_indices(stats.m)]
+    values = [*upper.tolist(), *np.asarray(stats.V).reshape(-1).tolist(),
+              float(stats.n)]
+    return [crypto.encode_fixed(v, scale) for v in values]
+
+
+def _decode_stats(entries: list[int], m: int, scale: int
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    values = [crypto.decode_fixed(e, scale) for e in entries]
+    t = m * (m + 1) // 2
+    O = np.empty((m, m))
+    upper = np.triu_indices(m)
+    O[upper] = values[:t]
+    O.T[upper] = values[:t]
+    V = np.array(values[t:t + m]).reshape(-1, 1)
+    return O, V, int(round(values[-1]))
+
+
 # --------------------------------------------------------------------------
 # protocol envelope
 
@@ -140,6 +172,17 @@ def _unpack_stats_payload(buf: bytes, pk: crypto.PublicKey
     return tuple(out)
 
 
+def _unpack_ring_payload(buf: bytes, pk: crypto.PublicKey,
+                         width: int) -> crypto.CipherMatrix:
+    """The one (1, width) packed cipher matrix a ring payload carries."""
+    matrices = _unpack_stats_payload(buf, pk)
+    if len(matrices) != 1 or matrices[0].shape != (1, width):
+        raise ProtocolError(
+            f"expected one (1, {width}) packed ciphertext matrix, got "
+            f"shapes {[C.shape for C in matrices]}")
+    return matrices[0]
+
+
 # --------------------------------------------------------------------------
 # session
 
@@ -149,6 +192,7 @@ class Transcript:
     initiator: str
     ring: tuple[str, ...]
     log: MessageLog = field(default_factory=MessageLog)
+    layout: crypto.SlotLayout | None = None
 
     def __len__(self) -> int:
         return len(self.log)
@@ -173,43 +217,48 @@ class RingResult:
 
 class _RingMember:
     """Non-initiator state machine: waits for the session key, then adds
-    its encrypted statistics to whatever arrives and forwards."""
+    its encrypted packed statistics to whatever arrives and forwards."""
 
-    def __init__(self, member_id: str, stats: LocalStats | None, scale: int,
-                 rng: random.Random, timings: dict[str, float]):
+    def __init__(self, member_id: str, stats: LocalStats | None,
+                 params: crypto.HEParams, rng: random.Random,
+                 timings: dict[str, float]):
         self.member_id = member_id
         self.stats = stats
-        self.scale = scale
+        self.params = params
         self.rng = rng
         self.timings = timings
         self.pk: crypto.PublicKey | None = None
+        self.layout: crypto.SlotLayout | None = None
 
     def on_public_key(self, payload: bytes) -> None:
         pk, end = crypto.parse_public_key(payload)
         if end != len(payload):
             raise ProtocolError(f"{self.member_id}: trailing bytes after the key")
+        try:
+            self.layout = crypto.SlotLayout.for_key(self.params, pk)
+        except crypto.ParamError as exc:
+            raise ProtocolError(f"{self.member_id}: {exc}") from exc
         self.pk = pk
 
     def on_accumulate(self, payload: bytes, m: int) -> bytes:
         if self.pk is None:
             raise ProtocolError(f"{self.member_id}: key not yet received")
-        incoming = _unpack_stats_payload(payload, self.pk)
-        if len(incoming) != 3:
-            raise ProtocolError("expected O, V, count ciphertext matrices")
+        cells = stat_cells(m)
+        incoming = _unpack_ring_payload(payload, self.pk,
+                                        self.layout.plaintexts(cells))
         stats = self.stats or zero_stats(m)
         t0 = time.perf_counter()
         try:
-            enc_O = crypto.encrypt_matrix(self.pk, stats.O, self.scale, self.rng)
-            enc_V = crypto.encrypt_matrix(self.pk, stats.V, self.scale, self.rng)
-            enc_n = crypto.encrypt_matrix(self.pk, [[float(stats.n)]], self.scale, self.rng)
+            packed = self.layout.pack(_encode_stats(stats, self.params.scale))
         except crypto.Overflow as exc:
             raise OverflowAbort(f"{self.member_id}: {exc}") from exc
+        mine = crypto.encrypt_encoded_matrix(self.pk, [packed],
+                                             self.params.scale, self.rng)
         self.timings["encrypt"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        summed = tuple(crypto.add_cipher(a, b)
-                       for a, b in zip(incoming, (enc_O, enc_V, enc_n)))
+        summed = crypto.add_cipher(incoming, mine)
         self.timings["evaluate"] += time.perf_counter() - t0
-        return _pack_stats_payload(*summed)
+        return crypto.serialize_cipher_matrix(summed)
 
 
 def run_ring_session(ring: list[str], initiator: str,
@@ -257,8 +306,12 @@ def run_ring_session(ring: list[str], initiator: str,
     timings["keygen"] = time.perf_counter() - t0
     pk, sk = keys.public, keys.secret
 
+    layout = crypto.SlotLayout.for_key(params, pk)
+    cells = stat_cells(m)
+    width = layout.plaintexts(cells)
+
     members = {
-        mid: _RingMember(mid, member_stats[mid], params.scale, rng, timings)
+        mid: _RingMember(mid, member_stats[mid], params, rng, timings)
         for mid in order[1:]
     }
 
@@ -268,20 +321,14 @@ def run_ring_session(ring: list[str], initiator: str,
                  pack_envelope(session_id, PHASE_PUBLIC_KEY, initiator, key_payload))
         members[mid].on_public_key(key_payload)
 
-    # uniform residue masks; subtracted mod n at the end, so the pooled
-    # output is independent of the draw
-    mask_O = [[rng.randrange(pk.n) for _ in range(m)] for _ in range(m)]
-    mask_V = [[rng.randrange(pk.n)] for _ in range(m)]
-    mask_n = [[rng.randrange(pk.n)]]
+    # one uniform residue mask per packed plaintext; subtracted mod n at
+    # the end, so the pooled output is independent of the draw
+    mask = [rng.randrange(pk.n) for _ in range(width)]
     t0 = time.perf_counter()
-    acc = (
-        crypto.encrypt_residue_matrix(pk, mask_O, params.scale, rng),
-        crypto.encrypt_residue_matrix(pk, mask_V, params.scale, rng),
-        crypto.encrypt_residue_matrix(pk, mask_n, params.scale, rng),
-    )
+    acc = crypto.encrypt_residue_matrix(pk, [mask], params.scale, rng)
     timings["encrypt"] += time.perf_counter() - t0
 
-    payload = _pack_stats_payload(*acc)
+    payload = crypto.serialize_cipher_matrix(acc)
     hops = order[1:] + [initiator]
     sender = initiator
     for receiver in hops:
@@ -292,31 +339,19 @@ def run_ring_session(ring: list[str], initiator: str,
         sender = receiver
 
     t0 = time.perf_counter()
-    final = _unpack_stats_payload(payload, pk)
-    residues = [crypto.decrypt_residue_matrix(sk, C) for C in final]
+    final = _unpack_ring_payload(payload, pk, width)
+    residues = crypto.decrypt_residue_matrix(sk, final)[0]
     timings["decrypt"] = time.perf_counter() - t0
 
-    masks = (mask_O, mask_V, mask_n)
-    own = own_stats or zero_stats(m)
-    own_encoded = (
-        crypto.encode_matrix(own.O, params.scale),
-        crypto.encode_matrix(own.V, params.scale),
-        crypto.encode_matrix([[float(own.n)]], params.scale),
-    )
-    pooled = []
-    for res, mask, mine in zip(residues, masks, own_encoded):
-        rows = []
-        for r_row, m_row, o_row in zip(res, mask, mine):
-            rows.append([
-                crypto.decode_fixed(
-                    pk.to_signed((r - mk) % pk.n) + o, params.scale)
-                for r, mk, o in zip(r_row, m_row, o_row)
-            ])
-        pooled.append(np.array(rows))
-
-    O_pool, V_pool, n_mat = pooled
-    n_pool = int(round(n_mat[0][0]))
-    transcript = Transcript(session_id, initiator, tuple(order), log)
+    try:
+        sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
+                              for r, mk in zip(residues, mask)], cells)
+    except crypto.Overflow as exc:
+        raise OverflowAbort(f"pooled statistics: {exc}") from exc
+    own = _encode_stats(own_stats or zero_stats(m), params.scale)
+    O_pool, V_pool, n_pool = _decode_stats(
+        [s + o for s, o in zip(sums, own)], m, params.scale)
+    transcript = Transcript(session_id, initiator, tuple(order), log, layout)
     return RingResult(O_pool, V_pool, n_pool, transcript, timings)
 
 
@@ -357,10 +392,11 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
     differences them.  With two members, the initiator alone is both
     neighbors.  An honest initiator leaves nothing recoverable.
 
-    Payload findings: no ring payload may carry a plaintext statistic
-    entry; cells are scanned byte-wise against the reference encodings
-    and, for suspiciously small (plaintext-range) cells, decoded and
-    compared.
+    Payload findings: no ring payload may carry a plaintext statistic:
+    neither a single encoded O or V entry nor, when the transcript
+    records its slot layout, one of a member's packed plaintexts.
+    Payloads are scanned byte-wise for the serialized residues, and
+    suspiciously small (plaintext-range) cells are compared with them.
     """
     findings: list[LeakageFinding] = []
     ring = transcript.ring
@@ -388,9 +424,14 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
             targets: dict[int, str] = {}
             patterns: dict[bytes, str] = {}
             for member, stats in reference_stats.items():
-                entries = list(np.asarray(stats.O).flat) + list(np.asarray(stats.V).flat)
-                for e in entries:
-                    enc = crypto.encode_fixed(float(e), scale)
+                entries = [crypto.encode_fixed(float(e), scale) for e in
+                           [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
+                if transcript.layout is not None:
+                    try:
+                        entries += transcript.layout.pack(_encode_stats(stats, scale))
+                    except crypto.Overflow:
+                        pass    # a member holding these could not have sent them
+                for enc in entries:
                     if enc == 0:
                         continue
                     residue = pk.from_signed(enc)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -12,11 +13,16 @@ from curie.crypto import (
     Overflow,
     ParamError,
     PublicKey,
+    SlotLayout,
+    _SIEVE,
     add_cipher,
     decode_fixed,
     decrypt_matrix,
+    decrypt_residue_matrix,
     encode_fixed,
+    encrypt_encoded_matrix,
     encrypt_matrix,
+    encrypt_residue_matrix,
     keygen,
     parse_cipher_matrix,
     parse_public_key,
@@ -279,3 +285,139 @@ def test_parse_public_key_total_on_arbitrary_bytes(keys, data):
     except CurieError:
         return
     assert serialize_public_key(pk) == blob[:end]
+
+
+# ---------------------------------------------------------------------------
+# CRT decryption and keygen
+
+def _textbook_decrypt(sk, c):
+    n = sk.public.n
+    return (pow(c, sk.lam, sk.public.nsquare) - 1) // n * sk.mu % n
+
+
+@pytest.mark.parametrize("key_bits, cells", [(128, 200), (256, 50), (2048, 1)])
+def test_crt_decryption_equals_the_lambda_mu_formula(key_bits, cells):
+    keys = keygen(HEParams(key_bits=key_bits, n_max=100, m_max=4, v_max=10.0),
+                  random.Random(key_bits))
+    pk, sk = keys.public, keys.secret
+    rand = random.Random(7)
+    for _ in range(cells):
+        m = rand.randrange(pk.n)
+        for c in (pk.encrypt_raw(m, rand), rand.randrange(1, pk.nsquare)):
+            assert sk.decrypt_raw(c) == _textbook_decrypt(sk, c)
+        assert sk.decrypt_raw(pk.encrypt_raw(m, rand)) == m
+
+
+def test_sieve_is_the_product_of_odd_primes_below_4096():
+    odd_primes = [p for p in range(3, 1 << 12, 2)
+                  if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    assert _SIEVE == math.prod(odd_primes)
+
+
+@pytest.mark.parametrize("key_bits", [16, 17, 64, 129, 256])
+def test_keygen_is_deterministic_with_the_requested_size(key_bits):
+    params = HEParams(key_bits=key_bits, scale_bits=1, n_max=1, m_max=1,
+                      v_max=1.0)
+    for seed in range(3):
+        a = keygen(params, random.Random(seed))
+        b = keygen(params, random.Random(seed))
+        assert (a.public.n, a.secret.p, a.secret.q) == \
+            (b.public.n, b.secret.p, b.secret.q)
+        assert a.secret.p * a.secret.q == a.public.n
+        assert a.public.n.bit_length() == key_bits
+
+
+def test_secret_factors_stay_out_of_repr(keys):
+    text = repr(keys.secret)
+    assert str(keys.secret.p) not in text and str(keys.secret.q) not in text
+
+
+# ---------------------------------------------------------------------------
+# slot packing
+
+def _layout(params, bits):
+    """Layouts for the smallest and the largest modulus of *bits* bits."""
+    return {SlotLayout.for_key(params, PublicKey(n)).per_plaintext
+            for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1)}
+
+
+def test_slots_per_plaintext_for_the_repo_params(small_he_params):
+    from conftest import config_path
+    from curie.harness import load_config
+
+    assert _layout(small_he_params, 128) == {2}
+    criterion_4 = HEParams(key_bits=192, scale_bits=40, n_max=5001, m_max=41,
+                           v_max=1.2e6)
+    assert _layout(criterion_4, 192) == {2}
+    for rows in (200, 1000, 5000):    # criterion 10's row axis
+        bench = HEParams(key_bits=192, n_max=max(10_000, rows * 5),
+                         m_max=41, v_max=rows * 5 * 200.0)
+        assert _layout(bench, 192) == {2}
+    default_dp = load_config(config_path("default_dp")).he
+    p5_global = load_config(config_path("p5_global")).he
+    assert (default_dp.slot_bits, p5_global.slot_bits) == (62, 65)
+    assert _layout(default_dp, 256) == {4}
+    assert _layout(p5_global, 256) == {3}
+    assert _layout(default_dp, 2048) == {33}
+    assert _layout(p5_global, 2048) == {31}
+
+
+def test_params_validator_rejects_a_key_without_room_for_one_slot():
+    params = HEParams(key_bits=64, scale_bits=1, n_max=2, m_max=1,
+                      v_max=2.0 ** 29)
+    assert params.plaintext_bound < (1 << 63) // 3    # the old check passes
+    with pytest.raises(ParamError):
+        params.validate()
+
+
+_PACK_PARAMS = HEParams(key_bits=128, n_max=6000, m_max=48, v_max=6000.0)
+
+
+@st.composite
+def _slot_vectors(draw):
+    """1-3 members' entry vectors whose slot-wise sums stay in bound,
+    extremes included."""
+    bound = _PACK_PARAMS.entry_bound
+    members = draw(st.integers(1, 3))
+    size = draw(st.integers(1, 9))
+    cap = bound // members
+    entry = st.one_of(st.integers(-cap, cap), st.sampled_from([-cap, cap, 0]))
+    return [draw(st.lists(entry, min_size=size, max_size=size))
+            for _ in range(members)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(vectors=_slot_vectors(), seed=st.integers(0, 2**32))
+def test_packed_sums_survive_encryption_and_masks_exactly(vectors, seed):
+    keys = _cached_keys()
+    pk, sk = keys.public, keys.secret
+    layout = SlotLayout.for_key(_PACK_PARAMS, pk)
+    rand = random.Random(seed)
+    size = len(vectors[0])
+    mask = [rand.randrange(pk.n) for _ in range(layout.plaintexts(size))]
+    acc = encrypt_residue_matrix(pk, [mask], S, rand)
+    for entries in vectors:
+        acc = add_cipher(acc, encrypt_encoded_matrix(
+            pk, [layout.pack(entries)], S, rand))
+    residues = decrypt_residue_matrix(sk, acc)[0]
+    sums = layout.unpack([pk.to_signed((r - m) % pk.n)
+                          for r, m in zip(residues, mask)], size)
+    assert sums == [sum(column) for column in zip(*vectors)]
+
+
+def test_pack_rejects_an_entry_past_the_bound():
+    layout = SlotLayout.for_key(_PACK_PARAMS, _cached_keys().public)
+    bound = layout.entry_bound
+    assert layout.unpack(layout.pack([bound, -bound, 1]), 3) == [bound, -bound, 1]
+    for bad in (bound + 1, -bound - 1):
+        with pytest.raises(Overflow):
+            layout.pack([0, bad])
+
+
+def test_unpack_rejects_spilled_digits_and_wrong_counts():
+    layout = SlotLayout(entry_bound=5, width=5, per_plaintext=2)
+    assert layout.unpack([3 + (-4 << 5)], 2) == [3, -4]
+    with pytest.raises(Overflow):
+        layout.unpack([1 << 10], 2)     # a digit past the second slot
+    with pytest.raises(DimMismatch):
+        layout.unpack([0, 0], 2)

@@ -18,7 +18,7 @@ from curie.engine import (
     negotiate_pair,
     resolve_clause,
 )
-from curie.errors import CurieError, MalformedPayload
+from curie.errors import CurieError, MalformedPayload, PolicyTypeError
 
 from wire_fuzz import byte_mutations
 from worked_example import (
@@ -461,3 +461,29 @@ def test_consortium_records_per_pair_type_errors_as_empty():
     assert by_owner["B"].status == "empty"
     assert "negotiation error" in by_owner["B"].reason
     assert by_owner["C"].status == "full"
+
+
+def test_consortium_lets_programming_errors_propagate(monkeypatch):
+    # a TypeError that is not a typed policy error is a bug in the
+    # engine, not a failed pair: it surfaces instead of becoming an
+    # empty agreement
+    from curie import engine
+
+    def broken(ds, filters):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(engine, "apply_selections", broken)
+    sch = _toy_schema()
+    rows = [dict(a=v, dose=3.0) for v in (1, 2, 3)]
+    contexts = [MemberContext(mid, parse_policy(text), from_rows(sch, rows, mid))
+                for mid, text in (("A", "acquire : : :: ;"), ("B", "share : : :: ;"))]
+    with pytest.raises(TypeError, match="unsupported operand"):
+        negotiate_consortium(contexts, rng=random.Random(0))
+
+
+def test_policy_type_errors_are_typed_curie_errors():
+    other = PublicProfile("M1", attributes={"continent": "Europe"})
+    cond = Comparison(VarRef("continent"), ">", Value(5))
+    with pytest.raises(PolicyTypeError) as err:
+        eval_conditional(cond, env(counterparty=other))
+    assert isinstance(err.value, CurieError)

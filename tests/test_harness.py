@@ -106,6 +106,33 @@ def test_full_scenario_message_counts_match_transcripts():
     assert report.pooled_rows > 0
 
 
+def test_deployment_key_session_packs_each_member_into_one_ciphertext(monkeypatch):
+    # default_dp at the 2048-bit deployment key: 21 statistics fit the
+    # 33 slots of one plaintext, so the four-member ring makes one
+    # encryption per member and the initiator one decryption
+    from curie import crypto
+
+    calls = {"encrypt": 0, "decrypt": 0}
+    encrypt, decrypt = crypto.PublicKey.encrypt_raw, crypto.SecretKey.decrypt_raw
+
+    def counted_encrypt(self, v, rng):
+        calls["encrypt"] += 1
+        return encrypt(self, v, rng)
+
+    def counted_decrypt(self, c):
+        calls["decrypt"] += 1
+        return decrypt(self, c)
+
+    monkeypatch.setattr(crypto.PublicKey, "encrypt_raw", counted_encrypt)
+    monkeypatch.setattr(crypto.SecretKey, "decrypt_raw", counted_decrypt)
+    cfg = load_config(config_path("default_dp"))
+    cfg = dataclasses.replace(cfg, he=dataclasses.replace(cfg.he, key_bits=2048))
+    report = run_scenario(cfg, MODE_FULL)
+    assert len(cfg.ring_order) == 4
+    assert report.message_counts["ring"] == 2 * 4 - 1
+    assert calls == {"encrypt": 4, "decrypt": 1}
+
+
 def test_single_source_scenario_has_no_pooled_model():
     cfg = load_config(config_path("p1_single"))
     report = run_scenario(cfg, MODE_FULL)

@@ -11,11 +11,13 @@ from curie.ring import (
     PHASE_RING,
     EmptyRelease,
     LocalStats,
+    OverflowAbort,
     ProtocolError,
     audit_transcript,
     local_stats,
     pack_envelope,
     run_ring_session,
+    stat_cells,
     unpack_envelope,
 )
 
@@ -268,3 +270,118 @@ def test_transcript_json_export(small_he_params):
     assert len(parsed["messages"]) == len(result.transcript)
     for msg in parsed["messages"]:
         bytes.fromhex(msg["payload"])  # payloads are hex-encoded bytes
+
+
+def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
+    # a buggy member forwards its packed plaintexts in place of the
+    # ciphertext sum: the audit finds them both as byte patterns and as
+    # plaintext-range cells
+    from curie import crypto
+    from curie.ring import Transcript, _encode_stats
+    from curie.transport import MessageLog
+
+    members = ["P1", "P2", "P3"]
+    stats, result = _session(members, small_he_params)
+    transcript = result.transcript
+    layout = transcript.layout
+    assert layout is not None and layout.per_plaintext > 1
+    pk = None
+    log = MessageLog()
+    for msg in transcript.log:
+        payload = msg.payload
+        session_id, phase, sender, body = unpack_envelope(payload)
+        if phase == "public_key":
+            pk, _ = crypto.parse_public_key(body)
+        elif sender == "P2":
+            packed = layout.pack(_encode_stats(stats["P2"], small_he_params.scale))
+            leaked = crypto.CipherMatrix(pk, small_he_params.scale, (1, len(packed)),
+                                         tuple(pk.from_signed(P) for P in packed))
+            payload = pack_envelope(session_id, phase, sender,
+                                    crypto.serialize_cipher_matrix(leaked))
+        log.send(msg.sender, msg.receiver, msg.kind, payload)
+    forged = Transcript(transcript.session_id, transcript.initiator,
+                        transcript.ring, log, layout)
+    report = audit_transcript(forged, corrupted=set(), reference_stats=stats,
+                              scale=small_he_params.scale)
+    leaks = [f for f in report.findings if f.kind == "plaintext_leak"]
+    assert "P2" in {f.member for f in leaks}
+    assert all(f.detail.endswith("P2") for f in leaks)    # all in P2's payload
+    assert any("bytes appear" in f.detail for f in leaks)
+    assert any("plaintext-range cell" in f.detail for f in leaks)
+    assert audit_transcript(transcript, corrupted=set(), reference_stats=stats,
+                            scale=small_he_params.scale).ok
+
+
+def _member_with_key(small_he_params, stats):
+    from curie import crypto
+    from curie.ring import _RingMember
+
+    keys = crypto.keygen(small_he_params, random.Random(0))
+    member = _RingMember("P2", stats, small_he_params, random.Random(1),
+                         {"encrypt": 0.0, "evaluate": 0.0})
+    member.on_public_key(crypto.serialize_public_key(keys.public))
+    return keys.public, member
+
+
+def test_ring_payload_must_be_one_packed_matrix(small_he_params):
+    from curie import crypto
+
+    m = 3
+    pk, member = _member_with_key(small_he_params, None)
+    width = member.layout.plaintexts(stat_cells(m))
+
+    def payload(*shapes):
+        return b"".join(crypto.serialize_cipher_matrix(crypto.encrypt_residue_matrix(
+            pk, [[0] * cols for _ in range(rows)], small_he_params.scale,
+            random.Random(2))) for rows, cols in shapes)
+
+    member.on_accumulate(payload((1, width)), m)
+    for shapes in ([(1, width + 1)], [(1, width - 1)], [(width, 1)],
+                   [(1, width), (1, width)], [(1, width), (1, 1)]):
+        with pytest.raises(ProtocolError):
+            member.on_accumulate(payload(*shapes), m)
+
+
+def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
+                                                            monkeypatch):
+    from curie import crypto
+
+    m = 2
+    bound = small_he_params.entry_bound / small_he_params.scale
+    huge = LocalStats(np.array([[1.0, 0.0], [0.0, 2 * bound]]),
+                      np.zeros((m, 1)), 1)
+    calls = []
+    encrypt = crypto.PublicKey.encrypt_raw
+    monkeypatch.setattr(crypto.PublicKey, "encrypt_raw",
+                        lambda self, v, rng: calls.append(v) or encrypt(self, v, rng))
+    stats = {"P1": None, "P2": huge, "P3": huge}
+    with pytest.raises(OverflowAbort, match="P2"):
+        run_ring_session(["P1", "P2", "P3"], "P1", stats.get, small_he_params,
+                         random.Random(0))
+    keys = crypto.keygen(small_he_params, random.Random(0))
+    layout = crypto.SlotLayout.for_key(small_he_params, keys.public)
+    assert len(calls) == layout.plaintexts(stat_cells(m))    # the masks only
+
+
+def test_each_member_encrypts_one_packed_vector(small_he_params, monkeypatch):
+    from curie import crypto
+
+    counts = {"encrypt": 0, "decrypt": 0}
+    encrypt, decrypt = crypto.PublicKey.encrypt_raw, crypto.SecretKey.decrypt_raw
+
+    def counted_encrypt(self, v, rng):
+        counts["encrypt"] += 1
+        return encrypt(self, v, rng)
+
+    def counted_decrypt(self, c):
+        counts["decrypt"] += 1
+        return decrypt(self, c)
+
+    monkeypatch.setattr(crypto.PublicKey, "encrypt_raw", counted_encrypt)
+    monkeypatch.setattr(crypto.SecretKey, "decrypt_raw", counted_decrypt)
+    members = ["P1", "P2", "P3", "P4"]
+    m = 4
+    _, result = _session(members, small_he_params, m=m)
+    width = result.transcript.layout.plaintexts(stat_cells(m))
+    assert width == 8    # 15 entries, two 60-bit slots per 128-bit plaintext
+    assert counts == {"encrypt": len(members) * width, "decrypt": width}
