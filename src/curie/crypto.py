@@ -59,14 +59,11 @@ MIN_KEY_BITS = 16
 class HEParams:
     """Key size, fixed-point scale, and session magnitude bounds.
 
-    ``validate`` proves the no-overflow condition before any session
-    starts: the signed plaintext headroom (n/3) must exceed
-    n_max * (S * v_max)^2 * m_max, a deliberately loose bound on any
-    value the session's additions can accumulate.
-
-    :attr:`entry_bound` is the tight per-entry bound the ring's slot
-    layout is sized from: the largest encoded O, V or count entry the
-    same contract allows.
+    :attr:`entry_bound` is the per-entry bound the ring's slot layout is
+    sized from: the largest encoded O, V or count entry a session within
+    these bounds can pool.  ``validate`` proves the no-overflow condition
+    before any session starts: the key must hold at least one slot wide
+    enough for it, so slot-wise sums never spill.
     """
 
     key_bits: int = DEFAULT_KEY_BITS
@@ -78,11 +75,6 @@ class HEParams:
     @property
     def scale(self) -> int:
         return 1 << self.scale_bits
-
-    @property
-    def plaintext_bound(self) -> int:
-        # conservative session bound; see class docstring
-        return int(self.n_max * (self.scale * self.v_max) ** 2 * self.m_max)
 
     @property
     def entry_bound(self) -> int:
@@ -102,11 +94,6 @@ class HEParams:
             raise ParamError("fixed-point scale must be at least 2^1")
         if min(self.n_max, self.m_max) < 1 or self.v_max <= 0:
             raise ParamError("session bounds must be positive")
-        headroom = (1 << (self.key_bits - 1)) // 3
-        if headroom <= self.plaintext_bound:
-            raise ParamError(
-                f"{self.key_bits}-bit modulus cannot hold the session bound "
-                f"{self.plaintext_bound} (headroom {headroom})")
         if self.slot_bits > self.key_bits - 2:
             raise ParamError(
                 f"{self.key_bits}-bit modulus cannot hold one "

@@ -1,32 +1,35 @@
-"""Data-dependent conditional statistics and their blinded two-party
-evaluation flow.
+"""Data-dependent conditional statistics and their blinded column
+encoding.
 
 Four statistics gate clause conditionals: intersection size, Jaccard
 index, Pearson correlation, and cosine similarity.  Set statistics
 operate on distinct values (multiset duplicates collapsed); vector
 statistics require equal-length inputs and refuse degenerate ones.
+The plain statistics (:func:`compute_statistic`) are the reference the
+blinded evaluation is checked against.
 
-The blinded flow simulates a private evaluation with message-level
-fidelity, not cryptographic strength: set statistics travel as
-salted-hash encodings, vector statistics as masked values under a
-transform the statistic is invariant to (positive scaling for cosine,
-positive-slope affine for Pearson).  Neither party's raw column ever
-crosses the member boundary in clear text, and the owner returns only
-the boolean decision unless audit mode is on.
+The negotiation engine decides every data-dependent conditional from a
+:class:`BlindedColumn`: the requester blinds each column a conditional
+reads into its acquire request, and the owner computes the statistic
+from it and its own raw values (:func:`evaluate_blinded`), returning
+only the decision.  This simulates a private evaluation with
+message-level fidelity, not cryptographic strength: set statistics
+travel as salted-hash encodings, vector statistics as masked values
+under a transform the statistic is invariant to (positive scaling for
+cosine, positive-slope affine for Pearson).  Neither party's raw column
+ever crosses the member boundary in clear text.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from curie.cpl.ast import Algorithm, Evaluate
+from curie.cpl.ast import Algorithm
 from curie.errors import CurieError, MalformedPayload
-from curie.transport import MessageLog
 
 
 class LengthMismatch(CurieError):
@@ -42,10 +45,6 @@ class ZeroNorm(CurieError):
 
 
 class EmptyUnion(CurieError):
-    pass
-
-
-class ColumnMismatch(CurieError):
     pass
 
 
@@ -105,32 +104,6 @@ STATISTICS: dict[Algorithm, Callable] = {
 
 def compute_statistic(algorithm: Algorithm, a: Sequence, b: Sequence) -> float:
     return float(STATISTICS[algorithm](a, b))
-
-
-# --------------------------------------------------------------------------
-# comparators
-
-def below(statistic: float, threshold: float) -> bool:
-    return statistic < threshold
-
-
-def above(statistic: float, threshold: float) -> bool:
-    return statistic > threshold
-
-
-COMPARATORS: dict[str, Callable[[float, float], bool]] = {
-    "below": below,
-    "above": above,
-}
-
-
-def resolve_comparator(comparator) -> Callable[[float, float], bool]:
-    if callable(comparator):
-        return comparator
-    try:
-        return COMPARATORS[comparator]
-    except KeyError:
-        raise ValueError(f"unknown comparator {comparator!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -241,77 +214,3 @@ def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
     if algorithm is Algorithm.PEARSON_CORRELATION:
         return pearson(blinded.affine, owner)
     return cosine(blinded.scaled, owner)
-
-
-# --------------------------------------------------------------------------
-# the evaluate_dd operation
-
-@dataclass(frozen=True)
-class DataRef:
-    member_id: str
-    column: str
-    values: tuple
-
-
-@dataclass(frozen=True)
-class DDOutcome:
-    decision: bool
-    algorithm: Algorithm
-    threshold: float
-    statistic: float | None = None  # populated only in audit mode
-
-    def to_json(self) -> dict:
-        out = {
-            "algorithm": self.algorithm.value,
-            "threshold": self.threshold,
-            "decision": self.decision,
-        }
-        if self.statistic is not None:
-            out["statistic"] = self.statistic
-        return out
-
-
-def evaluate_dd(cond: Evaluate, requester_ref: DataRef, owner_ref: DataRef,
-                mode: str = "plain", comparator="below",
-                rng: random.Random | None = None,
-                log: MessageLog | None = None,
-                audit: bool = False) -> DDOutcome:
-    """Evaluate one data-dependent conditional between two members.
-
-    The default comparator sets the conditional true when the statistic
-    falls strictly below the threshold.  In ``blinded`` mode the
-    requester's column is exchanged as a :class:`BlindedColumn` and the
-    statistic is computed owner-side; the response carries only the
-    boolean unless *audit* is set.
-    """
-    if requester_ref.column != owner_ref.column:
-        raise ColumnMismatch(
-            f"data refs disagree on column: {requester_ref.column!r} "
-            f"vs {owner_ref.column!r}")
-    cmp = resolve_comparator(comparator)
-    if mode == "plain":
-        stat = compute_statistic(cond.algorithm, requester_ref.values, owner_ref.values)
-    elif mode == "blinded":
-        rng = rng or random.Random()
-        blinded = blind_column(requester_ref.column, requester_ref.values, rng)
-        if log is not None:
-            request = json.dumps({
-                "algorithm": cond.algorithm.value,
-                "threshold": cond.threshold,
-                "payload": blinded.to_payload(),
-            }, sort_keys=True).encode()
-            log.send(requester_ref.member_id, owner_ref.member_id,
-                     "dd_request", request)
-        stat = evaluate_blinded(cond.algorithm, blinded, owner_ref.values)
-        if log is not None:
-            decision = cmp(stat, cond.threshold)
-            body: dict = {"decision": decision}
-            if audit:
-                body["statistic"] = stat
-            log.send(owner_ref.member_id, requester_ref.member_id,
-                     "dd_response", json.dumps(body, sort_keys=True).encode())
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    decision = cmp(stat, cond.threshold)
-    return DDOutcome(decision, cond.algorithm, cond.threshold,
-                     statistic=stat if audit else None)

@@ -13,6 +13,12 @@ clauses, and returns the agreement.  This keeps the message count at
 one request plus one response per directed pair; data-dependent
 conditionals ride along rather than costing extra messages.
 
+The owner's evaluation of the requester's blinded column is the one
+way a data-dependent conditional is decided: true when the statistic
+falls strictly below the threshold.  Each public profile lists the
+columns its member's policy evaluates, and a request blinds only the
+columns either side's profile lists.
+
 The merge is conservative: merged conditionals are the union (logical
 AND) of both sides' conditionals and merged selections the conjunction
 of both sides' filters, so no member's data is ever released beyond
@@ -33,13 +39,7 @@ from curie.cpl.parser import parse_policy
 from curie.cpl.serializer import format_conditional, serialize
 from curie.data import (Dataset, RowFilter, SchemaMismatch, apply_selections,
                         check_shared_schema)
-from curie.ddstats import (
-    BlindedColumn,
-    blind_column,
-    compute_statistic,
-    evaluate_blinded,
-    resolve_comparator,
-)
+from curie.ddstats import BlindedColumn, blind_column, evaluate_blinded
 from curie.errors import CurieError, MalformedPayload, PolicyTypeError
 from curie.transport import MessageLog
 
@@ -60,18 +60,22 @@ EMPTY = "empty"
 # --------------------------------------------------------------------------
 # member contexts and evaluation environments
 
-_PROFILE_FIELDS = {"member_id", "attributes", "alliances", "data_size"}
+_PROFILE_FIELDS = {"member_id", "attributes", "alliances", "data_size",
+                   "dd_columns"}
 
 
 @dataclass(frozen=True)
 class PublicProfile:
     """What a member discloses during negotiation: identity, plain
-    attributes, alliance memberships, and dataset row count."""
+    attributes, alliance memberships, dataset row count, and the columns
+    its policy's ``evaluate`` conditionals read (the policy itself
+    travels in every request the member sends, so this adds nothing)."""
 
     member_id: str
     attributes: Mapping[str, object] = field(default_factory=dict)
     alliances: frozenset[str] = frozenset()
     data_size: int = 0
+    dd_columns: frozenset[str] = frozenset()
 
     def to_json(self) -> dict:
         return {
@@ -79,6 +83,7 @@ class PublicProfile:
             "attributes": dict(self.attributes),
             "alliances": sorted(self.alliances),
             "data_size": self.data_size,
+            "dd_columns": sorted(self.dd_columns),
         }
 
     @classmethod
@@ -89,14 +94,27 @@ class PublicProfile:
             raise MalformedPayload("public profile fields do not match")
         member_id, attributes = obj["member_id"], obj["attributes"]
         alliances, data_size = obj["alliances"], obj["data_size"]
+        dd_columns = obj["dd_columns"]
         if not isinstance(member_id, str) or not isinstance(attributes, dict):
             raise MalformedPayload("profile id or attributes are mistyped")
-        if not isinstance(alliances, list) or not all(
-                isinstance(a, str) for a in alliances):
-            raise MalformedPayload("profile alliances are not a list of names")
+        for names in (alliances, dd_columns):
+            if not isinstance(names, list) or not all(
+                    isinstance(a, str) for a in names):
+                raise MalformedPayload(
+                    "profile alliances or dd columns are not a list of names")
         if type(data_size) is not int or data_size < 0:
             raise MalformedPayload(f"profile data size {data_size!r} is not a count")
-        return cls(member_id, attributes, frozenset(alliances), data_size)
+        return cls(member_id, attributes, frozenset(alliances), data_size,
+                   frozenset(dd_columns))
+
+
+def evaluated_columns(policy: ast.PolicyAst) -> frozenset[str]:
+    """The columns the ``evaluate`` conditionals of *policy*'s clauses
+    and sub-clauses read."""
+    return frozenset(
+        cond.data_ref
+        for statement in policy.statements if isinstance(statement, ast.Clause)
+        for cond in statement.conditionals if isinstance(cond, ast.Evaluate))
 
 
 @dataclass(frozen=True)
@@ -110,7 +128,8 @@ class MemberContext:
     @property
     def profile(self) -> PublicProfile:
         return PublicProfile(self.member_id, dict(self.attributes),
-                             self.alliances, self.dataset.n)
+                             self.alliances, self.dataset.n,
+                             evaluated_columns(self.policy))
 
 
 @dataclass(frozen=True)
@@ -215,7 +234,6 @@ class ResolvedClause:
     index: int                      # position among the policy's clauses
     clause: ast.Clause
     filters: tuple[RowFilter, ...]
-    deferred: tuple[ast.Evaluate, ...] = ()
 
 
 def _resolve_filter(f: ast.Filter, env: EvalEnv) -> RowFilter:
@@ -230,8 +248,18 @@ def _resolve_filter(f: ast.Filter, env: EvalEnv) -> RowFilter:
     return RowFilter(f.column, f.op, value)
 
 
+def _all_hold(conditionals: Sequence[ast.Conditional], env: EvalEnv,
+              dd_eval: DDEvaluator) -> bool:
+    """Whether all *conditionals* hold.  They are evaluated in order up
+    to the first that fails, so a later data-dependent one is neither
+    evaluated nor traced."""
+    return all(dd_eval(cond) if isinstance(cond, ast.Evaluate)
+               else eval_conditional(cond, env)
+               for cond in conditionals)
+
+
 def _expand_selections(policy: ast.PolicyAst, selections: ast.Selections,
-                       env: EvalEnv, dd_eval: DDEvaluator | None,
+                       env: EvalEnv, dd_eval: DDEvaluator,
                        visited: frozenset[str]):
     if isinstance(selections, ast.Filters):
         return tuple(_resolve_filter(f, env) for f in selections.items)
@@ -242,71 +270,34 @@ def _expand_selections(policy: ast.PolicyAst, selections: ast.Selections,
     if not branches:
         raise EnvError(f"selections reference undeclared sub-clause {tag!r}")
     for sub in branches:
-        ok = True
-        for cond in sub.conditionals:
-            if isinstance(cond, ast.Evaluate):
-                if dd_eval is None:
-                    raise EnvError(
-                        "data-dependent conditional inside sub-clause "
-                        f"{tag!r} requires an evaluator")
-                if not dd_eval(cond):
-                    ok = False
-                    break
-            elif not eval_conditional(cond, env):
-                ok = False
-                break
-        if ok:
+        if _all_hold(sub.conditionals, env, dd_eval):
             return _expand_selections(policy, sub.selections, env, dd_eval,
                                       visited | {tag})
     return _NO_BRANCH
 
 
-def iter_matching_clauses(policy: ast.PolicyAst, kind: ast.ClauseKind,
-                          counterparty: str, env: EvalEnv,
-                          dd_eval: DDEvaluator | None = None):
-    """Yield :class:`ResolvedClause` for every clause that matches under
-    top-down evaluation, in order.  Clauses whose conditionals fail (or
-    whose tag group offers no live branch) are skipped, implementing
-    fallback."""
+def resolve_clause(policy: ast.PolicyAst, kind: ast.ClauseKind,
+                   counterparty: str, env: EvalEnv,
+                   dd_eval: DDEvaluator) -> ResolvedClause | None:
+    """First matching clause of *kind* for *counterparty*, with fully
+    expanded selections, or None when nothing matches.
+
+    Clauses are consulted top-down; one whose conditionals fail (or
+    whose tag group offers no live branch) is skipped, implementing
+    fallback.  *dd_eval* decides every data-dependent conditional.
+    """
     for index, clause in enumerate(policy.clauses):
         if clause.kind is not kind:
             continue
         if clause.members and counterparty not in clause.members:
             continue
-        deferred: list[ast.Evaluate] = []
-        ok = True
-        for cond in clause.conditionals:
-            if isinstance(cond, ast.Evaluate):
-                if dd_eval is None:
-                    deferred.append(cond)
-                elif not dd_eval(cond):
-                    ok = False
-                    break
-            elif not eval_conditional(cond, env):
-                ok = False
-                break
-        if not ok:
+        if not _all_hold(clause.conditionals, env, dd_eval):
             continue
         filters = _expand_selections(policy, clause.selections, env, dd_eval,
                                      frozenset())
-        if filters is _NO_BRANCH:
-            continue
-        yield ResolvedClause(index, clause, filters, tuple(deferred))
-
-
-def resolve_clause(policy: ast.PolicyAst, kind: ast.ClauseKind,
-                   counterparty: str, env: EvalEnv,
-                   dd_eval: DDEvaluator | None = None) -> ResolvedClause | None:
-    """First matching clause of *kind* for *counterparty*, with fully
-    expanded selections, or None when nothing matches.
-
-    Without a *dd_eval*, clause-level data-dependent conditionals are
-    returned unevaluated in ``deferred``; a data-dependent conditional
-    inside a sub-clause raises :class:`EnvError` since branch choice
-    cannot be deferred.
-    """
-    return next(iter_matching_clauses(policy, kind, counterparty, env, dd_eval),
-                None)
+        if filters is not _NO_BRANCH:
+            return ResolvedClause(index, clause, filters)
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -347,20 +338,13 @@ class AcquireRequest:
     requester: PublicProfile
     policy: ast.PolicyAst
     blinded: Mapping[str, BlindedColumn] = field(default_factory=dict)
-    plain: Mapping[str, tuple] = field(default_factory=dict)
-    mode: str = "blinded"
 
     def to_payload(self) -> bytes:
-        body = {
+        return json.dumps({
             "requester": self.requester.to_json(),
             "policy": serialize(self.policy),
-            "mode": self.mode,
-        }
-        if self.mode == "blinded":
-            body["blinded"] = {c: b.to_payload() for c, b in sorted(self.blinded.items())}
-        else:
-            body["plain"] = {c: list(v) for c, v in sorted(self.plain.items())}
-        return json.dumps(body, sort_keys=True).encode()
+            "blinded": {c: b.to_payload() for c, b in sorted(self.blinded.items())},
+        }, sort_keys=True).encode()
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "AcquireRequest":
@@ -374,25 +358,17 @@ class AcquireRequest:
             raise MalformedPayload(f"request is not JSON: {exc}") from None
         if not isinstance(body, dict):
             raise MalformedPayload("request is not a JSON object")
-        mode = body.get("mode")
-        if mode not in ("blinded", "plain") or body.keys() != {
-                "requester", "policy", "mode", mode}:
-            raise MalformedPayload(
-                f"request fields {sorted(body)} do not match mode {mode!r}")
-        columns = body[mode]
+        if body.keys() != {"requester", "policy", "blinded"}:
+            raise MalformedPayload(f"request fields {sorted(body)} do not match")
+        columns = body["blinded"]
         if not isinstance(body["policy"], str) or not isinstance(columns, dict):
             raise MalformedPayload("request policy or columns are mistyped")
         requester = PublicProfile.from_json(body["requester"])
         policy = parse_policy(body["policy"])
-        if mode == "plain":
-            if not all(isinstance(v, list) for v in columns.values()):
-                raise MalformedPayload("plain columns are not lists")
-            plain = {c: tuple(v) for c, v in columns.items()}
-            return cls(requester, policy, plain=plain, mode=mode)
         blinded = {c: BlindedColumn.from_payload(p) for c, p in columns.items()}
         if any(b.column != c for c, b in blinded.items()):
             raise MalformedPayload("a blinded column is filed under another name")
-        return cls(requester, policy, blinded=blinded)
+        return cls(requester, policy, blinded)
 
 
 def _finite_float(text: str) -> float:
@@ -406,66 +382,52 @@ def _no_constant(name: str):
     raise MalformedPayload(f"non-finite number {name} in request")
 
 
-def build_request(requester: MemberContext, owner_id: str,
-                  mode: str = "blinded",
+def build_request(requester: MemberContext, owner: PublicProfile,
                   rng: random.Random | None = None) -> AcquireRequest:
     """Requester-side request assembly.
 
-    Blinded payloads are prepared for every schema column so the owner
-    can evaluate data-dependent conditionals from either side's policy
-    without another round trip.
+    Blinds every schema column that either side's profile lists as
+    evaluated, so the owner can decide the data-dependent conditionals
+    of both policies without another round trip, and no other column
+    leaves the requester.
     """
-    if mode == "blinded":
-        rng = rng or random.Random()
-        blinded = {
-            c.name: blind_column(c.name, requester.dataset.column(c.name), rng)
-            for c in requester.dataset.schema.columns
-        }
-        return AcquireRequest(requester.profile, requester.policy, blinded=blinded)
-    if mode == "plain":
-        plain = {c.name: tuple(requester.dataset.column(c.name))
-                 for c in requester.dataset.schema.columns}
-        return AcquireRequest(requester.profile, requester.policy,
-                              plain=plain, mode="plain")
-    raise ValueError(f"unknown negotiation mode {mode!r}")
+    rng = rng or random.Random()
+    profile = requester.profile
+    wanted = profile.dd_columns | owner.dd_columns
+    blinded = {
+        c.name: blind_column(c.name, requester.dataset.column(c.name), rng)
+        for c in requester.dataset.schema.columns if c.name in wanted
+    }
+    return AcquireRequest(profile, requester.policy, blinded)
 
 
 def _make_dd_eval(request: AcquireRequest, owner: MemberContext,
-                  comparator, trace: list[dict], audit: bool,
+                  trace: list[dict],
                   timings: dict | None = None) -> DDEvaluator:
-    cmp = resolve_comparator(comparator)
-
     def dd_eval(cond: ast.Evaluate) -> bool:
         column = cond.data_ref
         if not owner.dataset.schema.has_column(column):
             raise EnvError(f"data reference &{column} is not a schema column")
-        owner_values = owner.dataset.column(column)
+        blinded = request.blinded.get(column)
+        if blinded is None:
+            raise EnvError(f"the request carries no blinded column for &{column}")
         t0 = time.perf_counter()
-        if request.mode == "blinded":
-            stat = evaluate_blinded(cond.algorithm, request.blinded[column],
-                                    owner_values)
-        else:
-            stat = compute_statistic(cond.algorithm, request.plain[column],
-                                     owner_values)
+        stat = evaluate_blinded(cond.algorithm, blinded, owner.dataset.column(column))
         if timings is not None:
             timings["dd"] = timings.get("dd", 0.0) + time.perf_counter() - t0
-        decision = cmp(stat, cond.threshold)
-        entry = {
+        decision = stat < cond.threshold
+        trace.append({
             "algorithm": cond.algorithm.value,
             "column": column,
             "threshold": cond.threshold,
             "decision": decision,
-        }
-        if audit:
-            entry["statistic"] = stat
-        trace.append(entry)
+        })
         return decision
 
     return dd_eval
 
 
 def answer_request(owner: MemberContext, request: AcquireRequest,
-                   comparator="below", audit: bool = False,
                    timings: dict | None = None) -> Agreement:
     """Owner-side negotiation: resolve both sides, AND-merge, classify.
 
@@ -476,7 +438,7 @@ def answer_request(owner: MemberContext, request: AcquireRequest,
     """
     requester = request.requester
     trace: list[dict] = []
-    dd_eval = _make_dd_eval(request, owner, comparator, trace, audit, timings)
+    dd_eval = _make_dd_eval(request, owner, trace, timings)
 
     acquire_env = EvalEnv(requester, owner.profile,
                           request.policy.attribute_map())
@@ -515,15 +477,13 @@ def answer_request(owner: MemberContext, request: AcquireRequest,
 
 
 def negotiate_pair(requester: MemberContext, owner: MemberContext,
-                   mode: str = "blinded", comparator="below",
-                   rng: random.Random | None = None,
-                   audit: bool = False) -> Agreement:
+                   rng: random.Random | None = None) -> Agreement:
     """Negotiate one directed pair (requester acquires from owner)."""
     report = check_shared_schema(requester.dataset.schema, owner.dataset.schema)
     if report:
         raise SchemaMismatch("; ".join(report))
-    request = build_request(requester, owner.member_id, mode, rng)
-    return answer_request(owner, request, comparator, audit)
+    request = build_request(requester, owner.profile, rng)
+    return answer_request(owner, request)
 
 
 def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
@@ -534,9 +494,7 @@ def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
 
 
 def negotiate_consortium(contexts: Sequence[MemberContext],
-                         mode: str = "blinded", comparator="below",
                          rng: random.Random | None = None,
-                         audit: bool = False,
                          log: MessageLog | None = None,
                          timings: dict | None = None,
                          ) -> tuple[list[Agreement], MessageLog]:
@@ -571,11 +529,10 @@ def negotiate_consortium(contexts: Sequence[MemberContext],
             if not _names_counterparty(requester.policy, owner_id):
                 continue
             owner = by_id[owner_id]
-            request = build_request(requester, owner_id, mode, rng)
+            request = build_request(requester, owner.profile, rng)
             log.send(requester_id, owner_id, "acquire_request", request.to_payload())
             try:
-                agreement = answer_request(owner, request, comparator, audit,
-                                           timings=timings)
+                agreement = answer_request(owner, request, timings=timings)
             except CurieError as exc:
                 agreement = Agreement(owner_id, requester_id, EMPTY,
                                       reason=f"negotiation error: {exc}")

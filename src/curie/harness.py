@@ -105,8 +105,6 @@ class ConsortiumConfig:
     he: HEParams
     dp: DPSettings
     seed: int
-    dd_mode: str = "blinded"
-    dd_comparator: str = "below"
     holdout_fraction: float = 0.25
 
 
@@ -219,9 +217,6 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     holdout = float(raw.get("holdout_fraction", 0.25))
     if not 0.0 <= holdout < 1.0:
         raise ConfigError("holdout_fraction", "must lie in [0, 1)")
-    dd_mode = raw.get("dd_mode", "blinded")
-    if dd_mode not in ("blinded", "plain"):
-        raise ConfigError("dd_mode", f"unknown mode {dd_mode!r}")
 
     return ConsortiumConfig(
         name=raw.get("name", path.stem),
@@ -232,8 +227,6 @@ def load_config(path: str | Path) -> ConsortiumConfig:
         he=he,
         dp=dp,
         seed=seed,
-        dd_mode=dd_mode,
-        dd_comparator=raw.get("dd_comparator", "below"),
         holdout_fraction=holdout,
     )
 
@@ -401,8 +394,7 @@ def _negotiate_and_pool(cfg: ConsortiumConfig, timings: dict[str, float],
 
     t0 = time.perf_counter()
     agreements, nego_log = negotiate_consortium(
-        scenario.contexts, mode=cfg.dd_mode, comparator=cfg.dd_comparator,
-        rng=random.Random(_seed_for(cfg.seed, "negotiate")),
+        scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")),
         timings=timings)
     timings["negotiation"] = time.perf_counter() - t0
     timings.setdefault("dd", 0.0)

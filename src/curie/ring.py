@@ -158,29 +158,18 @@ def unpack_envelope(buf: bytes) -> tuple[bytes, str, str, bytes]:
     return session_id, phase, sender, buf[end:]
 
 
-def _pack_stats_payload(*matrices: crypto.CipherMatrix) -> bytes:
-    return b"".join(crypto.serialize_cipher_matrix(C) for C in matrices)
-
-
-def _unpack_stats_payload(buf: bytes, pk: crypto.PublicKey
-                          ) -> tuple[crypto.CipherMatrix, ...]:
-    out = []
-    offset = 0
-    while offset < len(buf):
-        C, offset = crypto.parse_cipher_matrix(buf, pk, offset)
-        out.append(C)
-    return tuple(out)
-
-
 def _unpack_ring_payload(buf: bytes, pk: crypto.PublicKey,
-                         width: int) -> crypto.CipherMatrix:
-    """The one (1, width) packed cipher matrix a ring payload carries."""
-    matrices = _unpack_stats_payload(buf, pk)
-    if len(matrices) != 1 or matrices[0].shape != (1, width):
-        raise ProtocolError(
-            f"expected one (1, {width}) packed ciphertext matrix, got "
-            f"shapes {[C.shape for C in matrices]}")
-    return matrices[0]
+                         width: int | None = None) -> crypto.CipherMatrix:
+    """The one cipher matrix a ring payload carries, of shape
+    (1, *width*) when *width* is given."""
+    C, end = crypto.parse_cipher_matrix(buf, pk)
+    if end != len(buf):
+        raise ProtocolError(f"{len(buf) - end} bytes trail the ring payload's "
+                            f"cipher matrix")
+    if width is not None and C.shape != (1, width):
+        raise ProtocolError(f"expected a (1, {width}) packed ciphertext matrix, "
+                            f"got shape {C.shape}")
+    return C
 
 
 # --------------------------------------------------------------------------
@@ -397,6 +386,7 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
     records its slot layout, one of a member's packed plaintexts.
     Payloads are scanned byte-wise for the serialized residues, and
     suspiciously small (plaintext-range) cells are compared with them.
+    A leaked value that several members hold is reported for each.
     """
     findings: list[LeakageFinding] = []
     ring = transcript.ring
@@ -421,8 +411,7 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                 pk, _ = crypto.parse_public_key(payload)
                 break
         if pk is not None:
-            targets: dict[int, str] = {}
-            patterns: dict[bytes, str] = {}
+            targets: dict[int, set[str]] = {}    # residue -> its holders
             for member, stats in reference_stats.items():
                 entries = [crypto.encode_fixed(float(e), scale) for e in
                            [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
@@ -432,26 +421,26 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                     except crypto.Overflow:
                         pass    # a member holding these could not have sent them
                 for enc in entries:
-                    if enc == 0:
-                        continue
-                    residue = pk.from_signed(enc)
-                    targets[residue] = member
-                    patterns[crypto.serialize_cipher_matrix(
-                        crypto.CipherMatrix(pk, scale, (1, 1), (residue,)))[12:]] = member
+                    if enc != 0:
+                        targets.setdefault(pk.from_signed(enc), set()).add(member)
+            patterns = {
+                crypto.serialize_cipher_matrix(
+                    crypto.CipherMatrix(pk, scale, (1, 1), (residue,)))[12:]: holders
+                for residue, holders in targets.items()}
             for msg in transcript.log:
                 _, phase, sender, payload = unpack_envelope(msg.payload)
                 if phase != PHASE_RING:
                     continue
-                for pat, member in patterns.items():
+                for pat, holders in patterns.items():
                     if pat in payload:
-                        findings.append(LeakageFinding(
+                        findings.extend(LeakageFinding(
                             "plaintext_leak", member,
                             f"encoded statistic bytes appear in a ring payload "
-                            f"sent by {sender}"))
-                for C in _unpack_stats_payload(payload, pk):
-                    for cell in C.cells:
-                        if cell < pk.n and cell in targets:
-                            findings.append(LeakageFinding(
-                                "plaintext_leak", targets[cell],
-                                f"plaintext-range cell in payload from {sender}"))
+                            f"sent by {sender}") for member in sorted(holders))
+                for cell in _unpack_ring_payload(payload, pk).cells:
+                    if cell < pk.n:
+                        findings.extend(LeakageFinding(
+                            "plaintext_leak", member,
+                            f"plaintext-range cell in payload from {sender}")
+                            for member in sorted(targets.get(cell, ())))
     return LeakageReport(tuple(findings))

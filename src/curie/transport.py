@@ -1,5 +1,5 @@
-"""In-process message transport shared by negotiation, blinded
-conditional evaluation, and the ring protocol.
+"""In-process message transport shared by negotiation and the ring
+protocol.
 
 Messages are append-only records with serialized payloads; transcripts
 export to JSON with hex-encoded payload bytes so audits can scan the

@@ -13,7 +13,6 @@ import pytest
 
 from curie import cpl
 from curie.cpl import ast as A
-from curie.cpl.coverage import REQUIRED_PRODUCTIONS, productions_used
 from curie.crypto import HEParams, add_cipher, decrypt_matrix, encrypt_matrix, keygen
 from curie.data import (
     RowFilter,
@@ -24,13 +23,15 @@ from curie.data import (
     synth_numeric_members,
     to_design_matrix,
 )
-from curie.ddstats import DataRef, compute_statistic, evaluate_dd
+from curie.ddstats import compute_statistic
 from curie.engine import MemberContext, negotiate_consortium, negotiate_pair
 from curie.harness import bench, dp_sweep, load_config
 from curie.regression import solve_ols, solve_ols_pruned
 from curie.ring import audit_transcript, local_stats, run_ring_session
 
 from conftest import CORPUS_DIR, config_path
+from dd_pair import dd_members
+from grammar_coverage import REQUIRED_PRODUCTIONS, productions_used
 from worked_example import (
     EXPECTED_DEFAULT,
     EXPECTED_LARGE_OVERLAP,
@@ -391,7 +392,7 @@ def test_criterion_6_leakage_predicates(small_he_params):
 
 
 # ---------------------------------------------------------------------------
-# 7. dd-statistics oracles, mode equivalence, transcript hygiene
+# 7. dd-statistics oracles, blinded decisions, transcript hygiene
 
 def test_criterion_7_dd_statistics():
     import math
@@ -427,8 +428,8 @@ def test_criterion_7_dd_statistics():
         worst = max(worst, abs(got - oracle(algorithm, a, b)))
         assert worst <= 1e-12
 
-    # blinded/plain decision equivalence + transcript hygiene
-    from curie.transport import MessageLog
+    # the engine's blinded decision equals the plain statistic's, and the
+    # request and response carry no raw value of either member
     blind_rng = random.Random(7)
     agreements = 0
     for trial in range(100):
@@ -440,18 +441,16 @@ def test_criterion_7_dd_statistics():
         else:
             a = [float(v) for v in gen.normal(0, 5, n)]
             b = [float(v) for v in gen.normal(0, 5, n)]
-        cond = A.Evaluate("col", algorithm, float(gen.uniform(-1, 16)))
-        req = DataRef("R", "col", tuple(a))
-        own = DataRef("O", "col", tuple(b))
-        log = MessageLog()
-        plain = evaluate_dd(cond, req, own, mode="plain")
-        blinded = evaluate_dd(cond, req, own, mode="blinded", rng=blind_rng,
-                              log=log)
-        assert plain.decision == blinded.decision
+        threshold = float(gen.uniform(-1, 16))
+        requester, owner = dd_members(algorithm, threshold, a, b)
+        [agreement], log = negotiate_consortium([requester, owner], rng=blind_rng)
+        [entry] = agreement.dd_trace
+        assert entry["decision"] == (compute_statistic(algorithm, a, b) < threshold)
+        assert [m.kind for m in log] == ["acquire_request", "negotiation_output"]
         blob = b"".join(msg.payload for msg in log)
-        for v in a:
+        for v in a + b:
             token = (v if isinstance(v, str) else repr(v)).encode()
-            assert token not in blob, "raw requester value crossed the boundary"
+            assert token not in blob, "raw member value crossed the boundary"
         agreements += 1
     report(7, f"500 statistic evaluations within 1e-12 of oracles "
               f"(worst {worst:.1e}); blinded == plain on {agreements} pairs; "

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from curie.cpl import LexError, ParseError, PolicyAst, parse_policy, serialize
 from curie.cpl import ast as A
-from curie.cpl.coverage import REQUIRED_PRODUCTIONS, productions_used
+
+from grammar_coverage import REQUIRED_PRODUCTIONS, productions_used
 
 
 def test_corpus_parses_and_roundtrips(corpus_files):

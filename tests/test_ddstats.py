@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from curie.cpl.ast import Algorithm, Evaluate
 from curie.ddstats import (
-    ColumnMismatch,
-    DataRef,
     EmptyUnion,
     LengthMismatch,
     ZeroNorm,
@@ -17,12 +16,13 @@ from curie.ddstats import (
     compute_statistic,
     cosine,
     evaluate_blinded,
-    evaluate_dd,
     intersection_size,
     jaccard,
     pearson,
 )
-from curie.transport import MessageLog
+from curie.engine import negotiate_consortium, negotiate_pair
+
+from dd_pair import dd_members
 
 
 # ---------------------------------------------------------------------------
@@ -140,40 +140,31 @@ def test_vector_statistic_invariances(a, b, alpha, beta):
 
 
 # ---------------------------------------------------------------------------
-# evaluate_dd and the blinded flow
+# the engine's blinded decision
 
-def _refs(a_values, b_values, column="genotype"):
-    return (DataRef("M1", column, tuple(a_values)),
-            DataRef("M3", column, tuple(b_values)))
+def _decision(algorithm, threshold, a_values, b_values, rng=None):
+    requester, owner = dd_members(algorithm, threshold, a_values, b_values)
+    agreement = negotiate_pair(requester, owner, rng=rng or random.Random(0))
+    [entry] = agreement.dd_trace
+    assert (agreement.status == "full") is entry["decision"]
+    return entry["decision"]
+
+
+def _transcript(algorithm, threshold, a_values, b_values, seed):
+    requester, owner = dd_members(algorithm, threshold, a_values, b_values)
+    _, log = negotiate_consortium([requester, owner], rng=random.Random(seed))
+    return log
 
 
 def test_below_threshold_semantics():
-    cond = Evaluate("genotype", Algorithm.INTERSECTION_SIZE, 10.0)
-    req, own = _refs(["a", "b", "c", "d", "e", "f", "g"],
-                     ["a", "b", "c", "d", "e", "f", "g"])
+    values = ["a", "b", "c", "d", "e", "f", "g"]
     # statistic 7 < 10 -> conditional true
-    assert evaluate_dd(cond, req, own).decision is True
+    assert _decision(Algorithm.INTERSECTION_SIZE, 10.0, values, values) is True
 
 
 def test_identical_columns_fail_jaccard_threshold():
-    cond = Evaluate("genotype", Algorithm.JACCARD_INDEX, 0.3)
-    req, own = _refs([1, 2, 3], [1, 2, 3])
     # jaccard 1.0, not below 0.3
-    assert evaluate_dd(cond, req, own).decision is False
-
-
-def test_comparator_override():
-    cond = Evaluate("genotype", Algorithm.JACCARD_INDEX, 0.3)
-    req, own = _refs([1, 2, 3], [1, 2, 3])
-    assert evaluate_dd(cond, req, own, comparator="above").decision is True
-
-
-def test_column_mismatch_rejected():
-    cond = Evaluate("genotype", Algorithm.JACCARD_INDEX, 0.3)
-    req = DataRef("M1", "genotype", (1,))
-    own = DataRef("M3", "age", (1,))
-    with pytest.raises(ColumnMismatch):
-        evaluate_dd(cond, req, own)
+    assert _decision(Algorithm.JACCARD_INDEX, 0.3, [1, 2, 3], [1, 2, 3]) is False
 
 
 def test_blinded_equals_plain_on_random_pairs():
@@ -189,21 +180,15 @@ def test_blinded_equals_plain_on_random_pairs():
             a = [float(v) for v in rng.normal(0, 5, size=n)]
             b = [float(v) for v in rng.normal(0, 5, size=n)]
         threshold = float(rng.uniform(-1, 13))
-        cond = Evaluate("col", algorithm, threshold)
-        req, own = _refs(a, b, column="col")
-        plain = evaluate_dd(cond, req, own, mode="plain")
-        blinded = evaluate_dd(cond, req, own, mode="blinded", rng=blind_rng)
-        assert plain.decision == blinded.decision, (algorithm, threshold)
+        plain = compute_statistic(algorithm, a, b) < threshold
+        blinded = _decision(algorithm, threshold, a, b, blind_rng)
+        assert plain == blinded, (algorithm, threshold)
 
 
 def test_blinded_transcript_contains_no_raw_values():
     values = ["secretA", "secretB", "secretC"]
     owner_values = ["secretB", "other"]
-    cond = Evaluate("col", Algorithm.INTERSECTION_SIZE, 5.0)
-    req, own = (DataRef("M1", "col", tuple(values)),
-                DataRef("M3", "col", tuple(owner_values)))
-    log = MessageLog()
-    evaluate_dd(cond, req, own, mode="blinded", rng=random.Random(1), log=log)
+    log = _transcript(Algorithm.INTERSECTION_SIZE, 5.0, values, owner_values, 1)
     assert len(log) == 2
     blob = b"".join(m.payload for m in log)
     for raw in values + owner_values:
@@ -213,24 +198,19 @@ def test_blinded_transcript_contains_no_raw_values():
 def test_blinded_numeric_vectors_masked_in_transcript():
     a = [123.456, 789.25, -55.125]
     b = [1.0, 2.0, 3.0]
-    cond = Evaluate("col", Algorithm.PEARSON_CORRELATION, 0.9)
-    req, own = (DataRef("M1", "col", tuple(a)), DataRef("M3", "col", tuple(b)))
-    log = MessageLog()
-    evaluate_dd(cond, req, own, mode="blinded", rng=random.Random(2), log=log)
+    log = _transcript(Algorithm.PEARSON_CORRELATION, 0.9, a, b, 2)
     blob = b"".join(m.payload for m in log)
     for v in a:
         assert repr(v).encode() not in blob
 
 
-def test_audit_mode_exposes_statistic_plain_response_does_not():
-    cond = Evaluate("col", Algorithm.JACCARD_INDEX, 0.5)
-    req, own = _refs([1, 2, 3, 4], [3, 4, 5], column="col")
-    silent = evaluate_dd(cond, req, own)
-    assert silent.statistic is None
-    audited = evaluate_dd(cond, req, own, audit=True)
-    assert audited.statistic == pytest.approx(2 / 5)
-    assert "statistic" in audited.to_json()
-    assert "statistic" not in silent.to_json()
+def test_response_carries_the_decision_not_the_statistic():
+    a, b = [1, 2, 3, 4], [3, 4, 5]
+    assert compute_statistic(Algorithm.JACCARD_INDEX, a, b) == pytest.approx(2 / 5)
+    log = _transcript(Algorithm.JACCARD_INDEX, 0.5, a, b, 0)
+    response = json.loads(log.messages[-1].payload)
+    assert response["dd_trace"] == [{"algorithm": "Jaccard index", "column": "col",
+                                     "threshold": 0.5, "decision": True}]
 
 
 def test_blinded_set_statistic_is_exact():

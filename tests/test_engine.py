@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,15 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curie.cpl import ClauseKind, parse_policy
-from curie.cpl.ast import Comparison, MemberRef, SizeOfData, Value, VarRef
+from curie.cpl.ast import Algorithm, Comparison, MemberRef, SizeOfData, Value, VarRef
 from curie.data import Column, ColumnType, Schema, apply_selections, from_rows
+from curie.ddstats import compute_statistic
 from curie.engine import (
+    AcquireRequest,
     CycleError,
     EnvError,
     EvalEnv,
     MemberContext,
     PublicProfile,
+    answer_request,
+    build_request,
     eval_conditional,
+    evaluated_columns,
     negotiate_consortium,
     negotiate_pair,
     resolve_clause,
@@ -86,10 +92,14 @@ def test_in_against_attribute_value_list():
 # ---------------------------------------------------------------------------
 # resolve_clause
 
+def _no_dd(cond):
+    raise AssertionError(f"unexpected data-dependent conditional {cond}")
+
+
 def test_resolve_picks_fine_select_branch_when_c3_true():
     m1, m2, _ = build_contexts()
     e = EvalEnv(m2.profile, m1.profile, m2.policy.attribute_map())
-    resolved = resolve_clause(m2.policy, ClauseKind.SHARE, "M1", e)
+    resolved = resolve_clause(m2.policy, ClauseKind.SHARE, "M1", e, _no_dd)
     assert resolved is not None
     assert [(f.column, f.op) for f in resolved.filters] == [("country", "in")]
 
@@ -97,7 +107,7 @@ def test_resolve_picks_fine_select_branch_when_c3_true():
 def test_resolve_falls_back_to_s3_when_c3_false():
     m1, m2, _ = build_contexts(m1_continent="Europe")
     e = EvalEnv(m2.profile, m1.profile, m2.policy.attribute_map())
-    resolved = resolve_clause(m2.policy, ClauseKind.SHARE, "M1", e)
+    resolved = resolve_clause(m2.policy, ClauseKind.SHARE, "M1", e, _no_dd)
     assert [(f.column, f.op, f.value) for f in resolved.filters] == [
         ("race", "=", "White")]
 
@@ -105,17 +115,7 @@ def test_resolve_falls_back_to_s3_when_c3_false():
 def test_resolve_no_match_when_member_not_listed():
     m1, _, _ = build_contexts()
     e = EvalEnv(m1.profile, PublicProfile("M9"), {})
-    assert resolve_clause(m1.policy, ClauseKind.SHARE, "M9", e) is None
-
-
-def test_resolve_defers_dd_conditionals_without_evaluator():
-    _, _, m3 = build_contexts()
-    e = EvalEnv(m3.profile, PublicProfile("M1", alliances=frozenset({"NATO"})),
-                m3.policy.attribute_map())
-    resolved = resolve_clause(m3.policy, ClauseKind.SHARE, "M1", e)
-    assert resolved is not None
-    assert len(resolved.deferred) == 1
-    assert resolved.deferred[0].data_ref == "genotype"
+    assert resolve_clause(m1.policy, ClauseKind.SHARE, "M9", e, _no_dd) is None
 
 
 def test_subclause_cycle_is_detected():
@@ -124,7 +124,7 @@ def test_subclause_cycle_is_detected():
         "a : :: b ;\n"
         "b : :: a ;\n")
     with pytest.raises(CycleError):
-        resolve_clause(policy, ClauseKind.SHARE, "M1", env())
+        resolve_clause(policy, ClauseKind.SHARE, "M1", env(), _no_dd)
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +165,20 @@ def test_worked_example_intersection_failure_variant():
 
 
 def test_plain_and_blinded_modes_agree_on_the_example():
+    # every blinded decision is the plain statistic's, on the raw columns
+    decisions = 0
     for knobs in (dict(), dict(genotype_overlap="large"),
                   dict(m1_continent="Europe")):
         m1, m2, m3 = build_contexts(**knobs)
         for req, own in [(m1, m2), (m1, m3), (m3, m1), (m2, m3)]:
-            blinded = _agreement(req, own, mode="blinded")
-            plain = _agreement(req, own, mode="plain")
-            assert blinded.status == plain.status
-            assert filter_triples(blinded) == filter_triples(plain)
+            for entry in _agreement(req, own).dd_trace:
+                column = entry["column"]
+                stat = compute_statistic(Algorithm(entry["algorithm"]),
+                                         req.dataset.column(column),
+                                         own.dataset.column(column))
+                assert entry["decision"] == (stat < entry["threshold"])
+                decisions += 1
+    assert decisions == 6    # M1 acquiring from M3: age and genotype, per variant
 
 
 def test_no_acquire_clause_yields_empty_with_reason():
@@ -314,14 +320,6 @@ def test_dd_conditional_inside_subclause_negotiates():
     assert filter_triples(agreement) == [("a", ">", 90)]
 
 
-def test_resolve_without_evaluator_rejects_dd_in_subclause():
-    policy = parse_policy(
-        "share : A : :: pick ;\n"
-        'pick : evaluate(&a, "Jaccard index", 0.5) :: ;\n')
-    with pytest.raises(EnvError):
-        resolve_clause(policy, ClauseKind.SHARE, "A", env())
-
-
 def test_unconditional_share_with_restricting_acquire_is_partial():
     # owner shares everything, requester narrows to age > 25: the release
     # is a proper nonempty subset of the owner's data, so the outcome is
@@ -346,10 +344,8 @@ def test_unconditional_share_with_restricting_acquire_is_partial():
 def test_acquire_request_wire_roundtrip():
     # the request payload is the negotiation's external interface: the
     # owner must reach the same agreement from the parsed bytes
-    from curie.engine import AcquireRequest, answer_request, build_request
-
     m1, m2, _ = build_contexts()
-    request = build_request(m1, "M2", mode="blinded", rng=random.Random(4))
+    request = build_request(m1, m2.profile, rng=random.Random(4))
     parsed = AcquireRequest.from_payload(request.to_payload())
     assert parsed.requester == request.requester
     assert parsed.policy == request.policy
@@ -361,16 +357,65 @@ def test_acquire_request_wire_roundtrip():
     assert direct.provenance == via_wire.provenance
 
 
-def _request_payloads():
-    from curie.engine import build_request
+def test_profiles_list_evaluated_columns_and_requests_blind_only_those():
+    m1, m2, m3 = build_contexts()
+    assert [m.profile.dd_columns for m in (m1, m2, m3)] == [
+        {"age"}, set(), {"genotype"}]
+    blinded = {(r.member_id, o.member_id):
+               set(build_request(r, o.profile, random.Random(0)).blinded)
+               for r, o in itertools.permutations((m1, m2, m3), 2)}
+    assert blinded == {
+        ("M1", "M2"): {"age"}, ("M2", "M1"): {"age"},
+        ("M1", "M3"): {"age", "genotype"}, ("M3", "M1"): {"age", "genotype"},
+        ("M2", "M3"): {"genotype"}, ("M3", "M2"): {"genotype"}}
+    # conditionals inside sub-clauses count too
+    policy = parse_policy(
+        "share : A : :: pick ;\n"
+        'pick : evaluate(&a, "Jaccard index", 0.5) :: ;\n')
+    assert evaluated_columns(policy) == {"a"}
 
-    m1, _, _ = build_contexts()
-    return {mode: build_request(m1, "M2", mode=mode,
-                                rng=random.Random(4)).to_payload()
-            for mode in ("blinded", "plain")}
+
+def _without_blinded_columns(request: AcquireRequest) -> bytes:
+    body = json.loads(request.to_payload())
+    body["blinded"] = {}
+    return json.dumps(body).encode()
 
 
-_REQUESTS = _request_payloads()
+def test_request_lacking_an_evaluated_column_is_a_typed_error():
+    # M1's acquire clause from M3 evaluates &age: an owner handed no
+    # blinded age column fails with a CurieError, directly and from bytes
+    m1, _, m3 = build_contexts()
+    request = build_request(m1, m3.profile, rng=random.Random(4))
+    bare = AcquireRequest(request.requester, request.policy, {})
+    parsed = AcquireRequest.from_payload(_without_blinded_columns(request))
+    assert parsed == bare
+    for stripped in (bare, parsed):
+        with pytest.raises(EnvError, match="&age"):
+            answer_request(m3, stripped)
+
+
+def test_consortium_records_a_request_lacking_a_column_as_empty(monkeypatch):
+    from curie import engine
+
+    build = engine.build_request
+    monkeypatch.setattr(engine, "build_request", lambda requester, owner, rng: (
+        AcquireRequest.from_payload(_without_blinded_columns(
+            build(requester, owner, rng)))))
+    agreements, _ = negotiate_consortium(list(build_contexts()),
+                                         rng=random.Random(5))
+    by_pair = {(a.requester, a.owner): a for a in agreements}
+    failed = by_pair[("M1", "M3")]
+    assert failed.status == "empty"
+    assert "negotiation error" in failed.reason and "&age" in failed.reason
+    assert by_pair[("M1", "M2")].status == "partial"    # nothing evaluated
+
+
+def _request_payload():
+    m1, m2, _ = build_contexts()
+    return build_request(m1, m2.profile, rng=random.Random(4)).to_payload()
+
+
+_REQUEST = _request_payload()
 
 
 def _with_overflowing_attribute(payload: bytes) -> bytes:
@@ -388,14 +433,11 @@ def _with_hashes_as_object(payload: bytes) -> bytes:
 
 @pytest.mark.parametrize("payload", [
     b"", b"{}", b"[]", b"\xff", b'{"mode": "plain"}',
-    _REQUESTS["blinded"][:-3],
-    _REQUESTS["plain"].replace(b'"mode": "plain"', b'"mode": "blinded"'),
-    _with_overflowing_attribute(_REQUESTS["plain"]),
-    _with_hashes_as_object(_REQUESTS["blinded"]),
+    _REQUEST[:-3],
+    _with_overflowing_attribute(_REQUEST),
+    _with_hashes_as_object(_REQUEST),
 ])
 def test_malformed_acquire_requests_rejected(payload):
-    from curie.engine import AcquireRequest
-
     with pytest.raises(MalformedPayload):
         AcquireRequest.from_payload(payload)
 
@@ -418,7 +460,7 @@ _json_values = st.recursive(
 @st.composite
 def _field_mutations(draw):
     """A valid request body with one field replaced or deleted."""
-    body = json.loads(draw(st.sampled_from(sorted(_REQUESTS.values()))))
+    body = json.loads(_REQUEST)
     path = draw(st.sampled_from(list(_json_paths(body))[1:]))
     parent = body
     for key in path[:-1]:
@@ -431,10 +473,8 @@ def _field_mutations(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(byte_mutations(_REQUESTS["plain"]), _field_mutations()))
+@given(st.one_of(byte_mutations(_REQUEST), _field_mutations()))
 def test_acquire_request_parser_total_on_arbitrary_bytes(blob):
-    from curie.engine import AcquireRequest
-
     try:
         request = AcquireRequest.from_payload(blob)
     except CurieError:

@@ -301,8 +301,7 @@ def test_scenario_pooled_model_matches_centralization_oracle():
 
     scenario = build_scenario(cfg)
     agreements, _ = negotiate_consortium(
-        scenario.contexts, mode=cfg.dd_mode, comparator=cfg.dd_comparator,
-        rng=random.Random(_seed_for(cfg.seed, "negotiate")))
+        scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")))
     pieces = [scenario.context(cfg.initiator).dataset]
     for a in agreements:
         if a.requester == cfg.initiator and a.status != EMPTY:

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from curie.crypto import HEParams
 from curie.data import RowFilter
 from curie.engine import Agreement
 from curie.errors import CurieError
@@ -108,6 +110,24 @@ def test_two_member_session(small_he_params):
     stats, result = _session(["P1", "P2"], small_he_params)
     np.testing.assert_allclose(result.O_pool, stats["P1"].O + stats["P2"].O,
                                atol=1e-5)
+
+
+def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
+    # a 72-bit slot in a 128-bit key: one slot per plaintext
+    params = HEParams(key_bits=128, scale_bits=56, n_max=100, m_max=4, v_max=10.0)
+    params.validate()
+    gen = np.random.default_rng(4)
+    stats = {}
+    for mid in ("P1", "P2"):
+        X = gen.integers(-4, 5, (10, 4)) / 4    # dyadic, so encoding is exact
+        Y = gen.integers(0, 11, 10).astype(float)
+        stats[mid] = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 10)
+    result = run_ring_session(["P1", "P2"], "P1", stats.get, params,
+                              random.Random(0))
+    assert result.transcript.layout.per_plaintext == 1
+    np.testing.assert_array_equal(result.O_pool, stats["P1"].O + stats["P2"].O)
+    np.testing.assert_array_equal(result.V_pool, stats["P1"].V + stats["P2"].V)
+    assert result.n_pool == 20
 
 
 def test_empty_contributor_adds_zeros(small_he_params):
@@ -272,19 +292,14 @@ def test_transcript_json_export(small_he_params):
         bytes.fromhex(msg["payload"])  # payloads are hex-encoded bytes
 
 
-def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
-    # a buggy member forwards its packed plaintexts in place of the
-    # ciphertext sum: the audit finds them both as byte patterns and as
-    # plaintext-range cells
+def _forward_packed_plaintext(transcript, stats, member, params):
+    """The transcript with *member*'s ring payload replaced by its packed
+    plaintexts, as a buggy member forwarding them would send it."""
     from curie import crypto
     from curie.ring import Transcript, _encode_stats
     from curie.transport import MessageLog
 
-    members = ["P1", "P2", "P3"]
-    stats, result = _session(members, small_he_params)
-    transcript = result.transcript
     layout = transcript.layout
-    assert layout is not None and layout.per_plaintext > 1
     pk = None
     log = MessageLog()
     for msg in transcript.log:
@@ -292,15 +307,27 @@ def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
         session_id, phase, sender, body = unpack_envelope(payload)
         if phase == "public_key":
             pk, _ = crypto.parse_public_key(body)
-        elif sender == "P2":
-            packed = layout.pack(_encode_stats(stats["P2"], small_he_params.scale))
-            leaked = crypto.CipherMatrix(pk, small_he_params.scale, (1, len(packed)),
+        elif sender == member:
+            packed = layout.pack(_encode_stats(stats[member], params.scale))
+            leaked = crypto.CipherMatrix(pk, params.scale, (1, len(packed)),
                                          tuple(pk.from_signed(P) for P in packed))
             payload = pack_envelope(session_id, phase, sender,
                                     crypto.serialize_cipher_matrix(leaked))
         log.send(msg.sender, msg.receiver, msg.kind, payload)
-    forged = Transcript(transcript.session_id, transcript.initiator,
-                        transcript.ring, log, layout)
+    return Transcript(transcript.session_id, transcript.initiator,
+                      transcript.ring, log, layout)
+
+
+def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
+    # a buggy member forwards its packed plaintexts in place of the
+    # ciphertext sum: the audit finds them both as byte patterns and as
+    # plaintext-range cells
+    members = ["P1", "P2", "P3"]
+    stats, result = _session(members, small_he_params)
+    transcript = result.transcript
+    layout = transcript.layout
+    assert layout is not None and layout.per_plaintext > 1
+    forged = _forward_packed_plaintext(transcript, stats, "P2", small_he_params)
     report = audit_transcript(forged, corrupted=set(), reference_stats=stats,
                               scale=small_he_params.scale)
     leaks = [f for f in report.findings if f.kind == "plaintext_leak"]
@@ -310,6 +337,23 @@ def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
     assert any("plaintext-range cell" in f.detail for f in leaks)
     assert audit_transcript(transcript, corrupted=set(), reference_stats=stats,
                             scale=small_he_params.scale).ok
+
+
+def test_a_leak_of_a_shared_plaintext_names_every_holder(small_he_params):
+    # P2 and P3 hold identical statistics, so P2's leaked packed
+    # plaintexts are P3's too: each finding is reported for both (P1's
+    # other row count keeps the count's plaintext from being P1's too)
+    gen = np.random.default_rng(5)
+    shared = _random_stats(gen, 4)
+    stats = {"P1": _random_stats(gen, 4, rows=40), "P2": shared, "P3": shared}
+    result = run_ring_session(["P1", "P2", "P3"], "P1", stats.get,
+                              small_he_params, random.Random(5))
+    forged = _forward_packed_plaintext(result.transcript, stats, "P2",
+                                       small_he_params)
+    report = audit_transcript(forged, corrupted=set(), reference_stats=stats,
+                              scale=small_he_params.scale)
+    named = Counter(f.member for f in report.findings if f.kind == "plaintext_leak")
+    assert set(named) == {"P2", "P3"} and named["P2"] == named["P3"]
 
 
 def _member_with_key(small_he_params, stats):
