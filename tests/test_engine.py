@@ -418,6 +418,17 @@ def _request_payload():
 _REQUEST = _request_payload()
 
 
+def _plain_mode_request() -> bytes:
+    """The retired plain-mode wire form: the requester's raw column in
+    the clear.  No blinded field, so the parser must refuse it."""
+    m1, _, _ = build_contexts()
+    body = json.loads(_REQUEST)
+    return json.dumps({"mode": "plain",
+                       "plain": {"age": list(m1.dataset.column("age"))},
+                       "policy": body["policy"],
+                       "requester": body["requester"]}).encode()
+
+
 def _with_overflowing_attribute(payload: bytes) -> bytes:
     body = json.loads(payload)
     body["requester"]["attributes"]["big"] = 7
@@ -434,6 +445,7 @@ def _with_hashes_as_object(payload: bytes) -> bytes:
 @pytest.mark.parametrize("payload", [
     b"", b"{}", b"[]", b"\xff", b'{"mode": "plain"}',
     _REQUEST[:-3],
+    _plain_mode_request(),
     _with_overflowing_attribute(_REQUEST),
     _with_hashes_as_object(_REQUEST),
 ])
