@@ -4,7 +4,8 @@ encoded real matrices.
 Paillier with the g = n + 1 simplification: ciphertext of m is
 (1 + m*n) * r^n mod n^2, so adding plaintexts is multiplying
 ciphertexts.  Decryption works modulo p^2 and q^2 and recombines by
-the CRT (Paillier, EUROCRYPT 1999, section 7).  Reals are encoded as
+the CRT (Paillier, EUROCRYPT 1999, section 7), and so does the key
+holder's encryption.  Reals are encoded as
 round(x * S) with a power-of-two scale S; signed values wrap modulo n
 and are recovered from the upper half of the residue range.
 
@@ -121,19 +122,57 @@ def decode_fixed(k: int, scale: int) -> float:
 # keys
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
-_SIEVE_LIMIT = 1 << 12
+_SIEVE_BOUND = 1 << 18     # candidates are sieved by the odd primes below this
+_SIEVE_WINDOW = 1 << 11    # odd candidates sieved after each random start
+_LIMB_BITS = 30            # residue * 2^30 stays inside int64 for primes < 2^33
 
 
-def _odd_prime_product(limit: int) -> int:
-    product = 1
-    for i in range(3, limit, 2):
-        if all(i % d for d in range(3, math.isqrt(i) + 1, 2)):
-            product *= i
-    return product
+def _odd_primes_below(limit: int) -> np.ndarray:
+    """The odd primes below *limit*, by the sieve of Eratosthenes over
+    the odd numbers: index i stands for 2i + 1."""
+    composite = np.zeros(limit // 2, dtype=bool)
+    composite[0] = True
+    for p in range(3, math.isqrt(limit - 1) + 1, 2):
+        if not composite[p // 2]:
+            composite[p * p // 2::p] = True
+    primes = np.flatnonzero(np.logical_not(composite, out=composite))
+    primes *= 2
+    primes += 1
+    return primes
 
 
-# one gcd against this rejects a candidate with a factor below 2^12
-_SIEVE = _odd_prime_product(_SIEVE_LIMIT)
+_SIEVE_PRIMES = _odd_primes_below(_SIEVE_BOUND)
+
+
+def _residues(value: int, primes: np.ndarray) -> np.ndarray:
+    """*value* mod each of *primes*, by Horner's rule over 30-bit limbs."""
+    mask = (1 << _LIMB_BITS) - 1
+    top = value.bit_length() // _LIMB_BITS * _LIMB_BITS
+    r = np.zeros_like(primes)
+    for shift in range(top, -1, -_LIMB_BITS):
+        r <<= _LIMB_BITS
+        r += (value >> shift) & mask
+        np.remainder(r, primes, out=r)
+    return r
+
+
+def _sieve_window(start: int, width: int, primes: np.ndarray) -> np.ndarray:
+    """The offsets k in [0, width) for which the odd number start + 2k
+    has no factor among *primes*, in increasing order."""
+    # p divides start + 2k exactly when k = -start * 2^-1 (mod p), and
+    # 2^-1 = (p + 1) / 2 (mod p); in-place steps keep the temporaries few
+    first = _residues(start, primes)
+    np.subtract(primes, first, out=first)
+    first *= primes + 1
+    first //= 2
+    first %= primes
+    hits = width - 1 - first
+    hits += primes
+    hits //= primes                     # offsets k = first (mod p) in the window
+    rank = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
+    composite = np.zeros(width, dtype=bool)
+    composite[np.repeat(first, hits) + rank * np.repeat(primes, hits)] = True
+    return np.flatnonzero(~composite)
 
 
 def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
@@ -162,12 +201,22 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:
+    """A *bits*-bit prime with its top two bits set, so that the product
+    of two such primes has exactly the sum of their sizes in bits.
+
+    Incremental search (Brandt and Damgard, CRYPTO 1992): from a random
+    odd start, the window of the next odd numbers below 2^bits is sieved
+    by the small primes below the candidate range, and the survivors
+    are tested in order; a window without a prime is dropped for a
+    fresh start."""
+    low = 3 << (bits - 2)
+    primes = _SIEVE_PRIMES[:np.searchsorted(_SIEVE_PRIMES, min(low, _SIEVE_BOUND))]
     while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if candidate > _SIEVE_LIMIT and math.gcd(candidate, _SIEVE) != 1:
-            continue
-        if _is_probable_prime(candidate, rng):
-            return candidate
+        start = rng.getrandbits(bits) | low | 1
+        width = min(_SIEVE_WINDOW, ((1 << bits) + 1 - start) // 2)
+        for k in _sieve_window(start, width, primes).tolist():
+            if _is_probable_prime(start + 2 * k, rng):
+                return start + 2 * k
 
 
 @dataclass(frozen=True)
@@ -202,8 +251,9 @@ class PublicKey:
 
 def _crt_half(prime: int, n: int) -> int:
     """h = L(g^(prime-1) mod prime^2)^-1 mod prime, with g = n + 1 and
-    L(u) = (u - 1) / prime."""
-    return pow((pow(n + 1, prime - 1, prime * prime) - 1) // prime, -1, prime)
+    L(u) = (u - 1) / prime.  As (1 + n)^(prime-1) = 1 + (prime-1)*n
+    (mod prime^2), L of it is -(n / prime) mod prime."""
+    return pow(-(n // prime), -1, prime)
 
 
 @dataclass(frozen=True)
@@ -211,7 +261,8 @@ class SecretKey:
     """lam = (p-1)(q-1) and mu = lam^-1 mod n give the textbook
     decryption L(c^lam mod n^2) * mu mod n; :meth:`decrypt_raw` computes
     the same residue from the factors, half-size exponents modulo p^2
-    and q^2 recombined by the CRT."""
+    and q^2 recombined by the CRT, and :meth:`encrypt_raw` encrypts the
+    same way."""
 
     public: PublicKey
     lam: int = field(repr=False)
@@ -221,12 +272,32 @@ class SecretKey:
     hp: int = field(init=False, repr=False)
     hq: int = field(init=False, repr=False)
     p_inv: int = field(init=False, repr=False)   # p^-1 mod q
+    p2_inv: int = field(init=False, repr=False)  # p^-2 mod q^2
 
     def __post_init__(self):
         n = self.public.n
         object.__setattr__(self, "hp", _crt_half(self.p, n))
         object.__setattr__(self, "hq", _crt_half(self.q, n))
         object.__setattr__(self, "p_inv", pow(self.p, -1, self.q))
+        object.__setattr__(self, "p2_inv", pow(self.p * self.p, -1,
+                                               self.q * self.q))
+
+    def encrypt_raw(self, m: int, rng: random.Random) -> int:
+        """Encrypt a residue m in [0, n) as :meth:`PublicKey.encrypt_raw`
+        does, with the randomizer r^n mod n^2 built from the factors.
+        For s uniform in [1, p), s^p mod p^2 is uniform over the n-th
+        residues mod p^2, as s^q mod q^2 is mod q^2, so their CRT
+        combination is distributed as r^n for r uniform in Z_n^*, and
+        so is every ciphertext (Paillier, EUROCRYPT 1999, section 7)."""
+        pk = self.public
+        if not 0 <= m < pk.n:
+            raise Overflow(f"plaintext residue {m} outside [0, n)")
+        p, q = self.p, self.q
+        pp, qq = p * p, q * q
+        rp = pow(rng.randrange(1, p), p, pp)
+        rq = pow(rng.randrange(1, q), q, qq)
+        rho = rp + (rq - rp) * self.p2_inv % qq * pp
+        return (1 + m * pk.n) * rho % pk.nsquare
 
     def decrypt_raw(self, c: int) -> int:
         p, q = self.p, self.q
@@ -243,18 +314,18 @@ class KeyPair:
 
 def keygen(params: HEParams, rng: random.Random) -> KeyPair:
     """Generate a keypair satisfying decrypt(encrypt(x)) == x for every
-    encodable x.  Deterministic given the rng state."""
+    encodable x, with a modulus of exactly ``key_bits`` bits.
+    Deterministic given the rng state."""
     params.validate()
     half = params.key_bits // 2
     while True:
         p = _random_prime(half, rng)
         q = _random_prime(params.key_bits - half, rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() == params.key_bits:
+        n, phi = p * q, (p - 1) * (q - 1)
+        # g = n + 1 needs gcd(n, phi) = 1, which halves of unequal size
+        # can break (q = 2p + 1 at 17 bits)
+        if p != q and math.gcd(n, phi) == 1:
             break
-    phi = (p - 1) * (q - 1)
     public = PublicKey(n)
     mu = pow(phi, -1, n)
     return KeyPair(public, SecretKey(public, phi, mu, p, q))
@@ -361,14 +432,6 @@ def encode_matrix(M, scale: int, bound: int | None = None) -> list[list[int]]:
     return [[encode_fixed(float(v), scale, bound) for v in row] for row in A]
 
 
-def encrypt_matrix(pk: PublicKey, M, scale: int,
-                   rng: random.Random) -> CipherMatrix:
-    """Element-wise encode + encrypt.  All entries are validated before
-    the first ciphertext is produced, so overflow aborts cleanly."""
-    encoded = encode_matrix(M, scale, bound=pk.max_int)
-    return encrypt_encoded_matrix(pk, encoded, scale, rng)
-
-
 def encrypt_encoded_matrix(pk: PublicKey, K: Sequence[Sequence[int]],
                            scale: int, rng: random.Random) -> CipherMatrix:
     rows = len(K)
@@ -384,13 +447,14 @@ def encrypt_encoded_matrix(pk: PublicKey, K: Sequence[Sequence[int]],
     return CipherMatrix(pk, scale, (rows, cols), cells)
 
 
-def encrypt_residue_matrix(pk: PublicKey, R: Sequence[Sequence[int]],
+def encrypt_residue_matrix(sk: SecretKey, R: Sequence[Sequence[int]],
                            scale: int, rng: random.Random) -> CipherMatrix:
-    """Encrypt raw residues in [0, n) without sign mapping (masks)."""
+    """Encrypt raw residues in [0, n) without sign mapping (the
+    initiator's masks), by the CRT with the key's factors."""
     rows = len(R)
     cols = len(R[0]) if rows else 0
-    cells = tuple(pk.encrypt_raw(int(v), rng) for row in R for v in row)
-    return CipherMatrix(pk, scale, (rows, cols), cells)
+    cells = tuple(sk.encrypt_raw(int(v), rng) for row in R for v in row)
+    return CipherMatrix(sk.public, scale, (rows, cols), cells)
 
 
 def add_cipher(c1: CipherMatrix, c2: CipherMatrix) -> CipherMatrix:
@@ -410,13 +474,6 @@ def decrypt_residue_matrix(sk: SecretKey, C: CipherMatrix) -> list[list[int]]:
     rows, cols = C.shape
     flat = [sk.decrypt_raw(c) for c in C.cells]
     return [flat[r * cols:(r + 1) * cols] for r in range(rows)]
-
-
-def decrypt_matrix(sk: SecretKey, C: CipherMatrix) -> np.ndarray:
-    residues = decrypt_residue_matrix(sk, C)
-    pk = sk.public
-    return np.array([[decode_fixed(pk.to_signed(v), C.scale) for v in row]
-                     for row in residues])
 
 
 # --------------------------------------------------------------------------

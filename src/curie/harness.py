@@ -24,7 +24,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -108,6 +108,24 @@ class ConsortiumConfig:
     holdout_fraction: float = 0.25
 
 
+_CONFIG_KEYS = frozenset({"version", "name", "seed", "schema", "members",
+                          "ring_order", "initiator", "he", "dp",
+                          "holdout_fraction"})
+_MEMBER_KEYS = frozenset({"id", "policy", "dataset", "synth", "attributes",
+                          "alliances"})
+_SYNTH_KEYS = frozenset(f.name for f in fields(SynthProfile)) - {"member_id"}
+_HE_KEYS = frozenset(f.name for f in fields(HEParams))
+_DP_KEYS = frozenset(f.name for f in fields(DPSettings))
+
+
+def _reject_unknown_keys(obj: Mapping, known: frozenset[str], where: str) -> None:
+    """Raise :class:`ConfigError` naming the first key of *obj* that is
+    not in *known*; *where* prefixes the key path."""
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}", "unknown config key")
+
+
 def _seed_for(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -116,7 +134,8 @@ def _seed_for(master: int, label: str) -> int:
 def load_config(path: str | Path) -> ConsortiumConfig:
     """Load and validate a consortium config file.
 
-    Raises :class:`ConfigError` carrying the offending field path.
+    Raises :class:`ConfigError` carrying the offending field path,
+    also for any key it does not know.
     """
     path = Path(path)
     try:
@@ -128,6 +147,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
 
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError("version", f"expected config version {CONFIG_VERSION}")
+    _reject_unknown_keys(raw, _CONFIG_KEYS, "")
     base = path.parent
 
     try:
@@ -146,6 +166,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     seen: set[str] = set()
     for i, m in enumerate(raw.get("members", [])):
         where = f"members[{i}]"
+        _reject_unknown_keys(m, _MEMBER_KEYS, f"{where}.")
         mid = m.get("id")
         if not mid:
             raise ConfigError(f"{where}.id", "member id is required")
@@ -164,6 +185,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
             if not dataset_path.exists():
                 raise ConfigError(f"{where}.dataset", f"no such file: {dataset_path}")
         elif "synth" in m:
+            _reject_unknown_keys(m["synth"], _SYNTH_KEYS, f"{where}.synth.")
             try:
                 synth = SynthProfile.from_json({"member_id": mid, **m["synth"]})
             except (KeyError, TypeError, ValueError) as exc:
@@ -189,6 +211,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
         raise ConfigError("initiator", f"{initiator!r} is not a member")
 
     he_raw = raw.get("he", {})
+    _reject_unknown_keys(he_raw, _HE_KEYS, "he.")
     he = HEParams(
         key_bits=int(he_raw.get("key_bits", 2048)),
         scale_bits=int(he_raw.get("scale_bits", 20)),
@@ -202,6 +225,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
         raise ConfigError("he", str(exc)) from None
 
     dp_raw = raw.get("dp", {})
+    _reject_unknown_keys(dp_raw, _DP_KEYS, "dp.")
     dp = DPSettings(
         enabled=bool(dp_raw.get("enabled", False)),
         epsilons=tuple(float(e) for e in dp_raw.get(

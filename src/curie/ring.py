@@ -10,11 +10,12 @@ across a ring of members:
    (m entries), then the count, encodes it in fixed point, and packs
    it k entries per plaintext in the :class:`crypto.SlotLayout` that
    every member derives from the session parameters, the public key
-   and m.  The initiator injects one encrypted uniform residue mask
-   per packed plaintext; every other member homomorphically adds its
-   encrypted packed vector (members with nothing to contribute add
-   encrypted zeros, so ring position does not reveal participation)
-   and forwards.  Each ring payload is one (1, ceil(cells / k)) cipher
+   and m.  The initiator injects one uniform residue mask per packed
+   plaintext, encrypted by the CRT with the session's secret factors
+   (distributed exactly as a public-key encryption); every other member
+   homomorphically adds its encrypted packed vector (members with
+   nothing to contribute add encrypted zeros, so ring position does not
+   reveal participation) and forwards.  Each ring payload is one (1, ceil(cells / k)) cipher
    matrix; n ring messages return it to the initiator,
 3. the initiator decrypts, subtracts its masks in the residue domain,
    splits the signed plaintexts into balanced slot digits, adds its own
@@ -314,7 +315,7 @@ def run_ring_session(ring: list[str], initiator: str,
     # the end, so the pooled output is independent of the draw
     mask = [rng.randrange(pk.n) for _ in range(width)]
     t0 = time.perf_counter()
-    acc = crypto.encrypt_residue_matrix(pk, [mask], params.scale, rng)
+    acc = crypto.encrypt_residue_matrix(sk, [mask], params.scale, rng)
     timings["encrypt"] += time.perf_counter() - t0
 
     payload = crypto.serialize_cipher_matrix(acc)

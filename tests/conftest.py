@@ -26,3 +26,21 @@ def small_he_params() -> HEParams:
 
 def config_path(name: str) -> Path:
     return CONSORTIA_DIR / name / "config.json"
+
+
+def count_crypto_calls(monkeypatch, counts: dict[str, int]) -> None:
+    """Count encryptions by either key (members encrypt with the public
+    key, the initiator its masks with the secret key) in
+    ``counts["encrypt"]``, and decryptions in ``counts["decrypt"]``."""
+    from curie import crypto
+
+    def counted(kind, method):
+        def call(self, *args):
+            counts[kind] += 1
+            return method(self, *args)
+        return call
+
+    for key in (crypto.PublicKey, crypto.SecretKey):
+        monkeypatch.setattr(key, "encrypt_raw", counted("encrypt", key.encrypt_raw))
+    monkeypatch.setattr(crypto.SecretKey, "decrypt_raw",
+                        counted("decrypt", crypto.SecretKey.decrypt_raw))

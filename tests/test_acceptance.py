@@ -13,7 +13,7 @@ import pytest
 
 from curie import cpl
 from curie.cpl import ast as A
-from curie.crypto import HEParams, add_cipher, decrypt_matrix, encrypt_matrix, keygen
+from curie.crypto import HEParams, add_cipher, keygen
 from curie.data import (
     RowFilter,
     apply_selections,
@@ -29,6 +29,7 @@ from curie.harness import bench, dp_sweep, load_config
 from curie.regression import solve_ols, solve_ols_pruned
 from curie.ring import audit_transcript, local_stats, run_ring_session
 
+from cipher_matrices import decrypt_matrix, encrypt_matrix
 from conftest import CORPUS_DIR, config_path
 from dd_pair import dd_members
 from grammar_coverage import REQUIRED_PRODUCTIONS, productions_used

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curie import crypto
 from curie.crypto import (
     DimMismatch,
     HEParams,
@@ -14,14 +16,14 @@ from curie.crypto import (
     ParamError,
     PublicKey,
     SlotLayout,
-    _SIEVE,
+    _SIEVE_BOUND,
+    _SIEVE_PRIMES,
+    _sieve_window,
     add_cipher,
     decode_fixed,
-    decrypt_matrix,
     decrypt_residue_matrix,
     encode_fixed,
     encrypt_encoded_matrix,
-    encrypt_matrix,
     encrypt_residue_matrix,
     keygen,
     parse_cipher_matrix,
@@ -31,6 +33,7 @@ from curie.crypto import (
 )
 from curie.errors import CurieError
 
+from cipher_matrices import decrypt_matrix, encrypt_matrix
 from wire_fuzz import byte_mutations
 
 
@@ -289,17 +292,22 @@ def test_parse_public_key_total_on_arbitrary_bytes(keys, data):
 
 
 # ---------------------------------------------------------------------------
-# CRT decryption and keygen
+# CRT decryption, CRT encryption and keygen
 
 def _textbook_decrypt(sk, c):
     n = sk.public.n
     return (pow(c, sk.lam, sk.public.nsquare) - 1) // n * sk.mu % n
 
 
+@functools.lru_cache(maxsize=None)
+def _keys_of_size(key_bits):
+    return keygen(HEParams(key_bits=key_bits, n_max=100, m_max=4, v_max=10.0),
+                  random.Random(key_bits))
+
+
 @pytest.mark.parametrize("key_bits, cells", [(128, 200), (256, 50), (2048, 1)])
 def test_crt_decryption_equals_the_lambda_mu_formula(key_bits, cells):
-    keys = keygen(HEParams(key_bits=key_bits, n_max=100, m_max=4, v_max=10.0),
-                  random.Random(key_bits))
+    keys = _keys_of_size(key_bits)
     pk, sk = keys.public, keys.secret
     rand = random.Random(7)
     for _ in range(cells):
@@ -309,23 +317,105 @@ def test_crt_decryption_equals_the_lambda_mu_formula(key_bits, cells):
         assert sk.decrypt_raw(pk.encrypt_raw(m, rand)) == m
 
 
-def test_sieve_is_the_product_of_odd_primes_below_4096():
-    odd_primes = [p for p in range(3, 1 << 12, 2)
-                  if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-    assert _SIEVE == math.prod(odd_primes)
+@pytest.mark.parametrize("key_bits", [128, 256, 2048])
+def test_closed_form_crt_constants_equal_the_power_formula(key_bits):
+    sk = _keys_of_size(key_bits).secret
+    n = sk.public.n
+    for prime, h in ((sk.p, sk.hp), (sk.q, sk.hq)):
+        L = (pow(n + 1, prime - 1, prime * prime) - 1) // prime
+        assert h == pow(L, -1, prime)
 
 
-@pytest.mark.parametrize("key_bits", [16, 17, 64, 129, 256])
-def test_keygen_is_deterministic_with_the_requested_size(key_bits):
+@pytest.mark.parametrize("key_bits, cells", [(128, 200), (256, 50), (2048, 2)])
+def test_crt_encryption_decrypts_with_an_nth_residue_randomizer(key_bits, cells):
+    keys = _keys_of_size(key_bits)
+    pk, sk = keys.public, keys.secret
+    rand = random.Random(11)
+    for m in [0, pk.n - 1] + [rand.randrange(pk.n) for _ in range(cells)]:
+        c = sk.encrypt_raw(m, rand)
+        assert 0 < c < pk.nsquare
+        assert sk.decrypt_raw(c) == _textbook_decrypt(sk, c) == m
+        rho = c * pow(1 + m * pk.n, -1, pk.nsquare) % pk.nsquare
+        assert pow(rho, sk.lam, pk.nsquare) == 1
+    for bad in (-1, pk.n):
+        with pytest.raises(Overflow):
+            sk.encrypt_raw(bad, rand)
+
+
+def test_crt_encryptions_are_fresh_and_add_homomorphically(keys):
+    pk, sk = keys.public, keys.secret
+    rand = random.Random(3)
+    assert sk.encrypt_raw(42, rand) != sk.encrypt_raw(42, rand)
+    a, b = rand.randrange(pk.n), rand.randrange(pk.n)
+    summed = pk.add_raw(sk.encrypt_raw(a, rand), pk.encrypt_raw(b, rand))
+    assert sk.decrypt_raw(summed) == (a + b) % pk.n
+
+
+def test_sieve_primes_are_the_odd_primes_below_the_bound():
+    # every odd composite below 2^18 has a prime factor below 2^9
+    small = [d for d in range(3, 1 << 9, 2)
+             if all(d % e for e in range(3, math.isqrt(d) + 1, 2))]
+    odd = np.arange(3, _SIEVE_BOUND, 2)
+    divisible = np.zeros(len(odd), dtype=bool)
+    for d in small:
+        divisible |= (odd % d == 0) & (odd != d)
+    np.testing.assert_array_equal(_SIEVE_PRIMES, odd[~divisible])
+    assert _SIEVE_PRIMES.nbytes <= 1 << 20
+
+
+@pytest.mark.parametrize("bits, width, primes", [
+    (10, 128, 40),              # tiny candidates: sieve primes below 3 * 2^8
+    (64, 2048, 600),            # primes below the width hit many offsets
+    (1024, 48, None),           # the full table
+])
+def test_sieve_window_survivors_equal_trial_division(bits, width, primes):
+    rand = random.Random(bits)
+    table = _SIEVE_PRIMES if primes is None else _SIEVE_PRIMES[:primes]
+    divisors = table.tolist()
+    for _ in range(3):
+        start = rand.getrandbits(bits) | (3 << (bits - 2)) | 1
+        span = min(width, ((1 << bits) + 1 - start) // 2)
+        expected = [k for k in range(span)
+                    if all((start + 2 * k) % d for d in divisors)]
+        assert _sieve_window(start, span, table).tolist() == expected
+
+
+@pytest.mark.parametrize("key_bits", [16, 17, 64, 129, 256, 2048])
+def test_keygen_is_deterministic_with_the_requested_size(key_bits, monkeypatch):
     params = HEParams(key_bits=key_bits, scale_bits=1, n_max=1, m_max=1,
                       v_max=1.0)
-    for seed in range(3):
+    drawn = []
+    draw = crypto._random_prime
+    monkeypatch.setattr(crypto, "_random_prime",
+                        lambda bits, rng: drawn.append(draw(bits, rng)) or drawn[-1])
+    for seed in range(1 if key_bits == 2048 else 3):
+        drawn.clear()
         a = keygen(params, random.Random(seed))
+        # the first valid pair is the key: no restart for its size
+        pairs = list(zip(drawn[::2], drawn[1::2]))
+        assert len(drawn) % 2 == 0 and pairs[-1] == (a.secret.p, a.secret.q)
+        assert all(p == q or math.gcd(p * q, (p - 1) * (q - 1)) != 1
+                   for p, q in pairs[:-1])
+        for prime, bits in ((a.secret.p, key_bits // 2),
+                            (a.secret.q, key_bits - key_bits // 2)):
+            assert prime.bit_length() == bits and prime >> (bits - 2) == 3
         b = keygen(params, random.Random(seed))
         assert (a.public.n, a.secret.p, a.secret.q) == \
             (b.public.n, b.secret.p, b.secret.q)
         assert a.secret.p * a.secret.q == a.public.n
         assert a.public.n.bit_length() == key_bits
+
+
+def test_keygen_skips_factors_sharing_a_divisor_with_phi():
+    # 17-bit keys take an 8-bit p and a 9-bit q, so q = 2p + 1 can occur
+    # (233 and 467); gcd(n, phi) = p then leaves lam without an inverse
+    params = HEParams(key_bits=17, scale_bits=1, n_max=1, m_max=1, v_max=1.0)
+    rand = random.Random(0)
+    for seed in range(300):
+        sk = keygen(params, random.Random(seed)).secret
+        assert math.gcd(sk.public.n, sk.lam) == 1
+        m = rand.randrange(sk.public.n)
+        assert sk.decrypt_raw(sk.encrypt_raw(m, rand)) == m
 
 
 def test_secret_factors_stay_out_of_repr(keys):
@@ -395,7 +485,7 @@ def test_packed_sums_survive_encryption_and_masks_exactly(vectors, seed):
     rand = random.Random(seed)
     size = len(vectors[0])
     mask = [rand.randrange(pk.n) for _ in range(layout.plaintexts(size))]
-    acc = encrypt_residue_matrix(pk, [mask], S, rand)
+    acc = encrypt_residue_matrix(sk, [mask], S, rand)
     for entries in vectors:
         acc = add_cipher(acc, encrypt_encoded_matrix(
             pk, [layout.pack(entries)], S, rand))

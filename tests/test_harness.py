@@ -19,7 +19,7 @@ from curie.harness import (
     run_scenario,
 )
 
-from conftest import config_path
+from conftest import CONSORTIA_DIR, config_path, count_crypto_calls
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +53,36 @@ def test_duplicate_member_id_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(target)
     assert "members[1].id" in str(err.value)
+
+
+@pytest.mark.parametrize("section, where", [
+    pytest.param(section, where, id=where) for section, where in [
+        ((), "holdout_fraktion"),
+        (("he",), "he.key_bit"),
+        (("dp",), "dp.epsilon"),
+        (("members", 1), "members[1].alliance"),
+        (("members", 2, "synth"), "members[2].synth.noise_sigam"),
+    ]])
+def test_unknown_config_key_rejected(tmp_path, section, where):
+    raw = json.loads(config_path("example3").read_text())
+    target_section = raw
+    for key in section:
+        target_section = target_section[key]
+    target_section[where.rsplit(".", 1)[-1]] = 0.5
+    shutil.copytree(config_path("example3").parent, tmp_path / "c",
+                    dirs_exist_ok=True)
+    target = tmp_path / "c" / "config.json"
+    target.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as err:
+        load_config(target)
+    assert err.value.field_path == where
+
+
+def test_every_shipped_config_loads():
+    paths = sorted(CONSORTIA_DIR.glob("*/config.json"))
+    assert len(paths) == 8
+    for path in paths:
+        load_config(path)
 
 
 def test_ring_order_must_be_permutation(tmp_path):
@@ -110,21 +140,8 @@ def test_deployment_key_session_packs_each_member_into_one_ciphertext(monkeypatc
     # default_dp at the 2048-bit deployment key: 21 statistics fit the
     # 33 slots of one plaintext, so the four-member ring makes one
     # encryption per member and the initiator one decryption
-    from curie import crypto
-
     calls = {"encrypt": 0, "decrypt": 0}
-    encrypt, decrypt = crypto.PublicKey.encrypt_raw, crypto.SecretKey.decrypt_raw
-
-    def counted_encrypt(self, v, rng):
-        calls["encrypt"] += 1
-        return encrypt(self, v, rng)
-
-    def counted_decrypt(self, c):
-        calls["decrypt"] += 1
-        return decrypt(self, c)
-
-    monkeypatch.setattr(crypto.PublicKey, "encrypt_raw", counted_encrypt)
-    monkeypatch.setattr(crypto.SecretKey, "decrypt_raw", counted_decrypt)
+    count_crypto_calls(monkeypatch, calls)
     cfg = load_config(config_path("default_dp"))
     cfg = dataclasses.replace(cfg, he=dataclasses.replace(cfg.he, key_bits=2048))
     report = run_scenario(cfg, MODE_FULL)

@@ -23,6 +23,7 @@ from curie.ring import (
     unpack_envelope,
 )
 
+from conftest import count_crypto_calls
 from wire_fuzz import byte_mutations
 from worked_example import build_contexts
 
@@ -375,7 +376,7 @@ def test_ring_payload_must_be_one_packed_matrix(small_he_params):
     width = member.layout.plaintexts(stat_cells(m))
 
     def payload(*shapes):
-        return b"".join(crypto.serialize_cipher_matrix(crypto.encrypt_residue_matrix(
+        return b"".join(crypto.serialize_cipher_matrix(crypto.encrypt_encoded_matrix(
             pk, [[0] * cols for _ in range(rows)], small_he_params.scale,
             random.Random(2))) for rows, cols in shapes)
 
@@ -394,35 +395,20 @@ def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
     bound = small_he_params.entry_bound / small_he_params.scale
     huge = LocalStats(np.array([[1.0, 0.0], [0.0, 2 * bound]]),
                       np.zeros((m, 1)), 1)
-    calls = []
-    encrypt = crypto.PublicKey.encrypt_raw
-    monkeypatch.setattr(crypto.PublicKey, "encrypt_raw",
-                        lambda self, v, rng: calls.append(v) or encrypt(self, v, rng))
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
     stats = {"P1": None, "P2": huge, "P3": huge}
     with pytest.raises(OverflowAbort, match="P2"):
         run_ring_session(["P1", "P2", "P3"], "P1", stats.get, small_he_params,
                          random.Random(0))
     keys = crypto.keygen(small_he_params, random.Random(0))
     layout = crypto.SlotLayout.for_key(small_he_params, keys.public)
-    assert len(calls) == layout.plaintexts(stat_cells(m))    # the masks only
+    assert calls["encrypt"] == layout.plaintexts(stat_cells(m))    # the masks only
 
 
 def test_each_member_encrypts_one_packed_vector(small_he_params, monkeypatch):
-    from curie import crypto
-
     counts = {"encrypt": 0, "decrypt": 0}
-    encrypt, decrypt = crypto.PublicKey.encrypt_raw, crypto.SecretKey.decrypt_raw
-
-    def counted_encrypt(self, v, rng):
-        counts["encrypt"] += 1
-        return encrypt(self, v, rng)
-
-    def counted_decrypt(self, c):
-        counts["decrypt"] += 1
-        return decrypt(self, c)
-
-    monkeypatch.setattr(crypto.PublicKey, "encrypt_raw", counted_encrypt)
-    monkeypatch.setattr(crypto.SecretKey, "decrypt_raw", counted_decrypt)
+    count_crypto_calls(monkeypatch, counts)
     members = ["P1", "P2", "P3", "P4"]
     m = 4
     _, result = _session(members, small_he_params, m=m)
