@@ -230,11 +230,15 @@ class PublicKey:
         object.__setattr__(self, "max_int", self.n // 3)
 
     def encrypt_raw(self, m: int, rng: random.Random) -> int:
-        """Encrypt a residue m in [0, n); fresh obfuscation every call."""
+        """Encrypt a residue m in [0, n); fresh obfuscation every call.
+        The randomizer r is drawn from Z_n^*: an r sharing a factor with
+        n would make the ciphertext decrypt wrong."""
         if not 0 <= m < self.n:
             raise Overflow(f"plaintext residue {m} outside [0, n)")
         nude = (1 + m * self.n) % self.nsquare
         r = rng.randrange(1, self.n)
+        while math.gcd(r, self.n) != 1:
+            r = rng.randrange(1, self.n)
         return (nude * pow(r, self.n, self.nsquare)) % self.nsquare
 
     def add_raw(self, c1: int, c2: int) -> int:

@@ -1,10 +1,12 @@
 """Columnar datasets, shared schema, selections, normalization, and
 synthetic patient-style data generation.
 
-Datasets are immutable after construction; every operation returns a
-new dataset.  Categorical levels are declared in the schema (not
-inferred from data) so all members of a consortium share one design
-encoding.
+A dataset stores each schema column as one read-only numpy array typed
+by its declared kind (float64 for integer and real, bool for boolean,
+level strings for categorical), checked once when the dataset is built;
+every operation returns a new dataset.  Categorical levels are declared
+in the schema (not inferred from data) so all members of a consortium
+share one design encoding.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class Schema:
                 return c
         raise UnknownColumn(f"no column named {name!r}")
 
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
     @property
     def feature_columns(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.name != self.target)
@@ -147,61 +146,86 @@ def check_shared_schema(a: Schema, b: Schema) -> list[str]:
 # --------------------------------------------------------------------------
 # dataset
 
-@dataclass(frozen=True)
+_DTYPES = {"integer": np.float64, "real": np.float64, "boolean": np.bool_,
+           "categorical": object}
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _stored(name: str, ctype: ColumnType, values) -> np.ndarray:
+    """A read-only copy of *values* as a *ctype* column is stored,
+    refused unless every cell is of its kind (a declared level, for a
+    categorical)."""
+    dtype = _DTYPES[ctype.kind]
+    bad = []
+    if ctype.kind == "categorical":
+        bad = list(set(values).difference(ctype.levels))
+    elif not (isinstance(values, np.ndarray) and values.dtype == dtype):
+        accepted = (bool, np.bool_) if ctype.kind == "boolean" else _NUMBERS
+        bad = [next(v for v in values if type(v) is t) for t in set(map(type, values))
+               if not issubclass(t, accepted) or (t is bool and ctype.is_numeric)]
+    if not bad:
+        stored = np.array(values, dtype=dtype)
+        if ctype.kind == "integer":
+            bad = stored[stored != np.round(stored)].tolist()
+    if bad:
+        raise SchemaMismatch(f"{ctype.kind} column {name!r} refuses the cell {bad[0]!r}")
+    stored.setflags(write=False)
+    return stored
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Rows under *schema*: ``columns`` maps each schema column, and
+    nothing else, to its read-only typed array."""
+
     schema: Schema
-    columns: Mapping[str, tuple]
+    columns: Mapping[str, np.ndarray]
     provenance: str | None = None
 
     def __post_init__(self):
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) > 1:
+        names = {c.name for c in self.schema.columns}
+        if set(self.columns) != names:
+            raise SchemaMismatch(f"data columns {sorted(self.columns)} do not "
+                                 f"match the schema's {sorted(names)}")
+        cols = {c.name: _stored(c.name, c.ctype, self.columns[c.name])
+                for c in self.schema.columns}
+        if len({len(v) for v in cols.values()}) > 1:
             raise SchemaMismatch("ragged columns")
-        missing = {c.name for c in self.schema.columns} - set(self.columns)
-        if missing:
-            raise SchemaMismatch(f"columns absent from data: {sorted(missing)}")
+        object.__setattr__(self, "columns", cols)
 
     @property
     def n(self) -> int:
-        first = next(iter(self.columns.values()), ())
-        return len(first)
+        return len(next(iter(self.columns.values())))
 
-    def __len__(self) -> int:
-        return self.n
-
-    def column(self, name: str) -> tuple:
+    def column(self, name: str) -> np.ndarray:
         if name not in self.columns:
             raise UnknownColumn(f"no column named {name!r}")
         return self.columns[name]
 
-    def take(self, indices: Sequence[int]) -> "Dataset":
-        cols = {name: tuple(vals[i] for i in indices)
-                for name, vals in self.columns.items()}
+    def take(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
+        """The rows at *rows*: indices, or a boolean mask over all rows."""
+        cols = {name: vals[rows] for name, vals in self.columns.items()}
         return Dataset(self.schema, cols, self.provenance)
 
     def split(self, fraction: float, rng: np.random.Generator) -> tuple["Dataset", "Dataset"]:
         """Random (1-fraction, fraction) split; second part is the holdout."""
         idx = rng.permutation(self.n)
         cut = int(round(self.n * (1.0 - fraction)))
-        return self.take(idx[:cut].tolist()), self.take(idx[cut:].tolist())
+        return self.take(idx[:cut]), self.take(idx[cut:])
 
 
 def from_rows(schema: Schema, rows: Iterable[Mapping], provenance: str | None = None) -> Dataset:
-    names = [c.name for c in schema.columns]
-    cols: dict[str, list] = {n: [] for n in names}
-    for row in rows:
-        for n in names:
-            cols[n].append(row[n])
-    return Dataset(schema, {n: tuple(v) for n, v in cols.items()}, provenance)
+    rows = list(rows)
+    return Dataset(schema, {c.name: [row[c.name] for row in rows]
+                            for c in schema.columns}, provenance)
 
 
 def concat(datasets: Sequence[Dataset]) -> Dataset:
     if not datasets:
         raise ValueError("nothing to concatenate")
-    schema = datasets[0].schema
-    cols = {c.name: tuple(v for ds in datasets for v in ds.column(c.name))
-            for c in schema.columns}
-    return Dataset(schema, cols)
+    return Dataset(datasets[0].schema, {
+        name: np.concatenate([ds.column(name) for ds in datasets])
+        for name in datasets[0].columns})
 
 
 def _coerce_cell(raw: str, ctype: ColumnType, where: str):
@@ -264,7 +288,7 @@ def load_dataset(source, schema: Schema, provenance: str | None = None) -> Datas
             raise SchemaMismatch(f"row {ridx}: expected {len(header)} cells, got {len(row)}")
         for name, raw in zip(header, row):
             cols[name].append(_coerce_cell(raw, ctypes[name], f"row {ridx}, column {name!r}"))
-    return Dataset(schema, {n: tuple(v) for n, v in cols.items()}, provenance)
+    return Dataset(schema, cols, provenance)
 
 
 # --------------------------------------------------------------------------
@@ -284,41 +308,34 @@ class RowFilter:
         return {"column": self.column, "op": self.op, "value": v}
 
 
-_ORDER_OPS = ("<", ">")
-
-
-def _match(cell, op: str, value, ctype: ColumnType, column: str) -> bool:
-    if op == "in":
-        if not isinstance(value, tuple):
-            raise PolicyTypeError(f"'in' filter on {column!r} needs a value list")
-        return cell in value
-    if op in _ORDER_OPS:
+def _selected(cells: np.ndarray, f: RowFilter, ctype: ColumnType) -> np.ndarray:
+    """The mask of the rows *f* keeps.  ``=``, ``!=`` and ``in`` compare
+    as Python's ``==`` does, so a value of another kind matches no row;
+    ``<`` and ``>`` need a numeric column and a numeric value."""
+    if f.op in ("<", ">"):
         if not ctype.is_numeric:
-            raise PolicyTypeError(f"ordering filter on non-numeric column {column!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise PolicyTypeError(f"filter on {column!r}: {value!r} is not numeric")
-        return cell < value if op == "<" else cell > value
-    if op == "=":
-        return cell == value
-    if op == "!=":
-        return cell != value
-    raise PolicyTypeError(f"unsupported filter operation {op!r}")
+            raise PolicyTypeError(f"ordering filter on non-numeric column {f.column!r}")
+        if not isinstance(f.value, (int, float)) or isinstance(f.value, bool):
+            raise PolicyTypeError(f"filter on {f.column!r}: {f.value!r} is not numeric")
+        return cells < f.value if f.op == "<" else cells > f.value
+    values = f.value if f.op == "in" else (f.value,)
+    if f.op not in ("in", "=", "!=") or not isinstance(values, tuple):
+        raise PolicyTypeError(f"unsupported filter {f.column} {f.op} {f.value!r}")
+    hit = np.zeros(len(cells), dtype=bool)
+    for value in values:
+        hit |= cells == value
+    return ~hit if f.op == "!=" else hit
 
 
 def apply_selections(ds: Dataset, filters: Sequence[RowFilter]) -> Dataset:
-    """Rows satisfying the conjunction of *filters*; empty list is identity."""
+    """Rows satisfying the conjunction of *filters*; empty list is
+    identity.  A mistyped filter is refused even when no row reaches it."""
     if not filters:
         return ds
-    for f in filters:
-        if not ds.schema.has_column(f.column):
-            raise UnknownColumn(f"filter references unknown column {f.column!r}")
-    keep = []
-    ctypes = {c.name: c.ctype for c in ds.schema.columns}
-    cols = {f.column: ds.column(f.column) for f in filters}
-    for i in range(ds.n):
-        if all(_match(cols[f.column][i], f.op, f.value, ctypes[f.column], f.column)
-               for f in filters):
-            keep.append(i)
+    ctypes = [ds.schema.column(f.column).ctype for f in filters]
+    keep = np.ones(ds.n, dtype=bool)
+    for f, ctype in zip(filters, ctypes):
+        keep &= _selected(ds.column(f.column), f, ctype)
     return ds.take(keep)
 
 
@@ -339,9 +356,9 @@ def column_bounds(ds: Dataset, declared: bool = True) -> NormalizationMap:
             out[c.name] = (float(c.ctype.bounds[0]), float(c.ctype.bounds[1]))
         else:
             vals = ds.column(c.name)
-            if not vals:
+            if vals.size == 0:
                 raise DegenerateColumn(f"column {c.name!r} has no rows to scan")
-            out[c.name] = (float(min(vals)), float(max(vals)))
+            out[c.name] = (float(vals.min()), float(vals.max()))
     return out
 
 
@@ -378,17 +395,15 @@ def normalize_columns(ds: Dataset, bounds: NormalizationMap | None = None
     """
     if bounds is None:
         bounds = column_bounds(ds, declared=False)
-    new_cols: dict[str, tuple] = {}
+    new_cols: dict[str, np.ndarray] = {}
     for c in ds.schema.columns:
         vals = ds.column(c.name)
         if c.ctype.is_numeric:
             lo, hi = bounds[c.name]
             if hi <= lo:
                 raise DegenerateColumn(f"column {c.name!r}: max ({hi}) <= min ({lo})")
-            new_cols[c.name] = tuple(
-                normalize_value(np.asarray(vals, dtype=float), lo, hi).tolist())
-        else:
-            new_cols[c.name] = vals
+            vals = normalize_value(vals, lo, hi)
+        new_cols[c.name] = vals
     return (Dataset(normalized_schema(ds.schema), new_cols, ds.provenance),
             dict(bounds))
 
@@ -425,44 +440,27 @@ class DesignEncoding:
     def encode(self, ds: Dataset) -> np.ndarray:
         """The design matrix of *ds*, one row per data row, built column
         by column.  Columns are looked up by name, so *ds* may carry the
-        raw or the normalized schema; levels and kinds come from the
-        encoding's own schema."""
+        raw or the normalized schema."""
         X = np.empty((ds.n, self.width))
-        encoded: dict[str, np.ndarray | dict] = {}
         for j, feat in enumerate(self.features):
             if feat[0] == "intercept":
                 X[:, j] = 1.0
-                continue
-            name = feat[1]
-            if name not in encoded:
-                encoded[name] = self._encode_column(ds, name)
-            X[:, j] = encoded[name][feat[2]] if feat[0] == "onehot" else encoded[name]
+            elif feat[0] == "onehot":
+                X[:, j] = self._column(ds, feat[1]) == feat[2]
+            else:
+                X[:, j] = self._column(ds, feat[1])
         return X
 
-    def _encode_column(self, ds: Dataset, name: str
-                       ) -> np.ndarray | dict[str, np.ndarray]:
-        """Floats for a numeric column, 0/1 for a boolean, and a
-        level -> 0/1 indicator map for a categorical."""
+    def _column(self, ds: Dataset, name: str) -> np.ndarray:
+        """Column *name* of *ds*, refused unless it is stored as, and has
+        the levels of, this encoding's column of that name."""
         if name not in ds.columns:
             raise SchemaMismatch(f"dataset is missing column {name!r}")
-        vals = ds.columns[name]
-        ctype = self.schema.column(name).ctype
-        if ctype.is_numeric:
-            for t in set(map(type, vals)):
-                if issubclass(t, bool) or not issubclass(t, (int, float)):
-                    bad = next(v for v in vals if type(v) is t)
-                    raise SchemaMismatch(
-                        f"column {name!r}: expected numeric, got {bad!r}")
-            return np.asarray(vals, dtype=float)
-        cells = np.fromiter(vals, dtype=object, count=len(vals))
-        if ctype.kind == "boolean":
-            return cells.astype(bool)
-        hits = {level: cells == level for level in ctype.levels}
-        known = np.logical_or.reduce(list(hits.values()))
-        if not known.all():
-            bad = vals[int(np.argmin(known))]
-            raise SchemaMismatch(f"column {name!r}: {bad!r} not in declared levels")
-        return hits
+        ctype, vals = self.schema.column(name).ctype, ds.columns[name]
+        if (vals.dtype, ds.schema.column(name).ctype.levels) != \
+                (_DTYPES[ctype.kind], ctype.levels):
+            raise SchemaMismatch(f"column {name!r} does not hold {ctype.kind} data")
+        return vals
 
     def to_json(self) -> list:
         return [list(f) for f in self.features]
@@ -479,8 +477,7 @@ def to_design_matrix(ds: Dataset, encoding: DesignEncoding | None = None) -> Des
     if ds.n == 0:
         raise SchemaMismatch("cannot build a design matrix from an empty dataset")
     enc = encoding or DesignEncoding(ds.schema)
-    Y = np.asarray(ds.column(ds.schema.target), dtype=float)
-    return DesignMatrix(enc.encode(ds), Y, enc)
+    return DesignMatrix(enc.encode(ds), ds.column(ds.schema.target), enc)
 
 
 # --------------------------------------------------------------------------
@@ -507,20 +504,6 @@ class SynthProfile:
     level_coefficients: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
     noise_sigma: float = 0.0
     min_dose: float = 0.5
-
-    def to_json(self) -> dict:
-        return {
-            "member_id": self.member_id,
-            "n": self.n,
-            "numeric_ranges": {k: list(v) for k, v in self.numeric_ranges.items()},
-            "categorical_mixes": {k: dict(v) for k, v in self.categorical_mixes.items()},
-            "boolean_probs": dict(self.boolean_probs),
-            "coefficients": list(self.coefficients),
-            "level_column": self.level_column,
-            "level_coefficients": {k: list(v) for k, v in self.level_coefficients.items()},
-            "noise_sigma": self.noise_sigma,
-            "min_dose": self.min_dose,
-        }
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SynthProfile":
@@ -576,16 +559,14 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
     master = np.random.SeedSequence(seed)
     for p, ss in zip(profiles, master.spawn(len(profiles))):
         rng = np.random.default_rng(ss)
-        cols: dict[str, list] = {}
+        cols: dict[str, np.ndarray] = {}
         for c in schema.feature_columns:
             if c.ctype.is_numeric:
                 lo, hi = p.numeric_ranges.get(
                     c.name, c.ctype.bounds if c.ctype.bounds else (0.0, 1.0))
                 vals = rng.uniform(lo, hi, p.n)
-                if c.ctype.kind == "integer":
-                    cols[c.name] = [int(round(v)) for v in vals]
-                else:
-                    cols[c.name] = [float(v) for v in vals]
+                # + 0.0 stores a rounded -0.4 as 0.0, not -0.0
+                cols[c.name] = np.round(vals) + 0.0 if c.ctype.kind == "integer" else vals
             elif c.ctype.kind == "categorical":
                 mix = p.categorical_mixes.get(c.name)
                 if mix is None:
@@ -594,13 +575,12 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
                     levels = tuple(mix.keys())
                     probs = np.asarray(list(mix.values()))
                     probs = probs / probs.sum()
-                cols[c.name] = [str(v) for v in rng.choice(levels, size=p.n, p=probs)]
+                cols[c.name] = rng.choice(levels, size=p.n, p=probs).astype(object)
             else:
-                prob = p.boolean_probs.get(c.name, 0.5)
-                cols[c.name] = [bool(v) for v in rng.random(p.n) < prob]
+                cols[c.name] = rng.random(p.n) < p.boolean_probs.get(c.name, 0.5)
 
-        cols[schema.target] = [0.0] * p.n
-        X = enc.encode(Dataset(schema, {k: tuple(v) for k, v in cols.items()}))
+        cols[schema.target] = np.zeros(p.n)
+        X = enc.encode(Dataset(schema, cols))
         base = np.asarray(p.coefficients)
         overrides = {level: np.asarray(eta)
                      for level, eta in p.level_coefficients.items()}
@@ -614,9 +594,8 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
             if p.noise_sigma > 0:
                 y += float(rng.normal(0.0, p.noise_sigma))
             doses.append(max(y, p.min_dose))
-        cols[schema.target] = doses
-        datasets.append(Dataset(
-            schema, {k: tuple(v) for k, v in cols.items()}, p.member_id))
+        cols[schema.target] = np.array(doses)
+        datasets.append(Dataset(schema, cols, p.member_id))
     return datasets
 
 

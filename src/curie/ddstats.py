@@ -16,8 +16,10 @@ only the decision.  This simulates a private evaluation with
 message-level fidelity, not cryptographic strength: set statistics
 travel as salted-hash encodings, vector statistics as masked values
 under a transform the statistic is invariant to (positive scaling for
-cosine, positive-slope affine for Pearson).  Neither party's raw column
-ever crosses the member boundary in clear text.
+cosine, positive-slope affine for Pearson).  No raw value travels in
+clear text, but the owner can recover the requester's column: the salt
+travels with the request, so hashes over a bounded domain invert by
+trying every value, and the masked vectors de-scale (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from curie.cpl.ast import Algorithm
 from curie.errors import CurieError, MalformedPayload
@@ -109,19 +113,22 @@ def compute_statistic(algorithm: Algorithm, a: Sequence, b: Sequence) -> float:
 # --------------------------------------------------------------------------
 # blinded exchange
 
-def _canon(v) -> bytes:
-    if isinstance(v, bool):
-        return b"b:" + (b"1" if v else b"0")
-    if isinstance(v, int):
-        return b"i:%d" % v
-    if isinstance(v, float):
-        return b"f:" + repr(v).encode()
+def _canon(v, kind: str) -> bytes:
+    """The hashed form of a value of a column of declared *kind*: equal
+    values hash alike whichever Python or numpy type holds them (and
+    + 0.0 hashes -0.0 as 0.0)."""
+    if kind == "integer":
+        return b"i:%d" % int(v)
+    if kind == "real":
+        return b"f:" + repr(float(v) + 0.0).encode()
+    if kind == "boolean":
+        return b"b:1" if v else b"b:0"
     return b"s:" + str(v).encode()
 
 
-def salted_hashes(values: Sequence, salt: bytes) -> frozenset[bytes]:
+def salted_hashes(values: Sequence, salt: bytes, kind: str) -> frozenset[bytes]:
     return frozenset(
-        hashlib.sha256(salt + _canon(v)).digest() for v in set(values)
+        hashlib.sha256(salt + _canon(v, kind)).digest() for v in set(values)
     )
 
 
@@ -181,28 +188,26 @@ class BlindedColumn:
         return cls(obj["column"], salt, size, hashes, tuple(scaled), tuple(affine))
 
 
-def blind_column(column: str, values: Sequence, rng: random.Random) -> BlindedColumn:
+def blind_column(column: str, kind: str, values: Sequence,
+                 rng: random.Random) -> BlindedColumn:
+    """Blind a column of declared *kind*; only numeric kinds are masked."""
     salt = rng.getrandbits(128).to_bytes(16, "big")
     alpha = rng.uniform(0.25, 4.0)
     beta = rng.uniform(-10.0, 10.0)
-    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in values)
-    if numeric:
-        scaled = tuple(alpha * float(v) for v in values)
-        affine = tuple(alpha * float(v) + beta for v in values)
-    else:
-        scaled = ()
-        affine = ()
-    return BlindedColumn(column, salt, len(values), salted_hashes(values, salt),
-                         scaled, affine)
+    scaled = affine = ()
+    if kind in ("integer", "real"):
+        masked = alpha * np.asarray(values)
+        scaled, affine = tuple(masked.tolist()), tuple((masked + beta).tolist())
+    return BlindedColumn(column, salt, len(values),
+                         salted_hashes(values, salt, kind), scaled, affine)
 
 
 def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
-                     owner_values: Sequence) -> float:
+                     owner_values: Sequence, kind: str) -> float:
     """Owner-side statistic from a blinded requester column and the
-    owner's raw values."""
+    owner's raw values of that column, whose declared kind is *kind*."""
     if algorithm in _SET_ALGORITHMS:
-        owner_hashes = salted_hashes(owner_values, blinded.salt)
+        owner_hashes = salted_hashes(owner_values, blinded.salt, kind)
         inter = len(blinded.hashes & owner_hashes)
         if algorithm is Algorithm.INTERSECTION_SIZE:
             return float(inter)
@@ -210,7 +215,6 @@ def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
         if union == 0:
             raise EmptyUnion("jaccard undefined for two empty sets")
         return inter / union
-    owner = [float(v) for v in owner_values]
     if algorithm is Algorithm.PEARSON_CORRELATION:
-        return pearson(blinded.affine, owner)
-    return cosine(blinded.scaled, owner)
+        return pearson(blinded.affine, owner_values)
+    return cosine(blinded.scaled, owner_values)

@@ -394,8 +394,9 @@ def build_request(requester: MemberContext, owner: PublicProfile,
     rng = rng or random.Random()
     profile = requester.profile
     wanted = profile.dd_columns | owner.dd_columns
+    columns = requester.dataset.columns
     blinded = {
-        c.name: blind_column(c.name, requester.dataset.column(c.name), rng)
+        c.name: blind_column(c.name, c.ctype.kind, columns[c.name], rng)
         for c in requester.dataset.schema.columns if c.name in wanted
     }
     return AcquireRequest(profile, requester.policy, blinded)
@@ -406,13 +407,14 @@ def _make_dd_eval(request: AcquireRequest, owner: MemberContext,
                   timings: dict | None = None) -> DDEvaluator:
     def dd_eval(cond: ast.Evaluate) -> bool:
         column = cond.data_ref
-        if not owner.dataset.schema.has_column(column):
+        if column not in owner.dataset.columns:
             raise EnvError(f"data reference &{column} is not a schema column")
         blinded = request.blinded.get(column)
         if blinded is None:
             raise EnvError(f"the request carries no blinded column for &{column}")
         t0 = time.perf_counter()
-        stat = evaluate_blinded(cond.algorithm, blinded, owner.dataset.column(column))
+        stat = evaluate_blinded(cond.algorithm, blinded, owner.dataset.column(column),
+                                owner.dataset.schema.column(column).ctype.kind)
         if timings is not None:
             timings["dd"] = timings.get("dd", 0.0) + time.perf_counter() - t0
         decision = stat < cond.threshold

@@ -266,7 +266,7 @@ def validation_doses(validation: Dataset) -> np.ndarray:
     there are none or one is not positive."""
     if validation.n == 0:
         raise EmptyValidation("validation cohort is empty")
-    y = np.asarray(validation.column(validation.schema.target), dtype=float)
+    y = validation.column(validation.schema.target)
     if np.any(y <= 0):
         raise EmptyValidation("validation doses must be positive")
     return y

@@ -418,6 +418,18 @@ def test_keygen_skips_factors_sharing_a_divisor_with_phi():
         assert sk.decrypt_raw(sk.encrypt_raw(m, rand)) == m
 
 
+def test_public_key_randomizer_is_a_unit_under_tiny_keys():
+    # 17-bit keys have 8- and 9-bit factors, so a randomizer drawn from
+    # [1, n) shares one with n often enough to show in 300 keys; the
+    # residue and the randomizer come from the keygen rng's stream
+    params = HEParams(key_bits=17, scale_bits=1, n_max=1, m_max=1, v_max=1.0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        pair = keygen(params, rng)
+        m = rng.randrange(pair.public.n)
+        assert pair.secret.decrypt_raw(pair.public.encrypt_raw(m, rng)) == m, seed
+
+
 def test_secret_factors_stay_out_of_repr(keys):
     text = repr(keys.secret)
     assert str(keys.secret.p) not in text and str(keys.secret.q) not in text

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curie.data import (
     Column,
     ColumnType,
+    Dataset,
     DegenerateColumn,
     DesignEncoding,
     InvalidProfile,
@@ -24,6 +25,7 @@ from curie.data import (
     to_design_matrix,
     warfarin_schema,
 )
+from curie.errors import PolicyTypeError
 
 WARFARIN_CSV = """age,height,weight,vkorc1,cyp2c9,race,inducer,amiodarone,dose
 63,170.5,80.2,A/A,*1/*1,White,no,no,31.5
@@ -35,8 +37,8 @@ WARFARIN_CSV = """age,height,weight,vkorc1,cyp2c9,race,inducer,amiodarone,dose
 def test_load_eight_input_schema():
     ds = load_dataset(WARFARIN_CSV, warfarin_schema())
     assert ds.n == 3
-    assert ds.column("vkorc1") == ("A/A", "A/G", "G/G")
-    assert ds.column("inducer") == (False, True, False)
+    assert ds.column("vkorc1").tolist() == ["A/A", "A/G", "G/G"]
+    assert ds.column("inducer").tolist() == [False, True, False]
     assert ds.column("dose")[0] == 31.5
 
 
@@ -89,6 +91,11 @@ def _mixed_dataset():
     return from_rows(sch, rows)
 
 
+def _same_columns(a, b):
+    return a.columns.keys() == b.columns.keys() and all(
+        np.array_equal(a.columns[k], b.columns[k]) for k in a.columns)
+
+
 def test_equality_filter_on_categorical():
     ds = apply_selections(_mixed_dataset(), [RowFilter("race", "=", "Asian")])
     assert ds.n == 2
@@ -113,9 +120,9 @@ def test_filter_order_is_commutative_and_idempotent():
     ds = _mixed_dataset()
     f = [RowFilter("age", ">", 25), RowFilter("race", "!=", "Black")]
     once = apply_selections(ds, f)
-    assert apply_selections(once, f).columns == once.columns
+    assert _same_columns(apply_selections(once, f), once)
     swapped = apply_selections(ds, list(reversed(f)))
-    assert swapped.columns == once.columns
+    assert _same_columns(swapped, once)
 
 
 def test_filter_errors():
@@ -131,6 +138,138 @@ def test_in_filter_with_tuple():
     ds = apply_selections(_mixed_dataset(),
                           [RowFilter("race", "in", ("Asian", "Black"))])
     assert ds.n == 3
+
+
+def _match(cell, op, value, ctype, column):
+    """Reference: one cell against one filter, as the row loop that
+    preceded the column masks decided it."""
+    if op == "in":
+        if not isinstance(value, tuple):
+            raise PolicyTypeError(f"'in' filter on {column!r} needs a value list")
+        return cell in value
+    if op in ("<", ">"):
+        if not ctype.is_numeric:
+            raise PolicyTypeError(f"ordering filter on non-numeric column {column!r}")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise PolicyTypeError(f"filter on {column!r}: {value!r} is not numeric")
+        return cell < value if op == "<" else cell > value
+    if op == "=":
+        return cell == value
+    if op == "!=":
+        return cell != value
+    raise PolicyTypeError(f"unsupported filter operation {op!r}")
+
+
+_ORACLE_SCHEMA = Schema((
+    Column("i", ColumnType("integer")),
+    Column("r", ColumnType("real")),
+    Column("b", ColumnType("boolean")),
+    Column("c", ColumnType("categorical", ("a", "b", "c"))),
+    Column("dose", ColumnType("real")),
+), target="dose")
+
+# values of every kind, so filters compare across kinds too
+_filter_values = st.sampled_from([-2, 0, 1, 3, 1.0, 2.5, -0.5, True, False,
+                                  "a", "b", "z", "1", None])
+_filter_columns = st.sampled_from(["i", "r", "b", "c"])
+_filters = st.lists(st.one_of(
+    st.builds(RowFilter, _filter_columns, st.sampled_from(["=", "!=", "<", ">"]),
+              _filter_values),
+    st.builds(RowFilter, _filter_columns, st.just("in"),
+              st.lists(_filter_values, max_size=4).map(tuple)),
+), min_size=1, max_size=4)
+_oracle_rows = st.lists(st.fixed_dictionaries({
+    "i": st.integers(-3, 3),
+    "r": st.sampled_from([-0.5, 0.0, 1.0, 2.5, 3.0]),
+    "b": st.booleans(),
+    "c": st.sampled_from(["a", "b", "c"]),
+}), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_oracle_rows, filters=_filters)
+@example(rows=[], filters=[RowFilter("c", ">", 1)])
+@example(rows=[], filters=[RowFilter("i", "in", (1, "a"))])
+def test_selection_masks_keep_the_rows_the_row_loop_keeps(rows, filters):
+    # the row index rides along as the target, so kept rows are named
+    ds = from_rows(_ORACLE_SCHEMA, [dict(row, dose=float(k))
+                                    for k, row in enumerate(rows)])
+    mistyped = [f for f in filters if f.op in ("<", ">") and (
+        f.column not in ("i", "r") or not isinstance(f.value, (int, float))
+        or isinstance(f.value, bool))]
+    if mistyped:
+        # refused whatever the rows, an empty dataset included
+        with pytest.raises(PolicyTypeError):
+            apply_selections(ds, filters)
+        return
+    ctypes = {c.name: c.ctype for c in _ORACLE_SCHEMA.columns}
+    expected = [k for k, row in enumerate(rows)
+                if all(_match(row[f.column], f.op, f.value, ctypes[f.column],
+                              f.column) for f in filters)]
+    assert apply_selections(ds, filters).column("dose").tolist() == expected
+
+
+def test_filter_with_an_unsupported_operation_is_refused():
+    with pytest.raises(PolicyTypeError):
+        apply_selections(_mixed_dataset(), [RowFilter("age", "~", 3)])
+    with pytest.raises(PolicyTypeError):
+        apply_selections(_mixed_dataset(), [RowFilter("race", "in", "Asian")])
+
+
+# ---------------------------------------------------------------------------
+# typed column storage
+
+def test_columns_are_typed_read_only_arrays():
+    source = [120.0, 180.0, 200.0, 140.0]
+    ds = _mixed_dataset()
+    assert ds.column("age").dtype == np.float64
+    assert ds.column("race").dtype == object
+    assert ds.column("weight").tolist() == source
+    for name in ("age", "race", "weight", "dose"):
+        with pytest.raises(ValueError):
+            ds.column(name)[0] = ds.column(name)[1]
+    # a writeable array handed in is copied, not shared
+    weights = np.array(source)
+    held = Dataset(ds.schema, {**ds.columns, "weight": weights})
+    weights[0] = -1.0
+    assert held.column("weight").tolist() == source
+    assert held.take([0]).column("weight").flags.writeable is False
+
+
+@pytest.mark.parametrize("bad", ["12", True, None, np.bool_(False)])
+def test_numeric_columns_refuse_non_numbers(bad):
+    rows = [dict(age=30, race="Asian", weight=bad, dose=1.0)]
+    with pytest.raises(SchemaMismatch, match="weight"):
+        from_rows(_mixed_dataset().schema, rows)
+
+
+@pytest.mark.parametrize("column, bad", [("race", 3), ("race", None),
+                                         ("inducer", 1), ("inducer", "yes")])
+def test_boolean_and_categorical_columns_refuse_other_kinds(column, bad):
+    sch = Schema((
+        Column("race", ColumnType("categorical", ("Asian", "White"))),
+        Column("inducer", ColumnType("boolean")),
+        Column("dose", ColumnType("real")),
+    ), target="dose")
+    row = dict(race="Asian", inducer=False, dose=1.0)
+    with pytest.raises(SchemaMismatch, match=column):
+        from_rows(sch, [row, {**row, column: bad}])
+
+
+def test_integer_column_refuses_a_non_integral_value():
+    rows = [dict(age=30.0, race="Asian", weight=1.0, dose=1.0),
+            dict(age=30.5, race="Asian", weight=1.0, dose=1.0)]
+    with pytest.raises(SchemaMismatch, match="30.5"):
+        from_rows(_mixed_dataset().schema, rows)
+    assert from_rows(_mixed_dataset().schema, rows[:1]).column("age").tolist() == [30.0]
+
+
+def test_columns_must_match_the_schema():
+    ds = _mixed_dataset()
+    with pytest.raises(SchemaMismatch):
+        Dataset(ds.schema, {**ds.columns, "shoe_size": ds.column("age")})
+    with pytest.raises(SchemaMismatch):
+        Dataset(ds.schema, {**ds.columns, "age": ds.column("age")[:2]})
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +302,7 @@ def test_normalize_columns_target_included_and_map_returned():
         vals = normed.column(col)
         assert min(vals) == -1.0 and max(vals) == 1.0
         assert col in bounds
-    assert normed.column("race") == ds.column("race")
+    assert normed.column("race").tolist() == ds.column("race").tolist()
 
 
 def test_degenerate_column_rejected():
@@ -223,11 +362,9 @@ def test_design_row_count_tracks_filtering():
 
 def test_unknown_level_rejected():
     ds = _mixed_dataset()
-    enc = DesignEncoding(ds.schema)
-    martian = from_rows(ds.schema, [dict(age=1, race="Martian", weight=1.0,
-                                         dose=1.0)])
+    # refused when the dataset is built, before any encoding sees it
     with pytest.raises(SchemaMismatch):
-        enc.encode(martian)
+        from_rows(ds.schema, [dict(age=1, race="Martian", weight=1.0, dose=1.0)])
 
 
 def test_encode_matches_hand_written_matrix():
@@ -284,6 +421,23 @@ def test_encode_rejects_non_numeric_values(bad):
         DesignEncoding(ds.schema).encode(from_rows(ds.schema, rows))
 
 
+def test_encode_refuses_a_column_of_another_kind_or_levels():
+    ds = _mixed_dataset()
+
+    def retyped(name, ctype):
+        return Schema(tuple(Column(c.name, ctype) if c.name == name else c
+                            for c in ds.schema.columns), target="dose")
+
+    for schema in (retyped("race", ColumnType("categorical", ("Asian", "White", "Black"))),
+                   retyped("age", ColumnType("boolean"))):
+        with pytest.raises(SchemaMismatch):
+            DesignEncoding(schema).encode(ds)
+    # integer and real are both stored as float64, as normalization needs
+    np.testing.assert_array_equal(
+        DesignEncoding(retyped("age", ColumnType("real"))).encode(ds),
+        DesignEncoding(ds.schema).encode(ds))
+
+
 def test_encode_rejects_missing_column():
     ds = _mixed_dataset()
     narrow = Schema(tuple(c for c in ds.schema.columns if c.name != "weight"),
@@ -318,7 +472,7 @@ def test_same_seed_reproduces_datasets():
     a = synth_members(7, warfarin_schema(), _profiles(1.0))
     b = synth_members(7, warfarin_schema(), _profiles(1.0))
     for x, y in zip(a, b):
-        assert x.columns == y.columns
+        assert _same_columns(x, y)
 
 
 def test_noiseless_pooled_ols_recovers_ground_truth():
@@ -387,7 +541,7 @@ def test_default_normalization_is_data_derived_even_with_declared_bounds():
     ds = from_rows(sch, [dict(x=10.0, dose=5.0), dict(x=30.0, dose=15.0)])
     normed, bounds = normalize_columns(ds)
     assert bounds["x"] == (10.0, 30.0)
-    assert normed.column("x") == (-1.0, 1.0)
+    assert normed.column("x").tolist() == [-1.0, 1.0]
     shared, bounds = normalize_columns(ds, {"x": (0.0, 1000.0),
                                             "dose": (0.0, 1000.0)})
-    assert shared.column("x") != (-1.0, 1.0)
+    assert shared.column("x").tolist() != [-1.0, 1.0]

@@ -174,15 +174,19 @@ def test_blinded_equals_plain_on_random_pairs():
         algorithm = list(Algorithm)[trial % 4]
         n = int(rng.integers(3, 30))
         if algorithm in (Algorithm.INTERSECTION_SIZE, Algorithm.JACCARD_INDEX):
-            a = [f"v{int(v)}" for v in rng.integers(0, 12, size=n)]
-            b = [f"v{int(v)}" for v in rng.integers(0, 12, size=n)]
+            da, db = rng.integers(0, 12, size=n), rng.integers(0, 12, size=n)
+            # labels, and the same draws as numbers in a real column:
+            # the requester holds Python ints, the owner equal floats
+            inputs = [([f"v{int(v)}" for v in da], [f"v{int(v)}" for v in db]),
+                      ([int(v) for v in da], [float(v) for v in db])]
         else:
-            a = [float(v) for v in rng.normal(0, 5, size=n)]
-            b = [float(v) for v in rng.normal(0, 5, size=n)]
+            inputs = [([float(v) for v in rng.normal(0, 5, size=n)],
+                       [float(v) for v in rng.normal(0, 5, size=n)])]
         threshold = float(rng.uniform(-1, 13))
-        plain = compute_statistic(algorithm, a, b) < threshold
-        blinded = _decision(algorithm, threshold, a, b, blind_rng)
-        assert plain == blinded, (algorithm, threshold)
+        for a, b in inputs:
+            plain = compute_statistic(algorithm, a, b) < threshold
+            blinded = _decision(algorithm, threshold, a, b, blind_rng)
+            assert plain == blinded, (algorithm, threshold, a, b)
 
 
 def test_blinded_transcript_contains_no_raw_values():
@@ -216,8 +220,21 @@ def test_response_carries_the_decision_not_the_statistic():
 def test_blinded_set_statistic_is_exact():
     rng = random.Random(3)
     values = [f"x{i}" for i in range(20)]
-    blinded = blind_column("col", values, rng)
+    blinded = blind_column("col", "categorical", values, rng)
     owner = [f"x{i}" for i in range(10, 25)]
-    assert evaluate_blinded(Algorithm.INTERSECTION_SIZE, blinded, owner) == 10.0
-    assert evaluate_blinded(Algorithm.JACCARD_INDEX, blinded, owner) == \
-        pytest.approx(10 / 25)
+    assert evaluate_blinded(Algorithm.INTERSECTION_SIZE, blinded, owner,
+                            "categorical") == 10.0
+    assert evaluate_blinded(Algorithm.JACCARD_INDEX, blinded, owner,
+                            "categorical") == pytest.approx(10 / 25)
+
+
+@pytest.mark.parametrize("kind, requester, owner", [
+    ("real", [30, -0.0, 2.5], [30.0, 0.0, np.float64(2.5)]),
+    ("integer", [30, 0], [30.0, -0.0]),
+    ("boolean", [True, False], [np.True_, np.False_]),
+])
+def test_equal_values_hash_alike_whatever_type_holds_them(kind, requester, owner):
+    blinded = blind_column("col", kind, requester, random.Random(4))
+    for algorithm in (Algorithm.INTERSECTION_SIZE, Algorithm.JACCARD_INDEX):
+        assert evaluate_blinded(algorithm, blinded, owner, kind) == \
+            compute_statistic(algorithm, requester, owner)

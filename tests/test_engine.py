@@ -420,11 +420,12 @@ _REQUEST = _request_payload()
 
 def _plain_mode_request() -> bytes:
     """The retired plain-mode wire form: the requester's raw column in
-    the clear.  No blinded field, so the parser must refuse it."""
+    the clear, the integer column's cells as JSON integers.  No blinded
+    field, so the parser must refuse it."""
     m1, _, _ = build_contexts()
     body = json.loads(_REQUEST)
     return json.dumps({"mode": "plain",
-                       "plain": {"age": list(m1.dataset.column("age"))},
+                       "plain": {"age": [int(v) for v in m1.dataset.column("age")]},
                        "policy": body["policy"],
                        "requester": body["requester"]}).encode()
 

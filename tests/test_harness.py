@@ -297,6 +297,20 @@ def test_cli_negotiate_writes_report(tmp_path, capsys):
     assert len(payload["agreements"]) == 6
 
 
+GOLDEN_DIR = CONSORTIA_DIR.parent / "tests" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONSORTIA_DIR.iterdir()))
+def test_cli_negotiate_report_matches_golden(name, tmp_path, monkeypatch):
+    # golden files: `curie negotiate consortia/<name>/config.json --out ...`
+    # with CURIE_SEED unset; agreements, released rows and dd decisions
+    # must not drift under refactors of the data or negotiation layers
+    monkeypatch.delenv("CURIE_SEED", raising=False)
+    out = tmp_path / "report.json"
+    assert cli_main(["negotiate", str(config_path(name)), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / f"{name}.negotiate.json").read_bytes()
+
+
 def test_cli_runtime_failure_exit_code(tmp_path):
     missing = tmp_path / "none.json"
     assert cli_main(["negotiate", str(missing)]) == 2
