@@ -51,9 +51,8 @@ def cmd_lint(args) -> int:
     return 1 if cpl.has_errors(diags) else 0
 
 
-def _emit_report(report: harness.ScenarioReport, out: str | None,
-                 include_timings: bool) -> None:
-    payload = json.dumps(report.to_json(include_timings), indent=2, sort_keys=True)
+def _emit(obj, out: str | None) -> None:
+    payload = json.dumps(obj, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(payload + "\n")
     else:
@@ -63,7 +62,7 @@ def _emit_report(report: harness.ScenarioReport, out: str | None,
 def cmd_negotiate(args) -> int:
     cfg = harness.load_config(args.config)
     report = harness.run_scenario(cfg, harness.MODE_NEGOTIATE)
-    _emit_report(report, args.out, include_timings=False)
+    _emit(report.to_json(include_timings=False), args.out)
     return 0
 
 
@@ -71,19 +70,18 @@ def cmd_simulate(args) -> int:
     cfg = harness.load_config(args.config)
     mode = harness.MODE_FULL_DP if args.dp else harness.MODE_FULL
     report = harness.run_scenario(cfg, mode)
-    _emit_report(report, args.out, include_timings=True)
+    _emit(report.to_json(include_timings=True), args.out)
     return 0
+
+
+def numbers(text: str) -> list[float]:
+    # argparse reports a ValueError here as a usage error
+    return [float(e) for e in text.split(",")]
 
 
 def cmd_dp_sweep(args) -> int:
     cfg = harness.load_config(args.config)
-    epsilons = ([float(e) for e in args.eps.split(",")] if args.eps else None)
-    table = harness.dp_sweep(cfg, epsilons, args.reps)
-    payload = json.dumps(table, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
-    else:
-        print(payload)
+    _emit(harness.dp_sweep(cfg, args.eps, args.reps), args.out)
     return 0
 
 
@@ -137,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dp-sweep", help="privacy-budget accuracy table")
     p.add_argument("config")
-    p.add_argument("--eps", help="comma-separated budgets (default: config)")
+    p.add_argument("--eps", type=numbers, help="comma-separated budgets (default: config)")
     p.add_argument("--reps", type=int, default=None,
                    help="repetitions per budget (default: config)")
     p.add_argument("--out", help="write the JSON table here")

@@ -585,14 +585,16 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
         overrides = {level: np.asarray(eta)
                      for level, eta in p.level_coefficients.items()}
         levels = cols[p.level_column] if p.level_column is not None else None
+        # one call draws the same stream as one draw per row
+        noise = rng.normal(0.0, p.noise_sigma, p.n).tolist() if p.noise_sigma > 0 else None
         doses = []
         for i in range(p.n):
             eta = base if levels is None else overrides.get(levels[i], base)
             # one dot per row, not X @ eta: a matrix product rounds the
             # doses differently in the last bits
             y = float(eta @ X[i])
-            if p.noise_sigma > 0:
-                y += float(rng.normal(0.0, p.noise_sigma))
+            if noise is not None:
+                y += noise[i]
             doses.append(max(y, p.min_dose))
         cols[schema.target] = np.array(doses)
         datasets.append(Dataset(schema, cols, p.member_id))

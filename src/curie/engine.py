@@ -15,9 +15,10 @@ conditionals ride along rather than costing extra messages.
 
 The owner's evaluation of the requester's blinded column is the one
 way a data-dependent conditional is decided: true when the statistic
-falls strictly below the threshold.  Each public profile lists the
-columns its member's policy evaluates, and a request blinds only the
-columns either side's profile lists.
+falls strictly below the threshold, and its wall time is the ``dd``
+phase.  A request blinds only the columns the owner reads: those of its
+share clauses, which its public profile lists, and of the requester's
+acquire clauses covering it.
 
 The merge is conservative: merged conditionals are the union (logical
 AND) of both sides' conditionals and merged selections the conjunction
@@ -30,7 +31,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -41,6 +41,7 @@ from curie.data import (Dataset, RowFilter, SchemaMismatch, apply_selections,
                         check_shared_schema)
 from curie.ddstats import BlindedColumn, blind_column, evaluate_blinded
 from curie.errors import CurieError, MalformedPayload, PolicyTypeError
+from curie.phases import phase
 from curie.transport import MessageLog
 
 
@@ -68,8 +69,8 @@ _PROFILE_FIELDS = {"member_id", "attributes", "alliances", "data_size",
 class PublicProfile:
     """What a member discloses during negotiation: identity, plain
     attributes, alliance memberships, dataset row count, and the columns
-    its policy's ``evaluate`` conditionals read (the policy itself
-    travels in every request the member sends, so this adds nothing)."""
+    its share clauses evaluate (the policy itself travels in every
+    request the member sends, so this adds nothing)."""
 
     member_id: str
     attributes: Mapping[str, object] = field(default_factory=dict)
@@ -108,13 +109,28 @@ class PublicProfile:
                    frozenset(dd_columns))
 
 
-def evaluated_columns(policy: ast.PolicyAst) -> frozenset[str]:
-    """The columns the ``evaluate`` conditionals of *policy*'s clauses
-    and sub-clauses read."""
-    return frozenset(
-        cond.data_ref
-        for statement in policy.statements if isinstance(statement, ast.Clause)
-        for cond in statement.conditionals if isinstance(cond, ast.Evaluate))
+def _covers(clause: ast.Clause, member_id: str) -> bool:
+    return not clause.members or member_id in clause.members
+
+
+def evaluated_columns(policy: ast.PolicyAst, kind: ast.ClauseKind,
+                      counterparty: str | None = None) -> frozenset[str]:
+    """The columns the ``evaluate`` conditionals of *policy*'s *kind*
+    clauses (those covering *counterparty*, when given) and of the
+    sub-clauses their selections reach by tag read."""
+    pending = [c for c in policy.clauses if c.kind is kind
+               and (counterparty is None or _covers(c, counterparty))]
+    reached, columns = set(), set()
+    while pending:
+        clause = pending.pop()
+        columns.update(cond.data_ref for cond in clause.conditionals
+                       if isinstance(cond, ast.Evaluate))
+        selections = clause.selections
+        if isinstance(selections, ast.TagRef) and selections.tag not in reached:
+            reached.add(selections.tag)
+            pending.extend(sub for tag, sub in policy.sub_clauses
+                           if tag == selections.tag)
+    return frozenset(columns)
 
 
 @dataclass(frozen=True)
@@ -129,7 +145,7 @@ class MemberContext:
     def profile(self) -> PublicProfile:
         return PublicProfile(self.member_id, dict(self.attributes),
                              self.alliances, self.dataset.n,
-                             evaluated_columns(self.policy))
+                             evaluated_columns(self.policy, ast.ClauseKind.SHARE))
 
 
 @dataclass(frozen=True)
@@ -289,7 +305,7 @@ def resolve_clause(policy: ast.PolicyAst, kind: ast.ClauseKind,
     for index, clause in enumerate(policy.clauses):
         if clause.kind is not kind:
             continue
-        if clause.members and counterparty not in clause.members:
+        if not _covers(clause, counterparty):
             continue
         if not _all_hold(clause.conditionals, env, dd_eval):
             continue
@@ -386,14 +402,15 @@ def build_request(requester: MemberContext, owner: PublicProfile,
                   rng: random.Random | None = None) -> AcquireRequest:
     """Requester-side request assembly.
 
-    Blinds every schema column that either side's profile lists as
-    evaluated, so the owner can decide the data-dependent conditionals
-    of both policies without another round trip, and no other column
-    leaves the requester.
+    Blinds every schema column the owner's share clauses or the
+    requester's acquire clauses covering the owner evaluate, so the
+    owner can decide the data-dependent conditionals of both policies
+    without another round trip, and no other column leaves the requester.
     """
     rng = rng or random.Random()
     profile = requester.profile
-    wanted = profile.dd_columns | owner.dd_columns
+    wanted = owner.dd_columns | evaluated_columns(
+        requester.policy, ast.ClauseKind.ACQUIRE, owner.member_id)
     columns = requester.dataset.columns
     blinded = {
         c.name: blind_column(c.name, c.ctype.kind, columns[c.name], rng)
@@ -403,8 +420,7 @@ def build_request(requester: MemberContext, owner: PublicProfile,
 
 
 def _make_dd_eval(request: AcquireRequest, owner: MemberContext,
-                  trace: list[dict],
-                  timings: dict | None = None) -> DDEvaluator:
+                  trace: list[dict]) -> DDEvaluator:
     def dd_eval(cond: ast.Evaluate) -> bool:
         column = cond.data_ref
         if column not in owner.dataset.columns:
@@ -412,11 +428,9 @@ def _make_dd_eval(request: AcquireRequest, owner: MemberContext,
         blinded = request.blinded.get(column)
         if blinded is None:
             raise EnvError(f"the request carries no blinded column for &{column}")
-        t0 = time.perf_counter()
-        stat = evaluate_blinded(cond.algorithm, blinded, owner.dataset.column(column),
-                                owner.dataset.schema.column(column).ctype.kind)
-        if timings is not None:
-            timings["dd"] = timings.get("dd", 0.0) + time.perf_counter() - t0
+        with phase("dd"):
+            stat = evaluate_blinded(cond.algorithm, blinded, owner.dataset.column(column),
+                                    owner.dataset.schema.column(column).ctype.kind)
         decision = stat < cond.threshold
         trace.append({
             "algorithm": cond.algorithm.value,
@@ -429,8 +443,7 @@ def _make_dd_eval(request: AcquireRequest, owner: MemberContext,
     return dd_eval
 
 
-def answer_request(owner: MemberContext, request: AcquireRequest,
-                   timings: dict | None = None) -> Agreement:
+def answer_request(owner: MemberContext, request: AcquireRequest) -> Agreement:
     """Owner-side negotiation: resolve both sides, AND-merge, classify.
 
     Status is data-relative on the owner's current dataset: ``full``
@@ -440,7 +453,7 @@ def answer_request(owner: MemberContext, request: AcquireRequest,
     """
     requester = request.requester
     trace: list[dict] = []
-    dd_eval = _make_dd_eval(request, owner, trace, timings)
+    dd_eval = _make_dd_eval(request, owner, trace)
 
     acquire_env = EvalEnv(requester, owner.profile,
                           request.policy.attribute_map())
@@ -489,16 +502,13 @@ def negotiate_pair(requester: MemberContext, owner: MemberContext,
 
 
 def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
-    return any(
-        c.kind is ast.ClauseKind.ACQUIRE and (not c.members or owner_id in c.members)
-        for c in policy.clauses
-    )
+    return any(c.kind is ast.ClauseKind.ACQUIRE and _covers(c, owner_id)
+               for c in policy.clauses)
 
 
 def negotiate_consortium(contexts: Sequence[MemberContext],
                          rng: random.Random | None = None,
                          log: MessageLog | None = None,
-                         timings: dict | None = None,
                          ) -> tuple[list[Agreement], MessageLog]:
     """Run all pairwise negotiations.
 
@@ -534,7 +544,7 @@ def negotiate_consortium(contexts: Sequence[MemberContext],
             request = build_request(requester, owner.profile, rng)
             log.send(requester_id, owner_id, "acquire_request", request.to_payload())
             try:
-                agreement = answer_request(owner, request, timings=timings)
+                agreement = answer_request(owner, request)
             except CurieError as exc:
                 agreement = Agreement(owner_id, requester_id, EMPTY,
                                       reason=f"negotiation error: {exc}")

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,6 +45,7 @@ from curie.data import (
 )
 from curie.engine import EMPTY, Agreement, MemberContext, negotiate_consortium
 from curie.errors import CurieError
+from curie.phases import phase, recording
 from curie.regression import (
     ClinicalReport,
     DoseModel,
@@ -93,6 +94,13 @@ class DPSettings:
     enabled: bool = False
     epsilons: tuple[float, ...] = (0.25, 1.0, 5.0, 20.0, 50.0, 100.0)
     repetitions: int = 100
+
+    def __post_init__(self) -> None:
+        if self.enabled and not (self.epsilons
+                                 and all(0 < e < math.inf for e in self.epsilons)):
+            raise ConfigError("dp.epsilons", "privacy budgets must be positive and finite")
+        if self.repetitions < 1:
+            raise ConfigError("dp.repetitions", "repetitions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -228,14 +236,9 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     _reject_unknown_keys(dp_raw, _DP_KEYS, "dp.")
     dp = DPSettings(
         enabled=bool(dp_raw.get("enabled", False)),
-        epsilons=tuple(float(e) for e in dp_raw.get(
-            "epsilons", (0.25, 1.0, 5.0, 20.0, 50.0, 100.0))),
-        repetitions=int(dp_raw.get("repetitions", 100)),
+        epsilons=tuple(float(e) for e in dp_raw.get("epsilons", DPSettings.epsilons)),
+        repetitions=int(dp_raw.get("repetitions", DPSettings.repetitions)),
     )
-    if dp.enabled and (not dp.epsilons or any(e <= 0 for e in dp.epsilons)):
-        raise ConfigError("dp.epsilons", "privacy budgets must be positive")
-    if dp.repetitions < 1:
-        raise ConfigError("dp.repetitions", "repetitions must be at least 1")
 
     seed = int(os.environ.get(SEED_ENV_VAR, raw.get("seed", 0)))
     holdout = float(raw.get("holdout_fraction", 0.25))
@@ -404,24 +407,18 @@ def _stats_provider(scenario: Scenario, agreements: Sequence[Agreement]):
     return provider
 
 
-def _negotiate_and_pool(cfg: ConsortiumConfig, timings: dict[str, float],
-                        pool: bool
+def _negotiate_and_pool(cfg: ConsortiumConfig, pool: bool
                         ) -> tuple[Scenario, list[Agreement], MessageLog,
                                    RingResult | None]:
     """The pipeline both :func:`run_scenario` and :func:`dp_sweep`
     drive: build the scenario, negotiate every pair, and, when *pool* is
     set and the initiator acquired something, run the initiator's ring
-    session.  Each phase's wall time lands in *timings*."""
-    t0 = time.perf_counter()
-    scenario = build_scenario(cfg)
-    timings["build"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    agreements, nego_log = negotiate_consortium(
-        scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")),
-        timings=timings)
-    timings["negotiation"] = time.perf_counter() - t0
-    timings.setdefault("dd", 0.0)
+    session.  Each phase's wall time lands in the active recorder."""
+    with phase("build"):
+        scenario = build_scenario(cfg)
+    with phase("negotiation"):
+        agreements, nego_log = negotiate_consortium(
+            scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")))
 
     if not pool or not any(a.requester == cfg.initiator for a in agreements):
         # negotiation only, or nothing acquired (single-source
@@ -431,8 +428,6 @@ def _negotiate_and_pool(cfg: ConsortiumConfig, timings: dict[str, float],
         list(cfg.ring_order), cfg.initiator,
         _stats_provider(scenario, agreements),
         cfg.he, random.Random(_seed_for(cfg.seed, "ring")))
-    for phase, seconds in result.timings.items():
-        timings[phase] = timings.get(phase, 0.0) + seconds
     return scenario, agreements, nego_log, result
 
 
@@ -440,60 +435,58 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
     """Negotiate, optionally aggregate and model, and assemble a report.
 
     The ``negotiate`` mode's report is byte-identical across runs for
-    one config+seed (serialize with ``include_timings=False``).
+    one config+seed (serialize with ``include_timings=False``).  Its
+    ``timings`` are the run's phases; ``dd`` is a part of ``negotiation``.
     """
     if mode not in (MODE_NEGOTIATE, MODE_FULL, MODE_FULL_DP):
         raise ValueError(f"unknown mode {mode!r}")
-    timings: dict[str, float] = {}
-    scenario, agreements, nego_log, result = _negotiate_and_pool(
-        cfg, timings, pool=mode != MODE_NEGOTIATE)
+    if mode == MODE_FULL_DP and not cfg.dp.enabled:
+        raise ConfigError("dp.enabled", "dp sweep requested but dp is disabled")
+    with recording() as timings:
+        scenario, agreements, nego_log, result = _negotiate_and_pool(
+            cfg, pool=mode != MODE_NEGOTIATE)
+        timings.setdefault("dd", 0.0)
+        report = ScenarioReport(
+            consortium=cfg.name,
+            mode=mode,
+            seed=cfg.seed,
+            members=[m.member_id for m in cfg.members],
+            agreements=agreements,
+            message_counts={"negotiation": len(nego_log)},
+            timings=timings,
+        )
+        if mode == MODE_NEGOTIATE:
+            return report
 
-    report = ScenarioReport(
-        consortium=cfg.name,
-        mode=mode,
-        seed=cfg.seed,
-        members=[m.member_id for m in cfg.members],
-        agreements=agreements,
-        message_counts={"negotiation": len(nego_log)},
-        timings=timings,
-    )
-    if mode == MODE_NEGOTIATE:
+        # local models always come out of a full run
+        with phase("local_models"):
+            for ctx in scenario.contexts:
+                report.local_rows[ctx.member_id] = ctx.dataset.n
+                model = _fit_local_model(scenario, ctx)
+                if model is not None and scenario.validation is not None:
+                    report.local_clinical[ctx.member_id] = clinical_metrics(
+                        model, scenario.validation)
+                else:
+                    report.local_clinical[ctx.member_id] = None
+
+        if result is None:
+            return report
+        report.message_counts["ring"] = len(result.transcript)
+        report.pooled_rows = result.n_pool
+
+        with phase("pooled_model"):
+            eta = solve_ols_pruned(result.O_pool, result.V_pool)
+            report.pooled_model = DoseModel(eta, scenario.encoding, scenario.bounds)
+            if scenario.validation is not None:
+                report.pooled_clinical = clinical_metrics(report.pooled_model,
+                                                          scenario.validation)
+
+        if mode == MODE_FULL_DP:
+            with phase("dp_sweep"):
+                report.dp_table = dp_sweep_from_stats(
+                    result.O_pool, result.V_pool, scenario, cfg.dp.epsilons,
+                    cfg.dp.repetitions)
         return report
-
-    # local models always come out of a full run
-    t0 = time.perf_counter()
-    for ctx in scenario.contexts:
-        report.local_rows[ctx.member_id] = ctx.dataset.n
-        model = _fit_local_model(scenario, ctx)
-        if model is not None and scenario.validation is not None:
-            report.local_clinical[ctx.member_id] = clinical_metrics(
-                model, scenario.validation)
-        else:
-            report.local_clinical[ctx.member_id] = None
-    timings["local_models"] = time.perf_counter() - t0
-
-    if result is None:
-        return report
-    report.message_counts["ring"] = len(result.transcript)
-    report.pooled_rows = result.n_pool
-
-    t0 = time.perf_counter()
-    eta = solve_ols_pruned(result.O_pool, result.V_pool)
-    pooled_model = DoseModel(eta, scenario.encoding, scenario.bounds)
-    report.pooled_model = pooled_model
-    if scenario.validation is not None:
-        report.pooled_clinical = clinical_metrics(pooled_model, scenario.validation)
-    timings["pooled_model"] = time.perf_counter() - t0
-
-    if mode == MODE_FULL_DP:
-        if not cfg.dp.enabled:
-            raise ConfigError("dp.enabled", "dp sweep requested but dp is disabled")
-        t0 = time.perf_counter()
-        report.dp_table = dp_sweep_from_stats(
-            result.O_pool, result.V_pool, scenario, cfg.dp.epsilons,
-            cfg.dp.repetitions)
-        timings["dp_sweep"] = time.perf_counter() - t0
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -571,19 +564,19 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
 def dp_sweep(cfg: ConsortiumConfig, epsilons: Sequence[float] | None = None,
              repetitions: int | None = None,
              keep_samples: bool = False) -> list[dict]:
-    """Convenience wrapper: run the full pipeline, then sweep.  Raises
-    :class:`ConfigError` when the initiator acquires nothing, since
-    there is then no pooled model."""
+    """Run the full pipeline, then sweep the given budgets (default: the
+    config's).  Raises :class:`ConfigError` before any work on settings
+    :class:`DPSettings` refuses, and when the initiator acquires nothing."""
     if not cfg.dp.enabled:
         raise ConfigError("dp.enabled", "dp sweep requires dp.enabled")
-    scenario, _, _, result = _negotiate_and_pool(cfg, {}, pool=True)
+    dp = DPSettings(True, cfg.dp.epsilons if epsilons is None else tuple(epsilons),
+                    cfg.dp.repetitions if repetitions is None else repetitions)
+    scenario, _, _, result = _negotiate_and_pool(cfg, pool=True)
     if result is None:
         raise ConfigError("initiator", f"{cfg.initiator!r} acquires nothing, "
                                        "so there is no pooled model to sweep")
-    return dp_sweep_from_stats(
-        result.O_pool, result.V_pool, scenario,
-        epsilons or cfg.dp.epsilons, repetitions or cfg.dp.repetitions,
-        keep_samples=keep_samples)
+    return dp_sweep_from_stats(result.O_pool, result.V_pool, scenario,
+                               dp.epsilons, dp.repetitions, keep_samples=keep_samples)
 
 
 # --------------------------------------------------------------------------
@@ -593,18 +586,16 @@ def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
                    key_bits: int, keygen_seed: int) -> dict[str, float]:
     schema, datasets, _ = synth_numeric_members(
         seed, n_members, n_features, [rows] * n_members, noise_sigma=0.3)
-    t0 = time.perf_counter()
-    stats = {ds.provenance: local_stats(ds) for ds in datasets}
-    stats_time = time.perf_counter() - t0
     v_bound = float(rows * n_members) * 200.0
     params = HEParams(key_bits=key_bits, n_max=max(10_000, rows * n_members),
                       m_max=n_features + 1, v_max=v_bound)
-    result = run_ring_session(
-        [ds.provenance for ds in datasets], datasets[0].provenance,
-        lambda mid: stats[mid], params, random.Random(seed),
-        keygen_rng=random.Random(keygen_seed))
-    out = dict(result.timings)
-    out["stats"] = stats_time
+    with recording() as out:
+        with phase("stats"):
+            stats = {ds.provenance: local_stats(ds) for ds in datasets}
+        run_ring_session(
+            [ds.provenance for ds in datasets], datasets[0].provenance,
+            lambda mid: stats[mid], params, random.Random(seed),
+            keygen_rng=random.Random(keygen_seed))
     out["encrypted_total"] = out["encrypt"] + out["evaluate"] + out["decrypt"]
     return out
 

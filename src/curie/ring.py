@@ -30,7 +30,6 @@ transcript records the exact bytes for the leakage audit.
 from __future__ import annotations
 
 import random
-import time
 import uuid
 from dataclasses import dataclass, field
 
@@ -41,6 +40,7 @@ from curie.data import Dataset, DesignEncoding, NormalizationMap, apply_selectio
     normalize_columns, to_design_matrix
 from curie.engine import EMPTY, Agreement
 from curie.errors import CurieError
+from curie.phases import phase
 from curie.transport import MessageLog
 
 
@@ -202,7 +202,6 @@ class RingResult:
     V_pool: np.ndarray
     n_pool: int
     transcript: Transcript
-    timings: dict[str, float]
 
 
 class _RingMember:
@@ -210,13 +209,11 @@ class _RingMember:
     its encrypted packed statistics to whatever arrives and forwards."""
 
     def __init__(self, member_id: str, stats: LocalStats | None,
-                 params: crypto.HEParams, rng: random.Random,
-                 timings: dict[str, float]):
+                 params: crypto.HEParams, rng: random.Random):
         self.member_id = member_id
         self.stats = stats
         self.params = params
         self.rng = rng
-        self.timings = timings
         self.pk: crypto.PublicKey | None = None
         self.layout: crypto.SlotLayout | None = None
 
@@ -237,17 +234,15 @@ class _RingMember:
         incoming = _unpack_ring_payload(payload, self.pk,
                                         self.layout.plaintexts(cells))
         stats = self.stats or zero_stats(m)
-        t0 = time.perf_counter()
-        try:
-            packed = self.layout.pack(_encode_stats(stats, self.params.scale))
-        except crypto.Overflow as exc:
-            raise OverflowAbort(f"{self.member_id}: {exc}") from exc
-        mine = crypto.encrypt_encoded_matrix(self.pk, [packed],
-                                             self.params.scale, self.rng)
-        self.timings["encrypt"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        summed = crypto.add_cipher(incoming, mine)
-        self.timings["evaluate"] += time.perf_counter() - t0
+        with phase("encrypt"):
+            try:
+                packed = self.layout.pack(_encode_stats(stats, self.params.scale))
+            except crypto.Overflow as exc:
+                raise OverflowAbort(f"{self.member_id}: {exc}") from exc
+            mine = crypto.encrypt_encoded_matrix(self.pk, [packed],
+                                                 self.params.scale, self.rng)
+        with phase("evaluate"):
+            summed = crypto.add_cipher(incoming, mine)
         return crypto.serialize_cipher_matrix(summed)
 
 
@@ -274,7 +269,6 @@ def run_ring_session(ring: list[str], initiator: str,
     order = list(ring[start:]) + list(ring[:start])
     session_id = session_id or uuid.uuid4().bytes
     log = log if log is not None else MessageLog()
-    timings = {"keygen": 0.0, "encrypt": 0.0, "evaluate": 0.0, "decrypt": 0.0}
 
     own_stats: LocalStats | None = stats_provider(initiator)
     m = None
@@ -291,9 +285,8 @@ def run_ring_session(ring: list[str], initiator: str,
     if m > params.m_max:
         raise OverflowAbort(f"design width {m} exceeds validated m_max {params.m_max}")
 
-    t0 = time.perf_counter()
-    keys = crypto.keygen(params, keygen_rng or rng)
-    timings["keygen"] = time.perf_counter() - t0
+    with phase("keygen"):
+        keys = crypto.keygen(params, keygen_rng or rng)
     pk, sk = keys.public, keys.secret
 
     layout = crypto.SlotLayout.for_key(params, pk)
@@ -301,7 +294,7 @@ def run_ring_session(ring: list[str], initiator: str,
     width = layout.plaintexts(cells)
 
     members = {
-        mid: _RingMember(mid, member_stats[mid], params, rng, timings)
+        mid: _RingMember(mid, member_stats[mid], params, rng)
         for mid in order[1:]
     }
 
@@ -314,9 +307,8 @@ def run_ring_session(ring: list[str], initiator: str,
     # one uniform residue mask per packed plaintext; subtracted mod n at
     # the end, so the pooled output is independent of the draw
     mask = [rng.randrange(pk.n) for _ in range(width)]
-    t0 = time.perf_counter()
-    acc = crypto.encrypt_residue_matrix(sk, [mask], params.scale, rng)
-    timings["encrypt"] += time.perf_counter() - t0
+    with phase("encrypt"):
+        acc = crypto.encrypt_residue_matrix(sk, [mask], params.scale, rng)
 
     payload = crypto.serialize_cipher_matrix(acc)
     hops = order[1:] + [initiator]
@@ -328,10 +320,9 @@ def run_ring_session(ring: list[str], initiator: str,
             payload = members[receiver].on_accumulate(payload, m)
         sender = receiver
 
-    t0 = time.perf_counter()
-    final = _unpack_ring_payload(payload, pk, width)
-    residues = crypto.decrypt_residue_matrix(sk, final)[0]
-    timings["decrypt"] = time.perf_counter() - t0
+    with phase("decrypt"):
+        final = _unpack_ring_payload(payload, pk, width)
+        residues = crypto.decrypt_residue_matrix(sk, final)[0]
 
     try:
         sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
@@ -342,7 +333,7 @@ def run_ring_session(ring: list[str], initiator: str,
     O_pool, V_pool, n_pool = _decode_stats(
         [s + o for s, o in zip(sums, own)], m, params.scale)
     transcript = Transcript(session_id, initiator, tuple(order), log, layout)
-    return RingResult(O_pool, V_pool, n_pool, transcript, timings)
+    return RingResult(O_pool, V_pool, n_pool, transcript)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -491,6 +493,60 @@ def test_disjoint_mixes_make_local_models_differ():
         eta, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
         etas.append(eta)
     assert np.linalg.norm(etas[0] - etas[1]) > 1e-3
+
+
+def _row_loop_doses(seed, schema, profiles, datasets):
+    """Reference: each member's doses as one dot and one scalar noise
+    draw per row, after replaying the generator's feature draws."""
+    enc = DesignEncoding(schema)
+    out = []
+    spawned = np.random.SeedSequence(seed).spawn(len(profiles))
+    for p, ss, ds in zip(profiles, spawned, datasets):
+        rng = np.random.default_rng(ss)
+        for c in schema.feature_columns:
+            if c.ctype.is_numeric:
+                rng.uniform(*p.numeric_ranges.get(c.name, c.ctype.bounds), p.n)
+            elif c.ctype.kind == "categorical":
+                mix = p.categorical_mixes.get(c.name)
+                levels, probs = c.ctype.levels, None
+                if mix is not None:
+                    levels, probs = tuple(mix), np.asarray(list(mix.values()))
+                    probs = probs / probs.sum()
+                rng.choice(levels, size=p.n, p=probs)
+            else:
+                rng.random(p.n)
+        X = enc.encode(ds)
+        levels = ds.columns[p.level_column] if p.level_column else None
+        doses = []
+        for i in range(p.n):
+            eta = np.asarray(p.coefficients if levels is None else
+                             p.level_coefficients.get(levels[i], p.coefficients))
+            y = float(eta @ X[i])
+            if p.noise_sigma > 0:
+                y += float(rng.normal(0.0, p.noise_sigma))
+            doses.append(max(y, p.min_dose))
+        out.append(np.array(doses))
+    return out
+
+
+@pytest.mark.parametrize("sigma, overrides", [
+    (1.0, False), (0.0, False), (4.0, True), (0.0, True)])
+def test_synthetic_doses_match_the_row_loop_bit_for_bit(sigma, overrides):
+    profiles = _profiles(sigma)
+    if overrides:
+        width = len(profiles[0].coefficients)
+        profiles = [dataclasses.replace(
+            p, level_column="race", min_dose=20.0,
+            level_coefficients={"Asian": (10.0,) + (0.5,) * (width - 1),
+                                "White": (40.0,) + (-1.0,) * (width - 1)})
+            for p in profiles]
+    schema = warfarin_schema()
+    datasets = synth_members(13, schema, profiles)
+    expected = _row_loop_doses(13, schema, profiles, datasets)
+    for ds, doses in zip(datasets, expected):
+        assert ds.columns["dose"].tobytes() == doses.tobytes()
+    if overrides:
+        assert any((ds.columns["dose"] == 20.0).any() for ds in datasets)
 
 
 def test_invalid_mix_rejected():

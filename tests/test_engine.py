@@ -344,35 +344,68 @@ def test_unconditional_share_with_restricting_acquire_is_partial():
 def test_acquire_request_wire_roundtrip():
     # the request payload is the negotiation's external interface: the
     # owner must reach the same agreement from the parsed bytes
-    m1, m2, _ = build_contexts()
-    request = build_request(m1, m2.profile, rng=random.Random(4))
+    m1, _, m3 = build_contexts()
+    request = build_request(m1, m3.profile, rng=random.Random(4))
     parsed = AcquireRequest.from_payload(request.to_payload())
     assert parsed.requester == request.requester
     assert parsed.policy == request.policy
-    assert parsed.blinded.keys() == request.blinded.keys()
-    direct = answer_request(m2, request)
-    via_wire = answer_request(m2, parsed)
+    assert parsed.blinded.keys() == request.blinded.keys() == {"age", "genotype"}
+    direct = answer_request(m3, request)
+    via_wire = answer_request(m3, parsed)
     assert direct.status == via_wire.status
     assert filter_triples(direct) == filter_triples(via_wire)
     assert direct.provenance == via_wire.provenance
 
 
 def test_profiles_list_evaluated_columns_and_requests_blind_only_those():
+    # profiles list only what share clauses evaluate; a request adds the
+    # columns its own acquire clauses naming the owner evaluate
     m1, m2, m3 = build_contexts()
     assert [m.profile.dd_columns for m in (m1, m2, m3)] == [
-        {"age"}, set(), {"genotype"}]
+        set(), set(), {"genotype"}]
     blinded = {(r.member_id, o.member_id):
                set(build_request(r, o.profile, random.Random(0)).blinded)
                for r, o in itertools.permutations((m1, m2, m3), 2)}
     assert blinded == {
-        ("M1", "M2"): {"age"}, ("M2", "M1"): {"age"},
-        ("M1", "M3"): {"age", "genotype"}, ("M3", "M1"): {"age", "genotype"},
-        ("M2", "M3"): {"genotype"}, ("M3", "M2"): {"genotype"}}
+        ("M1", "M2"): set(), ("M2", "M1"): set(),
+        ("M1", "M3"): {"age", "genotype"}, ("M3", "M1"): set(),
+        ("M2", "M3"): {"genotype"}, ("M3", "M2"): set()}
     # conditionals inside sub-clauses count too
     policy = parse_policy(
         "share : A : :: pick ;\n"
         'pick : evaluate(&a, "Jaccard index", 0.5) :: ;\n')
-    assert evaluated_columns(policy) == {"a"}
+    assert evaluated_columns(policy, ClauseKind.SHARE) == {"a"}
+    assert evaluated_columns(policy, ClauseKind.ACQUIRE) == set()
+
+
+def test_sub_clause_evaluations_reached_by_tag_are_blinded():
+    sch = Schema((Column("a", ColumnType("integer")),
+                  Column("b", ColumnType("integer")),
+                  Column("c", ColumnType("integer")),
+                  Column("dose", ColumnType("real"))), target="dose")
+    rows = [dict(a=v, b=v, c=v, dose=1.0) for v in (1, 2, 3)]
+
+    def member(mid, text):
+        return MemberContext(mid, parse_policy(text), from_rows(sch, rows, mid))
+
+    # the owner's share clause reaches &a through two tags; "spare" is
+    # never reached, so &c is not listed
+    owner = member("B", "acquire : A : :: ;\n"
+                        "share : A : :: outer ;\n"
+                        "outer : :: inner ;\n"
+                        'inner : evaluate(&a, "Jaccard index", 2) :: ;\n'
+                        'spare : evaluate(&c, "Jaccard index", 0.5) :: ;\n')
+    # the requester's acquire clause naming B reaches &b; the one
+    # naming only C does not count
+    requester = member("A", "acquire : B : :: pick ;\n"
+                            'pick : evaluate(&b, "Jaccard index", 2) :: ;\n'
+                            'acquire : C : evaluate(&c, "Jaccard index", 0.5) :: ;\n'
+                            'share : B : :: ;\n')
+    assert owner.profile.dd_columns == {"a"}
+    request = build_request(requester, owner.profile, random.Random(0))
+    assert set(request.blinded) == {"a", "b"}
+    agreement = answer_request(owner, request)
+    assert [t["column"] for t in agreement.dd_trace] == ["b", "a"]
 
 
 def _without_blinded_columns(request: AcquireRequest) -> bytes:
@@ -411,8 +444,9 @@ def test_consortium_records_a_request_lacking_a_column_as_empty(monkeypatch):
 
 
 def _request_payload():
-    m1, m2, _ = build_contexts()
-    return build_request(m1, m2.profile, rng=random.Random(4)).to_payload()
+    # M1's request to M3 carries blinded age and genotype columns
+    m1, _, m3 = build_contexts()
+    return build_request(m1, m3.profile, rng=random.Random(4)).to_payload()
 
 
 _REQUEST = _request_payload()

@@ -230,17 +230,109 @@ def test_dp_sweep_needs_a_pooled_model():
         dp_sweep(cfg)
 
 
-def test_report_timings_cover_the_simulate_wall_time():
-    cfg = load_config(config_path("example3"))
+_NEGOTIATE_PHASES = {"build", "negotiation", "dd"}
+_FULL_PHASES = _NEGOTIATE_PHASES | {"local_models", "keygen", "encrypt",
+                                    "evaluate", "decrypt", "pooled_model"}
+
+
+def _assert_timings_cover_the_wall_time(name, mode, phases):
+    cfg = load_config(config_path(name))
     t0 = time.perf_counter()
-    report = run_scenario(cfg, MODE_FULL_DP)
+    report = run_scenario(cfg, mode)
     wall = time.perf_counter() - t0
-    assert set(report.timings) == {
-        "build", "negotiation", "dd", "local_models", "keygen", "encrypt",
-        "evaluate", "decrypt", "pooled_model", "dp_sweep"}
+    assert set(report.timings) == phases
     # "dd" is the part of "negotiation" spent on data-dependent statistics
     covered = sum(v for k, v in report.timings.items() if k != "dd")
-    assert 0.9 * wall <= covered <= wall, (covered, wall, report.timings)
+    assert 0.9 * wall <= covered <= wall, (name, covered, wall, report.timings)
+
+
+def test_report_timings_cover_the_simulate_wall_time():
+    _assert_timings_cover_the_wall_time("example3", MODE_FULL_DP,
+                                        _FULL_PHASES | {"dp_sweep"})
+    _assert_timings_cover_the_wall_time("p5_global", MODE_FULL, _FULL_PHASES)
+
+
+def test_report_timings_name_the_phases_each_mode_runs():
+    names = sorted(p.parent.name for p in CONSORTIA_DIR.glob("*/config.json"))
+    assert len(names) == 8
+    for name in names:
+        cfg = load_config(config_path(name))
+        negotiated = run_scenario(cfg, MODE_NEGOTIATE).timings
+        assert set(negotiated) == _NEGOTIATE_PHASES, name
+        # p1_single's initiator acquires nothing: no ring, no pooled model
+        full = (_NEGOTIATE_PHASES | {"local_models"} if name == "p1_single"
+                else _FULL_PHASES)
+        assert set(run_scenario(cfg, MODE_FULL).timings) == full, name
+    # "dd" is reported even when no policy evaluates anything
+    cfg = load_config(config_path("p5_global"))
+    assert run_scenario(cfg, MODE_NEGOTIATE).timings["dd"] == 0.0
+
+
+def test_a_failed_run_leaves_the_next_runs_timings_whole(monkeypatch):
+    from curie import harness
+
+    def fail(*args, **kwargs):
+        raise ConfigError("dp", "sweep failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "dp_sweep_from_stats", fail)
+        with pytest.raises(ConfigError, match="sweep failed"):
+            run_scenario(load_config(config_path("example3")), MODE_FULL_DP)
+    _assert_timings_cover_the_wall_time("example3", MODE_FULL_DP,
+                                        _FULL_PHASES | {"dp_sweep"})
+
+
+def _never_negotiate(monkeypatch):
+    from curie import harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(harness, "negotiate_consortium", never)
+
+
+@pytest.mark.parametrize("name", ["example3", "p1_single"])
+def test_full_dp_with_dp_disabled_fails_before_negotiating(monkeypatch, name):
+    cfg = dataclasses.replace(load_config(config_path(name)),
+                              dp=DPSettings(enabled=False))
+    _never_negotiate(monkeypatch)
+    with pytest.raises(ConfigError, match="dp.enabled"):
+        run_scenario(cfg, MODE_FULL_DP)
+
+
+@pytest.mark.parametrize("epsilons, repetitions, field", [
+    ([1.0, 0.0], None, "dp.epsilons"),
+    ([], None, "dp.epsilons"),
+    ([float("inf")], None, "dp.epsilons"),
+    ([float("nan")], None, "dp.epsilons"),
+    (None, 0, "dp.repetitions"),
+    (None, -1, "dp.repetitions"),
+])
+def test_dp_sweep_refuses_bad_overrides_before_any_work(
+        monkeypatch, epsilons, repetitions, field):
+    cfg = load_config(config_path("default_dp"))
+    _never_negotiate(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        dp_sweep(cfg, epsilons, repetitions)
+    assert err.value.field_path == field
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_cli_dp_sweep_refuses_too_few_repetitions(monkeypatch, capsys, reps):
+    _never_negotiate(monkeypatch)
+    code = cli_main(["dp-sweep", str(config_path("default_dp")),
+                     "--reps", reps])
+    assert code == 2
+    assert "repetitions must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_dp_sweep_refuses_malformed_budgets(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["dp-sweep", str(config_path("default_dp")), "--eps", "abc"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --eps: invalid numbers value: 'abc'" in err
+    assert "Traceback" not in err
 
 
 def test_dp_sweep_single_repetition_has_no_ci():

@@ -362,8 +362,7 @@ def _member_with_key(small_he_params, stats):
     from curie.ring import _RingMember
 
     keys = crypto.keygen(small_he_params, random.Random(0))
-    member = _RingMember("P2", stats, small_he_params, random.Random(1),
-                         {"encrypt": 0.0, "evaluate": 0.0})
+    member = _RingMember("P2", stats, small_he_params, random.Random(1))
     member.on_public_key(crypto.serialize_public_key(keys.public))
     return keys.public, member
 
