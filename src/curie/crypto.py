@@ -11,11 +11,12 @@ and are recovered from the upper half of the residue range.
 
 A :class:`SlotLayout` packs k signed encoded entries into one
 plaintext, P = sum(s_i * B^i) with B = 2^w.  The slot width w is the
-bit length of :attr:`HEParams.entry_bound` plus two bits, one for the
-sign and one of carry headroom, so slot-wise sums of in-contract
-entries never spill into the next slot; k is as many slots as the
-key's signed capacity n/3 holds.  Adding packed ciphertexts adds every
-slot at once, and balanced base-B digits recover the signed sums.
+bit length of :attr:`HEParams.entry_bound`, set by the session's row
+count and entry magnitude, plus a sign bit and a carry bit, so
+slot-wise sums of in-contract entries never spill into the next slot;
+k is as many slots as the key's signed capacity n/3 holds.  Adding
+packed ciphertexts adds every slot at once, and balanced base-B digits
+recover the signed sums.
 
 Key sizes are configurable; the 2048-bit default is for deployments,
 test suites use much smaller keys (the homomorphic identities do not
@@ -58,7 +59,10 @@ MIN_KEY_BITS = 16
 
 @dataclass(frozen=True)
 class HEParams:
-    """Key size, fixed-point scale, and session magnitude bounds.
+    """Key size and fixed-point scale, which a config sets, and the
+    session magnitude bounds, which the harness derives: ``n_max`` sums
+    the members' public row counts, and ``v_max`` is 1 for rows
+    normalized into [-1, 1].
 
     :attr:`entry_bound` is the per-entry bound the ring's slot layout is
     sized from: the largest encoded O, V or count entry a session within
@@ -69,9 +73,8 @@ class HEParams:
 
     key_bits: int = DEFAULT_KEY_BITS
     scale_bits: int = DEFAULT_SCALE_BITS
-    n_max: int = 10_000          # total pooled rows
-    m_max: int = 64              # design-matrix width
-    v_max: float = 256.0         # absolute bound on any matrix entry
+    n_max: int = 1               # total pooled rows
+    v_max: float = 1.0           # absolute bound on any row entry
 
     @property
     def scale(self) -> int:
@@ -93,7 +96,7 @@ class HEParams:
             raise ParamError("key size too small to form a modulus")
         if self.scale_bits < 1:
             raise ParamError("fixed-point scale must be at least 2^1")
-        if min(self.n_max, self.m_max) < 1 or self.v_max <= 0:
+        if self.n_max < 1 or self.v_max <= 0:
             raise ParamError("session bounds must be positive")
         if self.slot_bits > self.key_bits - 2:
             raise ParamError(

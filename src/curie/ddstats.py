@@ -14,12 +14,12 @@ reads into its acquire request, and the owner computes the statistic
 from it and its own raw values (:func:`evaluate_blinded`), returning
 only the decision.  This simulates a private evaluation with
 message-level fidelity, not cryptographic strength: set statistics
-travel as salted-hash encodings, vector statistics as masked values
-under a transform the statistic is invariant to (positive scaling for
-cosine, positive-slope affine for Pearson).  No raw value travels in
-clear text, but the owner can recover the requester's column: the salt
-travels with the request, so hashes over a bounded domain invert by
-trying every value, and the masked vectors de-scale (ROADMAP item 1).
+travel as salted-hash encodings, vector statistics as values scaled by
+a secret positive factor, which leaves both cosine similarity and
+Pearson correlation unchanged.  No raw value travels in clear text, but
+the owner can recover the requester's column: the salt travels with the
+request, so hashes over a bounded domain invert by trying every value,
+and the scaled vector de-scales (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def salted_hashes(values: Sequence, salt: bytes, kind: str) -> frozenset[bytes]:
     )
 
 
-_BLINDED_FIELDS = {"column", "salt", "size", "hashes", "scaled", "affine"}
+_BLINDED_FIELDS = {"column", "salt", "size", "hashes", "scaled"}
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,8 @@ class BlindedColumn:
     """One column prepared for owner-side evaluation.
 
     ``hashes`` serve set statistics; ``scaled`` (alpha * v) serves
-    cosine similarity, ``affine`` (alpha * v + beta) serves Pearson
-    correlation.  alpha > 0, so both statistics are unchanged.
+    cosine similarity and Pearson correlation.  alpha > 0, so both
+    statistics are unchanged.
     """
 
     column: str
@@ -149,7 +149,6 @@ class BlindedColumn:
     size: int
     hashes: frozenset[bytes]
     scaled: tuple[float, ...]
-    affine: tuple[float, ...]
 
     def to_payload(self) -> dict:
         return {
@@ -158,7 +157,6 @@ class BlindedColumn:
             "size": self.size,
             "hashes": sorted(h.hex() for h in self.hashes),
             "scaled": list(self.scaled),
-            "affine": list(self.affine),
         }
 
     @classmethod
@@ -167,16 +165,15 @@ class BlindedColumn:
         on anything it could not have produced."""
         if not isinstance(obj, dict) or obj.keys() != _BLINDED_FIELDS:
             raise MalformedPayload("blinded column fields do not match")
-        size, scaled, affine = obj["size"], obj["scaled"], obj["affine"]
+        size, scaled = obj["size"], obj["scaled"]
         if not isinstance(obj["column"], str):
             raise MalformedPayload("blinded column name is not a string")
         if type(size) is not int or size < 0:
             raise MalformedPayload(f"blinded column size {size!r} is not a count")
-        for values in (scaled, affine):
-            if not isinstance(values, list) or not all(
-                    type(v) in (int, float) for v in values):
-                raise MalformedPayload("masked values are not a list of numbers")
-        if len(scaled) != len(affine) or len(scaled) not in (0, size):
+        if not isinstance(scaled, list) or not all(
+                type(v) in (int, float) for v in scaled):
+            raise MalformedPayload("masked values are not a list of numbers")
+        if len(scaled) not in (0, size):
             raise MalformedPayload("masked value counts do not match the size")
         if not isinstance(obj["hashes"], list):
             raise MalformedPayload("blinded hashes are not a list")
@@ -185,7 +182,7 @@ class BlindedColumn:
             hashes = frozenset(bytes.fromhex(h) for h in obj["hashes"])
         except (TypeError, ValueError):
             raise MalformedPayload("salt or hashes are not hex strings") from None
-        return cls(obj["column"], salt, size, hashes, tuple(scaled), tuple(affine))
+        return cls(obj["column"], salt, size, hashes, tuple(scaled))
 
 
 def blind_column(column: str, kind: str, values: Sequence,
@@ -193,13 +190,11 @@ def blind_column(column: str, kind: str, values: Sequence,
     """Blind a column of declared *kind*; only numeric kinds are masked."""
     salt = rng.getrandbits(128).to_bytes(16, "big")
     alpha = rng.uniform(0.25, 4.0)
-    beta = rng.uniform(-10.0, 10.0)
-    scaled = affine = ()
+    scaled = ()
     if kind in ("integer", "real"):
-        masked = alpha * np.asarray(values)
-        scaled, affine = tuple(masked.tolist()), tuple((masked + beta).tolist())
+        scaled = tuple((alpha * np.asarray(values)).tolist())
     return BlindedColumn(column, salt, len(values),
-                         salted_hashes(values, salt, kind), scaled, affine)
+                         salted_hashes(values, salt, kind), scaled)
 
 
 def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
@@ -215,6 +210,4 @@ def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
         if union == 0:
             raise EmptyUnion("jaccard undefined for two empty sets")
         return inter / union
-    if algorithm is Algorithm.PEARSON_CORRELATION:
-        return pearson(blinded.affine, owner_values)
-    return cosine(blinded.scaled, owner_values)
+    return STATISTICS[algorithm](blinded.scaled, owner_values)

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -43,7 +43,7 @@ from curie.data import (
     synth_members,
     synth_numeric_members,
 )
-from curie.engine import EMPTY, Agreement, MemberContext, negotiate_consortium
+from curie.engine import Agreement, MemberContext, negotiate_consortium
 from curie.errors import CurieError
 from curie.phases import phase, recording
 from curie.regression import (
@@ -56,7 +56,8 @@ from curie.regression import (
     solve_ols_pruned,
     validation_doses,
 )
-from curie.ring import LocalStats, RingResult, local_stats, run_ring_session
+from curie.ring import EmptyRelease, LocalStats, RingResult, local_stats, \
+    run_ring_session
 from curie.transport import MessageLog
 
 CONFIG_VERSION = 1
@@ -122,7 +123,7 @@ _CONFIG_KEYS = frozenset({"version", "name", "seed", "schema", "members",
 _MEMBER_KEYS = frozenset({"id", "policy", "dataset", "synth", "attributes",
                           "alliances"})
 _SYNTH_KEYS = frozenset(f.name for f in fields(SynthProfile)) - {"member_id"}
-_HE_KEYS = frozenset(f.name for f in fields(HEParams))
+_HE_KEYS = frozenset({"key_bits", "scale_bits"})
 _DP_KEYS = frozenset(f.name for f in fields(DPSettings))
 
 
@@ -223,9 +224,6 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     he = HEParams(
         key_bits=int(he_raw.get("key_bits", 2048)),
         scale_bits=int(he_raw.get("scale_bits", 20)),
-        n_max=int(he_raw.get("n_max", 10_000)),
-        m_max=int(he_raw.get("m_max", 64)),
-        v_max=float(he_raw.get("v_max", 10_000.0)),
     )
     try:
         he.validate()
@@ -395,13 +393,12 @@ def _stats_provider(scenario: Scenario, agreements: Sequence[Agreement]):
         if member_id == cfg.initiator:
             return local_stats(ctx.dataset, bounds=scenario.bounds,
                                encoding=scenario.encoding)
-        agreement = by_owner.get(member_id)
-        if agreement is None or agreement.status == EMPTY:
+        if member_id not in by_owner:
             return None
         try:
-            return local_stats(ctx.dataset, agreement, bounds=scenario.bounds,
-                               encoding=scenario.encoding)
-        except CurieError:
+            return local_stats(ctx.dataset, by_owner[member_id],
+                               bounds=scenario.bounds, encoding=scenario.encoding)
+        except EmptyRelease:    # an empty agreement, or no row selected
             return None
 
     return provider
@@ -424,10 +421,14 @@ def _negotiate_and_pool(cfg: ConsortiumConfig, pool: bool
         # negotiation only, or nothing acquired (single-source
         # policies): no ring session and no pooled model
         return scenario, agreements, nego_log, None
+    # at most every member's public row count pools, each row
+    # normalized into [-1, 1] against the declared bounds
+    params = replace(cfg.he, v_max=1.0, n_max=sum(
+        ctx.profile.data_size for ctx in scenario.contexts))
     result = run_ring_session(
         list(cfg.ring_order), cfg.initiator,
         _stats_provider(scenario, agreements),
-        cfg.he, random.Random(_seed_for(cfg.seed, "ring")))
+        params, random.Random(_seed_for(cfg.seed, "ring")))
     return scenario, agreements, nego_log, result
 
 
@@ -588,7 +589,7 @@ def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
         seed, n_members, n_features, [rows] * n_members, noise_sigma=0.3)
     v_bound = float(rows * n_members) * 200.0
     params = HEParams(key_bits=key_bits, n_max=max(10_000, rows * n_members),
-                      m_max=n_features + 1, v_max=v_bound)
+                      v_max=v_bound)
     with recording() as out:
         with phase("stats"):
             stats = {ds.provenance: local_stats(ds) for ds in datasets}

@@ -9,8 +9,8 @@ across a ring of members:
    triangle of the symmetric O row by row (m(m+1)/2 entries), then V
    (m entries), then the count, encodes it in fixed point, and packs
    it k entries per plaintext in the :class:`crypto.SlotLayout` that
-   every member derives from the session parameters, the public key
-   and m.  The initiator injects one uniform residue mask per packed
+   every member derives from the session parameters and the public
+   key.  The initiator injects one uniform residue mask per packed
    plaintext, encrypted by the CRT with the session's secret factors
    (distributed exactly as a public-key encryption); every other member
    homomorphically adds its encrypted packed vector (members with
@@ -86,7 +86,9 @@ def local_stats(ds: Dataset, agreement: Agreement | None = None,
                 encoding: DesignEncoding | None = None) -> LocalStats:
     """Apply the agreement's selections, optionally normalize numeric
     columns to [-1, 1] against *bounds*, and accumulate the sufficient
-    statistics.  Raises :class:`EmptyRelease` when no rows survive."""
+    statistics.  Raises :class:`EmptyRelease` when no rows survive, and
+    :class:`OverflowAbort` when a value outside *bounds* would leave the
+    [-1, 1] the ring's slots are sized for."""
     if agreement is not None:
         if agreement.status == EMPTY:
             raise EmptyRelease(
@@ -97,6 +99,8 @@ def local_stats(ds: Dataset, agreement: Agreement | None = None,
     if bounds is not None:
         ds, _ = normalize_columns(ds, bounds)
     dm = to_design_matrix(ds, encoding)
+    if bounds is not None and max(np.abs(dm.X).max(), np.abs(dm.Y).max()) > 1:
+        raise OverflowAbort(f"{ds.provenance}: a normalized value leaves [-1, 1]")
     return LocalStats(dm.X.T @ dm.X, (dm.X.T @ dm.Y).reshape(-1, 1), dm.X.shape[0])
 
 
@@ -270,20 +274,17 @@ def run_ring_session(ring: list[str], initiator: str,
     session_id = session_id or uuid.uuid4().bytes
     log = log if log is not None else MessageLog()
 
-    own_stats: LocalStats | None = stats_provider(initiator)
-    m = None
-    member_stats: dict[str, LocalStats | None] = {initiator: own_stats}
-    for member in order[1:]:
-        member_stats[member] = stats_provider(member)
-    for s in member_stats.values():
-        if s is not None:
-            if m is not None and s.m != m:
-                raise ProtocolError("members disagree on design width")
-            m = s.m
-    if m is None:
+    member_stats = {mid: stats_provider(mid) for mid in order}
+    given = [s for s in member_stats.values() if s is not None]
+    if not given:
         raise EmptyRelease("no member has anything to contribute")
-    if m > params.m_max:
-        raise OverflowAbort(f"design width {m} exceeds validated m_max {params.m_max}")
+    m = given[0].m
+    if any(s.m != m for s in given):
+        raise ProtocolError("members disagree on design width")
+    rows = sum(s.n for s in given)
+    if rows > params.n_max:
+        raise OverflowAbort(f"{rows} pooled rows exceed the session bound "
+                            f"n_max {params.n_max}")
 
     with phase("keygen"):
         keys = crypto.keygen(params, keygen_rng or rng)
@@ -329,7 +330,7 @@ def run_ring_session(ring: list[str], initiator: str,
                               for r, mk in zip(residues, mask)], cells)
     except crypto.Overflow as exc:
         raise OverflowAbort(f"pooled statistics: {exc}") from exc
-    own = _encode_stats(own_stats or zero_stats(m), params.scale)
+    own = _encode_stats(member_stats[initiator] or zero_stats(m), params.scale)
     O_pool, V_pool, n_pool = _decode_stats(
         [s + o for s, o in zip(sums, own)], m, params.scale)
     transcript = Transcript(session_id, initiator, tuple(order), log, layout)

@@ -258,8 +258,7 @@ def test_criterion_3_message_count_law(n):
 
 def test_criterion_4_pooling_centralization_equivalence():
     t0 = time.perf_counter()
-    params = HEParams(key_bits=192, scale_bits=40, n_max=5001, m_max=41,
-                      v_max=1.2e6)
+    params = HEParams(key_bits=192, scale_bits=40, n_max=5001, v_max=1.2e6)
     params.validate()
     gen = np.random.default_rng(0xFEED)
     worst_rel = 0.0

@@ -81,7 +81,7 @@ def test_encode_overflow():
 
 def test_params_validator_rejects_undersized_modulus():
     # these bounds need a 52-bit slot, which a 48-bit key cannot hold
-    params = HEParams(key_bits=48, n_max=10_000, m_max=64, v_max=256.0)
+    params = HEParams(key_bits=48, n_max=10_000, v_max=256.0)
     with pytest.raises(ParamError):
         params.validate()
 
@@ -221,8 +221,8 @@ _KEYS = None
 def _cached_keys():
     global _KEYS
     if _KEYS is None:
-        _KEYS = keygen(HEParams(key_bits=128, n_max=6000, m_max=48,
-                                v_max=6000.0), random.Random(77))
+        _KEYS = keygen(HEParams(key_bits=128, n_max=6000, v_max=6000.0),
+                       random.Random(77))
     return _KEYS
 
 
@@ -301,7 +301,7 @@ def _textbook_decrypt(sk, c):
 
 @functools.lru_cache(maxsize=None)
 def _keys_of_size(key_bits):
-    return keygen(HEParams(key_bits=key_bits, n_max=100, m_max=4, v_max=10.0),
+    return keygen(HEParams(key_bits=key_bits, n_max=100, v_max=10.0),
                   random.Random(key_bits))
 
 
@@ -382,8 +382,7 @@ def test_sieve_window_survivors_equal_trial_division(bits, width, primes):
 
 @pytest.mark.parametrize("key_bits", [16, 17, 64, 129, 256, 2048])
 def test_keygen_is_deterministic_with_the_requested_size(key_bits, monkeypatch):
-    params = HEParams(key_bits=key_bits, scale_bits=1, n_max=1, m_max=1,
-                      v_max=1.0)
+    params = HEParams(key_bits=key_bits, scale_bits=1, n_max=1, v_max=1.0)
     drawn = []
     draw = crypto._random_prime
     monkeypatch.setattr(crypto, "_random_prime",
@@ -409,7 +408,7 @@ def test_keygen_is_deterministic_with_the_requested_size(key_bits, monkeypatch):
 def test_keygen_skips_factors_sharing_a_divisor_with_phi():
     # 17-bit keys take an 8-bit p and a 9-bit q, so q = 2p + 1 can occur
     # (233 and 467); gcd(n, phi) = p then leaves lam without an inverse
-    params = HEParams(key_bits=17, scale_bits=1, n_max=1, m_max=1, v_max=1.0)
+    params = HEParams(key_bits=17, scale_bits=1, n_max=1, v_max=1.0)
     rand = random.Random(0)
     for seed in range(300):
         sk = keygen(params, random.Random(seed)).secret
@@ -422,7 +421,7 @@ def test_public_key_randomizer_is_a_unit_under_tiny_keys():
     # 17-bit keys have 8- and 9-bit factors, so a randomizer drawn from
     # [1, n) shares one with n often enough to show in 300 keys; the
     # residue and the randomizer come from the keygen rng's stream
-    params = HEParams(key_bits=17, scale_bits=1, n_max=1, m_max=1, v_max=1.0)
+    params = HEParams(key_bits=17, scale_bits=1, n_max=1, v_max=1.0)
     for seed in range(300):
         rng = random.Random(seed)
         pair = keygen(params, rng)
@@ -445,34 +444,31 @@ def _layout(params, bits):
 
 
 def test_slots_per_plaintext_for_the_repo_params(small_he_params):
-    from conftest import config_path
-    from curie.harness import load_config
-
     assert _layout(small_he_params, 128) == {2}
-    criterion_4 = HEParams(key_bits=192, scale_bits=40, n_max=5001, m_max=41,
-                           v_max=1.2e6)
+    criterion_4 = HEParams(key_bits=192, scale_bits=40, n_max=5001, v_max=1.2e6)
     assert _layout(criterion_4, 192) == {2}
     for rows in (200, 1000, 5000):    # criterion 10's row axis
         bench = HEParams(key_bits=192, n_max=max(10_000, rows * 5),
-                         m_max=41, v_max=rows * 5 * 200.0)
+                         v_max=rows * 5 * 200.0)
         assert _layout(bench, 192) == {2}
-    default_dp = load_config(config_path("default_dp")).he
-    p5_global = load_config(config_path("p5_global")).he
-    assert (default_dp.slot_bits, p5_global.slot_bits) == (62, 65)
-    assert _layout(default_dp, 256) == {4}
-    assert _layout(p5_global, 256) == {3}
-    assert _layout(default_dp, 2048) == {33}
-    assert _layout(p5_global, 2048) == {31}
+    # the sessions the harness derives for default_dp and p5_global:
+    # their members' 720 and 3735 training rows, normalized entries
+    default_dp = HEParams(n_max=720, v_max=1.0)
+    p5_global = HEParams(n_max=3735, v_max=1.0)
+    assert (default_dp.slot_bits, p5_global.slot_bits) == (32, 34)
+    assert _layout(default_dp, 256) == {7}
+    assert _layout(p5_global, 256) == {7}
+    assert _layout(default_dp, 2048) == {63}
+    assert _layout(p5_global, 2048) == {60}
 
 
 def test_params_validator_rejects_a_key_without_room_for_one_slot():
-    params = HEParams(key_bits=64, scale_bits=1, n_max=2, m_max=1,
-                      v_max=2.0 ** 29)
+    params = HEParams(key_bits=64, scale_bits=1, n_max=2, v_max=2.0 ** 29)
     with pytest.raises(ParamError):
         params.validate()
 
 
-_PACK_PARAMS = HEParams(key_bits=128, n_max=6000, m_max=48, v_max=6000.0)
+_PACK_PARAMS = HEParams(key_bits=128, n_max=6000, v_max=6000.0)
 
 
 @st.composite

@@ -477,12 +477,22 @@ def _with_hashes_as_object(payload: bytes) -> bytes:
     return json.dumps(body).encode()
 
 
+def _with_affine_vectors(payload: bytes) -> bytes:
+    """The retired six-field blinded column: ``scaled`` shifted by a
+    second mask as an ``affine`` vector."""
+    body = json.loads(payload)
+    for column in body["blinded"].values():
+        column["affine"] = [v + 1.5 for v in column["scaled"]]
+    return json.dumps(body).encode()
+
+
 @pytest.mark.parametrize("payload", [
     b"", b"{}", b"[]", b"\xff", b'{"mode": "plain"}',
-    _REQUEST[:-3],
+    pytest.param(_REQUEST[:-3], id="truncated_request"),
     _plain_mode_request(),
-    _with_overflowing_attribute(_REQUEST),
-    _with_hashes_as_object(_REQUEST),
+    pytest.param(_with_overflowing_attribute(_REQUEST), id="overflowing_attribute"),
+    pytest.param(_with_hashes_as_object(_REQUEST), id="hashes_as_object"),
+    pytest.param(_with_affine_vectors(_REQUEST), id="affine_blinded_column"),
 ])
 def test_malformed_acquire_requests_rejected(payload):
     with pytest.raises(MalformedPayload):

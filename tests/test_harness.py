@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from curie.cli import main as cli_main
+from curie.crypto import HEParams
+from curie.data import Dataset
 from curie.harness import (
     MODE_FULL,
     MODE_FULL_DP,
@@ -18,6 +20,7 @@ from curie.harness import (
     load_config,
     run_scenario,
 )
+from curie.ring import OverflowAbort
 
 from conftest import CONSORTIA_DIR, config_path, count_crypto_calls
 
@@ -59,6 +62,10 @@ def test_duplicate_member_id_rejected(tmp_path):
     pytest.param(section, where, id=where) for section, where in [
         ((), "holdout_fraktion"),
         (("he",), "he.key_bit"),
+        # the ring's session bounds are derived, not configured
+        (("he",), "he.n_max"),
+        (("he",), "he.m_max"),
+        (("he",), "he.v_max"),
         (("dp",), "dp.epsilon"),
         (("members", 1), "members[1].alliance"),
         (("members", 2, "synth"), "members[2].synth.noise_sigam"),
@@ -138,7 +145,7 @@ def test_full_scenario_message_counts_match_transcripts():
 
 def test_deployment_key_session_packs_each_member_into_one_ciphertext(monkeypatch):
     # default_dp at the 2048-bit deployment key: 21 statistics fit the
-    # 33 slots of one plaintext, so the four-member ring makes one
+    # 63 slots of one plaintext, so the four-member ring makes one
     # encryption per member and the initiator one decryption
     calls = {"encrypt": 0, "decrypt": 0}
     count_crypto_calls(monkeypatch, calls)
@@ -148,6 +155,61 @@ def test_deployment_key_session_packs_each_member_into_one_ciphertext(monkeypatc
     assert len(cfg.ring_order) == 4
     assert report.message_counts["ring"] == 2 * 4 - 1
     assert calls == {"encrypt": 4, "decrypt": 1}
+
+
+def test_session_bounds_come_from_the_consortium(monkeypatch):
+    # p5_global's 3735 training rows of normalized entries make 34-bit
+    # slots, 7 per 256-bit plaintext: its 136 statistics take 20
+    # plaintexts per member (46 in 65-bit slots sized from a config)
+    from curie import harness
+
+    sessions = []
+    ring = harness.run_ring_session
+
+    def recorded(ring_order, initiator, provider, params, rng):
+        sessions.append(params)
+        return ring(ring_order, initiator, provider, params, rng)
+
+    monkeypatch.setattr(harness, "run_ring_session", recorded)
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    cfg = load_config(config_path("p5_global"))
+    report = run_scenario(cfg, MODE_FULL)
+    rows = sum(report.local_rows.values())
+    assert rows == 3735
+    assert sessions == [HEParams(key_bits=256, scale_bits=20, n_max=rows,
+                                 v_max=1.0)]
+    assert sessions[0].slot_bits == 34
+    members = len(cfg.ring_order)
+    assert calls == {"encrypt": members * 20, "decrypt": 20}
+
+
+def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
+    from curie import harness
+
+    build = harness.build_scenario
+
+    def with_an_overdose(cfg):
+        scenario = build(cfg)
+        i = next(i for i, ctx in enumerate(scenario.contexts)
+                 if ctx.member_id == "D3")
+        ds = scenario.contexts[i].dataset
+        target = cfg.schema.target
+        doses = ds.column(target).copy()
+        doses[0] = 10 * scenario.bounds[target][1]
+        scenario.contexts[i] = dataclasses.replace(
+            scenario.contexts[i], dataset=Dataset(
+                ds.schema, {**ds.columns, target: doses}, ds.provenance))
+        return scenario
+
+    monkeypatch.setattr(harness, "build_scenario", with_an_overdose)
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    cfg = load_config(config_path("default_dp"))
+    assert cfg.initiator != "D3"
+    with pytest.raises(OverflowAbort, match="D3"):
+        run_scenario(cfg, MODE_FULL)
+    assert calls == {"encrypt": 0, "decrypt": 0}
 
 
 def test_single_source_scenario_has_no_pooled_model():

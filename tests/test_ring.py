@@ -115,7 +115,7 @@ def test_two_member_session(small_he_params):
 
 def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
     # a 72-bit slot in a 128-bit key: one slot per plaintext
-    params = HEParams(key_bits=128, scale_bits=56, n_max=100, m_max=4, v_max=10.0)
+    params = HEParams(key_bits=128, scale_bits=56, n_max=100, v_max=10.0)
     params.validate()
     gen = np.random.default_rng(4)
     stats = {}
@@ -129,6 +129,23 @@ def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
     np.testing.assert_array_equal(result.O_pool, stats["P1"].O + stats["P2"].O)
     np.testing.assert_array_equal(result.V_pool, stats["P1"].V + stats["P2"].V)
     assert result.n_pool == 20
+
+
+def test_more_rows_than_the_session_bound_abort_before_keygen(monkeypatch):
+    # five members of 100 rows with x1 = 10 pool O[1,1] = 50000; slots
+    # sized for n_max = 100 rows used to carry it into the next slot and
+    # return -15536 without an error
+    params = HEParams(key_bits=256, scale_bits=20, n_max=100, v_max=10.0)
+    X = np.column_stack([np.ones(100), np.full(100, 10.0)])
+    Y = np.ones(100)
+    stats = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 100)
+    members = ["P1", "P2", "P3", "P4", "P5"]
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    with pytest.raises(OverflowAbort, match="500 pooled rows"):
+        run_ring_session(members, "P1", lambda mid: stats, params,
+                         random.Random(0))
+    assert calls == {"encrypt": 0, "decrypt": 0}
 
 
 def test_empty_contributor_adds_zeros(small_he_params):
