@@ -107,14 +107,12 @@ class HEParams:
 # --------------------------------------------------------------------------
 # fixed-point encoding
 
-def encode_fixed(x: float, scale: int, bound: int | None = None) -> int:
-    """round(x * scale); raises :class:`Overflow` past *bound*."""
+def encode_fixed(x: float, scale: int) -> int:
+    """round(x * scale); raises :class:`Overflow` on a non-finite *x*.
+    Magnitudes are bounded where the integers are packed or encrypted."""
     if not math.isfinite(x):
         raise Overflow(f"cannot encode non-finite value {x!r}")
-    k = round(x * scale)
-    if bound is not None and abs(k) > bound:
-        raise Overflow(f"encoded magnitude {abs(k)} exceeds bound {bound}")
-    return int(k)
+    return int(round(x * scale))
 
 
 def decode_fixed(k: int, scale: int) -> float:
@@ -128,6 +126,7 @@ _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 _SIEVE_BOUND = 1 << 18     # candidates are sieved by the odd primes below this
 _SIEVE_WINDOW = 1 << 11    # odd candidates sieved after each random start
 _LIMB_BITS = 30            # residue * 2^30 stays inside int64 for primes < 2^33
+_MILLER_RABIN_ROUNDS = 40  # a composite survives with probability below 4^-40
 
 
 def _odd_primes_below(limit: int) -> np.ndarray:
@@ -178,7 +177,7 @@ def _sieve_window(start: int, width: int, primes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~composite)
 
 
-def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
+def _is_probable_prime(n: int, rng: random.Random) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -189,7 +188,7 @@ def _is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(_MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -265,15 +264,13 @@ def _crt_half(prime: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class SecretKey:
-    """lam = (p-1)(q-1) and mu = lam^-1 mod n give the textbook
-    decryption L(c^lam mod n^2) * mu mod n; :meth:`decrypt_raw` computes
-    the same residue from the factors, half-size exponents modulo p^2
-    and q^2 recombined by the CRT, and :meth:`encrypt_raw` encrypts the
-    same way."""
+    """The factors p and q of the public modulus.  :meth:`decrypt_raw`
+    computes the textbook residue L(c^λ mod n^2) * μ mod n, with
+    λ = (p-1)(q-1) and μ = λ^-1 mod n, from half-size exponents
+    modulo p^2 and q^2 recombined by the CRT, and :meth:`encrypt_raw`
+    encrypts the same way."""
 
     public: PublicKey
-    lam: int = field(repr=False)
-    mu: int = field(repr=False)
     p: int = field(repr=False)
     q: int = field(repr=False)
     hp: int = field(init=False, repr=False)
@@ -334,8 +331,7 @@ def keygen(params: HEParams, rng: random.Random) -> KeyPair:
         if p != q and math.gcd(n, phi) == 1:
             break
     public = PublicKey(n)
-    mu = pow(phi, -1, n)
-    return KeyPair(public, SecretKey(public, phi, mu, p, q))
+    return KeyPair(public, SecretKey(public, p, q))
 
 
 # --------------------------------------------------------------------------
@@ -434,9 +430,9 @@ def _as_matrix(M) -> np.ndarray:
     return A
 
 
-def encode_matrix(M, scale: int, bound: int | None = None) -> list[list[int]]:
+def encode_matrix(M, scale: int) -> list[list[int]]:
     A = _as_matrix(M)
-    return [[encode_fixed(float(v), scale, bound) for v in row] for row in A]
+    return [[encode_fixed(float(v), scale) for v in row] for row in A]
 
 
 def encrypt_encoded_matrix(pk: PublicKey, K: Sequence[Sequence[int]],
@@ -516,15 +512,12 @@ def serialize_cipher_matrix(C: CipherMatrix) -> bytes:
     return head + b"".join(_pack_bigint(c) for c in C.cells)
 
 
-def parse_cipher_matrix(buf: bytes, pk: PublicKey, offset: int = 0
-                        ) -> tuple[CipherMatrix, int]:
-    """Parse one cipher matrix at *offset*; returns it and the offset
-    after it.  Raises :class:`MalformedPayload` unless the bytes are a
-    nonempty matrix with a positive scale whose every cell is a
+def parse_cipher_matrix(buf: bytes, pk: PublicKey) -> tuple[CipherMatrix, int]:
+    """Parse the cipher matrix *buf* starts with; returns it and the
+    offset after it.  Raises :class:`MalformedPayload` unless the bytes
+    are a nonempty matrix with a positive scale whose every cell is a
     ciphertext residue in (0, n^2)."""
-    if offset < 0:
-        raise MalformedPayload(f"negative offset {offset}")
-    head = _take(buf, offset, 12, "cipher matrix header")
+    head = _take(buf, 0, 12, "cipher matrix header")
     rows = int.from_bytes(head[0:2], "big")
     cols = int.from_bytes(head[2:4], "big")
     scale = int.from_bytes(head[4:12], "big")
@@ -532,7 +525,7 @@ def parse_cipher_matrix(buf: bytes, pk: PublicKey, offset: int = 0
         raise MalformedPayload(f"empty cipher matrix shape ({rows}, {cols})")
     if scale == 0:
         raise MalformedPayload("cipher matrix scale is zero")
-    offset += 12
+    offset = 12
     cells = []
     for i in range(rows * cols):
         v, offset = _unpack_bigint(buf, offset, f"cell {i}")
@@ -546,13 +539,11 @@ def serialize_public_key(pk: PublicKey) -> bytes:
     return _pack_bigint(pk.n)
 
 
-def parse_public_key(buf: bytes, offset: int = 0) -> tuple[PublicKey, int]:
-    """Parse a public key at *offset*; returns it and the offset after
-    it.  Raises :class:`MalformedPayload` unless the modulus is odd and
-    at least as large as the smallest key :class:`HEParams` allows."""
-    if offset < 0:
-        raise MalformedPayload(f"negative offset {offset}")
-    n, offset = _unpack_bigint(buf, offset, "public modulus")
+def parse_public_key(buf: bytes) -> tuple[PublicKey, int]:
+    """Parse the public key *buf* starts with; returns it and the offset
+    after it.  Raises :class:`MalformedPayload` unless the modulus is odd
+    and at least as large as the smallest key :class:`HEParams` allows."""
+    n, offset = _unpack_bigint(buf, 0, "public modulus")
     if n.bit_length() < MIN_KEY_BITS or n % 2 == 0:
         raise MalformedPayload("public modulus is not an odd number of at "
                                f"least {MIN_KEY_BITS} bits")

@@ -38,6 +38,9 @@ class InvalidProfile(CurieError):
     pass
 
 
+NormalizationMap = dict[str, tuple[float, float]]
+
+
 # --------------------------------------------------------------------------
 # schema
 
@@ -45,9 +48,9 @@ class InvalidProfile(CurieError):
 class ColumnType:
     """One of integer | real | categorical(levels) | boolean.
 
-    Numeric columns may declare (lo, hi) bounds; when present they are
-    consortium constants used for normalization instead of per-member
-    data minima/maxima.
+    Numeric columns may declare (lo, hi) bounds, the consortium
+    constants normalization maps into [-1, 1]; a numeric column without
+    them cannot be normalized.
     """
 
     kind: str
@@ -95,6 +98,14 @@ class Schema:
     @property
     def feature_columns(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.name != self.target)
+
+    @property
+    def bounds(self) -> NormalizationMap:
+        """The declared (lo, hi) of every numeric column that declares
+        them: the consortium's one map into [-1, 1]."""
+        return {c.name: (float(c.ctype.bounds[0]), float(c.ctype.bounds[1]))
+                for c in self.columns
+                if c.ctype.is_numeric and c.ctype.bounds is not None}
 
     def to_json(self) -> dict:
         cols = []
@@ -236,14 +247,14 @@ def _coerce_cell(raw: str, ctype: ColumnType, where: str):
         try:
             return int(text)
         except ValueError:
-            raise TypeError(f"{where}: {text!r} is not an integer") from None
+            raise SchemaMismatch(f"{where}: {text!r} is not an integer") from None
     if ctype.kind == "real":
         try:
             v = float(text)
         except ValueError:
-            raise TypeError(f"{where}: {text!r} is not a real") from None
+            raise SchemaMismatch(f"{where}: {text!r} is not a real") from None
         if not math.isfinite(v):
-            raise TypeError(f"{where}: non-finite value")
+            raise SchemaMismatch(f"{where}: non-finite value")
         return v
     if ctype.kind == "boolean":
         low = text.lower()
@@ -251,9 +262,9 @@ def _coerce_cell(raw: str, ctype: ColumnType, where: str):
             return True
         if low in ("0", "false", "no"):
             return False
-        raise TypeError(f"{where}: {text!r} is not a boolean")
+        raise SchemaMismatch(f"{where}: {text!r} is not a boolean")
     if text not in ctype.levels:
-        raise TypeError(f"{where}: {text!r} not in declared levels {ctype.levels}")
+        raise SchemaMismatch(f"{where}: {text!r} not in declared levels {ctype.levels}")
     return text
 
 
@@ -342,26 +353,6 @@ def apply_selections(ds: Dataset, filters: Sequence[RowFilter]) -> Dataset:
 # --------------------------------------------------------------------------
 # normalization
 
-NormalizationMap = dict[str, tuple[float, float]]
-
-
-def column_bounds(ds: Dataset, declared: bool = True) -> NormalizationMap:
-    """(min, max) per numeric column; declared schema bounds win when
-    present and *declared* is true."""
-    out: NormalizationMap = {}
-    for c in ds.schema.columns:
-        if not c.ctype.is_numeric:
-            continue
-        if declared and c.ctype.bounds is not None:
-            out[c.name] = (float(c.ctype.bounds[0]), float(c.ctype.bounds[1]))
-        else:
-            vals = ds.column(c.name)
-            if vals.size == 0:
-                raise DegenerateColumn(f"column {c.name!r} has no rows to scan")
-            out[c.name] = (float(vals.min()), float(vals.max()))
-    return out
-
-
 def normalize_value(v: float, lo: float, hi: float) -> float:
     return 2.0 * (v - lo) / (hi - lo) - 1.0
 
@@ -379,33 +370,28 @@ def normalized_schema(schema: Schema) -> Schema:
     return Schema(cols, schema.target)
 
 
-def normalize_columns(ds: Dataset, bounds: NormalizationMap | None = None
-                      ) -> tuple[Dataset, NormalizationMap]:
-    """Affinely map each numeric column (target included) to [-1, 1].
+def normalize_columns(ds: Dataset, bounds: NormalizationMap) -> Dataset:
+    """Affinely map each numeric column (target included) from its
+    (lo, hi) in *bounds* to [-1, 1]; categorical and boolean columns are
+    untouched.  Every member applies the same declared, public map, the
+    one the functional mechanism's sensitivity bound assumes.
 
-    Categorical and boolean columns are untouched.  Returns the
-    normalized dataset and the per-column (min, max) map needed to
-    denormalize predictions.  Raises :class:`DegenerateColumn` when a
-    column has max == min.
-
-    Without an explicit *bounds* map, each column's own data minimum
-    and maximum are used (so the observed extremes land exactly on -1
-    and +1); pass consortium-declared bounds to make all members apply
-    one shared affine map.
+    Raises :class:`SchemaMismatch` when *bounds* lacks a numeric column,
+    and :class:`DegenerateColumn` when a column's hi <= lo.
     """
-    if bounds is None:
-        bounds = column_bounds(ds, declared=False)
     new_cols: dict[str, np.ndarray] = {}
     for c in ds.schema.columns:
         vals = ds.column(c.name)
         if c.ctype.is_numeric:
+            if c.name not in bounds:
+                raise SchemaMismatch(f"no normalization bounds for numeric "
+                                     f"column {c.name!r}")
             lo, hi = bounds[c.name]
             if hi <= lo:
                 raise DegenerateColumn(f"column {c.name!r}: max ({hi}) <= min ({lo})")
             vals = normalize_value(vals, lo, hi)
         new_cols[c.name] = vals
-    return (Dataset(normalized_schema(ds.schema), new_cols, ds.provenance),
-            dict(bounds))
+    return Dataset(normalized_schema(ds.schema), new_cols, ds.provenance)
 
 
 # --------------------------------------------------------------------------
@@ -617,10 +603,11 @@ def warfarin_schema() -> Schema:
     ), target="dose")
 
 
-def numeric_schema(n_features: int, lo: float = -1.0, hi: float = 1.0,
+def numeric_schema(n_features: int,
                    dose_bounds: tuple[float, float] = (0.0, 60.0)) -> Schema:
-    """All-numeric schema used by randomized consortium tests/benchmarks."""
-    cols = [Column(f"x{i}", ColumnType("real", bounds=(lo, hi)))
+    """All-numeric schema used by randomized consortium tests/benchmarks:
+    features declared in [-1, 1]."""
+    cols = [Column(f"x{i}", ColumnType("real", bounds=(-1.0, 1.0)))
             for i in range(n_features)]
     cols.append(Column("dose", ColumnType("real", bounds=dose_bounds)))
     return Schema(tuple(cols), target="dose")

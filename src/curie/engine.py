@@ -28,6 +28,7 @@ its own share clause's intent.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -141,7 +142,7 @@ class MemberContext:
     attributes: Mapping[str, object] = field(default_factory=dict)
     alliances: frozenset[str] = frozenset()
 
-    @property
+    @functools.cached_property
     def profile(self) -> PublicProfile:
         return PublicProfile(self.member_id, dict(self.attributes),
                              self.alliances, self.dataset.n,
@@ -508,7 +509,6 @@ def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
 
 def negotiate_consortium(contexts: Sequence[MemberContext],
                          rng: random.Random | None = None,
-                         log: MessageLog | None = None,
                          ) -> tuple[list[Agreement], MessageLog]:
     """Run all pairwise negotiations.
 
@@ -530,7 +530,7 @@ def negotiate_consortium(contexts: Sequence[MemberContext],
                 f"{contexts[0].member_id} vs {ctx.member_id}: " + "; ".join(report))
 
     rng = rng or random.Random(0)
-    log = log if log is not None else MessageLog()
+    log = MessageLog()
     by_id = {c.member_id: c for c in contexts}
     agreements: list[Agreement] = []
     for requester_id in ids:

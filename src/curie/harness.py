@@ -39,9 +39,11 @@ from curie.data import (
     SynthProfile,
     concat,
     load_dataset,
+    normalize_columns,
     normalized_schema,
     synth_members,
     synth_numeric_members,
+    to_design_matrix,
 )
 from curie.engine import Agreement, MemberContext, negotiate_consortium
 from curie.errors import CurieError
@@ -49,10 +51,10 @@ from curie.phases import phase, recording
 from curie.regression import (
     ClinicalReport,
     DoseModel,
+    SingularMatrix,
     clinical_metrics,
     functional_mechanism,
     mean_absolute_errors,
-    scoring_matrix,
     solve_ols_pruned,
     validation_doses,
 )
@@ -69,6 +71,9 @@ MODE_NEGOTIATE = "negotiate"
 MODE_FULL = "full"
 MODE_FULL_DP = "full_dp"
 
+CI_LEVEL = 0.95
+CI_DRAWS = 2000
+
 
 class ConfigError(CurieError):
     def __init__(self, path: str, message: str):
@@ -82,8 +87,7 @@ class ConfigError(CurieError):
 @dataclass(frozen=True)
 class MemberSpec:
     member_id: str
-    policy_path: Path | None = None
-    policy_text: str | None = None
+    policy_path: Path
     dataset_path: Path | None = None
     synth: SynthProfile | None = None
     attributes: Mapping[str, object] = field(default_factory=dict)
@@ -263,8 +267,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
 class Scenario:
     config: ConsortiumConfig
     contexts: list[MemberContext]          # training data
-    holdouts: dict[str, Dataset]
-    validation: Dataset | None             # union of holdouts (mixed cohort)
+    validation: Dataset | None             # all held-out rows (mixed cohort)
     bounds: dict[str, tuple[float, float]]
     encoding: DesignEncoding
 
@@ -285,10 +288,9 @@ def build_scenario(cfg: ConsortiumConfig) -> Scenario:
         synth_data = {ds.provenance: ds for ds in generated}
 
     contexts: list[MemberContext] = []
-    holdouts: dict[str, Dataset] = {}
+    held_out: list[Dataset] = []
     for spec in cfg.members:
-        text = spec.policy_text or spec.policy_path.read_text()
-        policy = cpl.parse_policy(text)
+        policy = cpl.parse_policy(spec.policy_path.read_text())
         diags = cpl.validate(policy)
         errors = [d for d in diags if d.severity is cpl.Severity.ERROR]
         if errors:
@@ -308,15 +310,13 @@ def build_scenario(cfg: ConsortiumConfig) -> Scenario:
         else:
             train, held = ds, None
         if held is not None and held.n > 0:
-            holdouts[spec.member_id] = held
+            held_out.append(held)
         contexts.append(MemberContext(
             spec.member_id, policy, train,
             attributes=dict(spec.attributes), alliances=spec.alliances))
 
-    validation = concat(list(holdouts.values())) if holdouts else None
-    bounds = {c.name: (float(c.ctype.bounds[0]), float(c.ctype.bounds[1]))
-              for c in cfg.schema.columns if c.ctype.is_numeric}
-    return Scenario(cfg, contexts, holdouts, validation, bounds,
+    validation = concat(held_out) if held_out else None
+    return Scenario(cfg, contexts, validation, cfg.schema.bounds,
                     DesignEncoding(normalized_schema(cfg.schema)))
 
 
@@ -379,7 +379,7 @@ def _fit_local_model(scenario: Scenario, ctx: MemberContext) -> DoseModel | None
         stats = local_stats(ctx.dataset, bounds=scenario.bounds,
                             encoding=scenario.encoding)
         eta = solve_ols_pruned(stats.O, stats.V)
-    except CurieError:
+    except (EmptyRelease, SingularMatrix):    # no rows, or no unique fit
         return None
     return DoseModel(eta, scenario.encoding, scenario.bounds)
 
@@ -493,15 +493,16 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
 # --------------------------------------------------------------------------
 # differential-privacy sweep
 
-def bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
-                 level: float = 0.95, draws: int = 2000) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of *values*."""
+def bootstrap_ci(values: np.ndarray, rng: np.random.Generator
+                 ) -> tuple[float, float]:
+    """Percentile bootstrap ``CI_LEVEL`` CI for the mean of *values*,
+    from ``CI_DRAWS`` resamples."""
     values = np.asarray(values, dtype=float)
     if len(values) == 1:
         return float(values[0]), float(values[0])
-    idx = rng.integers(0, len(values), size=(draws, len(values)))
+    idx = rng.integers(0, len(values), size=(CI_DRAWS, len(values)))
     means = values[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - CI_LEVEL) / 2.0
     return (float(np.quantile(means, alpha)),
             float(np.quantile(means, 1.0 - alpha)))
 
@@ -530,7 +531,8 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
 
     # the cohort is encoded once; each budget's repetitions are scored
     # together against it
-    X = scoring_matrix(scenario.encoding, scenario.bounds, scenario.validation)
+    X = to_design_matrix(normalize_columns(scenario.validation, scenario.bounds),
+                         scenario.encoding).X
     y = validation_doses(scenario.validation)
     target_bounds = scenario.bounds[cfg.schema.target]
     V = V_pool.reshape(-1)

@@ -22,7 +22,8 @@ from curie.data import (
     NormalizationMap,
     SchemaMismatch,
     denormalize_value,
-    normalize_value,
+    normalize_columns,
+    to_design_matrix,
 )
 from curie.errors import CurieError
 
@@ -137,17 +138,14 @@ def _check_normalized(O: np.ndarray, V: np.ndarray) -> None:
 
 
 def functional_mechanism(O: np.ndarray, V: np.ndarray, d: int,
-                         epsilon: float, rng: np.random.Generator,
-                         pd_floor: float = PD_FLOOR,
-                         sensitivity: float | None = None,
-                         ) -> np.ndarray:
+                         epsilon: float, rng: np.random.Generator) -> np.ndarray:
     """Epsilon-differentially-private coefficients via objective
     perturbation.
 
     Every entry of O (upper triangle, mirrored to keep O symmetric) and
-    V receives independent Laplace(sensitivity / epsilon) noise; the
-    perturbed O is eigenvalue-floored at *pd_floor* to restore positive
-    definiteness before solving.  The solve is direct rather than going
+    V receives independent Laplace(:func:`sensitivity_bound` / epsilon)
+    noise; the perturbed O is eigenvalue-floored at ``PD_FLOOR`` to
+    restore positive definiteness before solving.  The solve is direct rather than going
     through :func:`solve_ols`: the floor guarantees invertibility, and
     heavy noise draws legitimately produce ill-conditioned systems that
     the non-private contract would reject.
@@ -157,15 +155,14 @@ def functional_mechanism(O: np.ndarray, V: np.ndarray, d: int,
     O = np.asarray(O, dtype=float)
     V = np.asarray(V, dtype=float).reshape(-1)
     _check_normalized(O, V)
-    delta = sensitivity if sensitivity is not None else sensitivity_bound(d)
-    b = delta / epsilon
+    b = sensitivity_bound(d) / epsilon
 
     noise = rng.laplace(0.0, b, size=O.shape)
     O_noisy = O + np.triu(noise) + np.triu(noise, 1).T
     V_noisy = V + rng.laplace(0.0, b, size=V.shape)
 
     eigvals, eigvecs = np.linalg.eigh(O_noisy)
-    eigvals = np.maximum(eigvals, pd_floor)
+    eigvals = np.maximum(eigvals, PD_FLOOR)
     O_pd = (eigvecs * eigvals) @ eigvecs.T
     O_pd = (O_pd + O_pd.T) / 2.0
     return np.linalg.solve(O_pd, V_noisy)
@@ -212,21 +209,9 @@ class DoseModel:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
-def scoring_matrix(encoding: DesignEncoding, bounds: NormalizationMap,
-                   ds: Dataset) -> np.ndarray:
-    """Design matrix of the raw rows of *ds* in a model's [-1, 1] space:
-    encode once, then map every bounded numeric feature affinely."""
-    X = encoding.encode(ds)
-    for j, feat in enumerate(encoding.features):
-        if feat[0] == "numeric" and feat[1] in bounds:
-            lo, hi = bounds[feat[1]]
-            X[:, j] = normalize_value(X[:, j], lo, hi)
-    return X
-
-
 def predict_dataset(model: DoseModel, ds: Dataset) -> np.ndarray:
     """Dose predictions in original units, one per raw row of *ds*."""
-    X = scoring_matrix(model.encoding, model.bounds, ds)
+    X = to_design_matrix(normalize_columns(ds, model.bounds), model.encoding).X
     lo, hi = model.bounds[model.encoding.schema.target]
     return denormalize_value(X @ model.eta, lo, hi)
 
@@ -234,7 +219,7 @@ def predict_dataset(model: DoseModel, ds: Dataset) -> np.ndarray:
 def mean_absolute_errors(X: np.ndarray, etas: np.ndarray, y: np.ndarray,
                          target_bounds: tuple[float, float]) -> np.ndarray:
     """MAE of each coefficient vector (a row of *etas*) scored on the
-    scoring matrix *X* against the true doses *y*."""
+    normalized design matrix *X* against the true doses *y*."""
     lo, hi = target_bounds
     yhat = denormalize_value(etas @ X.T, lo, hi)    # one row per model
     return np.abs(yhat - y).mean(axis=1)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,7 +97,7 @@ def local_stats(ds: Dataset, agreement: Agreement | None = None,
     if ds.n == 0:
         raise EmptyRelease("no rows released after selections")
     if bounds is not None:
-        ds, _ = normalize_columns(ds, bounds)
+        ds = normalize_columns(ds, bounds)
     dm = to_design_matrix(ds, encoding)
     if bounds is not None and max(np.abs(dm.X).max(), np.abs(dm.Y).max()) > 1:
         raise OverflowAbort(f"{ds.provenance}: a normalized value leaves [-1, 1]")
@@ -239,10 +239,16 @@ class _RingMember:
                                         self.layout.plaintexts(cells))
         stats = self.stats or zero_stats(m)
         with phase("encrypt"):
-            try:
-                packed = self.layout.pack(_encode_stats(stats, self.params.scale))
-            except crypto.Overflow as exc:
-                raise OverflowAbort(f"{self.member_id}: {exc}") from exc
+            entries = _encode_stats(stats, self.params.scale)
+            # members within the pooled bound could still sum past a
+            # slot, so each is held to the share its own rows allow; as
+            # n <= n_max, that share is within the layout's slot bound
+            own = replace(self.params, n_max=stats.n).entry_bound
+            worst = max(entries, key=abs)
+            if abs(worst) > own:
+                raise OverflowAbort(f"{self.member_id}: encoded entry {worst} exceeds "
+                                    f"the bound {own} its {stats.n} rows allow")
+            packed = self.layout.pack(entries)
             mine = crypto.encrypt_encoded_matrix(self.pk, [packed],
                                                  self.params.scale, self.rng)
         with phase("evaluate"):
@@ -253,8 +259,6 @@ class _RingMember:
 def run_ring_session(ring: list[str], initiator: str,
                      stats_provider, params: crypto.HEParams,
                      rng: random.Random,
-                     log: MessageLog | None = None,
-                     session_id: bytes | None = None,
                      keygen_rng: random.Random | None = None) -> RingResult:
     """Execute one pooled-statistics session.
 
@@ -271,8 +275,8 @@ def run_ring_session(ring: list[str], initiator: str,
 
     start = ring.index(initiator)
     order = list(ring[start:]) + list(ring[:start])
-    session_id = session_id or uuid.uuid4().bytes
-    log = log if log is not None else MessageLog()
+    session_id = uuid.uuid4().bytes
+    log = MessageLog()
 
     member_stats = {mid: stats_provider(mid) for mid in order}
     given = [s for s in member_stats.values() if s is not None]

@@ -19,7 +19,7 @@ def encrypt_matrix(pk: PublicKey, M, scale: int,
                    rng: random.Random) -> CipherMatrix:
     """Element-wise encode + encrypt.  All entries are validated before
     the first ciphertext is produced, so overflow aborts cleanly."""
-    encoded = encode_matrix(M, scale, bound=pk.max_int)
+    encoded = encode_matrix(M, scale)
     return encrypt_encoded_matrix(pk, encoded, scale, rng)
 
 

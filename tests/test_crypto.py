@@ -71,8 +71,6 @@ def test_sum_of_encoded_values_error_propagation():
 
 def test_encode_overflow():
     with pytest.raises(Overflow):
-        encode_fixed(100.0, S, bound=50 * S)
-    with pytest.raises(Overflow):
         encode_fixed(float("nan"), S)
 
 
@@ -294,9 +292,14 @@ def test_parse_public_key_total_on_arbitrary_bytes(keys, data):
 # ---------------------------------------------------------------------------
 # CRT decryption, CRT encryption and keygen
 
+def _lam(sk):
+    return (sk.p - 1) * (sk.q - 1)
+
+
 def _textbook_decrypt(sk, c):
     n = sk.public.n
-    return (pow(c, sk.lam, sk.public.nsquare) - 1) // n * sk.mu % n
+    lam = _lam(sk)
+    return (pow(c, lam, sk.public.nsquare) - 1) // n * pow(lam, -1, n) % n
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,7 +339,7 @@ def test_crt_encryption_decrypts_with_an_nth_residue_randomizer(key_bits, cells)
         assert 0 < c < pk.nsquare
         assert sk.decrypt_raw(c) == _textbook_decrypt(sk, c) == m
         rho = c * pow(1 + m * pk.n, -1, pk.nsquare) % pk.nsquare
-        assert pow(rho, sk.lam, pk.nsquare) == 1
+        assert pow(rho, _lam(sk), pk.nsquare) == 1
     for bad in (-1, pk.n):
         with pytest.raises(Overflow):
             sk.encrypt_raw(bad, rand)
@@ -412,7 +415,7 @@ def test_keygen_skips_factors_sharing_a_divisor_with_phi():
     rand = random.Random(0)
     for seed in range(300):
         sk = keygen(params, random.Random(seed)).secret
-        assert math.gcd(sk.public.n, sk.lam) == 1
+        assert math.gcd(sk.public.n, _lam(sk)) == 1
         m = rand.randrange(sk.public.n)
         assert sk.decrypt_raw(sk.encrypt_raw(m, rand)) == m
 

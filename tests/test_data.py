@@ -69,7 +69,7 @@ def test_missing_value_rejected_with_row_index():
 
 def test_bad_cell_type_has_location():
     bad = WARFARIN_CSV.replace("170.5", "tall")
-    with pytest.raises(TypeError) as err:
+    with pytest.raises(SchemaMismatch) as err:
         load_dataset(bad, warfarin_schema())
     assert "height" in str(err.value)
 
@@ -297,13 +297,16 @@ def test_normalize_denormalize_roundtrip(lo, width, t):
     assert abs(denormalize_value(u, lo, hi) - v) < 1e-9 * max(1.0, abs(v))
 
 
-def test_normalize_columns_target_included_and_map_returned():
+_MIXED_BOUNDS = {"age": (22.0, 55.0), "weight": (120.0, 200.0),
+                 "dose": (20.0, 35.0)}
+
+
+def test_normalize_columns_target_included():
     ds = _mixed_dataset()
-    normed, bounds = normalize_columns(ds)
+    normed = normalize_columns(ds, _MIXED_BOUNDS)
     for col in ("age", "weight", "dose"):
         vals = normed.column(col)
         assert min(vals) == -1.0 and max(vals) == 1.0
-        assert col in bounds
     assert normed.column("race").tolist() == ds.column("race").tolist()
 
 
@@ -312,12 +315,18 @@ def test_degenerate_column_rejected():
                   Column("dose", ColumnType("real"))), target="dose")
     ds = from_rows(sch, [dict(x=3.0, dose=1.0), dict(x=3.0, dose=2.0)])
     with pytest.raises(DegenerateColumn):
-        normalize_columns(ds)
+        normalize_columns(ds, {"x": (3.0, 3.0), "dose": (1.0, 2.0)})
+
+
+def test_a_numeric_column_without_bounds_is_refused():
+    bounds = {k: v for k, v in _MIXED_BOUNDS.items() if k != "weight"}
+    with pytest.raises(SchemaMismatch, match="weight"):
+        normalize_columns(_mixed_dataset(), bounds)
 
 
 def test_normalization_preserves_order():
     ds = _mixed_dataset()
-    normed, _ = normalize_columns(ds)
+    normed = normalize_columns(ds, _MIXED_BOUNDS)
     raw = ds.column("weight")
     nrm = normed.column("weight")
     assert np.argmax(raw) == np.argmax(nrm)
@@ -587,17 +596,3 @@ def test_duplicate_header_rejected():
     with pytest.raises(SchemaMismatch):
         load_dataset(dup, warfarin_schema())
 
-
-def test_default_normalization_is_data_derived_even_with_declared_bounds():
-    # declared schema bounds apply only when passed explicitly; the bare
-    # operation maps each column's observed extremes onto -1 and +1
-    sch = Schema((Column("x", ColumnType("real", bounds=(0.0, 1000.0))),
-                  Column("dose", ColumnType("real", bounds=(0.0, 1000.0)))),
-                 target="dose")
-    ds = from_rows(sch, [dict(x=10.0, dose=5.0), dict(x=30.0, dose=15.0)])
-    normed, bounds = normalize_columns(ds)
-    assert bounds["x"] == (10.0, 30.0)
-    assert normed.column("x").tolist() == [-1.0, 1.0]
-    shared, bounds = normalize_columns(ds, {"x": (0.0, 1000.0),
-                                            "dose": (0.0, 1000.0)})
-    assert shared.column("x").tolist() != [-1.0, 1.0]

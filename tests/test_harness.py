@@ -184,7 +184,9 @@ def test_session_bounds_come_from_the_consortium(monkeypatch):
     assert calls == {"encrypt": members * 20, "decrypt": 20}
 
 
-def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
+def _overdose(monkeypatch, member_id):
+    """Make the next scenario build give *member_id*'s first training
+    row ten times the declared upper dose bound."""
     from curie import harness
 
     build = harness.build_scenario
@@ -192,7 +194,7 @@ def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
     def with_an_overdose(cfg):
         scenario = build(cfg)
         i = next(i for i, ctx in enumerate(scenario.contexts)
-                 if ctx.member_id == "D3")
+                 if ctx.member_id == member_id)
         ds = scenario.contexts[i].dataset
         target = cfg.schema.target
         doses = ds.column(target).copy()
@@ -203,6 +205,10 @@ def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
         return scenario
 
     monkeypatch.setattr(harness, "build_scenario", with_an_overdose)
+
+
+def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
+    _overdose(monkeypatch, "D3")
     calls = {"encrypt": 0, "decrypt": 0}
     count_crypto_calls(monkeypatch, calls)
     cfg = load_config(config_path("default_dp"))
@@ -210,6 +216,32 @@ def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
     with pytest.raises(OverflowAbort, match="D3"):
         run_scenario(cfg, MODE_FULL)
     assert calls == {"encrypt": 0, "decrypt": 0}
+
+
+def test_a_local_fit_does_not_hide_a_value_outside_its_bounds(monkeypatch):
+    # p1_single pools nothing, so only the local models read M_US2's rows
+    _overdose(monkeypatch, "M_US2")
+    with pytest.raises(OverflowAbort, match="M_US2"):
+        run_scenario(load_config(config_path("p1_single")), MODE_FULL)
+
+
+def test_a_negotiation_builds_each_member_profile_once(monkeypatch):
+    from curie import engine
+    from curie.cpl import ClauseKind
+
+    # a profile build is the one walk of a whole share policy
+    builds = []
+    walk = engine.evaluated_columns
+
+    def counted(policy, kind, counterparty=None):
+        if kind is ClauseKind.SHARE and counterparty is None:
+            builds.append(policy)
+        return walk(policy, kind, counterparty)
+
+    monkeypatch.setattr(engine, "evaluated_columns", counted)
+    cfg = load_config(config_path("p5_global"))
+    run_scenario(cfg, MODE_NEGOTIATE)
+    assert len(builds) == len(cfg.members) == 10
 
 
 def test_single_source_scenario_has_no_pooled_model():
@@ -470,6 +502,23 @@ def test_cli_runtime_failure_exit_code(tmp_path):
     assert cli_main(["negotiate", str(missing)]) == 2
 
 
+def test_cli_reports_a_malformed_csv_cell(tmp_path, capsys):
+    source = CONSORTIA_DIR / "example3"
+    raw = json.loads((source / "config.json").read_text())
+    for m in raw["members"]:
+        shutil.copyfile(source / m["policy"], tmp_path / m["policy"])
+    del raw["members"][0]["synth"]
+    raw["members"][0]["dataset"] = "m1.csv"
+    (tmp_path / "m1.csv").write_text("age,race,genotype,weight,country,dose\n"
+                                     "40,Asian,A/A,150.0,US,30.0\n"
+                                     "forty,White,A/G,170.0,UK,35.0\n")
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli_main(["negotiate", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 2, column 'age': 'forty' is not an integer")
+    assert "Traceback" not in err
+
+
 def test_scenario_pooled_model_matches_centralization_oracle():
     import random
 
@@ -492,7 +541,7 @@ def test_scenario_pooled_model_matches_centralization_oracle():
         if a.requester == cfg.initiator and a.status != EMPTY:
             owner_ds = scenario.context(a.owner).dataset
             pieces.append(apply_selections(owner_ds, a.selections))
-    big = concat([normalize_columns(p, scenario.bounds)[0] for p in pieces])
+    big = concat([normalize_columns(p, scenario.bounds) for p in pieces])
     dm = to_design_matrix(big, scenario.encoding)
     eta_cat, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
 

@@ -6,7 +6,6 @@ import pytest
 from curie.data import (
     DesignEncoding,
     SynthProfile,
-    column_bounds,
     concat,
     normalize_columns,
     synth_members,
@@ -72,11 +71,11 @@ def test_centralization_equivalence_chain():
     # pooled-statistic solve == lstsq over the concatenated rows
     schema, datasets, _ = synth_numeric_members(9, 5, 8, [150, 250, 100, 300, 200],
                                                 noise_sigma=0.7)
-    bounds = column_bounds(datasets[0])
+    bounds = schema.bounds
     stats = [local_stats(ds, bounds=bounds) for ds in datasets]
     eta_pool = solve_ols(sum(s.O for s in stats),
                          sum(s.V for s in stats).reshape(-1))
-    normed = [normalize_columns(ds, bounds)[0] for ds in datasets]
+    normed = [normalize_columns(ds, bounds) for ds in datasets]
     dm = to_design_matrix(concat(normed))
     eta_cat, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
     rel = np.linalg.norm(eta_pool - eta_cat) / np.linalg.norm(eta_cat)
@@ -89,7 +88,7 @@ def test_centralization_equivalence_chain():
 def _normalized_stats(seed=0, members=3, features=4, rows=150):
     schema, datasets, _ = synth_numeric_members(
         seed, members, features, [rows] * members, noise_sigma=0.5)
-    bounds = column_bounds(datasets[0])
+    bounds = schema.bounds
     stats = [local_stats(ds, bounds=bounds) for ds in datasets]
     O = sum(s.O for s in stats)
     V = sum(s.V for s in stats).reshape(-1)
@@ -175,10 +174,10 @@ def _trained_model(sigma=0.0, seed=21):
         categorical_mixes={"race": {"Asian": 0.4, "Black": 0.3, "White": 0.3}},
         coefficients=eta, noise_sigma=sigma)
     (ds,) = synth_members(seed, schema, [profile])
-    bounds = column_bounds(ds)
+    bounds = schema.bounds
     stats = local_stats(ds, bounds=bounds)
     model = DoseModel(solve_ols(stats.O, stats.V),
-                      DesignEncoding(normalize_columns(ds, bounds)[0].schema),
+                      DesignEncoding(normalize_columns(ds, bounds).schema),
                       bounds)
     return model, ds
 

@@ -422,6 +422,18 @@ def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
     assert calls["encrypt"] == layout.plaintexts(stat_cells(m))    # the masks only
 
 
+def test_members_within_the_pooled_bound_that_overflow_a_slot_abort():
+    # 500 pooled rows within n_max, but x1 = 2.2 past v_max: five members'
+    # O[1,1] = 2420 would wrap its 31-bit slot and pool as 372
+    params = HEParams(key_bits=256, scale_bits=20, n_max=500, v_max=1.0)
+    X = np.column_stack([np.ones(100), np.full(100, 2.2)])
+    stats = LocalStats(X.T @ X, (X.T @ np.full(100, 0.5)).reshape(-1, 1), 100)
+    members = ["P1", "P2", "P3", "P4", "P5"]
+    with pytest.raises(OverflowAbort, match="P2"):
+        run_ring_session(members, "P1", lambda mid: stats, params,
+                         random.Random(0))
+
+
 def test_each_member_encrypts_one_packed_vector(small_he_params, monkeypatch):
     counts = {"encrypt": 0, "decrypt": 0}
     count_crypto_calls(monkeypatch, counts)
