@@ -25,6 +25,8 @@ depend on the modulus size).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -126,7 +128,10 @@ _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 _SIEVE_BOUND = 1 << 18     # candidates are sieved by the odd primes below this
 _SIEVE_WINDOW = 1 << 11    # odd candidates sieved after each random start
 _LIMB_BITS = 30            # residue * 2^30 stays inside int64 for primes < 2^33
-_MILLER_RABIN_ROUNDS = 40  # a composite survives with probability below 4^-40
+_ERROR_BITS = 100          # a prime is composite with probability at most 2^-100
+_SEARCH_BITS = 16          # union bound for the search that draws the candidates
+_MAX_ROUNDS = 40           # rounds where no average-case bound reaches the target
+_DLP_MIN_BITS = 88         # the smallest size every DLP bound (i)-(iv) covers
 
 
 def _odd_primes_below(limit: int) -> np.ndarray:
@@ -177,29 +182,99 @@ def _sieve_window(start: int, width: int, primes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~composite)
 
 
+def _dlp_log2_error(k: int, t: int) -> float:
+    """log2 of the bound on p_{k,t}, the probability that an odd k-bit
+    integer drawn uniformly at random and passing t random-base strong
+    probable-prime rounds is composite (Damgard, Landrock and
+    Pomerance, "Average case error estimates for the strong probable
+    prime test", Math. Comp. 61, 1993; bounds (i)-(iv) as listed in the
+    Handbook of Applied Cryptography, note 4.49).  Each bound is used
+    on its own range of t; for k >= 88 they cover every t >= 1."""
+    lg = math.log2
+    if t == 1:                                                  # (i)
+        return 2 * lg(k) + 2 * (2 - math.sqrt(k))
+    if t <= k / 9:                                              # (ii)
+        return 1.5 * lg(k) + t - 0.5 * lg(t) + 2 * (2 - math.sqrt(t * k))
+    tail = lg(k ** 3.75 / 7) - k / 2 - 2 * t                    # (iv)
+    if t >= k / 4:
+        return tail
+    terms = (lg(0.35 * k) - 5 * t, tail, lg(12 * k) - k / 4 - 3 * t)
+    top = max(terms)                                            # (iii)
+    return top + lg(sum(2.0 ** (e - top) for e in terms))
+
+
+def _meets_target(k: int, t: int) -> bool:
+    return _SEARCH_BITS + _dlp_log2_error(k, t) <= -_ERROR_BITS
+
+
+@functools.cache
+def _dlp_rounds() -> tuple[int, ...]:
+    """Entry k - 88: the fewest rounds, capped at 40 and no fewer than
+    size k + 1 takes, that meet the target at size k.  The floor keeps
+    the count from growing with k, which the bounds alone would let it
+    do once: t = 25 serves 224 bits under (iii) but not 225 bits, where
+    t = k/9 falls under (ii).  The table ends at the first size one
+    round serves; bound (i) falls with k, so one serves every size past
+    it."""
+    top = next(k for k in itertools.count(_DLP_MIN_BITS) if _meets_target(k, 1))
+    rounds = [1]
+    for k in range(top - 1, _DLP_MIN_BITS - 1, -1):
+        t = rounds[-1]
+        while t < _MAX_ROUNDS and not _meets_target(k, t):
+            t += 1
+        rounds.append(t)
+    return tuple(reversed(rounds))
+
+
+def _miller_rabin_rounds(k: int) -> int:
+    """Random-base rounds that certify a k-bit candidate: the least t
+    with 2^16 * p_{k,t} <= 2^-100 (:func:`_dlp_log2_error`), at most 40
+    and no fewer than a larger size takes (:func:`_dlp_rounds`).
+
+    The claim: a prime from :func:`_random_prime` is composite with
+    probability at most 2^-100 wherever the bound reaches it (from 123
+    bits on; 5 rounds at 1024).  The 2^16 is a union bound over the
+    search (Brandt and Damgard, "On generation of probable primes by
+    incremental search", CRYPTO 1992): up to 2^11 candidates a window,
+    2^3.5 for sieving, as about 9% of odd numbers have no odd factor
+    below 2^18, and 2 for drawing only the top quarter of k-bit numbers.
+    Smaller sizes keep 40 rounds, whose worst-case bound is 4^-40 per
+    composite tested.  The bound holds for random candidates only; an
+    input chosen by an adversary has only the 4^-t bound."""
+    if k < _DLP_MIN_BITS:
+        return _MAX_ROUNDS
+    table = _dlp_rounds()
+    return table[k - _DLP_MIN_BITS] if k - _DLP_MIN_BITS < len(table) else 1
+
+
+def _strong_probable_prime(n: int, d: int, r: int, a: int) -> bool:
+    """One Miller-Rabin round to base *a*, for odd n - 1 = d * 2^r."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
+    """Trial division by the odd primes to 53, one strong round to base 2,
+    which turns most composites away cheaply (the first step of
+    Baillie-PSW) and leaves the bound intact, then the random-base
+    rounds :func:`_miller_rabin_rounds` asks for n's size."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(_MILLER_RABIN_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    r = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> r
+    if not _strong_probable_prime(n, d, r, 2):
+        return False
+    return all(_strong_probable_prime(n, d, r, rng.randrange(2, n - 1))
+               for _ in range(_miller_rabin_rounds(n.bit_length())))
 
 
 def _random_prime(bits: int, rng: random.Random) -> int:

@@ -587,22 +587,6 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
     return datasets
 
 
-def warfarin_schema() -> Schema:
-    """The eight-input anticoagulant-dosing schema plus the dose target."""
-    return Schema((
-        Column("age", ColumnType("integer", bounds=(18, 95))),
-        Column("height", ColumnType("real", bounds=(140.0, 200.0))),
-        Column("weight", ColumnType("real", bounds=(40.0, 140.0))),
-        Column("vkorc1", ColumnType("categorical", ("A/A", "A/G", "G/G"))),
-        Column("cyp2c9", ColumnType("categorical",
-                                    ("*1/*1", "*1/*2", "*1/*3", "*2/*2", "*2/*3", "*3/*3"))),
-        Column("race", ColumnType("categorical", ("Asian", "Black", "White"))),
-        Column("inducer", ColumnType("boolean")),
-        Column("amiodarone", ColumnType("boolean")),
-        Column("dose", ColumnType("real", bounds=(0.0, 90.0))),
-    ), target="dose")
-
-
 def numeric_schema(n_features: int,
                    dose_bounds: tuple[float, float] = (0.0, 60.0)) -> Schema:
     """All-numeric schema used by randomized consortium tests/benchmarks:

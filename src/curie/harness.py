@@ -268,7 +268,6 @@ class Scenario:
     config: ConsortiumConfig
     contexts: list[MemberContext]          # training data
     validation: Dataset | None             # all held-out rows (mixed cohort)
-    bounds: dict[str, tuple[float, float]]
     encoding: DesignEncoding
 
     def context(self, member_id: str) -> MemberContext:
@@ -316,7 +315,7 @@ def build_scenario(cfg: ConsortiumConfig) -> Scenario:
             attributes=dict(spec.attributes), alliances=spec.alliances))
 
     validation = concat(held_out) if held_out else None
-    return Scenario(cfg, contexts, validation, cfg.schema.bounds,
+    return Scenario(cfg, contexts, validation,
                     DesignEncoding(normalized_schema(cfg.schema)))
 
 
@@ -375,33 +374,40 @@ class ScenarioReport:
 
 
 def _fit_local_model(scenario: Scenario, ctx: MemberContext) -> DoseModel | None:
+    bounds = scenario.config.schema.bounds
     try:
-        stats = local_stats(ctx.dataset, bounds=scenario.bounds,
-                            encoding=scenario.encoding)
+        stats = local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
         eta = solve_ols_pruned(stats.O, stats.V)
     except (EmptyRelease, SingularMatrix):    # no rows, or no unique fit
         return None
-    return DoseModel(eta, scenario.encoding, scenario.bounds)
+    return DoseModel(eta, scenario.encoding, bounds)
 
 
 def _stats_provider(scenario: Scenario, agreements: Sequence[Agreement]):
     cfg = scenario.config
+    bounds = cfg.schema.bounds
     by_owner = {a.owner: a for a in agreements if a.requester == cfg.initiator}
 
     def provider(member_id: str) -> LocalStats | None:
         ctx = scenario.context(member_id)
         if member_id == cfg.initiator:
-            return local_stats(ctx.dataset, bounds=scenario.bounds,
-                               encoding=scenario.encoding)
+            return local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
         if member_id not in by_owner:
             return None
         try:
             return local_stats(ctx.dataset, by_owner[member_id],
-                               bounds=scenario.bounds, encoding=scenario.encoding)
+                               bounds=bounds, encoding=scenario.encoding)
         except EmptyRelease:    # an empty agreement, or no row selected
             return None
 
     return provider
+
+
+def _session_params(he: HEParams, rows: Sequence[int]) -> HEParams:
+    """The ring session's bounds for members holding *rows* rows each:
+    at most every row pools, normalized into [-1, 1] against the
+    declared bounds."""
+    return replace(he, v_max=1.0, n_max=sum(rows))
 
 
 def _negotiate_and_pool(cfg: ConsortiumConfig, pool: bool
@@ -421,10 +427,8 @@ def _negotiate_and_pool(cfg: ConsortiumConfig, pool: bool
         # negotiation only, or nothing acquired (single-source
         # policies): no ring session and no pooled model
         return scenario, agreements, nego_log, None
-    # at most every member's public row count pools, each row
-    # normalized into [-1, 1] against the declared bounds
-    params = replace(cfg.he, v_max=1.0, n_max=sum(
-        ctx.profile.data_size for ctx in scenario.contexts))
+    params = _session_params(cfg.he, [ctx.profile.data_size
+                                     for ctx in scenario.contexts])
     result = run_ring_session(
         list(cfg.ring_order), cfg.initiator,
         _stats_provider(scenario, agreements),
@@ -477,7 +481,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
 
         with phase("pooled_model"):
             eta = solve_ols_pruned(result.O_pool, result.V_pool)
-            report.pooled_model = DoseModel(eta, scenario.encoding, scenario.bounds)
+            report.pooled_model = DoseModel(eta, scenario.encoding, cfg.schema.bounds)
             if scenario.validation is not None:
                 report.pooled_clinical = clinical_metrics(report.pooled_model,
                                                           scenario.validation)
@@ -531,10 +535,11 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
 
     # the cohort is encoded once; each budget's repetitions are scored
     # together against it
-    X = to_design_matrix(normalize_columns(scenario.validation, scenario.bounds),
+    bounds = cfg.schema.bounds
+    X = to_design_matrix(normalize_columns(scenario.validation, bounds),
                          scenario.encoding).X
     y = validation_doses(scenario.validation)
-    target_bounds = scenario.bounds[cfg.schema.target]
+    target_bounds = bounds[cfg.schema.target]
     V = V_pool.reshape(-1)
     table: list[dict] = []
     for eps in epsilons:
@@ -587,14 +592,19 @@ def dp_sweep(cfg: ConsortiumConfig, epsilons: Sequence[float] | None = None,
 
 def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
                    key_bits: int, keygen_seed: int) -> dict[str, float]:
-    schema, datasets, _ = synth_numeric_members(
-        seed, n_members, n_features, [rows] * n_members, noise_sigma=0.3)
-    v_bound = float(rows * n_members) * 200.0
-    params = HEParams(key_bits=key_bits, n_max=max(10_000, rows * n_members),
-                      v_max=v_bound)
+    noise = 0.3
+    schema, datasets, eta = synth_numeric_members(
+        seed, n_members, n_features, [rows] * n_members, noise_sigma=noise)
+    # rows normalized as the pipeline's are, the dose against a bound
+    # that no dose of the generating model (within 10 sigma) exceeds
+    bounds = {**schema.bounds, schema.target: (
+        0.0, float(eta[0] + np.abs(eta[1:]).sum() + 10 * noise))}
+    params = _session_params(HEParams(key_bits=key_bits),
+                            [ds.n for ds in datasets])
     with recording() as out:
         with phase("stats"):
-            stats = {ds.provenance: local_stats(ds) for ds in datasets}
+            stats = {ds.provenance: local_stats(ds, bounds=bounds)
+                     for ds in datasets}
         run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,
             lambda mid: stats[mid], params, random.Random(seed),

@@ -225,10 +225,12 @@ class _RingMember:
         pk, end = crypto.parse_public_key(payload)
         if end != len(payload):
             raise ProtocolError(f"{self.member_id}: trailing bytes after the key")
-        try:
-            self.layout = crypto.SlotLayout.for_key(self.params, pk)
-        except crypto.ParamError as exc:
-            raise ProtocolError(f"{self.member_id}: {exc}") from exc
+        # a smaller modulus than the session's could be factored by
+        # anyone; one of its size holds a slot, as the params validated
+        if pk.n.bit_length() != self.params.key_bits:
+            raise ProtocolError(f"{self.member_id}: a {pk.n.bit_length()}-bit key "
+                                f"for a {self.params.key_bits}-bit session")
+        self.layout = crypto.SlotLayout.for_key(self.params, pk)
         self.pk = pk
 
     def on_accumulate(self, payload: bytes, m: int) -> bytes:

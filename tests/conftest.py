@@ -12,6 +12,7 @@ from pathlib import Path  # noqa: E402
 import pytest  # noqa: E402
 
 from curie.crypto import HEParams  # noqa: E402
+from curie.data import Column, ColumnType, Schema  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -51,3 +52,19 @@ def count_crypto_calls(monkeypatch, counts: dict[str, int]) -> None:
         monkeypatch.setattr(key, "encrypt_raw", counted("encrypt", key.encrypt_raw))
     monkeypatch.setattr(crypto.SecretKey, "decrypt_raw",
                         counted("decrypt", crypto.SecretKey.decrypt_raw))
+
+
+def warfarin_schema() -> Schema:
+    """The eight-input anticoagulant-dosing schema plus the dose target."""
+    return Schema((
+        Column("age", ColumnType("integer", bounds=(18, 95))),
+        Column("height", ColumnType("real", bounds=(140.0, 200.0))),
+        Column("weight", ColumnType("real", bounds=(40.0, 140.0))),
+        Column("vkorc1", ColumnType("categorical", ("A/A", "A/G", "G/G"))),
+        Column("cyp2c9", ColumnType("categorical",
+                                    ("*1/*1", "*1/*2", "*1/*3", "*2/*2", "*2/*3", "*3/*3"))),
+        Column("race", ColumnType("categorical", ("Asian", "Black", "White"))),
+        Column("inducer", ColumnType("boolean")),
+        Column("amiodarone", ColumnType("boolean")),
+        Column("dose", ColumnType("real", bounds=(0.0, 90.0))),
+    ), target="dose")

@@ -617,9 +617,9 @@ def test_criterion_10_benchmark_shapes():
     assert spread < 4.0, (
         f"keygen time varies with member count: {keygen_times}")
 
-    # enough per-session work (m=41, five parties, 452 packed ciphertexts
-    # a hop, ~0.5s of ciphertext operations per session) that scheduler
-    # noise stays well under the 20% bound
+    # enough per-session work (m=41, five parties, 181 packed ciphertexts
+    # a hop, ~0.25s of ciphertext operations per session) that scheduler
+    # noise stays under the 20% bound
     row_rows = bench("rows", [200, 1000, 5000], runs=3, key_bits=192,
                      n_features=40, n_members=5, seed=11)
     enc = [r["encrypted_total"] for r in row_rows]

@@ -383,6 +383,58 @@ def test_sieve_window_survivors_equal_trial_division(bits, width, primes):
         assert _sieve_window(start, span, table).tolist() == expected
 
 
+def test_miller_rabin_rounds_are_derived_from_the_candidate_size():
+    rounds = crypto._miller_rabin_rounds
+    assert (rounds(128), rounds(192), rounds(256), rounds(1024)) == (38, 27, 23, 5)
+    assert all(rounds(k) == 40 for k in range(2, 88))
+    counts = [rounds(k) for k in range(2, 1 << 13)]
+    assert max(counts) == 40 and counts[-1] == 1
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def test_each_derived_round_count_meets_the_stated_bound():
+    # 2^16 * p_{k,t} <= 2^-100 wherever the bound serves fewer rounds
+    # than the cap: from 123 bits on, and at every size past the table
+    sizes = [*range(88, 1 << 13), 1 << 16]
+    for k in sizes:
+        t = crypto._miller_rabin_rounds(k)
+        assert (t < 40) == (k >= 123), k
+        if t < 40:
+            assert 16 + crypto._dlp_log2_error(k, t) <= -100, (k, t)
+
+
+@pytest.mark.parametrize("n, base_2_liar", [
+    (2047, True),                       # strong pseudoprimes to base 2 ...
+    (3215031751, True),                 # ... and to 3, 5 and 7
+    (3825123056546413051, True),        # ... and to every prime up to 23
+    (561, False), (8911, False), (41041, False),    # Carmichael numbers
+])
+def test_strong_pseudoprimes_and_carmichael_numbers_are_rejected(n, base_2_liar):
+    r = ((n - 1) & -(n - 1)).bit_length() - 1
+    assert crypto._strong_probable_prime(n, (n - 1) >> r, r, 2) == base_2_liar
+    assert not any(crypto._is_probable_prime(n, random.Random(seed))
+                   for seed in range(100))
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.bases = 0
+
+    def randrange(self, *args):
+        self.bases += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("exponent", [127, 521, 1279])
+def test_mersenne_primes_are_certified_with_the_derived_rounds(exponent):
+    n = (1 << exponent) - 1
+    for seed in range(3):
+        rand = _CountingRandom(seed)
+        assert crypto._is_probable_prime(n, rand)
+        assert rand.bases == crypto._miller_rabin_rounds(exponent)
+
+
 @pytest.mark.parametrize("key_bits", [16, 17, 64, 129, 256, 2048])
 def test_keygen_is_deterministic_with_the_requested_size(key_bits, monkeypatch):
     params = HEParams(key_bits=key_bits, scale_bits=1, n_max=1, v_max=1.0)

@@ -25,9 +25,10 @@ from curie.data import (
     normalize_value,
     synth_members,
     to_design_matrix,
-    warfarin_schema,
 )
 from curie.errors import PolicyTypeError
+
+from conftest import warfarin_schema
 
 WARFARIN_CSV = """age,height,weight,vkorc1,cyp2c9,race,inducer,amiodarone,dose
 63,170.5,80.2,A/A,*1/*1,White,no,no,31.5

@@ -198,7 +198,7 @@ def _overdose(monkeypatch, member_id):
         ds = scenario.contexts[i].dataset
         target = cfg.schema.target
         doses = ds.column(target).copy()
-        doses[0] = 10 * scenario.bounds[target][1]
+        doses[0] = 10 * scenario.config.schema.bounds[target][1]
         scenario.contexts[i] = dataclasses.replace(
             scenario.contexts[i], dataset=Dataset(
                 ds.schema, {**ds.columns, target: doses}, ds.provenance))
@@ -446,6 +446,22 @@ def test_bench_axes_shape():
         bench("bogus", [1])
 
 
+def test_bench_sizes_its_ring_as_the_pipeline_does(monkeypatch):
+    # normalized rows, v_max = 1 and n_max the rows of every member
+    from curie import harness
+
+    sizes = []
+    run = harness.run_ring_session
+
+    def recorded(order, initiator, provider, params, rng, **kwargs):
+        sizes.append((params, [provider(mid).n for mid in order]))
+        return run(order, initiator, provider, params, rng, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ring_session", recorded)
+    bench("members", [3], runs=1, key_bits=128, n_features=4, rows=200)
+    assert sizes == [(HEParams(key_bits=128, n_max=600, v_max=1.0), [200] * 3)]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -497,6 +513,22 @@ def test_cli_negotiate_report_matches_golden(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.negotiate.json").read_bytes()
 
 
+@pytest.mark.parametrize("name, mode", [
+    *((p.name, MODE_FULL) for p in sorted(CONSORTIA_DIR.iterdir())),
+    *((name, MODE_FULL_DP) for name in ("default_dp", "example3", "p5_global")),
+])
+def test_full_report_matches_golden(name, mode, monkeypatch):
+    # golden files: the timing-free report of `curie simulate [--dp]`
+    # with CURIE_SEED unset, indented as the CLI writes it; a new key,
+    # or a refactor of the ring or the models, must not move an
+    # agreement, a pooled coefficient, a clinical metric or a DP table
+    monkeypatch.delenv("CURIE_SEED", raising=False)
+    report = run_scenario(load_config(config_path(name)), mode)
+    text = json.dumps(report.to_json(include_timings=False), indent=2,
+                      sort_keys=True) + "\n"
+    assert text == (GOLDEN_DIR / f"{name}.{mode}.json").read_text()
+
+
 def test_cli_runtime_failure_exit_code(tmp_path):
     missing = tmp_path / "none.json"
     assert cli_main(["negotiate", str(missing)]) == 2
@@ -541,12 +573,12 @@ def test_scenario_pooled_model_matches_centralization_oracle():
         if a.requester == cfg.initiator and a.status != EMPTY:
             owner_ds = scenario.context(a.owner).dataset
             pieces.append(apply_selections(owner_ds, a.selections))
-    big = concat([normalize_columns(p, scenario.bounds) for p in pieces])
+    big = concat([normalize_columns(p, scenario.config.schema.bounds) for p in pieces])
     dm = to_design_matrix(big, scenario.encoding)
     eta_cat, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
 
     assert report.pooled_rows == dm.X.shape[0]
-    cat_model = DoseModel(eta_cat, scenario.encoding, scenario.bounds)
+    cat_model = DoseModel(eta_cat, scenario.encoding, scenario.config.schema.bounds)
     pred_ring = predict_dataset(report.pooled_model, scenario.validation)
     pred_cat = predict_dataset(cat_model, scenario.validation)
     rel = np.abs(pred_ring - pred_cat).max() / np.abs(pred_cat).mean()

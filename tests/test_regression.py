@@ -11,7 +11,6 @@ from curie.data import (
     synth_members,
     synth_numeric_members,
     to_design_matrix,
-    warfarin_schema,
 )
 from curie.regression import (
     BudgetError,
@@ -26,6 +25,8 @@ from curie.regression import (
     solve_ols,
 )
 from curie.ring import local_stats
+
+from conftest import warfarin_schema
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,21 @@ def _member_with_key(small_he_params, stats):
     return keys.public, member
 
 
+def test_a_member_refuses_a_key_of_another_size(small_he_params):
+    # a 64-bit modulus holds a slot of this session but anyone can factor it
+    from dataclasses import replace
+
+    from curie import crypto
+    from curie.ring import _RingMember
+
+    member = _RingMember("P2", None, small_he_params, random.Random(1))
+    for bits in (64, small_he_params.key_bits + 8):
+        keys = crypto.keygen(replace(small_he_params, key_bits=bits), random.Random(0))
+        with pytest.raises(ProtocolError, match=f"P2: a {bits}-bit key"):
+            member.on_public_key(crypto.serialize_public_key(keys.public))
+    assert member.pk is None
+
+
 def test_ring_payload_must_be_one_packed_matrix(small_he_params):
     from curie import crypto
 
