@@ -74,9 +74,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# argparse reports a ValueError in these as a usage error
+
 def numbers(text: str) -> list[float]:
-    # argparse reports a ValueError here as a usage error
     return [float(e) for e in text.split(",")]
+
+
+def counts(text: str) -> list[int]:
+    return [int(e) for e in text.split(",")]
+
+
+def positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
 
 
 def cmd_dp_sweep(args) -> int:
@@ -86,14 +98,13 @@ def cmd_dp_sweep(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    values = [int(v) for v in args.values.split(",")]
     seed, key_bits = 0, args.key_bits
     if args.config:
         cfg = harness.load_config(args.config)
         seed = cfg.seed
         if args.key_bits is None:
             key_bits = cfg.he.key_bits
-    table = harness.bench(args.axis, values, runs=args.runs, seed=seed,
+    table = harness.bench(args.axis, args.values, runs=args.runs, seed=seed,
                           key_bits=key_bits or 192)
     if args.csv:
         keys = list(table[0].keys())
@@ -145,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", nargs="?",
                    help="optional consortium config supplying seed and key size")
     p.add_argument("--axis", required=True, choices=["members", "rows", "features"])
-    p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--values", required=True, type=counts,
+                   help="comma-separated axis values")
+    p.add_argument("--runs", type=positive, default=3)
     p.add_argument("--key-bits", type=int, default=None)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -1,5 +1,5 @@
-"""Additively homomorphic public-key encryption over fixed-point
-encoded real matrices.
+"""Additively homomorphic public-key encryption of fixed-point encoded
+vectors.
 
 Paillier with the g = n + 1 simplification: ciphertext of m is
 (1 + m*n) * r^n mod n^2, so adding plaintexts is multiplying
@@ -17,6 +17,12 @@ slot-wise sums of in-contract entries never spill into the next slot;
 k is as many slots as the key's signed capacity n/3 holds.  Adding
 packed ciphertexts adds every slot at once, and balanced base-B digits
 recover the signed sums.
+
+A :class:`CipherMatrix` is a flat vector of ciphertexts; the ring sends
+one of packed plaintexts.  On the wire a ciphertext vector is its
+residues and a public key its modulus, each length-prefixed, with no
+header: the parsers read a whole buffer and refuse bytes past the
+value, so a receiver parses exactly the bytes a transcript logs.
 
 Key sizes are configurable; the 2048-bit default is for deployments,
 test suites use much smaller keys (the homomorphic identities do not
@@ -482,76 +488,51 @@ class SlotLayout:
 
 
 # --------------------------------------------------------------------------
-# matrices
+# ciphertext vectors
 
 @dataclass(frozen=True)
 class CipherMatrix:
+    """A vector of ciphertexts under one public key."""
+
     public: PublicKey
-    scale: int
-    shape: tuple[int, int]
-    cells: tuple[int, ...]  # row-major ciphertexts
-
-    def __post_init__(self):
-        if self.shape[0] * self.shape[1] != len(self.cells):
-            raise DimMismatch("cell count does not match shape")
+    cells: tuple[int, ...]
 
 
-def _as_matrix(M) -> np.ndarray:
-    A = np.asarray(M, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(-1, 1)
-    if A.ndim != 2:
-        raise DimMismatch(f"expected a matrix, got ndim={A.ndim}")
-    return A
+def encode_matrix(M, scale: int) -> list[int]:
+    """The entries of *M*, flattened row-major, in fixed point."""
+    return [encode_fixed(float(v), scale) for v in np.asarray(M, dtype=float).flat]
 
 
-def encode_matrix(M, scale: int) -> list[list[int]]:
-    A = _as_matrix(M)
-    return [[encode_fixed(float(v), scale) for v in row] for row in A]
+def encrypt_encoded_matrix(pk: PublicKey, K: Sequence[int],
+                           rng: random.Random) -> CipherMatrix:
+    """Encrypt signed integers; every one is checked against the key's
+    capacity before the first is encrypted."""
+    for k in K:
+        if abs(k) > pk.max_int:
+            raise Overflow(f"encoded value {k} exceeds key capacity")
+    return CipherMatrix(pk, tuple(pk.encrypt_raw(pk.from_signed(int(k)), rng)
+                                  for k in K))
 
 
-def encrypt_encoded_matrix(pk: PublicKey, K: Sequence[Sequence[int]],
-                           scale: int, rng: random.Random) -> CipherMatrix:
-    rows = len(K)
-    cols = len(K[0]) if rows else 0
-    for row in K:
-        if len(row) != cols:
-            raise DimMismatch("ragged encoded matrix")
-        for k in row:
-            if abs(k) > pk.max_int:
-                raise Overflow(f"encoded value {k} exceeds key capacity")
-    cells = tuple(pk.encrypt_raw(pk.from_signed(int(k)), rng)
-                  for row in K for k in row)
-    return CipherMatrix(pk, scale, (rows, cols), cells)
-
-
-def encrypt_residue_matrix(sk: SecretKey, R: Sequence[Sequence[int]],
-                           scale: int, rng: random.Random) -> CipherMatrix:
+def encrypt_residue_matrix(sk: SecretKey, R: Sequence[int],
+                           rng: random.Random) -> CipherMatrix:
     """Encrypt raw residues in [0, n) without sign mapping (the
     initiator's masks), by the CRT with the key's factors."""
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    cells = tuple(sk.encrypt_raw(int(v), rng) for row in R for v in row)
-    return CipherMatrix(sk.public, scale, (rows, cols), cells)
+    return CipherMatrix(sk.public, tuple(sk.encrypt_raw(int(v), rng) for v in R))
 
 
 def add_cipher(c1: CipherMatrix, c2: CipherMatrix) -> CipherMatrix:
     """Homomorphic entry-wise addition."""
     if c1.public.n != c2.public.n:
         raise KeyMismatch("ciphertexts under different public keys")
-    if c1.scale != c2.scale:
-        raise KeyMismatch(f"scale mismatch: {c1.scale} vs {c2.scale}")
-    if c1.shape != c2.shape:
-        raise DimMismatch(f"shape mismatch: {c1.shape} vs {c2.shape}")
+    if len(c1.cells) != len(c2.cells):
+        raise DimMismatch(f"length mismatch: {len(c1.cells)} vs {len(c2.cells)}")
     pk = c1.public
-    cells = tuple(pk.add_raw(a, b) for a, b in zip(c1.cells, c2.cells))
-    return CipherMatrix(pk, c1.scale, c1.shape, cells)
+    return CipherMatrix(pk, tuple(pk.add_raw(a, b) for a, b in zip(c1.cells, c2.cells)))
 
 
-def decrypt_residue_matrix(sk: SecretKey, C: CipherMatrix) -> list[list[int]]:
-    rows, cols = C.shape
-    flat = [sk.decrypt_raw(c) for c in C.cells]
-    return [flat[r * cols:(r + 1) * cols] for r in range(rows)]
+def decrypt_residue_matrix(sk: SecretKey, C: CipherMatrix) -> list[int]:
+    return [sk.decrypt_raw(c) for c in C.cells]
 
 
 # --------------------------------------------------------------------------
@@ -582,44 +563,37 @@ def _unpack_bigint(buf: bytes, offset: int, what: str) -> tuple[int, int]:
 
 
 def serialize_cipher_matrix(C: CipherMatrix) -> bytes:
-    head = (C.shape[0].to_bytes(2, "big") + C.shape[1].to_bytes(2, "big")
-            + C.scale.to_bytes(8, "big"))
-    return head + b"".join(_pack_bigint(c) for c in C.cells)
+    return b"".join(_pack_bigint(c) for c in C.cells)
 
 
-def parse_cipher_matrix(buf: bytes, pk: PublicKey) -> tuple[CipherMatrix, int]:
-    """Parse the cipher matrix *buf* starts with; returns it and the
-    offset after it.  Raises :class:`MalformedPayload` unless the bytes
-    are a nonempty matrix with a positive scale whose every cell is a
-    ciphertext residue in (0, n^2)."""
-    head = _take(buf, 0, 12, "cipher matrix header")
-    rows = int.from_bytes(head[0:2], "big")
-    cols = int.from_bytes(head[2:4], "big")
-    scale = int.from_bytes(head[4:12], "big")
-    if rows == 0 or cols == 0:
-        raise MalformedPayload(f"empty cipher matrix shape ({rows}, {cols})")
-    if scale == 0:
-        raise MalformedPayload("cipher matrix scale is zero")
-    offset = 12
+def parse_cipher_matrix(buf: bytes, pk: PublicKey) -> CipherMatrix:
+    """Parse *buf* as a whole.  Raises :class:`MalformedPayload` unless
+    it is one or more ciphertext residues in (0, n^2) and nothing
+    else."""
+    if not buf:
+        raise MalformedPayload("empty ciphertext vector")
+    offset = 0
     cells = []
-    for i in range(rows * cols):
-        v, offset = _unpack_bigint(buf, offset, f"cell {i}")
+    while offset < len(buf):
+        v, offset = _unpack_bigint(buf, offset, f"cell {len(cells)}")
         if not 0 < v < pk.nsquare:
-            raise MalformedPayload(f"cell {i} is not a residue in (0, n^2)")
+            raise MalformedPayload(f"cell {len(cells)} is not a residue in (0, n^2)")
         cells.append(v)
-    return CipherMatrix(pk, scale, (rows, cols), tuple(cells)), offset
+    return CipherMatrix(pk, tuple(cells))
 
 
 def serialize_public_key(pk: PublicKey) -> bytes:
     return _pack_bigint(pk.n)
 
 
-def parse_public_key(buf: bytes) -> tuple[PublicKey, int]:
-    """Parse the public key *buf* starts with; returns it and the offset
-    after it.  Raises :class:`MalformedPayload` unless the modulus is odd
-    and at least as large as the smallest key :class:`HEParams` allows."""
-    n, offset = _unpack_bigint(buf, 0, "public modulus")
+def parse_public_key(buf: bytes) -> PublicKey:
+    """Parse *buf* as a whole.  Raises :class:`MalformedPayload` unless
+    it is one odd modulus, at least as large as the smallest key
+    :class:`HEParams` allows, and nothing else."""
+    n, end = _unpack_bigint(buf, 0, "public modulus")
+    if end != len(buf):
+        raise MalformedPayload(f"{len(buf) - end} bytes trail the public modulus")
     if n.bit_length() < MIN_KEY_BITS or n % 2 == 0:
         raise MalformedPayload("public modulus is not an odd number of at "
                                f"least {MIN_KEY_BITS} bits")
-    return PublicKey(n), offset
+    return PublicKey(n)

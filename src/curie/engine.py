@@ -492,14 +492,33 @@ def answer_request(owner: MemberContext, request: AcquireRequest) -> Agreement:
     )
 
 
+def _exchange(requester: MemberContext, owner: MemberContext,
+              rng: random.Random | None, log: MessageLog) -> Agreement:
+    """One directed pair's round trip, each message logged as the bytes
+    it carries: the requester's request, then the owner's answer.  An
+    answer that fails with a :class:`CurieError` is an empty agreement
+    naming the error."""
+    request = build_request(requester, owner.profile, rng)
+    log.send(requester.member_id, owner.member_id, "acquire_request",
+             request.to_payload())
+    try:
+        agreement = answer_request(owner, request)
+    except CurieError as exc:
+        agreement = Agreement(owner.member_id, requester.member_id, EMPTY,
+                              reason=f"negotiation error: {exc}")
+    log.send(owner.member_id, requester.member_id, "negotiation_output",
+             json.dumps(agreement.to_json(), sort_keys=True).encode())
+    return agreement
+
+
 def negotiate_pair(requester: MemberContext, owner: MemberContext,
                    rng: random.Random | None = None) -> Agreement:
-    """Negotiate one directed pair (requester acquires from owner)."""
+    """Negotiate one directed pair (requester acquires from owner), as
+    :func:`negotiate_consortium` does for each pair it runs."""
     report = check_shared_schema(requester.dataset.schema, owner.dataset.schema)
     if report:
         raise SchemaMismatch("; ".join(report))
-    request = build_request(requester, owner.profile, rng)
-    return answer_request(owner, request)
+    return _exchange(requester, owner, rng, MessageLog())
 
 
 def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
@@ -540,15 +559,5 @@ def negotiate_consortium(contexts: Sequence[MemberContext],
                 continue
             if not _names_counterparty(requester.policy, owner_id):
                 continue
-            owner = by_id[owner_id]
-            request = build_request(requester, owner.profile, rng)
-            log.send(requester_id, owner_id, "acquire_request", request.to_payload())
-            try:
-                agreement = answer_request(owner, request)
-            except CurieError as exc:
-                agreement = Agreement(owner_id, requester_id, EMPTY,
-                                      reason=f"negotiation error: {exc}")
-            log.send(owner_id, requester_id, "negotiation_output",
-                     json.dumps(agreement.to_json(), sort_keys=True).encode())
-            agreements.append(agreement)
+            agreements.append(_exchange(requester, by_id[owner_id], rng, log))
     return agreements, log

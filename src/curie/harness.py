@@ -383,12 +383,16 @@ def _fit_local_model(scenario: Scenario, ctx: MemberContext) -> DoseModel | None
     return DoseModel(eta, scenario.encoding, bounds)
 
 
-def _stats_provider(scenario: Scenario, agreements: Sequence[Agreement]):
+def _member_stats(scenario: Scenario, agreements: Sequence[Agreement]
+                  ) -> dict[str, LocalStats | None]:
+    """Each ring member's statistics for the initiator's session: the
+    initiator's own rows, and what each owner's agreement releases to
+    it (None where nothing is released)."""
     cfg = scenario.config
     bounds = cfg.schema.bounds
     by_owner = {a.owner: a for a in agreements if a.requester == cfg.initiator}
 
-    def provider(member_id: str) -> LocalStats | None:
+    def member(member_id: str) -> LocalStats | None:
         ctx = scenario.context(member_id)
         if member_id == cfg.initiator:
             return local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
@@ -400,7 +404,7 @@ def _stats_provider(scenario: Scenario, agreements: Sequence[Agreement]):
         except EmptyRelease:    # an empty agreement, or no row selected
             return None
 
-    return provider
+    return {mid: member(mid) for mid in cfg.ring_order}
 
 
 def _session_params(he: HEParams, rows: Sequence[int]) -> HEParams:
@@ -431,7 +435,7 @@ def _negotiate_and_pool(cfg: ConsortiumConfig, pool: bool
                                      for ctx in scenario.contexts])
     result = run_ring_session(
         list(cfg.ring_order), cfg.initiator,
-        _stats_provider(scenario, agreements),
+        _member_stats(scenario, agreements),
         params, random.Random(_seed_for(cfg.seed, "ring")))
     return scenario, agreements, nego_log, result
 
@@ -607,7 +611,7 @@ def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
                      for ds in datasets}
         run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,
-            lambda mid: stats[mid], params, random.Random(seed),
+            stats, params, random.Random(seed),
             keygen_rng=random.Random(keygen_seed))
     out["encrypted_total"] = out["encrypt"] + out["evaluate"] + out["decrypt"]
     return out
@@ -624,6 +628,8 @@ def bench(axis: str, values: Sequence[int], runs: int = 3, seed: int = 0,
     """
     if axis not in ("members", "rows", "features"):
         raise ValueError(f"unknown bench axis {axis!r}")
+    if runs < 1:
+        raise ValueError(f"a bench needs at least one run, not {runs}")
     # run-major interleaving: one sweep measures every axis value before
     # the next repetition, so clock/frequency drift hits all values
     # evenly instead of biasing whichever value ran last

@@ -15,23 +15,25 @@ across a ring of members:
    (distributed exactly as a public-key encryption); every other member
    homomorphically adds its encrypted packed vector (members with
    nothing to contribute add encrypted zeros, so ring position does not
-   reveal participation) and forwards.  Each ring payload is one (1, ceil(cells / k)) cipher
-   matrix; n ring messages return it to the initiator,
+   reveal participation) and forwards.  Each ring payload is one
+   vector of ceil(cells / k) ciphertexts; n ring messages return it to
+   the initiator,
 3. the initiator decrypts, subtracts its masks in the residue domain,
    splits the signed plaintexts into balanced slot digits, adds its own
    encoded entries, decodes, and mirrors the triangle into the pooled
    O.  Every step is exact integer arithmetic, so the pooled O, V and
    row count are bit-identical across mask and key draws.
 
-Every payload crossing a member boundary is a ciphertext; the
-transcript records the exact bytes for the leakage audit.
+Every ring payload crossing a member boundary is a ciphertext vector.
+The transcript logs each message's sender, receiver and kind with the
+exact bytes its receiver parses, which the leakage audit scans.
 """
 
 from __future__ import annotations
 
 import random
-import uuid
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -58,10 +60,6 @@ class ProtocolError(CurieError):
 
 PHASE_PUBLIC_KEY = "public_key"
 PHASE_RING = "ring_accumulate"
-_PHASE_TAGS = {PHASE_PUBLIC_KEY: 1, PHASE_RING: 2}
-_TAG_PHASES = {v: k for k, v in _PHASE_TAGS.items()}
-ENVELOPE_VERSION = 1
-_ENVELOPE_HEAD = 19    # version, 16-byte session id, phase tag, sender length
 
 
 # --------------------------------------------------------------------------
@@ -132,48 +130,11 @@ def _decode_stats(entries: list[int], m: int, scale: int
     return O, V, int(round(values[-1]))
 
 
-# --------------------------------------------------------------------------
-# protocol envelope
-
-def pack_envelope(session_id: bytes, phase: str, sender: str, payload: bytes) -> bytes:
-    sender_raw = sender.encode()
-    return (bytes([ENVELOPE_VERSION]) + session_id + bytes([_PHASE_TAGS[phase]])
-            + bytes([len(sender_raw)]) + sender_raw + payload)
-
-
-def unpack_envelope(buf: bytes) -> tuple[bytes, str, str, bytes]:
-    """Inverse of :func:`pack_envelope`; raises :class:`ProtocolError`
-    on anything it could not have produced."""
-    if len(buf) < _ENVELOPE_HEAD:
-        raise ProtocolError(f"envelope of {len(buf)} bytes is shorter than "
-                            f"its {_ENVELOPE_HEAD}-byte header")
-    if buf[0] != ENVELOPE_VERSION:
-        raise ProtocolError(f"unsupported envelope version {buf[0]}")
-    session_id = buf[1:17]
-    phase = _TAG_PHASES.get(buf[17])
-    if phase is None:
-        raise ProtocolError(f"unknown phase tag {buf[17]}")
-    end = _ENVELOPE_HEAD + buf[18]
-    if len(buf) < end:
-        raise ProtocolError("envelope ends inside the sender id")
-    try:
-        sender = buf[_ENVELOPE_HEAD:end].decode()
-    except UnicodeDecodeError:
-        raise ProtocolError("sender id is not UTF-8") from None
-    return session_id, phase, sender, buf[end:]
-
-
-def _unpack_ring_payload(buf: bytes, pk: crypto.PublicKey,
-                         width: int | None = None) -> crypto.CipherMatrix:
-    """The one cipher matrix a ring payload carries, of shape
-    (1, *width*) when *width* is given."""
-    C, end = crypto.parse_cipher_matrix(buf, pk)
-    if end != len(buf):
-        raise ProtocolError(f"{len(buf) - end} bytes trail the ring payload's "
-                            f"cipher matrix")
-    if width is not None and C.shape != (1, width):
-        raise ProtocolError(f"expected a (1, {width}) packed ciphertext matrix, "
-                            f"got shape {C.shape}")
+def _ring_payload(buf: bytes, pk: crypto.PublicKey, width: int) -> crypto.CipherMatrix:
+    """The vector of *width* packed ciphertexts a ring payload is."""
+    C = crypto.parse_cipher_matrix(buf, pk)
+    if len(C.cells) != width:
+        raise ProtocolError(f"expected {width} packed ciphertexts, got {len(C.cells)}")
     return C
 
 
@@ -182,7 +143,6 @@ def _unpack_ring_payload(buf: bytes, pk: crypto.PublicKey,
 
 @dataclass
 class Transcript:
-    session_id: bytes
     initiator: str
     ring: tuple[str, ...]
     log: MessageLog = field(default_factory=MessageLog)
@@ -193,7 +153,6 @@ class Transcript:
 
     def to_json(self) -> dict:
         return {
-            "session_id": self.session_id.hex(),
             "initiator": self.initiator,
             "ring": list(self.ring),
             "messages": self.log.to_json(),
@@ -222,9 +181,7 @@ class _RingMember:
         self.layout: crypto.SlotLayout | None = None
 
     def on_public_key(self, payload: bytes) -> None:
-        pk, end = crypto.parse_public_key(payload)
-        if end != len(payload):
-            raise ProtocolError(f"{self.member_id}: trailing bytes after the key")
+        pk = crypto.parse_public_key(payload)
         # a smaller modulus than the session's could be factored by
         # anyone; one of its size holds a slot, as the params validated
         if pk.n.bit_length() != self.params.key_bits:
@@ -236,9 +193,8 @@ class _RingMember:
     def on_accumulate(self, payload: bytes, m: int) -> bytes:
         if self.pk is None:
             raise ProtocolError(f"{self.member_id}: key not yet received")
-        cells = stat_cells(m)
-        incoming = _unpack_ring_payload(payload, self.pk,
-                                        self.layout.plaintexts(cells))
+        incoming = _ring_payload(payload, self.pk,
+                                 self.layout.plaintexts(stat_cells(m)))
         stats = self.stats or zero_stats(m)
         with phase("encrypt"):
             entries = _encode_stats(stats, self.params.scale)
@@ -251,23 +207,23 @@ class _RingMember:
                 raise OverflowAbort(f"{self.member_id}: encoded entry {worst} exceeds "
                                     f"the bound {own} its {stats.n} rows allow")
             packed = self.layout.pack(entries)
-            mine = crypto.encrypt_encoded_matrix(self.pk, [packed],
-                                                 self.params.scale, self.rng)
+            mine = crypto.encrypt_encoded_matrix(self.pk, packed, self.rng)
         with phase("evaluate"):
             summed = crypto.add_cipher(incoming, mine)
         return crypto.serialize_cipher_matrix(summed)
 
 
 def run_ring_session(ring: list[str], initiator: str,
-                     stats_provider, params: crypto.HEParams,
-                     rng: random.Random,
+                     stats: Mapping[str, LocalStats | None],
+                     params: crypto.HEParams, rng: random.Random,
                      keygen_rng: random.Random | None = None) -> RingResult:
     """Execute one pooled-statistics session.
 
-    ``stats_provider(member_id)`` returns that member's
-    :class:`LocalStats` or None for an empty contribution.  The ring is
-    the declared order rotated to start at the initiator.  Message
-    complexity is exactly (n - 1) key broadcasts + n ring hops.
+    ``stats`` maps every ring member to its :class:`LocalStats`, or to
+    None for an empty contribution.  The ring is the declared order
+    rotated to start at the initiator.  Message complexity is exactly
+    (n - 1) key broadcasts + n ring hops, and each member parses the
+    bytes the transcript logs for it.
     """
     if len(ring) < 2:
         raise ProtocolError("a ring session needs at least two members")
@@ -275,13 +231,14 @@ def run_ring_session(ring: list[str], initiator: str,
         raise ProtocolError(f"initiator {initiator!r} not in ring")
     params.validate()
 
+    missing = [mid for mid in ring if mid not in stats]
+    if missing:
+        raise ProtocolError(f"no statistics entry for ring members {missing}")
     start = ring.index(initiator)
     order = list(ring[start:]) + list(ring[:start])
-    session_id = uuid.uuid4().bytes
     log = MessageLog()
 
-    member_stats = {mid: stats_provider(mid) for mid in order}
-    given = [s for s in member_stats.values() if s is not None]
+    given = [stats[mid] for mid in order if stats[mid] is not None]
     if not given:
         raise EmptyRelease("no member has anything to contribute")
     m = given[0].m
@@ -301,45 +258,42 @@ def run_ring_session(ring: list[str], initiator: str,
     width = layout.plaintexts(cells)
 
     members = {
-        mid: _RingMember(mid, member_stats[mid], params, rng)
+        mid: _RingMember(mid, stats[mid], params, rng)
         for mid in order[1:]
     }
 
     key_payload = crypto.serialize_public_key(pk)
     for mid in order[1:]:
-        log.send(initiator, mid, PHASE_PUBLIC_KEY,
-                 pack_envelope(session_id, PHASE_PUBLIC_KEY, initiator, key_payload))
-        members[mid].on_public_key(key_payload)
+        members[mid].on_public_key(log.send(initiator, mid, PHASE_PUBLIC_KEY,
+                                            key_payload).payload)
 
     # one uniform residue mask per packed plaintext; subtracted mod n at
     # the end, so the pooled output is independent of the draw
     mask = [rng.randrange(pk.n) for _ in range(width)]
     with phase("encrypt"):
-        acc = crypto.encrypt_residue_matrix(sk, [mask], params.scale, rng)
+        acc = crypto.encrypt_residue_matrix(sk, mask, rng)
 
     payload = crypto.serialize_cipher_matrix(acc)
     hops = order[1:] + [initiator]
     sender = initiator
     for receiver in hops:
-        log.send(sender, receiver, PHASE_RING,
-                 pack_envelope(session_id, PHASE_RING, sender, payload))
+        payload = log.send(sender, receiver, PHASE_RING, payload).payload
         if receiver != initiator:
             payload = members[receiver].on_accumulate(payload, m)
         sender = receiver
 
     with phase("decrypt"):
-        final = _unpack_ring_payload(payload, pk, width)
-        residues = crypto.decrypt_residue_matrix(sk, final)[0]
+        residues = crypto.decrypt_residue_matrix(sk, _ring_payload(payload, pk, width))
 
     try:
         sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
                               for r, mk in zip(residues, mask)], cells)
     except crypto.Overflow as exc:
         raise OverflowAbort(f"pooled statistics: {exc}") from exc
-    own = _encode_stats(member_stats[initiator] or zero_stats(m), params.scale)
+    own = _encode_stats(stats[initiator] or zero_stats(m), params.scale)
     O_pool, V_pool, n_pool = _decode_stats(
         [s + o for s, o in zip(sums, own)], m, params.scale)
-    transcript = Transcript(session_id, initiator, tuple(order), log, layout)
+    transcript = Transcript(initiator, tuple(order), log, layout)
     return RingResult(O_pool, V_pool, n_pool, transcript)
 
 
@@ -403,12 +357,8 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                     f"a corrupted initiator holding the session key"))
 
     if reference_stats and scale:
-        pk = None
-        for msg in transcript.log:
-            _, phase, _, payload = unpack_envelope(msg.payload)
-            if phase == PHASE_PUBLIC_KEY:
-                pk, _ = crypto.parse_public_key(payload)
-                break
+        pk = next((crypto.parse_public_key(msg.payload) for msg in transcript.log
+                   if msg.kind == PHASE_PUBLIC_KEY), None)
         if pk is not None:
             targets: dict[int, set[str]] = {}    # residue -> its holders
             for member, stats in reference_stats.items():
@@ -423,23 +373,21 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                     if enc != 0:
                         targets.setdefault(pk.from_signed(enc), set()).add(member)
             patterns = {
-                crypto.serialize_cipher_matrix(
-                    crypto.CipherMatrix(pk, scale, (1, 1), (residue,)))[12:]: holders
+                crypto.serialize_cipher_matrix(crypto.CipherMatrix(pk, (residue,))): holders
                 for residue, holders in targets.items()}
             for msg in transcript.log:
-                _, phase, sender, payload = unpack_envelope(msg.payload)
-                if phase != PHASE_RING:
+                if msg.kind != PHASE_RING:
                     continue
                 for pat, holders in patterns.items():
-                    if pat in payload:
+                    if pat in msg.payload:
                         findings.extend(LeakageFinding(
                             "plaintext_leak", member,
                             f"encoded statistic bytes appear in a ring payload "
-                            f"sent by {sender}") for member in sorted(holders))
-                for cell in _unpack_ring_payload(payload, pk).cells:
+                            f"sent by {msg.sender}") for member in sorted(holders))
+                for cell in crypto.parse_cipher_matrix(msg.payload, pk).cells:
                     if cell < pk.n:
                         findings.extend(LeakageFinding(
                             "plaintext_leak", member,
-                            f"plaintext-range cell in payload from {sender}")
+                            f"plaintext-range cell in payload from {msg.sender}")
                             for member in sorted(targets.get(cell, ())))
     return LeakageReport(tuple(findings))

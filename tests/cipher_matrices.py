@@ -2,7 +2,9 @@
 
 The ring packs its statistics into slots and never encrypts a matrix
 entry by entry; these helpers keep the entry-wise form that the tests
-use as an oracle for the homomorphic identities."""
+use as an oracle for the homomorphic identities.  A matrix is
+encrypted as the vector of its entries, row-major, and decrypts to
+that flat vector."""
 
 from __future__ import annotations
 
@@ -19,12 +21,10 @@ def encrypt_matrix(pk: PublicKey, M, scale: int,
                    rng: random.Random) -> CipherMatrix:
     """Element-wise encode + encrypt.  All entries are validated before
     the first ciphertext is produced, so overflow aborts cleanly."""
-    encoded = encode_matrix(M, scale)
-    return encrypt_encoded_matrix(pk, encoded, scale, rng)
+    return encrypt_encoded_matrix(pk, encode_matrix(M, scale), rng)
 
 
-def decrypt_matrix(sk: SecretKey, C: CipherMatrix) -> np.ndarray:
-    residues = decrypt_residue_matrix(sk, C)
+def decrypt_matrix(sk: SecretKey, C: CipherMatrix, scale: int) -> np.ndarray:
     pk = sk.public
-    return np.array([[decode_fixed(pk.to_signed(v), C.scale) for v in row]
-                     for row in residues])
+    return np.array([decode_fixed(pk.to_signed(v), scale)
+                     for v in decrypt_residue_matrix(sk, C)])

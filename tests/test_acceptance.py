@@ -275,7 +275,7 @@ def test_criterion_4_pooling_centralization_equivalence():
         stats = {ds.provenance: local_stats(ds) for ds in datasets}
         result = run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,
-            lambda mid: stats[mid], params, random.Random(trial))
+            stats, params, random.Random(trial))
 
         # encrypted-path pooled statistics vs plaintext sums
         O_sum = sum(s.O for s in stats.values())
@@ -320,7 +320,7 @@ def test_criterion_5_mask_and_key_properties(small_he_params):
                             dose=float(Y[i])) for i in range(40)]))
     pools = []
     for draw in range(5):
-        result = run_ring_session(members, "P1", lambda mid: stats[mid],
+        result = run_ring_session(members, "P1", stats,
                                   small_he_params, random.Random(1000 + draw))
         pools.append((result.O_pool, result.V_pool))
     for O, V in pools[1:]:
@@ -337,7 +337,7 @@ def test_criterion_5_mask_and_key_properties(small_he_params):
         B_mat = rng.uniform(-40, 40, (1, 2))
         D = decrypt_matrix(keys.secret, add_cipher(
             encrypt_matrix(keys.public, A_mat, scale, rand),
-            encrypt_matrix(keys.public, B_mat, scale, rand)))
+            encrypt_matrix(keys.public, B_mat, scale, rand)), scale)
         worst = max(worst, float(np.abs(D - (A_mat + B_mat)).max()))
         assert worst <= 1 / scale
     report(5, f"pooled output bitwise-identical across 5 mask draws; "
@@ -357,9 +357,8 @@ def test_criterion_6_leakage_predicates(small_he_params):
             Y = gen.uniform(1, 20, 30)
             from curie.ring import LocalStats
             stats[mid] = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 30)
-        result = run_ring_session(list(members), members[0],
-                                  lambda mid: stats[mid], small_he_params,
-                                  random.Random(len(members)))
+        result = run_ring_session(list(members), members[0], stats,
+                                  small_he_params, random.Random(len(members)))
         return stats, result.transcript
 
     # honest-but-curious non-initiators: zero findings

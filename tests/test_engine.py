@@ -441,6 +441,9 @@ def test_consortium_records_a_request_lacking_a_column_as_empty(monkeypatch):
     assert failed.status == "empty"
     assert "negotiation error" in failed.reason and "&age" in failed.reason
     assert by_pair[("M1", "M2")].status == "partial"    # nothing evaluated
+    # one pair exchange: negotiating the pair alone answers it alike
+    m1, _, m3 = build_contexts()
+    assert negotiate_pair(m1, m3, rng=random.Random(5)) == failed
 
 
 def _request_payload():

@@ -166,9 +166,9 @@ def test_session_bounds_come_from_the_consortium(monkeypatch):
     sessions = []
     ring = harness.run_ring_session
 
-    def recorded(ring_order, initiator, provider, params, rng):
+    def recorded(ring_order, initiator, stats, params, rng):
         sessions.append(params)
-        return ring(ring_order, initiator, provider, params, rng)
+        return ring(ring_order, initiator, stats, params, rng)
 
     monkeypatch.setattr(harness, "run_ring_session", recorded)
     calls = {"encrypt": 0, "decrypt": 0}
@@ -444,6 +444,8 @@ def test_bench_axes_shape():
         assert r["encrypted_total"] > 0
     with pytest.raises(ValueError):
         bench("bogus", [1])
+    with pytest.raises(ValueError, match="at least one run"):
+        bench("rows", [200], runs=0)
 
 
 def test_bench_sizes_its_ring_as_the_pipeline_does(monkeypatch):
@@ -453,9 +455,9 @@ def test_bench_sizes_its_ring_as_the_pipeline_does(monkeypatch):
     sizes = []
     run = harness.run_ring_session
 
-    def recorded(order, initiator, provider, params, rng, **kwargs):
-        sizes.append((params, [provider(mid).n for mid in order]))
-        return run(order, initiator, provider, params, rng, **kwargs)
+    def recorded(order, initiator, stats, params, rng, **kwargs):
+        sizes.append((params, [stats[mid].n for mid in order]))
+        return run(order, initiator, stats, params, rng, **kwargs)
 
     monkeypatch.setattr(harness, "run_ring_session", recorded)
     bench("members", [3], runs=1, key_bits=128, n_features=4, rows=200)
@@ -592,6 +594,19 @@ def test_cli_bench_smoke(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("axis,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--values", "200", "--runs", "0"], "argument --runs: invalid positive value: '0'"),
+    (["--values", "abc"], "argument --values: invalid counts value: 'abc'"),
+])
+def test_cli_bench_refuses_malformed_arguments(capsys, args, message):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["bench", "--axis", "rows", "--key-bits", "128", *args])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_cli_dp_sweep_smoke(tmp_path):

@@ -3,13 +3,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
-from curie.crypto import HEParams
+from curie import crypto
+from curie.crypto import HEParams, MalformedPayload
 from curie.data import RowFilter
 from curie.engine import Agreement
-from curie.errors import CurieError
 from curie.ring import (
+    PHASE_PUBLIC_KEY,
     PHASE_RING,
     EmptyRelease,
     LocalStats,
@@ -17,14 +17,11 @@ from curie.ring import (
     ProtocolError,
     audit_transcript,
     local_stats,
-    pack_envelope,
     run_ring_session,
     stat_cells,
-    unpack_envelope,
 )
 
 from conftest import count_crypto_calls
-from wire_fuzz import byte_mutations
 from worked_example import build_contexts
 
 
@@ -38,8 +35,7 @@ def _session(members, params, seed=3, m=4, empty=()):
     gen = np.random.default_rng(seed)
     stats = {mid: (None if mid in empty else _random_stats(gen, m))
              for mid in members}
-    result = run_ring_session(list(members), members[0],
-                              lambda mid: stats[mid], params,
+    result = run_ring_session(list(members), members[0], stats, params,
                               random.Random(seed))
     return stats, result
 
@@ -123,7 +119,7 @@ def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
         X = gen.integers(-4, 5, (10, 4)) / 4    # dyadic, so encoding is exact
         Y = gen.integers(0, 11, 10).astype(float)
         stats[mid] = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 10)
-    result = run_ring_session(["P1", "P2"], "P1", stats.get, params,
+    result = run_ring_session(["P1", "P2"], "P1", stats, params,
                               random.Random(0))
     assert result.transcript.layout.per_plaintext == 1
     np.testing.assert_array_equal(result.O_pool, stats["P1"].O + stats["P2"].O)
@@ -143,7 +139,7 @@ def test_more_rows_than_the_session_bound_abort_before_keygen(monkeypatch):
     calls = {"encrypt": 0, "decrypt": 0}
     count_crypto_calls(monkeypatch, calls)
     with pytest.raises(OverflowAbort, match="500 pooled rows"):
-        run_ring_session(members, "P1", lambda mid: stats, params,
+        run_ring_session(members, "P1", dict.fromkeys(members, stats), params,
                          random.Random(0))
     assert calls == {"encrypt": 0, "decrypt": 0}
 
@@ -175,8 +171,7 @@ def test_mask_invariance_bitwise(small_he_params):
     stats = {mid: _random_stats(gen, 3) for mid in members}
     pools = []
     for seed in (1, 22, 333, 4444, 55555):
-        result = run_ring_session(members, "P1", lambda mid: stats[mid],
-                                  small_he_params, random.Random(seed))
+        result = run_ring_session(members, "P1", stats, small_he_params, random.Random(seed))
         pools.append((result.O_pool, result.V_pool))
     for O, V in pools[1:]:
         assert np.array_equal(O, pools[0][0])
@@ -187,41 +182,36 @@ def test_ring_rotation_starts_at_initiator(small_he_params):
     members = ["P1", "P2", "P3", "P4"]
     gen = np.random.default_rng(5)
     stats = {mid: _random_stats(gen, 3) for mid in members}
-    result = run_ring_session(members, "P3", lambda mid: stats[mid],
-                              small_he_params, random.Random(0))
+    result = run_ring_session(members, "P3", stats, small_he_params, random.Random(0))
     assert result.transcript.ring == ("P3", "P4", "P1", "P2")
     O_exp = sum(s.O for s in stats.values())
     assert np.abs(result.O_pool - O_exp).max() <= 1e-5
 
 
-def test_envelope_roundtrip(small_he_params):
-    _, result = _session(["P1", "P2"], small_he_params)
+def test_every_message_parses_whole_with_its_receivers_parser(small_he_params):
+    # the transcript logs the bytes each member parses: a key of the
+    # session's size, then one vector of the session's width per hop
+    m = 4
+    _, result = _session(["P1", "P2", "P3", "P4"], small_he_params, m=m)
+    width = result.transcript.layout.plaintexts(stat_cells(m))
+    pk = None
     for msg in result.transcript.log:
-        session_id, phase, sender, payload = unpack_envelope(msg.payload)
-        assert session_id == result.transcript.session_id
-        assert sender == msg.sender
-        assert phase == msg.kind
+        if msg.kind == PHASE_PUBLIC_KEY:
+            pk = crypto.parse_public_key(msg.payload)
+            assert pk.n.bit_length() == small_he_params.key_bits
+        else:
+            assert msg.kind == PHASE_RING
+            C = crypto.parse_cipher_matrix(msg.payload, pk)
+            assert len(C.cells) == width
+            assert crypto.serialize_cipher_matrix(C) == msg.payload
 
 
-@pytest.mark.parametrize("buf", [b"", b"\x01", b"\x02" + bytes(18),
-                                 b"\x01" + bytes(16) + b"\x09\x00",
-                                 b"\x01" + bytes(16) + b"\x02\x05P1"])
-def test_malformed_envelopes_raise_protocol_error(buf):
-    with pytest.raises(ProtocolError):
-        unpack_envelope(buf)
-
-
-_ENVELOPE = pack_envelope(bytes(range(16)), PHASE_RING, "P1", b"payload")
-
-
-@settings(max_examples=300, deadline=None)
-@given(byte_mutations(_ENVELOPE))
-def test_unpack_envelope_total_on_arbitrary_bytes(blob):
-    try:
-        fields = unpack_envelope(blob)
-    except CurieError:
-        return
-    assert pack_envelope(*fields) == blob
+def test_a_missing_ring_member_is_a_protocol_error(small_he_params):
+    gen = np.random.default_rng(2)
+    with pytest.raises(ProtocolError, match="P3"):
+        run_ring_session(["P1", "P2", "P3"], "P1",
+                         {"P1": _random_stats(gen, 2), "P2": None},
+                         small_he_params, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +263,7 @@ def test_n_party_predecessor_successor_rule(small_he_params):
 
 def test_plaintext_injection_is_caught(small_he_params):
     # simulate a buggy member that forwards plaintext statistics
-    from curie import crypto
-    from curie.ring import PHASE_RING, Transcript, pack_envelope
+    from curie.ring import Transcript
     from curie.transport import MessageLog
 
     keys = crypto.keygen(small_he_params, random.Random(0))
@@ -283,15 +272,11 @@ def test_plaintext_injection_is_caught(small_he_params):
     scale = small_he_params.scale
     encoded = crypto.encode_matrix(stats["P2"].O, scale)
     leaked = crypto.CipherMatrix(
-        keys.public, scale, (2, 2),
-        tuple(keys.public.from_signed(k) for row in encoded for k in row))
+        keys.public, tuple(keys.public.from_signed(k) for k in encoded))
     log = MessageLog()
-    log.send("P1", "P2", "public_key", pack_envelope(
-        b"s" * 16, "public_key", "P1", crypto.serialize_public_key(keys.public)))
-    log.send("P2", "P1", PHASE_RING, pack_envelope(
-        b"s" * 16, PHASE_RING, "P2",
-        crypto.serialize_cipher_matrix(leaked)))
-    transcript = Transcript(b"s" * 16, "P1", ("P1", "P2"), log)
+    log.send("P1", "P2", PHASE_PUBLIC_KEY, crypto.serialize_public_key(keys.public))
+    log.send("P2", "P1", PHASE_RING, crypto.serialize_cipher_matrix(leaked))
+    transcript = Transcript("P1", ("P1", "P2"), log)
     report = audit_transcript(transcript, corrupted=set(),
                               reference_stats=stats, scale=scale)
     assert any(f.kind == "plaintext_leak" for f in report.findings)
@@ -313,7 +298,6 @@ def test_transcript_json_export(small_he_params):
 def _forward_packed_plaintext(transcript, stats, member, params):
     """The transcript with *member*'s ring payload replaced by its packed
     plaintexts, as a buggy member forwarding them would send it."""
-    from curie import crypto
     from curie.ring import Transcript, _encode_stats
     from curie.transport import MessageLog
 
@@ -322,18 +306,14 @@ def _forward_packed_plaintext(transcript, stats, member, params):
     log = MessageLog()
     for msg in transcript.log:
         payload = msg.payload
-        session_id, phase, sender, body = unpack_envelope(payload)
-        if phase == "public_key":
-            pk, _ = crypto.parse_public_key(body)
-        elif sender == member:
+        if msg.kind == PHASE_PUBLIC_KEY:
+            pk = crypto.parse_public_key(payload)
+        elif msg.sender == member:
             packed = layout.pack(_encode_stats(stats[member], params.scale))
-            leaked = crypto.CipherMatrix(pk, params.scale, (1, len(packed)),
-                                         tuple(pk.from_signed(P) for P in packed))
-            payload = pack_envelope(session_id, phase, sender,
-                                    crypto.serialize_cipher_matrix(leaked))
+            leaked = crypto.CipherMatrix(pk, tuple(pk.from_signed(P) for P in packed))
+            payload = crypto.serialize_cipher_matrix(leaked)
         log.send(msg.sender, msg.receiver, msg.kind, payload)
-    return Transcript(transcript.session_id, transcript.initiator,
-                      transcript.ring, log, layout)
+    return Transcript(transcript.initiator, transcript.ring, log, layout)
 
 
 def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
@@ -364,7 +344,7 @@ def test_a_leak_of_a_shared_plaintext_names_every_holder(small_he_params):
     gen = np.random.default_rng(5)
     shared = _random_stats(gen, 4)
     stats = {"P1": _random_stats(gen, 4, rows=40), "P2": shared, "P3": shared}
-    result = run_ring_session(["P1", "P2", "P3"], "P1", stats.get,
+    result = run_ring_session(["P1", "P2", "P3"], "P1", stats,
                               small_he_params, random.Random(5))
     forged = _forward_packed_plaintext(result.transcript, stats, "P2",
                                        small_he_params)
@@ -375,7 +355,6 @@ def test_a_leak_of_a_shared_plaintext_names_every_holder(small_he_params):
 
 
 def _member_with_key(small_he_params, stats):
-    from curie import crypto
     from curie.ring import _RingMember
 
     keys = crypto.keygen(small_he_params, random.Random(0))
@@ -388,7 +367,6 @@ def test_a_member_refuses_a_key_of_another_size(small_he_params):
     # a 64-bit modulus holds a slot of this session but anyone can factor it
     from dataclasses import replace
 
-    from curie import crypto
     from curie.ring import _RingMember
 
     member = _RingMember("P2", None, small_he_params, random.Random(1))
@@ -400,28 +378,25 @@ def test_a_member_refuses_a_key_of_another_size(small_he_params):
 
 
 def test_ring_payload_must_be_one_packed_matrix(small_he_params):
-    from curie import crypto
-
     m = 3
     pk, member = _member_with_key(small_he_params, None)
     width = member.layout.plaintexts(stat_cells(m))
 
-    def payload(*shapes):
+    def payload(*lengths):
         return b"".join(crypto.serialize_cipher_matrix(crypto.encrypt_encoded_matrix(
-            pk, [[0] * cols for _ in range(rows)], small_he_params.scale,
-            random.Random(2))) for rows, cols in shapes)
+            pk, [0] * length, random.Random(2))) for length in lengths)
 
-    member.on_accumulate(payload((1, width)), m)
-    for shapes in ([(1, width + 1)], [(1, width - 1)], [(width, 1)],
-                   [(1, width), (1, width)], [(1, width), (1, 1)]):
+    member.on_accumulate(payload(width), m)
+    for lengths in ([width + 1], [width - 1], [width, width], [width, 1]):
         with pytest.raises(ProtocolError):
-            member.on_accumulate(payload(*shapes), m)
+            member.on_accumulate(payload(*lengths), m)
+    for tail in (b"\x00", b"\x00\x00\x00\x05\x01"):
+        with pytest.raises(MalformedPayload):
+            member.on_accumulate(payload(width) + tail, m)
 
 
 def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
                                                             monkeypatch):
-    from curie import crypto
-
     m = 2
     bound = small_he_params.entry_bound / small_he_params.scale
     huge = LocalStats(np.array([[1.0, 0.0], [0.0, 2 * bound]]),
@@ -430,7 +405,7 @@ def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
     count_crypto_calls(monkeypatch, calls)
     stats = {"P1": None, "P2": huge, "P3": huge}
     with pytest.raises(OverflowAbort, match="P2"):
-        run_ring_session(["P1", "P2", "P3"], "P1", stats.get, small_he_params,
+        run_ring_session(["P1", "P2", "P3"], "P1", stats, small_he_params,
                          random.Random(0))
     keys = crypto.keygen(small_he_params, random.Random(0))
     layout = crypto.SlotLayout.for_key(small_he_params, keys.public)
@@ -445,7 +420,7 @@ def test_members_within_the_pooled_bound_that_overflow_a_slot_abort():
     stats = LocalStats(X.T @ X, (X.T @ np.full(100, 0.5)).reshape(-1, 1), 100)
     members = ["P1", "P2", "P3", "P4", "P5"]
     with pytest.raises(OverflowAbort, match="P2"):
-        run_ring_session(members, "P1", lambda mid: stats, params,
+        run_ring_session(members, "P1", dict.fromkeys(members, stats), params,
                          random.Random(0))
 
 
