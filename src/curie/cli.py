@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``parse``/``lint`` for policy files, ``negotiate`` /
-``simulate`` / ``dp-sweep`` / ``bench`` for consortium configs.
+``simulate [--dp]`` / ``bench`` for consortium configs.
 
 Exit codes: 0 on success, 1 when diagnostics contain errors (or
 parsing fails), 2 on runtime failure.
@@ -76,10 +76,6 @@ def cmd_simulate(args) -> int:
 
 # argparse reports a ValueError in these as a usage error
 
-def numbers(text: str) -> list[float]:
-    return [float(e) for e in text.split(",")]
-
-
 def counts(text: str) -> list[int]:
     return [int(e) for e in text.split(",")]
 
@@ -89,12 +85,6 @@ def positive(text: str) -> int:
     if value < 1:
         raise ValueError(text)
     return value
-
-
-def cmd_dp_sweep(args) -> int:
-    cfg = harness.load_config(args.config)
-    _emit(harness.dp_sweep(cfg, args.eps, args.reps), args.out)
-    return 0
 
 
 def cmd_bench(args) -> int:
@@ -144,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("dp-sweep", help="privacy-budget accuracy table")
-    p.add_argument("config")
-    p.add_argument("--eps", type=numbers, help="comma-separated budgets (default: config)")
-    p.add_argument("--reps", type=int, default=None,
-                   help="repetitions per budget (default: config)")
-    p.add_argument("--out", help="write the JSON table here")
-    p.set_defaults(func=cmd_dp_sweep)
-
     p = sub.add_parser("bench", help="phase timing table along one axis")
     p.add_argument("config", nargs="?",
                    help="optional consortium config supplying seed and key size")
@@ -159,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, type=counts,
                    help="comma-separated axis values")
     p.add_argument("--runs", type=positive, default=3)
-    p.add_argument("--key-bits", type=int, default=None)
+    p.add_argument("--key-bits", type=positive, default=None)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench)
 

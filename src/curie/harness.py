@@ -11,9 +11,9 @@ Scenario modes:
 
 * ``negotiate``: stop after pairwise negotiation; the report is
   byte-deterministic for a given config and seed (timings excluded),
-* ``full``: negotiate, run one ring session for the designated
-  initiator, fit pooled and per-member local models, score them on the
-  mixed held-out cohort,
+* ``full``: negotiate, fit per-member local models, run one ring
+  session for the designated initiator, fit the pooled model, and score
+  the models on the mixed held-out cohort,
 * ``full_dp``: additionally sweep the configured privacy budgets.
 """
 
@@ -58,9 +58,7 @@ from curie.regression import (
     solve_ols_pruned,
     validation_doses,
 )
-from curie.ring import EmptyRelease, LocalStats, RingResult, local_stats, \
-    run_ring_session
-from curie.transport import MessageLog
+from curie.ring import EmptyRelease, LocalStats, local_stats, run_ring_session
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -96,13 +94,11 @@ class MemberSpec:
 
 @dataclass(frozen=True)
 class DPSettings:
-    enabled: bool = False
     epsilons: tuple[float, ...] = (0.25, 1.0, 5.0, 20.0, 50.0, 100.0)
     repetitions: int = 100
 
     def __post_init__(self) -> None:
-        if self.enabled and not (self.epsilons
-                                 and all(0 < e < math.inf for e in self.epsilons)):
+        if not (self.epsilons and all(0 < e < math.inf for e in self.epsilons)):
             raise ConfigError("dp.epsilons", "privacy budgets must be positive and finite")
         if self.repetitions < 1:
             raise ConfigError("dp.repetitions", "repetitions must be at least 1")
@@ -139,6 +135,26 @@ def _reject_unknown_keys(obj: Mapping, known: frozenset[str], where: str) -> Non
         raise ConfigError(f"{where}{unknown[0]}", "unknown config key")
 
 
+_JSON_KINDS = {"object": dict, "array": list, "string": str,
+               "integer": int, "number": (int, float)}
+
+
+def _typed(value: object, kind: str, where: str):
+    """*value*, if it is a JSON value of *kind*; otherwise raise
+    :class:`ConfigError` naming *where*.  No config field is a boolean,
+    so a JSON ``true``, which Python reads as the integer 1, passes for
+    no kind."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ConfigError(where, f"must be a JSON {kind}")
+    return value
+
+
+def _typed_items(value: object, kind: str, where: str) -> list:
+    """The items of the JSON array *value*, each a JSON value of *kind*."""
+    return [_typed(item, kind, f"{where}[{i}]")
+            for i, item in enumerate(_typed(value, "array", where))]
+
+
 def _seed_for(master: int, label: str) -> int:
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -147,8 +163,8 @@ def _seed_for(master: int, label: str) -> int:
 def load_config(path: str | Path) -> ConsortiumConfig:
     """Load and validate a consortium config file.
 
-    Raises :class:`ConfigError` carrying the offending field path,
-    also for any key it does not know.
+    Raises :class:`ConfigError` carrying the offending field path for
+    any key it does not know and for any value of the wrong JSON kind.
     """
     path = Path(path)
     try:
@@ -158,15 +174,19 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
 
-    if raw.get("version") != CONFIG_VERSION:
+    _typed(raw, "object", str(path))
+    if raw.get("version") != CONFIG_VERSION or isinstance(raw.get("version"), bool):
         raise ConfigError("version", f"expected config version {CONFIG_VERSION}")
     _reject_unknown_keys(raw, _CONFIG_KEYS, "")
     base = path.parent
 
+    schema_raw = _typed(raw.get("schema"), "object", "schema")
     try:
-        schema = Schema.from_json(raw["schema"])
+        schema = Schema.from_json(schema_raw)
     except KeyError as exc:
         raise ConfigError("schema", f"missing field {exc}") from None
+    except (TypeError, ValueError) as exc:    # a nested value of the wrong kind
+        raise ConfigError("schema", f"malformed schema: {exc}") from None
     except CurieError as exc:
         raise ConfigError("schema", str(exc)) from None
     for col in schema.columns:
@@ -177,30 +197,33 @@ def load_config(path: str | Path) -> ConsortiumConfig:
 
     members: list[MemberSpec] = []
     seen: set[str] = set()
-    for i, m in enumerate(raw.get("members", [])):
+    for i, m in enumerate(_typed_items(raw.get("members", []), "object", "members")):
         where = f"members[{i}]"
         _reject_unknown_keys(m, _MEMBER_KEYS, f"{where}.")
         mid = m.get("id")
         if not mid:
             raise ConfigError(f"{where}.id", "member id is required")
+        _typed(mid, "string", f"{where}.id")
         if mid in seen:
             raise ConfigError(f"{where}.id", f"duplicate member id {mid!r}")
         seen.add(mid)
         if "policy" not in m:
             raise ConfigError(f"{where}.policy", "policy file is required")
-        policy_path = base / m["policy"]
+        policy_path = base / _typed(m["policy"], "string", f"{where}.policy")
         if not policy_path.exists():
             raise ConfigError(f"{where}.policy", f"no such file: {policy_path}")
         dataset_path = None
         synth = None
         if "dataset" in m:
-            dataset_path = base / m["dataset"]
+            dataset_path = base / _typed(m["dataset"], "string", f"{where}.dataset")
             if not dataset_path.exists():
                 raise ConfigError(f"{where}.dataset", f"no such file: {dataset_path}")
         elif "synth" in m:
-            _reject_unknown_keys(m["synth"], _SYNTH_KEYS, f"{where}.synth.")
+            synth_raw = _typed(m["synth"], "object", f"{where}.synth")
+            _reject_unknown_keys(synth_raw, _SYNTH_KEYS, f"{where}.synth.")
+            _typed(synth_raw.get("n"), "integer", f"{where}.synth.n")
             try:
-                synth = SynthProfile.from_json({"member_id": mid, **m["synth"]})
+                synth = SynthProfile.from_json({"member_id": mid, **synth_raw})
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}.synth", str(exc)) from None
         else:
@@ -210,45 +233,49 @@ def load_config(path: str | Path) -> ConsortiumConfig:
             policy_path=policy_path,
             dataset_path=dataset_path,
             synth=synth,
-            attributes=dict(m.get("attributes", {})),
-            alliances=frozenset(m.get("alliances", ())),
+            attributes=dict(_typed(m.get("attributes", {}), "object",
+                                   f"{where}.attributes")),
+            alliances=frozenset(_typed_items(m.get("alliances", []), "string",
+                                             f"{where}.alliances")),
         ))
     if len(members) < 2:
         raise ConfigError("members", "a consortium needs at least two members")
 
-    ring_order = tuple(raw.get("ring_order", [m.member_id for m in members]))
+    ring_order = tuple(_typed_items(raw.get("ring_order", [m.member_id for m in members]),
+                                    "string", "ring_order"))
     if sorted(ring_order) != sorted(m.member_id for m in members):
         raise ConfigError("ring_order", "must be a permutation of the member ids")
-    initiator = raw.get("initiator", ring_order[0])
+    initiator = _typed(raw.get("initiator", ring_order[0]), "string", "initiator")
     if initiator not in ring_order:
         raise ConfigError("initiator", f"{initiator!r} is not a member")
 
-    he_raw = raw.get("he", {})
+    he_raw = _typed(raw.get("he", {}), "object", "he")
     _reject_unknown_keys(he_raw, _HE_KEYS, "he.")
-    he = HEParams(
-        key_bits=int(he_raw.get("key_bits", 2048)),
-        scale_bits=int(he_raw.get("scale_bits", 20)),
-    )
+    he = HEParams(**{k: _typed(v, "integer", f"he.{k}") for k, v in he_raw.items()})
     try:
         he.validate()
     except CurieError as exc:
         raise ConfigError("he", str(exc)) from None
 
-    dp_raw = raw.get("dp", {})
+    dp_raw = _typed(raw.get("dp", {}), "object", "dp")
     _reject_unknown_keys(dp_raw, _DP_KEYS, "dp.")
-    dp = DPSettings(
-        enabled=bool(dp_raw.get("enabled", False)),
-        epsilons=tuple(float(e) for e in dp_raw.get("epsilons", DPSettings.epsilons)),
-        repetitions=int(dp_raw.get("repetitions", DPSettings.repetitions)),
-    )
+    epsilons = _typed_items(dp_raw.get("epsilons", [*DPSettings.epsilons]), "number",
+                            "dp.epsilons")
+    dp = DPSettings(tuple(map(float, epsilons)), _typed(
+        dp_raw.get("repetitions", DPSettings.repetitions), "integer", "dp.repetitions"))
 
-    seed = int(os.environ.get(SEED_ENV_VAR, raw.get("seed", 0)))
-    holdout = float(raw.get("holdout_fraction", 0.25))
+    seed = _typed(raw.get("seed", 0), "integer", "seed")
+    if SEED_ENV_VAR in os.environ:
+        try:
+            seed = int(os.environ[SEED_ENV_VAR])
+        except ValueError:
+            raise ConfigError(SEED_ENV_VAR, "must be an integer") from None
+    holdout = float(_typed(raw.get("holdout_fraction", 0.25), "number", "holdout_fraction"))
     if not 0.0 <= holdout < 1.0:
         raise ConfigError("holdout_fraction", "must lie in [0, 1)")
 
     return ConsortiumConfig(
-        name=raw.get("name", path.stem),
+        name=_typed(raw.get("name", path.stem), "string", "name"),
         schema=schema,
         members=tuple(members),
         ring_order=ring_order,
@@ -373,34 +400,36 @@ class ScenarioReport:
                           separators=(",", ":"))
 
 
-def _fit_local_model(scenario: Scenario, ctx: MemberContext) -> DoseModel | None:
-    bounds = scenario.config.schema.bounds
-    try:
-        stats = local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
-        eta = solve_ols_pruned(stats.O, stats.V)
-    except (EmptyRelease, SingularMatrix):    # no rows, or no unique fit
+def _local_clinical(scenario: Scenario, stats: LocalStats | None) -> ClinicalReport | None:
+    """The scores of the model a member fits from *stats*, its
+    statistics over its own rows; None without rows, without a unique
+    fit or without a validation cohort."""
+    if stats is None or scenario.validation is None:
         return None
-    return DoseModel(eta, scenario.encoding, bounds)
+    try:
+        eta = solve_ols_pruned(stats.O, stats.V)
+    except SingularMatrix:
+        return None
+    return clinical_metrics(DoseModel(eta, scenario.encoding, scenario.config.schema.bounds),
+                            scenario.validation)
 
 
-def _member_stats(scenario: Scenario, agreements: Sequence[Agreement]
-                  ) -> dict[str, LocalStats | None]:
-    """Each ring member's statistics for the initiator's session: the
-    initiator's own rows, and what each owner's agreement releases to
-    it (None where nothing is released)."""
+def _member_stats(scenario: Scenario, agreements: Sequence[Agreement],
+                  own: LocalStats) -> dict[str, LocalStats | None]:
+    """Each ring member's statistics for the initiator's session: *own*,
+    the initiator's over its own rows, and what each owner's agreement
+    releases to it (None where nothing is released)."""
     cfg = scenario.config
-    bounds = cfg.schema.bounds
     by_owner = {a.owner: a for a in agreements if a.requester == cfg.initiator}
 
     def member(member_id: str) -> LocalStats | None:
-        ctx = scenario.context(member_id)
         if member_id == cfg.initiator:
-            return local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
+            return own
         if member_id not in by_owner:
             return None
         try:
-            return local_stats(ctx.dataset, by_owner[member_id],
-                               bounds=bounds, encoding=scenario.encoding)
+            return local_stats(scenario.context(member_id).dataset, by_owner[member_id],
+                               bounds=cfg.schema.bounds, encoding=scenario.encoding)
         except EmptyRelease:    # an empty agreement, or no row selected
             return None
 
@@ -414,46 +443,26 @@ def _session_params(he: HEParams, rows: Sequence[int]) -> HEParams:
     return replace(he, v_max=1.0, n_max=sum(rows))
 
 
-def _negotiate_and_pool(cfg: ConsortiumConfig, pool: bool
-                        ) -> tuple[Scenario, list[Agreement], MessageLog,
-                                   RingResult | None]:
-    """The pipeline both :func:`run_scenario` and :func:`dp_sweep`
-    drive: build the scenario, negotiate every pair, and, when *pool* is
-    set and the initiator acquired something, run the initiator's ring
-    session.  Each phase's wall time lands in the active recorder."""
-    with phase("build"):
-        scenario = build_scenario(cfg)
-    with phase("negotiation"):
-        agreements, nego_log = negotiate_consortium(
-            scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")))
-
-    if not pool or not any(a.requester == cfg.initiator for a in agreements):
-        # negotiation only, or nothing acquired (single-source
-        # policies): no ring session and no pooled model
-        return scenario, agreements, nego_log, None
-    params = _session_params(cfg.he, [ctx.profile.data_size
-                                     for ctx in scenario.contexts])
-    result = run_ring_session(
-        list(cfg.ring_order), cfg.initiator,
-        _member_stats(scenario, agreements),
-        params, random.Random(_seed_for(cfg.seed, "ring")))
-    return scenario, agreements, nego_log, result
-
-
 def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport:
-    """Negotiate, optionally aggregate and model, and assemble a report.
+    """Build and negotiate; past ``negotiate``, fit local models, pool
+    through the ring and fit the pooled model; in ``full_dp``, sweep the
+    budgets.
 
     The ``negotiate`` mode's report is byte-identical across runs for
     one config+seed (serialize with ``include_timings=False``).  Its
     ``timings`` are the run's phases; ``dd`` is a part of ``negotiation``.
+    ``full_dp`` raises :class:`ConfigError` when the initiator acquires
+    nothing, as there is then no pooled model to sweep.
     """
     if mode not in (MODE_NEGOTIATE, MODE_FULL, MODE_FULL_DP):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_FULL_DP and not cfg.dp.enabled:
-        raise ConfigError("dp.enabled", "dp sweep requested but dp is disabled")
+    bounds = cfg.schema.bounds
     with recording() as timings:
-        scenario, agreements, nego_log, result = _negotiate_and_pool(
-            cfg, pool=mode != MODE_NEGOTIATE)
+        with phase("build"):
+            scenario = build_scenario(cfg)
+        with phase("negotiation"):
+            agreements, nego_log = negotiate_consortium(
+                scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")))
         timings.setdefault("dd", 0.0)
         report = ScenarioReport(
             consortium=cfg.name,
@@ -467,34 +476,51 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         if mode == MODE_NEGOTIATE:
             return report
 
-        # local models always come out of a full run
+        # single-source policies: no ring session and no pooled model
+        pools = any(a.requester == cfg.initiator for a in agreements)
+        if mode == MODE_FULL_DP and not pools:
+            raise ConfigError("initiator", f"{cfg.initiator!r} acquires nothing, "
+                                           "so there is no pooled model to sweep")
+
+        # each member's statistics over its own rows, computed once, fit
+        # its local model; the initiator's are its ring contribution
         with phase("local_models"):
             for ctx in scenario.contexts:
+                try:
+                    own = local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
+                except EmptyRelease:    # no training rows
+                    if pools and ctx.member_id == cfg.initiator:
+                        raise
+                    own = None
+                if ctx.member_id == cfg.initiator:
+                    initiator_stats = own
                 report.local_rows[ctx.member_id] = ctx.dataset.n
-                model = _fit_local_model(scenario, ctx)
-                if model is not None and scenario.validation is not None:
-                    report.local_clinical[ctx.member_id] = clinical_metrics(
-                        model, scenario.validation)
-                else:
-                    report.local_clinical[ctx.member_id] = None
-
-        if result is None:
+                report.local_clinical[ctx.member_id] = _local_clinical(scenario, own)
+        if not pools:
             return report
+
+        with phase("stats"):
+            stats = _member_stats(scenario, agreements, initiator_stats)
+        result = run_ring_session(
+            list(cfg.ring_order), cfg.initiator, stats,
+            _session_params(cfg.he, [ctx.profile.data_size for ctx in scenario.contexts]),
+            random.Random(_seed_for(cfg.seed, "ring")))
         report.message_counts["ring"] = len(result.transcript)
         report.pooled_rows = result.n_pool
 
         with phase("pooled_model"):
             eta = solve_ols_pruned(result.O_pool, result.V_pool)
-            report.pooled_model = DoseModel(eta, scenario.encoding, cfg.schema.bounds)
+            report.pooled_model = DoseModel(eta, scenario.encoding, bounds)
             if scenario.validation is not None:
                 report.pooled_clinical = clinical_metrics(report.pooled_model,
                                                           scenario.validation)
 
         if mode == MODE_FULL_DP:
+            local = report.local_clinical[cfg.initiator]
             with phase("dp_sweep"):
                 report.dp_table = dp_sweep_from_stats(
                     result.O_pool, result.V_pool, scenario, cfg.dp.epsilons,
-                    cfg.dp.repetitions)
+                    cfg.dp.repetitions, local.mae if local is not None else None)
         return report
 
 
@@ -518,24 +544,20 @@ def bootstrap_ci(values: np.ndarray, rng: np.random.Generator
 def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
                         scenario: Scenario,
                         epsilons: Sequence[float], repetitions: int,
-                        keep_samples: bool = False) -> list[dict]:
+                        local_mae: float | None) -> list[dict]:
     """Per-budget accuracy table for the private pooled model.
 
     For each epsilon, ``repetitions`` private models are fitted from
     fresh noise draws and scored on the mixed held-out cohort; the
     table carries the mean MAE with a bootstrap CI, plus the advantage
-    over the initiator's own non-private local model (the alternative a
-    member always has) with its CI.
+    over *local_mae*, the initiator's own non-private local model's (the
+    alternative a member always has), with its CI.
     """
     cfg = scenario.config
     if scenario.validation is None:
         raise ConfigError("holdout_fraction",
                           "dp sweep needs a held-out validation cohort")
     d = scenario.encoding.width
-    initiator_ctx = scenario.context(cfg.initiator)
-    local_model = _fit_local_model(scenario, initiator_ctx)
-    local_mae = (clinical_metrics(local_model, scenario.validation).mae
-                 if local_model is not None else None)
 
     # the cohort is encoded once; each budget's repetitions are scored
     # together against it
@@ -567,28 +589,8 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
             row["local_mae"] = local_mae
             row["advantage_mean"] = float(adv.mean())
             row["advantage_ci"] = [alo, ahi] if repetitions > 1 else None
-        if keep_samples:
-            row["maes"] = maes.tolist()
         table.append(row)
     return table
-
-
-def dp_sweep(cfg: ConsortiumConfig, epsilons: Sequence[float] | None = None,
-             repetitions: int | None = None,
-             keep_samples: bool = False) -> list[dict]:
-    """Run the full pipeline, then sweep the given budgets (default: the
-    config's).  Raises :class:`ConfigError` before any work on settings
-    :class:`DPSettings` refuses, and when the initiator acquires nothing."""
-    if not cfg.dp.enabled:
-        raise ConfigError("dp.enabled", "dp sweep requires dp.enabled")
-    dp = DPSettings(True, cfg.dp.epsilons if epsilons is None else tuple(epsilons),
-                    cfg.dp.repetitions if repetitions is None else repetitions)
-    scenario, _, _, result = _negotiate_and_pool(cfg, pool=True)
-    if result is None:
-        raise ConfigError("initiator", f"{cfg.initiator!r} acquires nothing, "
-                                       "so there is no pooled model to sweep")
-    return dp_sweep_from_stats(result.O_pool, result.V_pool, scenario,
-                               dp.epsilons, dp.repetitions, keep_samples=keep_samples)
 
 
 # --------------------------------------------------------------------------

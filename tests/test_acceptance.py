@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from curie import cpl
+from curie import cpl, harness
 from curie.cpl import ast as A
 from curie.crypto import HEParams, add_cipher, keygen
 from curie.data import (
@@ -25,7 +25,7 @@ from curie.data import (
 )
 from curie.ddstats import compute_statistic
 from curie.engine import MemberContext, negotiate_consortium, negotiate_pair
-from curie.harness import bench, dp_sweep, load_config
+from curie.harness import MODE_FULL_DP, bench, load_config, run_scenario
 from curie.regression import solve_ols, solve_ols_pruned
 from curie.ring import audit_transcript, local_stats, run_ring_session
 
@@ -468,10 +468,25 @@ def _diff_ci_upper(a, b, rng, draws=2000):
     return float(np.quantile(diffs, 0.975))
 
 
-def test_criterion_8_dp_direction():
+def test_criterion_8_dp_direction(monkeypatch):
     t0 = time.perf_counter()
     cfg = load_config(config_path("default_dp"))
-    table = dp_sweep(cfg, repetitions=100, keep_samples=True)
+    assert cfg.dp.repetitions == 100
+    # the sweep scores each budget's 100 models in one call; keep the
+    # per-repetition MAEs of that call
+    samples = []
+    score = harness.mean_absolute_errors
+
+    def kept(*args):
+        maes = score(*args)
+        samples.append(maes.tolist())
+        return maes
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "mean_absolute_errors", kept)
+        table = run_scenario(cfg, MODE_FULL_DP).dp_table
+    for row, maes in zip(table, samples, strict=True):
+        row["maes"] = maes
     epsilons = [row["epsilon"] for row in table]
     assert epsilons == [0.25, 1.0, 5.0, 20.0, 50.0, 100.0]
 

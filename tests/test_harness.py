@@ -16,17 +16,41 @@ from curie.harness import (
     ConfigError,
     DPSettings,
     bench,
-    dp_sweep,
     load_config,
     run_scenario,
 )
-from curie.ring import OverflowAbort
+from curie.ring import EmptyRelease, OverflowAbort
 
 from conftest import CONSORTIA_DIR, config_path, count_crypto_calls
 
 
 # ---------------------------------------------------------------------------
 # config loading
+
+def _write_config(tmp_path, name, edit):
+    """A copy of consortium *name* whose config is ``edit(raw)`` for its
+    config JSON *raw*; returns the copy's config path."""
+    raw = json.loads(config_path(name).read_text())
+    shutil.copytree(config_path(name).parent, tmp_path / "c", dirs_exist_ok=True)
+    target = tmp_path / "c" / "config.json"
+    target.write_text(json.dumps(edit(raw)))
+    return target
+
+
+def _setting(*path_and_value):
+    """An edit that sets the config field at the given keys and indices
+    to the last argument."""
+    *path, value = path_and_value
+
+    def edit(raw):
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        return raw
+
+    return edit
+
 
 def test_example3_config_loads_with_policies():
     cfg = load_config(config_path("example3"))
@@ -67,6 +91,8 @@ def test_duplicate_member_id_rejected(tmp_path):
         (("he",), "he.m_max"),
         (("he",), "he.v_max"),
         (("dp",), "dp.epsilon"),
+        # --dp (mode full_dp) is the one switch for the privacy sweep
+        (("dp",), "dp.enabled"),
         (("members", 1), "members[1].alliance"),
         (("members", 2, "synth"), "members[2].synth.noise_sigam"),
     ]])
@@ -119,6 +145,47 @@ def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("CURIE_SEED", "424242")
     cfg = load_config(config_path("example3"))
     assert cfg.seed == 424242
+
+
+@pytest.mark.parametrize("edit, env, where", [
+    pytest.param(edit, env, where, id=case) for case, edit, env, where in [
+        ("top-level array", lambda raw: [raw], None, None),
+        ("he not an object", _setting("he", 5), None, "he"),
+        ("schema an array", _setting("schema", [1]), None, "schema"),
+        ("synth not an object", _setting("members", 0, "synth", 5), None,
+         "members[0].synth"),
+        ("attributes an array", _setting("members", 0, "attributes", [1, 2]), None,
+         "members[0].attributes"),
+        ("key_bits a string", _setting("he", "key_bits", "abc"), None, "he.key_bits"),
+        ("epsilon a string", _setting("dp", "epsilons", ["x"]), None,
+         "dp.epsilons[0]"),
+        ("repetitions a string", _setting("dp", "repetitions", "many"), None,
+         "dp.repetitions"),
+        ("holdout a string", _setting("holdout_fraction", "x"), None,
+         "holdout_fraction"),
+        ("seed env not an integer", lambda raw: raw, "abc", "CURIE_SEED"),
+        ("alliances a string", _setting("members", 0, "alliances", "EU"), None,
+         "members[0].alliances"),
+        ("repetitions a fraction", _setting("dp", "repetitions", 2.7), None,
+         "dp.repetitions"),
+        ("seed a fraction", _setting("seed", 1.5), None, "seed"),
+        ("epsilon a boolean", _setting("dp", "epsilons", [True]), None,
+         "dp.epsilons[0]"),
+        ("member a string", _setting("members", 0, "D1"), None, "members[0]"),
+        ("members an object", lambda raw: {**raw, "members": {"D1": raw["members"][0]}},
+         None, "members"),
+    ]])
+def test_mistyped_config_values_are_refused(tmp_path, monkeypatch, edit, env, where):
+    # each is refused with its path, neither crashing nor read as
+    # something else ("EU" as {"E", "U"}, 2.7 repetitions as 2, true as 1.0)
+    if env is None:
+        monkeypatch.delenv("CURIE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CURIE_SEED", env)
+    target = _write_config(tmp_path, "default_dp", edit)
+    with pytest.raises(ConfigError) as err:
+        load_config(target)
+    assert err.value.field_path == (str(target) if where is None else where)
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +251,35 @@ def test_session_bounds_come_from_the_consortium(monkeypatch):
     assert calls == {"encrypt": members * 20, "decrypt": 20}
 
 
-def _overdose(monkeypatch, member_id):
-    """Make the next scenario build give *member_id*'s first training
-    row ten times the declared upper dose bound."""
+def _edit_training_rows(monkeypatch, member_id, edit):
+    """Make the next scenario build give *member_id* the training
+    columns ``edit(cfg, columns)`` in place of its own."""
     from curie import harness
 
     build = harness.build_scenario
 
-    def with_an_overdose(cfg):
+    def edited(cfg):
         scenario = build(cfg)
         i = next(i for i, ctx in enumerate(scenario.contexts)
                  if ctx.member_id == member_id)
         ds = scenario.contexts[i].dataset
-        target = cfg.schema.target
-        doses = ds.column(target).copy()
-        doses[0] = 10 * scenario.config.schema.bounds[target][1]
         scenario.contexts[i] = dataclasses.replace(
             scenario.contexts[i], dataset=Dataset(
-                ds.schema, {**ds.columns, target: doses}, ds.provenance))
+                ds.schema, edit(cfg, ds.columns), ds.provenance))
         return scenario
 
-    monkeypatch.setattr(harness, "build_scenario", with_an_overdose)
+    monkeypatch.setattr(harness, "build_scenario", edited)
+
+
+def _overdose(monkeypatch, member_id):
+    """Make the next scenario build give *member_id*'s first training
+    row ten times the declared upper dose bound."""
+    def overdosed(cfg, columns):
+        doses = columns[cfg.schema.target].copy()
+        doses[0] = 10 * cfg.schema.bounds[cfg.schema.target][1]
+        return {**columns, cfg.schema.target: doses}
+
+    _edit_training_rows(monkeypatch, member_id, overdosed)
 
 
 def test_a_value_outside_its_declared_bounds_aborts_the_session(monkeypatch):
@@ -223,6 +298,47 @@ def test_a_local_fit_does_not_hide_a_value_outside_its_bounds(monkeypatch):
     _overdose(monkeypatch, "M_US2")
     with pytest.raises(OverflowAbort, match="M_US2"):
         run_scenario(load_config(config_path("p1_single")), MODE_FULL)
+
+
+def test_an_initiator_without_training_rows_stops_a_pooling_run(monkeypatch):
+    cfg = load_config(config_path("default_dp"))
+    _edit_training_rows(monkeypatch, cfg.initiator,
+                        lambda cfg, columns: {k: v[:0] for k, v in columns.items()})
+    with pytest.raises(EmptyRelease):
+        run_scenario(cfg, MODE_FULL)
+
+
+@pytest.mark.parametrize("name, mode", [("example3", MODE_FULL_DP),
+                                        ("p5_global", MODE_FULL)])
+def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
+    # one set over each member's own rows, which fits its local model
+    # and is the initiator's ring contribution, and one per owner's
+    # release to the initiator
+    from curie import harness
+
+    computed, contributed = [], []
+    stats, ring = harness.local_stats, harness.run_ring_session
+
+    def counted(ds, agreement=None, **kwargs):
+        out = stats(ds, agreement, **kwargs)
+        computed.append((ds.provenance, agreement is None, out))
+        return out
+
+    def recorded(order, initiator, member_stats, params, rng):
+        contributed.append(member_stats[initiator])
+        return ring(order, initiator, member_stats, params, rng)
+
+    monkeypatch.setattr(harness, "local_stats", counted)
+    monkeypatch.setattr(harness, "run_ring_session", recorded)
+    cfg = load_config(config_path(name))
+    run_scenario(cfg, mode)
+    members = [m.member_id for m in cfg.members]
+    assert [(mid, own) for mid, own, _ in computed] == [
+        *((mid, True) for mid in members),
+        *((mid, False) for mid in cfg.ring_order if mid != cfg.initiator)]
+    own = next(out for mid, is_own, out in computed
+               if is_own and mid == cfg.initiator)
+    assert contributed == [own]
 
 
 def test_a_negotiation_builds_each_member_profile_once(monkeypatch):
@@ -297,35 +413,36 @@ def test_nato_eu_scenario_alliance_gated():
 # ---------------------------------------------------------------------------
 # dp sweep and bench (small settings for speed)
 
+def _dp_table(name, epsilons, repetitions):
+    """The DP table of a ``full_dp`` run of *name* with the budgets and
+    repetitions overridden."""
+    cfg = dataclasses.replace(load_config(config_path(name)),
+                              dp=DPSettings(epsilons, repetitions))
+    return run_scenario(cfg, MODE_FULL_DP).dp_table
+
+
 def test_dp_sweep_rows_and_reproducibility():
-    cfg = load_config(config_path("default_dp"))
-    table = dp_sweep(cfg, epsilons=[1.0, 100.0], repetitions=5)
+    table = _dp_table("default_dp", (1.0, 100.0), 5)
     assert [row["epsilon"] for row in table] == [1.0, 100.0]
     for row in table:
         assert row["repetitions"] == 5
         assert row["mean_mae"] > 0
         lo, hi = row["mae_ci"]
         assert lo <= row["mean_mae"] <= hi
-    again = dp_sweep(cfg, epsilons=[1.0, 100.0], repetitions=5)
-    assert table == again
-
-
-def test_dp_sweep_matches_the_simulate_sweep():
-    cfg = load_config(config_path("default_dp"))
-    cfg = dataclasses.replace(cfg, dp=DPSettings(True, (1.0, 100.0), 5))
-    assert dp_sweep(cfg) == run_scenario(cfg, MODE_FULL_DP).dp_table
+    assert _dp_table("default_dp", (1.0, 100.0), 5) == table
 
 
 def test_dp_sweep_needs_a_pooled_model():
     cfg = load_config(config_path("p1_single"))
-    cfg = dataclasses.replace(cfg, dp=DPSettings(True, (1.0,), 2))
+    cfg = dataclasses.replace(cfg, dp=DPSettings((1.0,), 2))
     assert run_scenario(cfg, MODE_FULL).pooled_model is None
-    with pytest.raises(ConfigError):
-        dp_sweep(cfg)
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg, MODE_FULL_DP)
+    assert err.value.field_path == "initiator"
 
 
 _NEGOTIATE_PHASES = {"build", "negotiation", "dd"}
-_FULL_PHASES = _NEGOTIATE_PHASES | {"local_models", "keygen", "encrypt",
+_FULL_PHASES = _NEGOTIATE_PHASES | {"local_models", "stats", "keygen", "encrypt",
                                     "evaluate", "decrypt", "pooled_model"}
 
 
@@ -385,15 +502,6 @@ def _never_negotiate(monkeypatch):
     monkeypatch.setattr(harness, "negotiate_consortium", never)
 
 
-@pytest.mark.parametrize("name", ["example3", "p1_single"])
-def test_full_dp_with_dp_disabled_fails_before_negotiating(monkeypatch, name):
-    cfg = dataclasses.replace(load_config(config_path(name)),
-                              dp=DPSettings(enabled=False))
-    _never_negotiate(monkeypatch)
-    with pytest.raises(ConfigError, match="dp.enabled"):
-        run_scenario(cfg, MODE_FULL_DP)
-
-
 @pytest.mark.parametrize("epsilons, repetitions, field", [
     ([1.0, 0.0], None, "dp.epsilons"),
     ([], None, "dp.epsilons"),
@@ -403,36 +511,43 @@ def test_full_dp_with_dp_disabled_fails_before_negotiating(monkeypatch, name):
     (None, -1, "dp.repetitions"),
 ])
 def test_dp_sweep_refuses_bad_overrides_before_any_work(
-        monkeypatch, epsilons, repetitions, field):
-    cfg = load_config(config_path("default_dp"))
-    _never_negotiate(monkeypatch)
+        tmp_path, epsilons, repetitions, field):
+    # an override is a DPSettings, which refuses bad settings when it is
+    # made, as the loader does for a config's dp block
+    overrides = {k: v for k, v in (("epsilons", epsilons),
+                                   ("repetitions", repetitions)) if v is not None}
     with pytest.raises(ConfigError) as err:
-        dp_sweep(cfg, epsilons, repetitions)
+        DPSettings(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in overrides.items()})
+    assert err.value.field_path == field
+    target = _write_config(tmp_path, "default_dp",
+                           lambda raw: {**raw, "dp": {**raw["dp"], **overrides}})
+    with pytest.raises(ConfigError) as err:
+        load_config(target)
     assert err.value.field_path == field
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])
-def test_cli_dp_sweep_refuses_too_few_repetitions(monkeypatch, capsys, reps):
+def test_cli_simulate_dp_refuses_too_few_repetitions(monkeypatch, tmp_path,
+                                                     capsys, reps):
+    target = _write_config(tmp_path, "default_dp",
+                           _setting("dp", "repetitions", int(reps)))
     _never_negotiate(monkeypatch)
-    code = cli_main(["dp-sweep", str(config_path("default_dp")),
-                     "--reps", reps])
-    assert code == 2
+    assert cli_main(["simulate", str(target), "--dp"]) == 2
     assert "repetitions must be at least 1" in capsys.readouterr().err
 
 
-def test_cli_dp_sweep_refuses_malformed_budgets(capsys):
-    with pytest.raises(SystemExit) as exit_:
-        cli_main(["dp-sweep", str(config_path("default_dp")), "--eps", "abc"])
-    assert exit_.value.code == 2
+def test_cli_simulate_dp_refuses_malformed_budgets(tmp_path, capsys):
+    target = _write_config(tmp_path, "default_dp",
+                           _setting("dp", "epsilons", ["abc"]))
+    assert cli_main(["simulate", str(target), "--dp"]) == 2
     err = capsys.readouterr().err
-    assert "argument --eps: invalid numbers value: 'abc'" in err
+    assert err == "error: dp.epsilons[0]: must be a JSON number\n"
     assert "Traceback" not in err
 
 
 def test_dp_sweep_single_repetition_has_no_ci():
-    cfg = load_config(config_path("default_dp"))
-    table = dp_sweep(cfg, epsilons=[5.0], repetitions=1)
-    assert table[0]["mae_ci"] is None
+    assert _dp_table("default_dp", (5.0,), 1)[0]["mae_ci"] is None
 
 
 def test_bench_axes_shape():
@@ -599,6 +714,9 @@ def test_cli_bench_smoke(capsys):
 @pytest.mark.parametrize("args, message", [
     (["--values", "200", "--runs", "0"], "argument --runs: invalid positive value: '0'"),
     (["--values", "abc"], "argument --values: invalid counts value: 'abc'"),
+    # a zero key size is refused, not run with the default 192 bits
+    (["--values", "200", "--key-bits", "0"],
+     "argument --key-bits: invalid positive value: '0'"),
 ])
 def test_cli_bench_refuses_malformed_arguments(capsys, args, message):
     with pytest.raises(SystemExit) as exit_:
@@ -607,16 +725,6 @@ def test_cli_bench_refuses_malformed_arguments(capsys, args, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
-
-
-def test_cli_dp_sweep_smoke(tmp_path):
-    import json as _json
-    out = tmp_path / "sweep.json"
-    code = cli_main(["dp-sweep", str(config_path("default_dp")),
-                     "--eps", "5,100", "--reps", "3", "--out", str(out)])
-    assert code == 0
-    table = _json.loads(out.read_text())
-    assert [row["epsilon"] for row in table] == [5.0, 100.0]
 
 
 def test_cli_simulate_with_dp(tmp_path):
@@ -639,10 +747,11 @@ def test_cli_simulate_with_dp(tmp_path):
 
 
 def test_dp_sweep_large_budget_close_to_non_private():
-    cfg = load_config(config_path("default_dp"))
-    report = run_scenario(cfg, MODE_FULL)
+    cfg = dataclasses.replace(load_config(config_path("default_dp")),
+                              dp=DPSettings((100.0,), 20))
+    report = run_scenario(cfg, MODE_FULL_DP)
     non_private = report.pooled_clinical.mae
-    table = dp_sweep(cfg, epsilons=[100.0], repetitions=20)
+    table = report.dp_table
     gap = abs(table[0]["mean_mae"] - non_private) / non_private
     assert gap < 0.10, f"eps=100 MAE {table[0]['mean_mae']:.3f} strays " \
                        f"{gap:.1%} from non-private {non_private:.3f}"
