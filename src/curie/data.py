@@ -38,6 +38,16 @@ class InvalidProfile(CurieError):
     pass
 
 
+class InvalidProfileField(InvalidProfile):
+    """A synthesis profile field whose JSON value has the wrong kind;
+    *field* is its path within the profile, such as ``coefficients[2]``."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
+
+
 NormalizationMap = dict[str, tuple[float, float]]
 
 
@@ -493,18 +503,76 @@ class SynthProfile:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SynthProfile":
+        """The profile a config's JSON object describes.
+
+        Raises :class:`InvalidProfileField` naming the first value of the
+        wrong kind: numbers and arrays of numbers take no boolean, a
+        range is a pair of numbers, mixes and probabilities map names to
+        numbers, and ``level_column`` is a string.
+        """
+        def number(value, path):
+            return _json_value(value, "number", path)
+
+        def numbers(value, path):
+            return _json_numbers(value, path, None)
+
+        def pair(value, path):
+            return _json_numbers(value, path, 2)
+
+        def mix(value, path):
+            return _json_object(value, path, number)
+
+        get = obj.get
         return cls(
             member_id=obj["member_id"],
-            n=int(obj["n"]),
-            numeric_ranges={k: tuple(v) for k, v in obj.get("numeric_ranges", {}).items()},
-            categorical_mixes={k: dict(v) for k, v in obj.get("categorical_mixes", {}).items()},
-            boolean_probs=dict(obj.get("boolean_probs", {})),
-            coefficients=tuple(obj.get("coefficients", ())),
-            level_column=obj.get("level_column"),
-            level_coefficients={k: tuple(v) for k, v in obj.get("level_coefficients", {}).items()},
-            noise_sigma=float(obj.get("noise_sigma", 0.0)),
-            min_dose=float(obj.get("min_dose", 0.5)),
+            n=_json_value(get("n"), "integer", "n"),
+            numeric_ranges=_json_object(get("numeric_ranges", {}), "numeric_ranges", pair),
+            categorical_mixes=_json_object(get("categorical_mixes", {}),
+                                           "categorical_mixes", mix),
+            boolean_probs=_json_object(get("boolean_probs", {}), "boolean_probs", number),
+            coefficients=numbers(get("coefficients", []), "coefficients"),
+            level_column=(_json_value(obj["level_column"], "string", "level_column")
+                          if "level_column" in obj else None),
+            level_coefficients=_json_object(get("level_coefficients", {}),
+                                            "level_coefficients", numbers),
+            noise_sigma=float(number(get("noise_sigma", 0.0), "noise_sigma")),
+            min_dose=float(number(get("min_dose", 0.5), "min_dose")),
         )
+
+
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+               "integer": (int,), "number": (int, float)}
+
+
+def is_json_kind(value: object, kind: str) -> bool:
+    """Whether *value*, as :mod:`json` reads it, is a JSON value of
+    *kind*.  The test is on the exact type :mod:`json` gives, so a JSON
+    ``true`` (a ``bool``, which subclasses ``int``) is of no kind: no
+    field this package reads is a boolean."""
+    return type(value) in _JSON_TYPES[kind]
+
+
+def _json_value(value: object, kind: str, path: str):
+    if not is_json_kind(value, kind):
+        raise InvalidProfileField(path, f"must be a JSON {kind}")
+    return value
+
+
+def _json_numbers(value: object, path: str, length: int | None) -> tuple:
+    """The JSON array of numbers *value*, of *length* items unless that
+    is None."""
+    items = _json_value(value, "array", path)
+    if length is not None and len(items) != length:
+        raise InvalidProfileField(path, f"must be an array of {length} numbers")
+    for i, item in enumerate(items):
+        if not is_json_kind(item, "number"):
+            raise InvalidProfileField(f"{path}[{i}]", "must be a JSON number")
+    return tuple(items)
+
+
+def _json_object(value: object, path: str, read) -> dict:
+    """The JSON object *value*, each member read by ``read(member, path)``."""
+    return {k: read(v, f"{path}.{k}") for k, v in _json_value(value, "object", path).items()}
 
 
 def _check_profile(profile: SynthProfile, schema: Schema, width: int) -> None:

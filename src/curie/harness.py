@@ -35,9 +35,11 @@ from curie.crypto import HEParams
 from curie.data import (
     Dataset,
     DesignEncoding,
+    InvalidProfileField,
     Schema,
     SynthProfile,
     concat,
+    is_json_kind,
     load_dataset,
     normalize_columns,
     normalized_schema,
@@ -135,16 +137,11 @@ def _reject_unknown_keys(obj: Mapping, known: frozenset[str], where: str) -> Non
         raise ConfigError(f"{where}{unknown[0]}", "unknown config key")
 
 
-_JSON_KINDS = {"object": dict, "array": list, "string": str,
-               "integer": int, "number": (int, float)}
-
-
 def _typed(value: object, kind: str, where: str):
-    """*value*, if it is a JSON value of *kind*; otherwise raise
-    :class:`ConfigError` naming *where*.  No config field is a boolean,
-    so a JSON ``true``, which Python reads as the integer 1, passes for
-    no kind."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+    """*value*, if it is a JSON value of *kind* (see
+    :func:`~curie.data.is_json_kind`); otherwise raise
+    :class:`ConfigError` naming *where*."""
+    if not is_json_kind(value, kind):
         raise ConfigError(where, f"must be a JSON {kind}")
     return value
 
@@ -221,11 +218,10 @@ def load_config(path: str | Path) -> ConsortiumConfig:
         elif "synth" in m:
             synth_raw = _typed(m["synth"], "object", f"{where}.synth")
             _reject_unknown_keys(synth_raw, _SYNTH_KEYS, f"{where}.synth.")
-            _typed(synth_raw.get("n"), "integer", f"{where}.synth.n")
             try:
                 synth = SynthProfile.from_json({"member_id": mid, **synth_raw})
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{where}.synth", str(exc)) from None
+            except InvalidProfileField as exc:
+                raise ConfigError(f"{where}.synth.{exc.field}", exc.reason) from None
         else:
             raise ConfigError(where, "member needs either a dataset or a synth profile")
         members.append(MemberSpec(
@@ -537,8 +533,8 @@ def bootstrap_ci(values: np.ndarray, rng: np.random.Generator
     idx = rng.integers(0, len(values), size=(CI_DRAWS, len(values)))
     means = values[idx].mean(axis=1)
     alpha = (1.0 - CI_LEVEL) / 2.0
-    return (float(np.quantile(means, alpha)),
-            float(np.quantile(means, 1.0 - alpha)))
+    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
+    return float(lo), float(hi)
 
 
 def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
@@ -547,11 +543,12 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
                         local_mae: float | None) -> list[dict]:
     """Per-budget accuracy table for the private pooled model.
 
-    For each epsilon, ``repetitions`` private models are fitted from
-    fresh noise draws and scored on the mixed held-out cohort; the
-    table carries the mean MAE with a bootstrap CI, plus the advantage
-    over *local_mae*, the initiator's own non-private local model's (the
-    alternative a member always has), with its CI.
+    For each epsilon, ``repetitions`` private models, each drawing its
+    noise from its own seeded generator, are fitted in one batched call
+    and scored on the mixed held-out cohort; the table carries the mean
+    MAE with a bootstrap CI, plus the advantage over *local_mae*, the
+    initiator's own non-private local model's (the alternative a member
+    always has), with its CI.
     """
     cfg = scenario.config
     if scenario.validation is None:
@@ -569,11 +566,10 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
     V = V_pool.reshape(-1)
     table: list[dict] = []
     for eps in epsilons:
-        etas = np.array([
-            functional_mechanism(
-                O_pool, V, d, eps,
-                np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}:{rep}")))
-            for rep in range(repetitions)])
+        etas = functional_mechanism(
+            O_pool, V, d, eps,
+            [np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}:{rep}"))
+             for rep in range(repetitions)])
         maes = mean_absolute_errors(X, etas, y, target_bounds)
         ci_rng = np.random.default_rng(_seed_for(cfg.seed, f"dpci:{eps}"))
         lo, hi = bootstrap_ci(maes, ci_rng)

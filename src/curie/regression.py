@@ -6,13 +6,17 @@ The model solves O * eta = V where O = X'X and V = X'y are the pooled
 sufficient statistics.  The private variant perturbs every entry of O
 and V with Laplace noise scaled by the quadratic-loss sensitivity over
 [-1, 1]-normalized rows, then projects O back to positive definite
-before solving.  Smaller privacy budgets mean more noise.
+before solving.  Smaller privacy budgets mean more noise.  One call
+fits a whole stack of private models, one per noise generator, with a
+single batched eigendecomposition and solve; each model is bit for bit
+the one its generator gives alone.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -137,18 +141,21 @@ def _check_normalized(O: np.ndarray, V: np.ndarray) -> None:
             "normalize inputs before applying the privacy mechanism")
 
 
-def functional_mechanism(O: np.ndarray, V: np.ndarray, d: int,
-                         epsilon: float, rng: np.random.Generator) -> np.ndarray:
+def functional_mechanism(O: np.ndarray, V: np.ndarray, d: int, epsilon: float,
+                         rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Epsilon-differentially-private coefficients via objective
-    perturbation.
+    perturbation, one row per generator in *rngs*.
 
-    Every entry of O (upper triangle, mirrored to keep O symmetric) and
-    V receives independent Laplace(:func:`sensitivity_bound` / epsilon)
-    noise; the perturbed O is eigenvalue-floored at ``PD_FLOOR`` to
-    restore positive definiteness before solving.  The solve is direct rather than going
+    Each generator draws its own noise: Laplace(:func:`sensitivity_bound`
+    / epsilon) for every entry of O (the upper triangle is mirrored to
+    keep O symmetric), then for every entry of V.  The perturbed O's are
+    eigenvalue-floored at ``PD_FLOOR`` to restore positive definiteness
+    and solved in one batched pass; row i equals what the same steps
+    give for ``rngs[i]`` alone.  The solve is direct rather than going
     through :func:`solve_ols`: the floor guarantees invertibility, and
     heavy noise draws legitimately produce ill-conditioned systems that
-    the non-private contract would reject.
+    the non-private contract would reject.  The budget and the
+    normalization are checked before any generator draws.
     """
     if epsilon <= 0:
         raise BudgetError(f"privacy budget must be positive, got {epsilon}")
@@ -157,15 +164,21 @@ def functional_mechanism(O: np.ndarray, V: np.ndarray, d: int,
     _check_normalized(O, V)
     b = sensitivity_bound(d) / epsilon
 
-    noise = rng.laplace(0.0, b, size=O.shape)
-    O_noisy = O + np.triu(noise) + np.triu(noise, 1).T
-    V_noisy = V + rng.laplace(0.0, b, size=V.shape)
+    noise = np.empty((len(rngs), *O.shape))
+    v_noise = np.empty((len(rngs), *V.shape))
+    for i, rng in enumerate(rngs):
+        noise[i] = rng.laplace(0.0, b, size=O.shape)
+        v_noise[i] = rng.laplace(0.0, b, size=V.shape)
+    O_noisy = O + np.triu(noise) + np.triu(noise, 1).swapaxes(-1, -2)
+    V_noisy = V + v_noise
 
     eigvals, eigvecs = np.linalg.eigh(O_noisy)
     eigvals = np.maximum(eigvals, PD_FLOOR)
-    O_pd = (eigvecs * eigvals) @ eigvecs.T
-    O_pd = (O_pd + O_pd.T) / 2.0
-    return np.linalg.solve(O_pd, V_noisy)
+    O_pd = (eigvecs * eigvals[:, None, :]) @ eigvecs.swapaxes(-1, -2)
+    O_pd = (O_pd + O_pd.swapaxes(-1, -2)) / 2.0
+    # the explicit trailing axis reads V_noisy as a stack of vectors on
+    # every numpy version
+    return np.linalg.solve(O_pd, V_noisy[..., None])[..., 0]
 
 
 # --------------------------------------------------------------------------

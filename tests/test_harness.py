@@ -188,6 +188,43 @@ def test_mistyped_config_values_are_refused(tmp_path, monkeypatch, edit, env, wh
     assert err.value.field_path == (str(target) if where is None else where)
 
 
+def _synth(*path_and_value):
+    """An edit that sets a field of the first member's synthesis profile."""
+    return _setting("members", 0, "synth", *path_and_value)
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(edit, where, id=case) for case, edit, where in [
+        ("noise sigma a string", _synth("noise_sigma", "0.5"), "noise_sigma"),
+        ("noise sigma a boolean", _synth("noise_sigma", True), "noise_sigma"),
+        ("min dose a string", _synth("min_dose", "1"), "min_dose"),
+        ("coefficients strings", _synth("coefficients", ["30.0", "0.1", "0.1", "8.0", "4.0"]),
+         "coefficients[0]"),
+        ("coefficient a boolean", _synth("coefficients", [30.0, True, 0.1, 8.0, 4.0]),
+         "coefficients[1]"),
+        ("range of strings", _synth("numeric_ranges", "age", ["20", "80"]),
+         "numeric_ranges.age[0]"),
+        ("range of three numbers", _synth("numeric_ranges", "age", [20, 50, 80]),
+         "numeric_ranges.age"),
+        ("ranges an array", _synth("numeric_ranges", [1, 2]), "numeric_ranges"),
+        ("mix weight a string", _synth("categorical_mixes", "race", "Asian", "0.8"),
+         "categorical_mixes.race.Asian"),
+        ("probability a string", _synth("boolean_probs", {"smoker": "0.5"}),
+         "boolean_probs.smoker"),
+        ("level column a number", _synth("level_column", 5), "level_column"),
+        ("level coefficient a string", _synth("level_coefficients", "Asian", 0, "22"),
+         "level_coefficients.Asian[0]"),
+    ]])
+def test_mistyped_synth_profile_values_are_refused(tmp_path, edit, where):
+    # each was read as something else ("0.5" as 0.5, true as 1.0) or
+    # crashed loading or building the scenario with a bare TypeError,
+    # KeyError or AttributeError
+    target = _write_config(tmp_path, "default_dp", edit)
+    with pytest.raises(ConfigError) as err:
+        load_config(target)
+    assert err.value.field_path == f"members[0].synth.{where}"
+
+
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -430,6 +467,21 @@ def test_dp_sweep_rows_and_reproducibility():
         lo, hi = row["mae_ci"]
         assert lo <= row["mean_mae"] <= hi
     assert _dp_table("default_dp", (1.0, 100.0), 5) == table
+
+
+def test_dp_sweep_fits_each_budget_in_one_call(monkeypatch):
+    from curie import harness
+    calls = []
+    fit = harness.functional_mechanism
+
+    def counted(O, V, d, epsilon, rngs):
+        calls.append((epsilon, len(rngs)))
+        return fit(O, V, d, epsilon, rngs)
+
+    monkeypatch.setattr(harness, "functional_mechanism", counted)
+    cfg = load_config(config_path("default_dp"))
+    run_scenario(cfg, MODE_FULL_DP)
+    assert calls == [(eps, cfg.dp.repetitions) for eps in cfg.dp.epsilons]
 
 
 def test_dp_sweep_needs_a_pooled_model():

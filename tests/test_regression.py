@@ -17,6 +17,7 @@ from curie.regression import (
     DoseModel,
     EmptyValidation,
     NormalizationError,
+    PD_FLOOR,
     SingularMatrix,
     clinical_metrics,
     functional_mechanism,
@@ -114,20 +115,30 @@ def test_sensitivity_closed_form_dominates_bruteforce_oracle():
         assert best == d * (d + 1)
 
 
+def _rngs(*seeds):
+    return [np.random.default_rng(s) for s in seeds]
+
+
+def _states(rngs):
+    return [rng.bit_generator.state for rng in rngs]
+
+
 def test_vanishing_noise_limit():
     O, V = _normalized_stats()
     eta = solve_ols(O, V)
-    rng = np.random.default_rng(1)
-    eta_dp = functional_mechanism(O, V, O.shape[0], 1e9, rng)
+    eta_dp, = functional_mechanism(O, V, O.shape[0], 1e9, _rngs(1))
     assert np.linalg.norm(eta_dp - eta) / np.linalg.norm(eta) < 1e-3
 
 
 def test_budget_must_be_positive():
+    # refused before any generator draws
     O, V = _normalized_stats()
-    with pytest.raises(BudgetError):
-        functional_mechanism(O, V, O.shape[0], 0.0, np.random.default_rng(0))
-    with pytest.raises(BudgetError):
-        functional_mechanism(O, V, O.shape[0], -1.0, np.random.default_rng(0))
+    rngs = _rngs(0, 1, 2)
+    before = _states(rngs)
+    for epsilon in (0.0, -1.0):
+        with pytest.raises(BudgetError):
+            functional_mechanism(O, V, O.shape[0], epsilon, rngs)
+    assert _states(rngs) == before
 
 
 def test_unnormalized_inputs_detected():
@@ -136,15 +147,46 @@ def test_unnormalized_inputs_detected():
     stats = [local_stats(ds) for ds in datasets]
     O = sum(s.O for s in stats)
     V = sum(s.V for s in stats).reshape(-1)
+    rngs = _rngs(0, 1, 2)
+    before = _states(rngs)
     with pytest.raises(NormalizationError):
-        functional_mechanism(O, V, O.shape[0], 1.0, np.random.default_rng(0))
+        functional_mechanism(O, V, O.shape[0], 1.0, rngs)
+    assert _states(rngs) == before
 
 
 def test_fresh_noise_per_call():
     O, V = _normalized_stats()
-    a = functional_mechanism(O, V, O.shape[0], 5.0, np.random.default_rng(1))
-    b = functional_mechanism(O, V, O.shape[0], 5.0, np.random.default_rng(2))
+    a, b = functional_mechanism(O, V, O.shape[0], 5.0, _rngs(1, 2))
     assert not np.array_equal(a, b)
+
+
+def _one_model(O, V, d, epsilon, rng):
+    """The mechanism for a single generator, step by step on one matrix."""
+    b = sensitivity_bound(d) / epsilon
+    noise = rng.laplace(0.0, b, size=O.shape)
+    O_noisy = O + np.triu(noise) + np.triu(noise, 1).T
+    V_noisy = V + rng.laplace(0.0, b, size=V.shape)
+    eigvals, eigvecs = np.linalg.eigh(O_noisy)
+    O_pd = (eigvecs * np.maximum(eigvals, PD_FLOOR)) @ eigvecs.T
+    return np.linalg.solve((O_pd + O_pd.T) / 2.0, V_noisy)
+
+
+@pytest.mark.parametrize("features", [4, 9, 14], ids=["d5", "d10", "d15"])
+def test_batched_rows_equal_single_generator_fits(features):
+    # each row is bit for bit what its generator gives alone, so a
+    # budget's table does not depend on how its repetitions are batched
+    O, V = _normalized_stats(features=features)
+    d = O.shape[0]
+    assert d == features + 1
+    seeds = range(12)
+    batch = functional_mechanism(O, V, d, 5.0, _rngs(*seeds))
+    assert batch.shape == (len(seeds), d)
+    for seed, row in zip(seeds, batch, strict=True):
+        alone = functional_mechanism(O, V, d, 5.0, _rngs(seed))
+        assert alone.shape == (1, d)
+        assert row.tobytes() == alone[0].tobytes()
+        assert row.tobytes() == _one_model(O, V, d, 5.0,
+                                           np.random.default_rng(seed)).tobytes()
 
 
 def test_monotone_accuracy_direction_coarse():
@@ -154,10 +196,8 @@ def test_monotone_accuracy_direction_coarse():
     eta = solve_ols(O, V)
     errs = {}
     for eps in (1.0, 100.0):
-        draws = [functional_mechanism(O, V, O.shape[0], eps,
-                                      np.random.default_rng(s))
-                 for s in range(40)]
-        errs[eps] = np.mean([np.linalg.norm(d - eta) for d in draws])
+        draws = functional_mechanism(O, V, O.shape[0], eps, _rngs(*range(40)))
+        errs[eps] = np.linalg.norm(draws - eta, axis=1).mean()
     assert errs[1.0] > errs[100.0]
 
 
