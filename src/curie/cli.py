@@ -88,6 +88,10 @@ def positive(text: str) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        harness.check_bench_values(args.axis, args.values)
+    except ValueError as exc:
+        args.parser.error(f"argument --values: {exc}")
     seed, key_bits = 0, args.key_bits
     if args.config:
         cfg = harness.load_config(args.config)
@@ -137,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="phase timing table along one axis")
     p.add_argument("config", nargs="?",
                    help="optional consortium config supplying seed and key size")
-    p.add_argument("--axis", required=True, choices=["members", "rows", "features"])
+    p.add_argument("--axis", required=True, choices=list(harness.BENCH_AXES))
     p.add_argument("--values", required=True, type=counts,
                    help="comma-separated axis values")
     p.add_argument("--runs", type=positive, default=3)
     p.add_argument("--key-bits", type=positive, default=None)
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     return parser
 

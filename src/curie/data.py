@@ -34,20 +34,6 @@ class DegenerateColumn(CurieError):
     pass
 
 
-class InvalidProfile(CurieError):
-    pass
-
-
-class InvalidProfileField(InvalidProfile):
-    """A synthesis profile field whose JSON value has the wrong kind;
-    *field* is its path within the profile, such as ``coefficients[2]``."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
-
-
 NormalizationMap = dict[str, tuple[float, float]]
 
 
@@ -127,17 +113,6 @@ class Schema:
                 d["bounds"] = list(c.ctype.bounds)
             cols.append(d)
         return {"columns": cols, "target": self.target}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Schema":
-        cols = []
-        for c in obj["columns"]:
-            cols.append(Column(c["name"], ColumnType(
-                c["type"],
-                tuple(c.get("levels", ())),
-                tuple(c["bounds"]) if c.get("bounds") else None,
-            )))
-        return cls(tuple(cols), obj["target"])
 
 
 def check_shared_schema(a: Schema, b: Schema) -> list[str]:
@@ -488,6 +463,8 @@ class SynthProfile:
     y = coefficients . x + Normal(0, noise_sigma), clipped to stay
     positive.  ``level_coefficients`` optionally overrides the vector
     per level of one categorical column (population heterogeneity).
+    :func:`curie.harness.load_config` checks a config's profiles against
+    its schema; :func:`synth_members` trusts its caller.
     """
 
     member_id: str
@@ -501,114 +478,13 @@ class SynthProfile:
     noise_sigma: float = 0.0
     min_dose: float = 0.5
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "SynthProfile":
-        """The profile a config's JSON object describes.
-
-        Raises :class:`InvalidProfileField` naming the first value of the
-        wrong kind: numbers and arrays of numbers take no boolean, a
-        range is a pair of numbers, mixes and probabilities map names to
-        numbers, and ``level_column`` is a string.
-        """
-        def number(value, path):
-            return _json_value(value, "number", path)
-
-        def numbers(value, path):
-            return _json_numbers(value, path, None)
-
-        def pair(value, path):
-            return _json_numbers(value, path, 2)
-
-        def mix(value, path):
-            return _json_object(value, path, number)
-
-        get = obj.get
-        return cls(
-            member_id=obj["member_id"],
-            n=_json_value(get("n"), "integer", "n"),
-            numeric_ranges=_json_object(get("numeric_ranges", {}), "numeric_ranges", pair),
-            categorical_mixes=_json_object(get("categorical_mixes", {}),
-                                           "categorical_mixes", mix),
-            boolean_probs=_json_object(get("boolean_probs", {}), "boolean_probs", number),
-            coefficients=numbers(get("coefficients", []), "coefficients"),
-            level_column=(_json_value(obj["level_column"], "string", "level_column")
-                          if "level_column" in obj else None),
-            level_coefficients=_json_object(get("level_coefficients", {}),
-                                            "level_coefficients", numbers),
-            noise_sigma=float(number(get("noise_sigma", 0.0), "noise_sigma")),
-            min_dose=float(number(get("min_dose", 0.5), "min_dose")),
-        )
-
-
-_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
-               "integer": (int,), "number": (int, float)}
-
-
-def is_json_kind(value: object, kind: str) -> bool:
-    """Whether *value*, as :mod:`json` reads it, is a JSON value of
-    *kind*.  The test is on the exact type :mod:`json` gives, so a JSON
-    ``true`` (a ``bool``, which subclasses ``int``) is of no kind: no
-    field this package reads is a boolean."""
-    return type(value) in _JSON_TYPES[kind]
-
-
-def _json_value(value: object, kind: str, path: str):
-    if not is_json_kind(value, kind):
-        raise InvalidProfileField(path, f"must be a JSON {kind}")
-    return value
-
-
-def _json_numbers(value: object, path: str, length: int | None) -> tuple:
-    """The JSON array of numbers *value*, of *length* items unless that
-    is None."""
-    items = _json_value(value, "array", path)
-    if length is not None and len(items) != length:
-        raise InvalidProfileField(path, f"must be an array of {length} numbers")
-    for i, item in enumerate(items):
-        if not is_json_kind(item, "number"):
-            raise InvalidProfileField(f"{path}[{i}]", "must be a JSON number")
-    return tuple(items)
-
-
-def _json_object(value: object, path: str, read) -> dict:
-    """The JSON object *value*, each member read by ``read(member, path)``."""
-    return {k: read(v, f"{path}.{k}") for k, v in _json_value(value, "object", path).items()}
-
-
-def _check_profile(profile: SynthProfile, schema: Schema, width: int) -> None:
-    if profile.n <= 0:
-        raise InvalidProfile(f"{profile.member_id}: n must be positive")
-    for col, mix in profile.categorical_mixes.items():
-        ctype = schema.column(col).ctype
-        if ctype.kind != "categorical":
-            raise InvalidProfile(f"{profile.member_id}: {col!r} is not categorical")
-        unknown = set(mix) - set(ctype.levels)
-        if unknown:
-            raise InvalidProfile(f"{profile.member_id}: unknown levels {sorted(unknown)}")
-        if abs(sum(mix.values()) - 1.0) > 1e-9:
-            raise InvalidProfile(f"{profile.member_id}: mix for {col!r} must sum to 1")
-    if len(profile.coefficients) != width:
-        raise InvalidProfile(
-            f"{profile.member_id}: coefficient vector has {len(profile.coefficients)} "
-            f"entries, design encoding has {width}")
-    for level, eta in profile.level_coefficients.items():
-        if len(eta) != width:
-            raise InvalidProfile(f"{profile.member_id}: override for {level!r} wrong length")
-    if profile.noise_sigma < 0:
-        raise InvalidProfile(f"{profile.member_id}: negative noise sigma")
-
 
 def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
                   ) -> list[Dataset]:
-    """Generate one dataset per profile, reproducibly from *seed*."""
+    """Generate one dataset per profile, reproducibly from *seed*.
+    Trusts its caller to pass profiles valid for *schema*, as
+    :func:`curie.harness.load_config` checks them."""
     enc = DesignEncoding(schema)
-    seen = set()
-    for p in profiles:
-        if p.member_id in seen:
-            raise InvalidProfile(f"duplicate member id {p.member_id!r}")
-        seen.add(p.member_id)
-        _check_profile(p, schema, enc.width)
-
     datasets = []
     master = np.random.SeedSequence(seed)
     for p, ss in zip(profiles, master.spawn(len(profiles))):

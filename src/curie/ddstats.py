@@ -6,7 +6,8 @@ index, Pearson correlation, and cosine similarity.  Set statistics
 operate on distinct values (multiset duplicates collapsed); vector
 statistics require equal-length inputs and refuse degenerate ones.
 The plain statistics (:func:`compute_statistic`) are the reference the
-blinded evaluation is checked against.
+blinded evaluation is checked against; the blinded evaluation applies
+the same functions to salted hashes or scaled values.
 
 The negotiation engine decides every data-dependent conditional from a
 :class:`BlindedColumn`: the requester blinds each column a conditional
@@ -203,11 +204,5 @@ def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
     owner's raw values of that column, whose declared kind is *kind*."""
     if algorithm in _SET_ALGORITHMS:
         owner_hashes = salted_hashes(owner_values, blinded.salt, kind)
-        inter = len(blinded.hashes & owner_hashes)
-        if algorithm is Algorithm.INTERSECTION_SIZE:
-            return float(inter)
-        union = len(blinded.hashes | owner_hashes)
-        if union == 0:
-            raise EmptyUnion("jaccard undefined for two empty sets")
-        return inter / union
+        return float(STATISTICS[algorithm](blinded.hashes, owner_hashes))
     return STATISTICS[algorithm](blinded.scaled, owner_values)

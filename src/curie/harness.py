@@ -26,20 +26,22 @@ import os
 import random
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from curie import cpl
 from curie.crypto import HEParams
 from curie.data import (
+    Column,
+    ColumnType,
     Dataset,
     DesignEncoding,
-    InvalidProfileField,
     Schema,
+    SchemaMismatch,
     SynthProfile,
+    UnknownColumn,
     concat,
-    is_json_kind,
     load_dataset,
     normalize_columns,
     normalized_schema,
@@ -122,34 +124,154 @@ class ConsortiumConfig:
 _CONFIG_KEYS = frozenset({"version", "name", "seed", "schema", "members",
                           "ring_order", "initiator", "he", "dp",
                           "holdout_fraction"})
+_SCHEMA_KEYS = frozenset({"columns", "target"})
+_COLUMN_KEYS = frozenset({"name", "type", "levels", "bounds"})
 _MEMBER_KEYS = frozenset({"id", "policy", "dataset", "synth", "attributes",
                           "alliances"})
 _SYNTH_KEYS = frozenset(f.name for f in fields(SynthProfile)) - {"member_id"}
 _HE_KEYS = frozenset({"key_bits", "scale_bits"})
 _DP_KEYS = frozenset(f.name for f in fields(DPSettings))
 
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+               "integer": (int,), "number": (int, float)}
 
-def _reject_unknown_keys(obj: Mapping, known: frozenset[str], where: str) -> None:
-    """Raise :class:`ConfigError` naming the first key of *obj* that is
-    not in *known*; *where* prefixes the key path."""
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ConfigError(f"{where}{unknown[0]}", "unknown config key")
+
+def _require(ok: object, where: str, message: str) -> None:
+    """Raise :class:`ConfigError` at *where* unless *ok*."""
+    if not ok:
+        raise ConfigError(where, message)
 
 
 def _typed(value: object, kind: str, where: str):
-    """*value*, if it is a JSON value of *kind* (see
-    :func:`~curie.data.is_json_kind`); otherwise raise
-    :class:`ConfigError` naming *where*."""
-    if not is_json_kind(value, kind):
+    """*value*, if :mod:`json` reads it as a JSON value of *kind*, else
+    raise :class:`ConfigError` at *where*.  The test is on the exact type,
+    so a JSON ``true`` (a ``bool``, an ``int`` subclass) is of no kind."""
+    if type(value) not in _JSON_TYPES[kind]:
         raise ConfigError(where, f"must be a JSON {kind}")
     return value
 
 
 def _typed_items(value: object, kind: str, where: str) -> list:
-    """The items of the JSON array *value*, each a JSON value of *kind*."""
-    return [_typed(item, kind, f"{where}[{i}]")
-            for i, item in enumerate(_typed(value, "array", where))]
+    """The JSON array *value*, each item a JSON value of *kind*."""
+    types = _JSON_TYPES[kind]
+    for i, item in enumerate(_typed(value, "array", where)):
+        if type(item) not in types:
+            raise ConfigError(f"{where}[{i}]", f"must be a JSON {kind}")
+    return value
+
+
+def _entries(value: object, where: str,
+             keys: Collection[str]) -> list[tuple[str, object, str]]:
+    """(key, value, path) of each key of the JSON object *value* at
+    *where*, refusing any key not in *keys*."""
+    obj = _typed(value, "object", where)
+    prefix = f"{where}." if where else ""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ConfigError(prefix + unknown[0], f"unknown key; expected one of {sorted(keys)}")
+    return [(key, item, prefix + key) for key, item in obj.items()]
+
+
+def _interval(value: object, where: str, within: tuple[float, float] | None) -> tuple:
+    """The increasing pair of finite numbers *value*, inside *within*
+    unless that is None."""
+    lo_hi = tuple(_typed_items(value, "number", where))
+    _require(len(lo_hi) == 2 and lo_hi[0] < lo_hi[1] and all(map(math.isfinite, lo_hi)),
+             where, "must be an increasing pair of finite numbers")
+    if within is not None:
+        _require(within[0] <= lo_hi[0] and lo_hi[1] <= within[1], where,
+                 "must lie within the column's declared bounds")
+    return lo_hi
+
+
+def _share(value: object, where: str):
+    """The number *value*, a weight or probability in [0, 1]."""
+    _require(0 <= _typed(value, "number", where) <= 1, where, "must lie in [0, 1]")
+    return value
+
+
+def _mix(value: object, levels: tuple[str, ...], where: str) -> dict:
+    """The JSON object *value* weighting some of *levels*, with weights
+    in [0, 1] that sum to 1."""
+    mix = {level: _share(weight, path)
+           for level, weight, path in _entries(value, where, levels)}
+    _require(abs(sum(mix.values()) - 1.0) <= 1e-9, where, "weights must sum to 1")
+    return mix
+
+
+def _read_schema(raw: object) -> Schema:
+    """The schema the config's ``schema`` object declares; every numeric
+    column declares bounds, so all members normalize identically."""
+    _entries(raw, "schema", _SCHEMA_KEYS)
+    columns = []
+    for i, col in enumerate(_typed_items(raw.get("columns"), "object", "schema.columns")):
+        where = f"schema.columns[{i}]"
+        _entries(col, where, _COLUMN_KEYS)
+        name = _typed(col.get("name"), "string", f"{where}.name")
+        kind = _typed(col.get("type"), "string", f"{where}.type")
+        levels = tuple(_typed_items(col.get("levels", []), "string", f"{where}.levels"))
+        bounds = (_interval(col["bounds"], f"{where}.bounds", None)
+                  if "bounds" in col else None)
+        try:
+            ctype = ColumnType(kind, levels, bounds)
+        except SchemaMismatch as exc:
+            raise ConfigError(where, str(exc)) from None
+        _require(bounds or not ctype.is_numeric, f"{where}.bounds",
+                 "a numeric column must declare bounds")
+        columns.append(Column(name, ctype))
+    target = _typed(raw.get("target"), "string", "schema.target")
+    try:
+        return Schema(tuple(columns), target)
+    except (SchemaMismatch, UnknownColumn) as exc:
+        raise ConfigError("schema", str(exc)) from None
+
+
+def _read_profile(raw: object, member_id: str,
+                  features: Sequence[Mapping[str, ColumnType]], width: int,
+                  where: str) -> SynthProfile:
+    """The synthesis profile *raw* describes, checked against a schema
+    whose numeric, categorical and boolean feature columns *features*
+    maps by name, and whose design encoding is *width* wide."""
+    _entries(raw, where, _SYNTH_KEYS)
+    numeric, categorical, boolean = features
+
+    def entries(name: str, keys: Collection[str]) -> list[tuple[str, object, str]]:
+        return _entries(raw.get(name, {}), f"{where}.{name}", keys)
+
+    def number(name: str, default: float) -> float:
+        return float(_typed(raw.get(name, default), "number", f"{where}.{name}"))
+
+    def coefficients(value: object, path: str) -> tuple:
+        eta = tuple(_typed_items(value, "number", path))
+        _require(len(eta) == width, path, f"must hold {width} numbers, the design width")
+        return eta
+
+    n = _typed(raw.get("n"), "integer", f"{where}.n")
+    _require(n >= 1, f"{where}.n", "must be at least 1")
+    level_column, levels = None, ()
+    if "level_column" in raw:
+        path = f"{where}.level_column"
+        level_column = _typed(raw["level_column"], "string", path)
+        _require(level_column in categorical, path, "must name a categorical feature column")
+        levels = categorical[level_column].levels
+    noise_sigma = number("noise_sigma", 0.0)
+    _require(noise_sigma >= 0, f"{where}.noise_sigma", "must not be negative")
+    return SynthProfile(
+        member_id=member_id,
+        n=n,
+        numeric_ranges={col: _interval(lo_hi, path, numeric[col].bounds)
+                        for col, lo_hi, path in entries("numeric_ranges", numeric)},
+        categorical_mixes={col: _mix(mix, categorical[col].levels, path)
+                           for col, mix, path in entries("categorical_mixes", categorical)},
+        boolean_probs={col: _share(p, path)
+                       for col, p, path in entries("boolean_probs", boolean)},
+        coefficients=coefficients(raw.get("coefficients", []), f"{where}.coefficients"),
+        level_column=level_column,
+        level_coefficients={level: coefficients(eta, path)
+                            for level, eta, path in entries("level_coefficients", levels)},
+        noise_sigma=noise_sigma,
+        min_dose=number("min_dose", 0.5),
+    )
 
 
 def _seed_for(master: int, label: str) -> int:
@@ -161,7 +283,8 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     """Load and validate a consortium config file.
 
     Raises :class:`ConfigError` carrying the offending field path for
-    any key it does not know and for any value of the wrong JSON kind.
+    any key it does not know, for any value of the wrong JSON kind, and
+    for any synthesis profile value the schema refuses.
     """
     path = Path(path)
     try:
@@ -174,54 +297,35 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     _typed(raw, "object", str(path))
     if raw.get("version") != CONFIG_VERSION or isinstance(raw.get("version"), bool):
         raise ConfigError("version", f"expected config version {CONFIG_VERSION}")
-    _reject_unknown_keys(raw, _CONFIG_KEYS, "")
+    _entries(raw, "", _CONFIG_KEYS)
     base = path.parent
 
-    schema_raw = _typed(raw.get("schema"), "object", "schema")
-    try:
-        schema = Schema.from_json(schema_raw)
-    except KeyError as exc:
-        raise ConfigError("schema", f"missing field {exc}") from None
-    except (TypeError, ValueError) as exc:    # a nested value of the wrong kind
-        raise ConfigError("schema", f"malformed schema: {exc}") from None
-    except CurieError as exc:
-        raise ConfigError("schema", str(exc)) from None
-    for col in schema.columns:
-        if col.ctype.is_numeric and col.ctype.bounds is None:
-            raise ConfigError(f"schema.columns.{col.name}",
-                              "numeric columns must declare bounds so all "
-                              "members normalize identically")
+    schema = _read_schema(raw.get("schema"))
+    width = DesignEncoding(schema).width
+    features = [{c.name: c.ctype for c in schema.feature_columns if c.ctype.kind in kinds}
+                for kinds in (("integer", "real"), ("categorical",), ("boolean",))]
 
     members: list[MemberSpec] = []
     seen: set[str] = set()
     for i, m in enumerate(_typed_items(raw.get("members", []), "object", "members")):
         where = f"members[{i}]"
-        _reject_unknown_keys(m, _MEMBER_KEYS, f"{where}.")
+        _entries(m, where, _MEMBER_KEYS)
         mid = m.get("id")
-        if not mid:
-            raise ConfigError(f"{where}.id", "member id is required")
+        _require(mid, f"{where}.id", "member id is required")
         _typed(mid, "string", f"{where}.id")
-        if mid in seen:
-            raise ConfigError(f"{where}.id", f"duplicate member id {mid!r}")
+        _require(mid not in seen, f"{where}.id", f"duplicate member id {mid!r}")
         seen.add(mid)
-        if "policy" not in m:
-            raise ConfigError(f"{where}.policy", "policy file is required")
+        _require("policy" in m, f"{where}.policy", "policy file is required")
         policy_path = base / _typed(m["policy"], "string", f"{where}.policy")
-        if not policy_path.exists():
-            raise ConfigError(f"{where}.policy", f"no such file: {policy_path}")
+        _require(policy_path.exists(), f"{where}.policy", f"no such file: {policy_path}")
         dataset_path = None
         synth = None
         if "dataset" in m:
             dataset_path = base / _typed(m["dataset"], "string", f"{where}.dataset")
-            if not dataset_path.exists():
-                raise ConfigError(f"{where}.dataset", f"no such file: {dataset_path}")
+            _require(dataset_path.exists(), f"{where}.dataset",
+                     f"no such file: {dataset_path}")
         elif "synth" in m:
-            synth_raw = _typed(m["synth"], "object", f"{where}.synth")
-            _reject_unknown_keys(synth_raw, _SYNTH_KEYS, f"{where}.synth.")
-            try:
-                synth = SynthProfile.from_json({"member_id": mid, **synth_raw})
-            except InvalidProfileField as exc:
-                raise ConfigError(f"{where}.synth.{exc.field}", exc.reason) from None
+            synth = _read_profile(m["synth"], mid, features, width, f"{where}.synth")
         else:
             raise ConfigError(where, "member needs either a dataset or a synth profile")
         members.append(MemberSpec(
@@ -234,27 +338,24 @@ def load_config(path: str | Path) -> ConsortiumConfig:
             alliances=frozenset(_typed_items(m.get("alliances", []), "string",
                                              f"{where}.alliances")),
         ))
-    if len(members) < 2:
-        raise ConfigError("members", "a consortium needs at least two members")
+    _require(len(members) >= 2, "members", "a consortium needs at least two members")
 
     ring_order = tuple(_typed_items(raw.get("ring_order", [m.member_id for m in members]),
                                     "string", "ring_order"))
-    if sorted(ring_order) != sorted(m.member_id for m in members):
-        raise ConfigError("ring_order", "must be a permutation of the member ids")
+    _require(sorted(ring_order) == sorted(m.member_id for m in members), "ring_order",
+             "must be a permutation of the member ids")
     initiator = _typed(raw.get("initiator", ring_order[0]), "string", "initiator")
-    if initiator not in ring_order:
-        raise ConfigError("initiator", f"{initiator!r} is not a member")
+    _require(initiator in ring_order, "initiator", f"{initiator!r} is not a member")
 
-    he_raw = _typed(raw.get("he", {}), "object", "he")
-    _reject_unknown_keys(he_raw, _HE_KEYS, "he.")
-    he = HEParams(**{k: _typed(v, "integer", f"he.{k}") for k, v in he_raw.items()})
+    he = HEParams(**{k: _typed(v, "integer", path)
+                     for k, v, path in _entries(raw.get("he", {}), "he", _HE_KEYS)})
     try:
         he.validate()
     except CurieError as exc:
         raise ConfigError("he", str(exc)) from None
 
-    dp_raw = _typed(raw.get("dp", {}), "object", "dp")
-    _reject_unknown_keys(dp_raw, _DP_KEYS, "dp.")
+    dp_raw = raw.get("dp", {})
+    _entries(dp_raw, "dp", _DP_KEYS)
     epsilons = _typed_items(dp_raw.get("epsilons", [*DPSettings.epsilons]), "number",
                             "dp.epsilons")
     dp = DPSettings(tuple(map(float, epsilons)), _typed(
@@ -267,8 +368,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
         except ValueError:
             raise ConfigError(SEED_ENV_VAR, "must be an integer") from None
     holdout = float(_typed(raw.get("holdout_fraction", 0.25), "number", "holdout_fraction"))
-    if not 0.0 <= holdout < 1.0:
-        raise ConfigError("holdout_fraction", "must lie in [0, 1)")
+    _require(0.0 <= holdout < 1.0, "holdout_fraction", "must lie in [0, 1)")
 
     return ConsortiumConfig(
         name=_typed(raw.get("name", path.stem), "string", "name"),
@@ -615,6 +715,23 @@ def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
     return out
 
 
+# each bench axis: the keyword it sets and the least value a session
+# runs with (a ring needs two members, a member at least one row)
+BENCH_AXES = {"members": ("n_members", 2), "rows": ("rows", 1),
+              "features": ("n_features", 0)}
+
+
+def check_bench_values(axis: str, values: Sequence[int]) -> None:
+    """Raise :class:`ValueError` unless *axis* is a bench axis and every
+    one of *values* is a size its sessions can run."""
+    if axis not in BENCH_AXES:
+        raise ValueError(f"unknown bench axis {axis!r}")
+    least = BENCH_AXES[axis][1]
+    if values and min(values) < least:
+        raise ValueError(f"the {axis} axis takes values of at least {least}, "
+                         f"not {min(values)}")
+
+
 def bench(axis: str, values: Sequence[int], runs: int = 3, seed: int = 0,
           key_bits: int = 192, n_members: int = 5, n_features: int = 10,
           rows: int = 1000) -> list[dict]:
@@ -624,8 +741,7 @@ def bench(axis: str, values: Sequence[int], runs: int = 3, seed: int = 0,
     both the with-keygen and without-keygen views are available.
     Medians over *runs* repetitions.
     """
-    if axis not in ("members", "rows", "features"):
-        raise ValueError(f"unknown bench axis {axis!r}")
+    check_bench_values(axis, values)
     if runs < 1:
         raise ValueError(f"a bench needs at least one run, not {runs}")
     # run-major interleaving: one sweep measures every axis value before
@@ -634,13 +750,10 @@ def bench(axis: str, values: Sequence[int], runs: int = 3, seed: int = 0,
     samples: dict[int, list[dict[str, float]]] = {v: [] for v in values}
     for run in range(runs):
         for value in values:
-            kwargs = {"n_members": n_members, "n_features": n_features,
-                      "rows": rows}
-            kwargs[{"members": "n_members", "rows": "rows",
-                    "features": "n_features"}[axis]] = value
+            sizes = {"n_members": n_members, "n_features": n_features,
+                     "rows": rows, BENCH_AXES[axis][0]: value}
             samples[value].append(_bench_session(
-                kwargs["n_members"], kwargs["n_features"], kwargs["rows"],
-                seed=_seed_for(seed, f"bench:{axis}:{value}:{run}"),
+                **sizes, seed=_seed_for(seed, f"bench:{axis}:{value}:{run}"),
                 key_bits=key_bits,
                 keygen_seed=_seed_for(seed, f"bench:keygen:{run}")))
     table = []

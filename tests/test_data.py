@@ -10,7 +10,6 @@ from curie.data import (
     Dataset,
     DegenerateColumn,
     DesignEncoding,
-    InvalidProfile,
     RowFilter,
     Schema,
     SchemaMismatch,
@@ -557,16 +556,6 @@ def test_synthetic_doses_match_the_row_loop_bit_for_bit(sigma, overrides):
         assert ds.columns["dose"].tobytes() == doses.tobytes()
     if overrides:
         assert any((ds.columns["dose"] == 20.0).any() for ds in datasets)
-
-
-def test_invalid_mix_rejected():
-    bad = _profiles(1.0)
-    bad[0] = SynthProfile(
-        member_id="M1", n=10,
-        categorical_mixes={"race": {"Asian": 0.5, "White": 0.1}},
-        coefficients=bad[0].coefficients)
-    with pytest.raises(InvalidProfile):
-        synth_members(1, warfarin_schema(), bad)
 
 
 # ---------------------------------------------------------------------------

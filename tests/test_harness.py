@@ -174,6 +174,25 @@ def test_seed_env_override(monkeypatch):
         ("member a string", _setting("members", 0, "D1"), None, "members[0]"),
         ("members an object", lambda raw: {**raw, "members": {"D1": raw["members"][0]}},
          None, "members"),
+        # every schema column is checked when the config loads, not when
+        # the run crashes on it, misreads it or overflows the ring
+        ("bounds of one number", _setting("schema", "columns", 0, "bounds", [5]), None,
+         "schema.columns[0].bounds"),
+        ("bounds of strings", _setting("schema", "columns", 0, "bounds", ["a", "b"]), None,
+         "schema.columns[0].bounds[0]"),
+        ("column name a number", _setting("schema", "columns", 0, "name", 5), None,
+         "schema.columns[0].name"),
+        ("bounds of three numbers", _setting("schema", "columns", 3, "bounds", [0, 50, 90]),
+         None, "schema.columns[3].bounds"),
+        ("bounds decreasing", _setting("schema", "columns", 3, "bounds", [90, 0]), None,
+         "schema.columns[3].bounds"),
+        ("bounds unbounded", _setting("schema", "columns", 0, "bounds", [-float("inf"), 80]),
+         None, "schema.columns[0].bounds"),
+        ("levels a string", _setting("schema", "columns", 2, "levels", "Asi"), None,
+         "schema.columns[2].levels"),
+        ("unknown schema key", _setting("schema", "bonds", [0, 1]), None, "schema.bonds"),
+        ("unknown column key", _setting("schema", "columns", 0, "bonds", [0, 1]), None,
+         "schema.columns[0].bonds"),
     ]])
 def test_mistyped_config_values_are_refused(tmp_path, monkeypatch, edit, env, where):
     # each is refused with its path, neither crashing nor read as
@@ -193,33 +212,62 @@ def _synth(*path_and_value):
     return _setting("members", 0, "synth", *path_and_value)
 
 
-@pytest.mark.parametrize("edit, where", [
-    pytest.param(edit, where, id=case) for case, edit, where in [
-        ("noise sigma a string", _synth("noise_sigma", "0.5"), "noise_sigma"),
-        ("noise sigma a boolean", _synth("noise_sigma", True), "noise_sigma"),
-        ("min dose a string", _synth("min_dose", "1"), "min_dose"),
-        ("coefficients strings", _synth("coefficients", ["30.0", "0.1", "0.1", "8.0", "4.0"]),
-         "coefficients[0]"),
-        ("coefficient a boolean", _synth("coefficients", [30.0, True, 0.1, 8.0, 4.0]),
-         "coefficients[1]"),
-        ("range of strings", _synth("numeric_ranges", "age", ["20", "80"]),
+@pytest.mark.parametrize("name, edit, where", [
+    pytest.param(name, edit, where, id=case) for case, name, edit, where in [
+        ("noise sigma a string", "default_dp", _synth("noise_sigma", "0.5"), "noise_sigma"),
+        ("noise sigma a boolean", "default_dp", _synth("noise_sigma", True), "noise_sigma"),
+        ("min dose a string", "default_dp", _synth("min_dose", "1"), "min_dose"),
+        ("coefficients strings", "default_dp",
+         _synth("coefficients", ["30.0", "0.1", "0.1", "8.0", "4.0"]), "coefficients[0]"),
+        ("coefficient a boolean", "default_dp",
+         _synth("coefficients", [30.0, True, 0.1, 8.0, 4.0]), "coefficients[1]"),
+        ("range of strings", "default_dp", _synth("numeric_ranges", "age", ["20", "80"]),
          "numeric_ranges.age[0]"),
-        ("range of three numbers", _synth("numeric_ranges", "age", [20, 50, 80]),
+        ("range of three numbers", "default_dp",
+         _synth("numeric_ranges", "age", [20, 50, 80]), "numeric_ranges.age"),
+        ("ranges an array", "default_dp", _synth("numeric_ranges", [1, 2]), "numeric_ranges"),
+        ("mix weight a string", "default_dp",
+         _synth("categorical_mixes", "race", "Asian", "0.8"), "categorical_mixes.race.Asian"),
+        ("probability a string", "p1_single", _synth("boolean_probs", "inducer", "0.5"),
+         "boolean_probs.inducer"),
+        ("level column a number", "default_dp", _synth("level_column", 5), "level_column"),
+        ("level coefficient a string", "default_dp",
+         _synth("level_coefficients", "Asian", 0, "22"), "level_coefficients.Asian[0]"),
+        # checked against the schema, at load rather than when the
+        # scenario is built, or not at all
+        ("level column unknown", "default_dp", _synth("level_column", "nope"),
+         "level_column"),
+        ("range decreasing", "default_dp", _synth("numeric_ranges", "age", [80, 20]),
          "numeric_ranges.age"),
-        ("ranges an array", _synth("numeric_ranges", [1, 2]), "numeric_ranges"),
-        ("mix weight a string", _synth("categorical_mixes", "race", "Asian", "0.8"),
+        ("mix weight negative", "default_dp",
+         _synth("categorical_mixes", "race", {"Asian": -0.5, "Black": 1.5}),
          "categorical_mixes.race.Asian"),
-        ("probability a string", _synth("boolean_probs", {"smoker": "0.5"}),
-         "boolean_probs.smoker"),
-        ("level column a number", _synth("level_column", 5), "level_column"),
-        ("level coefficient a string", _synth("level_coefficients", "Asian", 0, "22"),
-         "level_coefficients.Asian[0]"),
+        ("range of an unknown column", "default_dp", _synth("numeric_ranges", "nope", [1, 2]),
+         "numeric_ranges.nope"),
+        ("probability of an unknown column", "default_dp",
+         _synth("boolean_probs", {"nope": 0.5}), "boolean_probs.nope"),
+        ("probability of a numeric column", "default_dp",
+         _synth("boolean_probs", {"age": 0.5}), "boolean_probs.age"),
+        ("override of an unknown level", "default_dp",
+         _synth("level_coefficients", "Martian", [30.0, 0.1, 0.1, 8.0, 4.0]),
+         "level_coefficients.Martian"),
+        ("probability above 1", "p1_single", _synth("boolean_probs", "inducer", 1.5),
+         "boolean_probs.inducer"),
+        ("range outside the bounds", "p1_single", _synth("numeric_ranges", "age", [0, 500]),
+         "numeric_ranges.age"),
+        ("mix not summing to 1", "default_dp",
+         _synth("categorical_mixes", "race", {"Asian": 0.5, "White": 0.1}),
+         "categorical_mixes.race"),
+        ("no rows", "default_dp", _synth("n", 0), "n"),
+        ("noise sigma negative", "default_dp", _synth("noise_sigma", -1), "noise_sigma"),
+        ("coefficients short", "default_dp", _synth("coefficients", [30.0, 0.1]),
+         "coefficients"),
     ]])
-def test_mistyped_synth_profile_values_are_refused(tmp_path, edit, where):
-    # each was read as something else ("0.5" as 0.5, true as 1.0) or
-    # crashed loading or building the scenario with a bare TypeError,
-    # KeyError or AttributeError
-    target = _write_config(tmp_path, "default_dp", edit)
+def test_mistyped_synth_profile_values_are_refused(tmp_path, name, edit, where):
+    # each was read as something else ("0.5" as 0.5, true as 1.0),
+    # silently ignored, or crashed or stopped loading or building the
+    # scenario with a bare TypeError, KeyError or ValueError
+    target = _write_config(tmp_path, name, edit)
     with pytest.raises(ConfigError) as err:
         load_config(target)
     assert err.value.field_path == f"members[0].synth.{where}"
@@ -613,6 +661,10 @@ def test_bench_axes_shape():
         bench("bogus", [1])
     with pytest.raises(ValueError, match="at least one run"):
         bench("rows", [200], runs=0)
+    with pytest.raises(ValueError, match="at least 2, not 1"):
+        bench("members", [3, 1], runs=1)
+    with pytest.raises(ValueError, match="at least 1, not 0"):
+        bench("rows", [0], runs=1)
 
 
 def test_bench_sizes_its_ring_as_the_pipeline_does(monkeypatch):
@@ -769,6 +821,12 @@ def test_cli_bench_smoke(capsys):
     # a zero key size is refused, not run with the default 192 bits
     (["--values", "200", "--key-bits", "0"],
      "argument --key-bits: invalid positive value: '0'"),
+    # sizes no session can run are refused before any session starts
+    (["--values", "200,0"], "argument --values: the rows axis takes values of at least 1, not 0"),
+    (["--axis", "members", "--values", "0"],
+     "argument --values: the members axis takes values of at least 2, not 0"),
+    (["--axis", "members", "--values", "1"],
+     "argument --values: the members axis takes values of at least 2, not 1"),
 ])
 def test_cli_bench_refuses_malformed_arguments(capsys, args, message):
     with pytest.raises(SystemExit) as exit_:
