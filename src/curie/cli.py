@@ -92,14 +92,7 @@ def cmd_bench(args) -> int:
         harness.check_bench_values(args.axis, args.values)
     except ValueError as exc:
         args.parser.error(f"argument --values: {exc}")
-    seed, key_bits = 0, args.key_bits
-    if args.config:
-        cfg = harness.load_config(args.config)
-        seed = cfg.seed
-        if args.key_bits is None:
-            key_bits = cfg.he.key_bits
-    table = harness.bench(args.axis, args.values, runs=args.runs, seed=seed,
-                          key_bits=key_bits or 192)
+    table = harness.bench(args.axis, args.values, runs=args.runs, key_bits=args.key_bits)
     if args.csv:
         keys = list(table[0].keys())
         print(",".join(keys))
@@ -139,13 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="phase timing table along one axis")
-    p.add_argument("config", nargs="?",
-                   help="optional consortium config supplying seed and key size")
     p.add_argument("--axis", required=True, choices=list(harness.BENCH_AXES))
     p.add_argument("--values", required=True, type=counts,
                    help="comma-separated axis values")
     p.add_argument("--runs", type=positive, default=3)
-    p.add_argument("--key-bits", type=positive, default=None)
+    p.add_argument("--key-bits", type=positive, default=192)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bench, parser=p)
 

@@ -30,7 +30,6 @@ from curie.cpl import ast
 from curie.cpl.tokens import LexError, Span, Token, TokenKind, tokenize
 from curie.errors import CurieError
 
-_VALUE_KINDS = (TokenKind.STRING, TokenKind.INT, TokenKind.FLOAT, TokenKind.IDENT)
 _OP_KINDS = {
     TokenKind.EQ: "=",
     TokenKind.LT: "<",

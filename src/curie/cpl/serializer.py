@@ -87,6 +87,5 @@ def serialize(policy: ast.PolicyAst) -> str:
     return "\n".join(_format_statement(s) for s in policy.statements) + "\n"
 
 
-# conditional/filter formatting is reused by negotiation traces
+# conditional formatting is reused by negotiation traces
 format_conditional = _format_conditional
-format_filter = _format_filter

@@ -44,9 +44,9 @@ NormalizationMap = dict[str, tuple[float, float]]
 class ColumnType:
     """One of integer | real | categorical(levels) | boolean.
 
-    Numeric columns may declare (lo, hi) bounds, the consortium
-    constants normalization maps into [-1, 1]; a numeric column without
-    them cannot be normalized.
+    Numeric columns, and only they, may declare (lo, hi) bounds, the
+    consortium constants normalization maps into [-1, 1]; a numeric
+    column without them cannot be normalized.
     """
 
     kind: str
@@ -60,6 +60,8 @@ class ColumnType:
             raise SchemaMismatch("categorical column needs >= 2 levels")
         if self.kind != "categorical" and self.levels:
             raise SchemaMismatch(f"{self.kind} column cannot declare levels")
+        if not self.is_numeric and self.bounds is not None:
+            raise SchemaMismatch(f"{self.kind} column cannot declare bounds")
 
     @property
     def is_numeric(self) -> bool:
@@ -100,8 +102,7 @@ class Schema:
         """The declared (lo, hi) of every numeric column that declares
         them: the consortium's one map into [-1, 1]."""
         return {c.name: (float(c.ctype.bounds[0]), float(c.ctype.bounds[1]))
-                for c in self.columns
-                if c.ctype.is_numeric and c.ctype.bounds is not None}
+                for c in self.columns if c.ctype.bounds is not None}
 
     def to_json(self) -> dict:
         cols = []
@@ -441,14 +442,13 @@ class DesignEncoding:
 class DesignMatrix:
     X: np.ndarray
     Y: np.ndarray
-    encoding: DesignEncoding
 
 
 def to_design_matrix(ds: Dataset, encoding: DesignEncoding | None = None) -> DesignMatrix:
     if ds.n == 0:
         raise SchemaMismatch("cannot build a design matrix from an empty dataset")
     enc = encoding or DesignEncoding(ds.schema)
-    return DesignMatrix(enc.encode(ds), ds.column(ds.schema.target), enc)
+    return DesignMatrix(enc.encode(ds), ds.column(ds.schema.target))
 
 
 # --------------------------------------------------------------------------

@@ -76,6 +76,9 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     n = len(a)
     if n < 2:
         raise LengthMismatch("pearson needs at least two samples")
+    # a rounded mean can leave a constant vector a tiny spread
+    if min(a) == max(a) or min(b) == max(b):
+        raise ZeroVariance("pearson undefined for a constant vector")
     ma = math.fsum(a) / n
     mb = math.fsum(b) / n
     cov = math.fsum((x - ma) * (y - mb) for x, y in zip(a, b))

@@ -400,7 +400,7 @@ def _no_constant(name: str):
 
 
 def build_request(requester: MemberContext, owner: PublicProfile,
-                  rng: random.Random | None = None) -> AcquireRequest:
+                  rng: random.Random) -> AcquireRequest:
     """Requester-side request assembly.
 
     Blinds every schema column the owner's share clauses or the
@@ -408,7 +408,6 @@ def build_request(requester: MemberContext, owner: PublicProfile,
     owner can decide the data-dependent conditionals of both policies
     without another round trip, and no other column leaves the requester.
     """
-    rng = rng or random.Random()
     profile = requester.profile
     wanted = owner.dd_columns | evaluated_columns(
         requester.policy, ast.ClauseKind.ACQUIRE, owner.member_id)
@@ -493,7 +492,7 @@ def answer_request(owner: MemberContext, request: AcquireRequest) -> Agreement:
 
 
 def _exchange(requester: MemberContext, owner: MemberContext,
-              rng: random.Random | None, log: MessageLog) -> Agreement:
+              rng: random.Random, log: MessageLog) -> Agreement:
     """One directed pair's round trip, each message logged as the bytes
     it carries: the requester's request, then the owner's answer.  An
     answer that fails with a :class:`CurieError` is an empty agreement
@@ -512,7 +511,7 @@ def _exchange(requester: MemberContext, owner: MemberContext,
 
 
 def negotiate_pair(requester: MemberContext, owner: MemberContext,
-                   rng: random.Random | None = None) -> Agreement:
+                   rng: random.Random) -> Agreement:
     """Negotiate one directed pair (requester acquires from owner), as
     :func:`negotiate_consortium` does for each pair it runs."""
     report = check_shared_schema(requester.dataset.schema, owner.dataset.schema)
@@ -526,8 +525,7 @@ def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
                for c in policy.clauses)
 
 
-def negotiate_consortium(contexts: Sequence[MemberContext],
-                         rng: random.Random | None = None,
+def negotiate_consortium(contexts: Sequence[MemberContext], rng: random.Random
                          ) -> tuple[list[Agreement], MessageLog]:
     """Run all pairwise negotiations.
 
@@ -548,7 +546,6 @@ def negotiate_consortium(contexts: Sequence[MemberContext],
             raise SchemaMismatch(
                 f"{contexts[0].member_id} vs {ctx.member_id}: " + "; ".join(report))
 
-    rng = rng or random.Random(0)
     log = MessageLog()
     by_id = {c.member_id: c for c in contexts}
     agreements: list[Agreement] = []

@@ -226,24 +226,29 @@ def _read_schema(raw: object) -> Schema:
         raise ConfigError("schema", str(exc)) from None
 
 
-def _read_profile(raw: object, member_id: str,
-                  features: Sequence[Mapping[str, ColumnType]], width: int,
-                  where: str) -> SynthProfile:
-    """The synthesis profile *raw* describes, checked against a schema
-    whose numeric, categorical and boolean feature columns *features*
-    maps by name, and whose design encoding is *width* wide."""
+def _read_profile(raw: object, member_id: str, schema: Schema, where: str) -> SynthProfile:
+    """The synthesis profile *raw* describes, checked against *schema*;
+    every number it holds is finite."""
     _entries(raw, where, _SYNTH_KEYS)
-    numeric, categorical, boolean = features
+    numeric, categorical, boolean = (
+        {c.name: c.ctype for c in schema.feature_columns if c.ctype.kind in kinds}
+        for kinds in (("integer", "real"), ("categorical",), ("boolean",)))
+    width = DesignEncoding(schema).width
 
     def entries(name: str, keys: Collection[str]) -> list[tuple[str, object, str]]:
         return _entries(raw.get(name, {}), f"{where}.{name}", keys)
 
     def number(name: str, default: float) -> float:
-        return float(_typed(raw.get(name, default), "number", f"{where}.{name}"))
+        path = f"{where}.{name}"
+        value = float(_typed(raw.get(name, default), "number", path))
+        _require(math.isfinite(value), path, "must be a finite number")
+        return value
 
     def coefficients(value: object, path: str) -> tuple:
         eta = tuple(_typed_items(value, "number", path))
         _require(len(eta) == width, path, f"must hold {width} numbers, the design width")
+        for i, v in enumerate(eta):
+            _require(math.isfinite(v), f"{path}[{i}]", "must be a finite number")
         return eta
 
     n = _typed(raw.get("n"), "integer", f"{where}.n")
@@ -256,6 +261,10 @@ def _read_profile(raw: object, member_id: str,
         levels = categorical[level_column].levels
     noise_sigma = number("noise_sigma", 0.0)
     _require(noise_sigma >= 0, f"{where}.noise_sigma", "must not be negative")
+    min_dose = number("min_dose", 0.5)
+    lo, hi = schema.column(schema.target).ctype.bounds
+    _require(lo <= min_dose <= hi, f"{where}.min_dose",
+             "must lie within the target column's declared bounds")
     return SynthProfile(
         member_id=member_id,
         n=n,
@@ -270,7 +279,7 @@ def _read_profile(raw: object, member_id: str,
         level_coefficients={level: coefficients(eta, path)
                             for level, eta, path in entries("level_coefficients", levels)},
         noise_sigma=noise_sigma,
-        min_dose=number("min_dose", 0.5),
+        min_dose=min_dose,
     )
 
 
@@ -301,9 +310,6 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     base = path.parent
 
     schema = _read_schema(raw.get("schema"))
-    width = DesignEncoding(schema).width
-    features = [{c.name: c.ctype for c in schema.feature_columns if c.ctype.kind in kinds}
-                for kinds in (("integer", "real"), ("categorical",), ("boolean",))]
 
     members: list[MemberSpec] = []
     seen: set[str] = set()
@@ -325,7 +331,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
             _require(dataset_path.exists(), f"{where}.dataset",
                      f"no such file: {dataset_path}")
         elif "synth" in m:
-            synth = _read_profile(m["synth"], mid, features, width, f"{where}.synth")
+            synth = _read_profile(m["synth"], mid, schema, f"{where}.synth")
         else:
             raise ConfigError(where, "member needs either a dataset or a synth profile")
         members.append(MemberSpec(
@@ -525,7 +531,7 @@ def _member_stats(scenario: Scenario, agreements: Sequence[Agreement],
             return None
         try:
             return local_stats(scenario.context(member_id).dataset, by_owner[member_id],
-                               bounds=cfg.schema.bounds, encoding=scenario.encoding)
+                               bounds=cfg.schema.bounds)
         except EmptyRelease:    # an empty agreement, or no row selected
             return None
 
@@ -583,7 +589,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         with phase("local_models"):
             for ctx in scenario.contexts:
                 try:
-                    own = local_stats(ctx.dataset, bounds=bounds, encoding=scenario.encoding)
+                    own = local_stats(ctx.dataset, bounds=bounds)
                 except EmptyRelease:    # no training rows
                     if pools and ctx.member_id == cfg.initiator:
                         raise
@@ -601,7 +607,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
             list(cfg.ring_order), cfg.initiator, stats,
             _session_params(cfg.he, [ctx.profile.data_size for ctx in scenario.contexts]),
             random.Random(_seed_for(cfg.seed, "ring")))
-        report.message_counts["ring"] = len(result.transcript)
+        report.message_counts["ring"] = len(result.transcript.log)
         report.pooled_rows = result.n_pool
 
         with phase("pooled_model"):
@@ -615,8 +621,8 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
             local = report.local_clinical[cfg.initiator]
             with phase("dp_sweep"):
                 report.dp_table = dp_sweep_from_stats(
-                    result.O_pool, result.V_pool, scenario, cfg.dp.epsilons,
-                    cfg.dp.repetitions, local.mae if local is not None else None)
+                    result.O_pool, result.V_pool, scenario,
+                    local.mae if local is not None else None)
         return report
 
 
@@ -628,8 +634,6 @@ def bootstrap_ci(values: np.ndarray, rng: np.random.Generator
     """Percentile bootstrap ``CI_LEVEL`` CI for the mean of *values*,
     from ``CI_DRAWS`` resamples."""
     values = np.asarray(values, dtype=float)
-    if len(values) == 1:
-        return float(values[0]), float(values[0])
     idx = rng.integers(0, len(values), size=(CI_DRAWS, len(values)))
     means = values[idx].mean(axis=1)
     alpha = (1.0 - CI_LEVEL) / 2.0
@@ -638,23 +642,22 @@ def bootstrap_ci(values: np.ndarray, rng: np.random.Generator
 
 
 def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
-                        scenario: Scenario,
-                        epsilons: Sequence[float], repetitions: int,
-                        local_mae: float | None) -> list[dict]:
-    """Per-budget accuracy table for the private pooled model.
+                        scenario: Scenario, local_mae: float | None) -> list[dict]:
+    """Per-budget accuracy table for the private pooled model, over the
+    budgets and repetitions of the scenario's ``dp`` settings.
 
     For each epsilon, ``repetitions`` private models, each drawing its
     noise from its own seeded generator, are fitted in one batched call
     and scored on the mixed held-out cohort; the table carries the mean
-    MAE with a bootstrap CI, plus the advantage over *local_mae*, the
-    initiator's own non-private local model's (the alternative a member
-    always has), with its CI.
+    MAE, plus the advantage over *local_mae*, the initiator's own
+    non-private local model's (the alternative a member always has).
+    With more than one repetition, each mean carries a bootstrap CI.
     """
     cfg = scenario.config
+    repetitions = cfg.dp.repetitions
     if scenario.validation is None:
         raise ConfigError("holdout_fraction",
                           "dp sweep needs a held-out validation cohort")
-    d = scenario.encoding.width
 
     # the cohort is encoded once; each budget's repetitions are scored
     # together against it
@@ -665,26 +668,28 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
     target_bounds = bounds[cfg.schema.target]
     V = V_pool.reshape(-1)
     table: list[dict] = []
-    for eps in epsilons:
+    for eps in cfg.dp.epsilons:
         etas = functional_mechanism(
-            O_pool, V, d, eps,
+            O_pool, V, eps,
             [np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}:{rep}"))
              for rep in range(repetitions)])
         maes = mean_absolute_errors(X, etas, y, target_bounds)
         ci_rng = np.random.default_rng(_seed_for(cfg.seed, f"dpci:{eps}"))
-        lo, hi = bootstrap_ci(maes, ci_rng)
+
+        def ci(values: np.ndarray) -> list[float] | None:
+            return list(bootstrap_ci(values, ci_rng)) if repetitions > 1 else None
+
         row = {
             "epsilon": eps,
             "repetitions": repetitions,
             "mean_mae": float(maes.mean()),
-            "mae_ci": [lo, hi] if repetitions > 1 else None,
+            "mae_ci": ci(maes),
         }
         if local_mae is not None:
             adv = local_mae - maes
-            alo, ahi = bootstrap_ci(adv, ci_rng)
             row["local_mae"] = local_mae
             row["advantage_mean"] = float(adv.mean())
-            row["advantage_ci"] = [alo, ahi] if repetitions > 1 else None
+            row["advantage_ci"] = ci(adv)
         table.append(row)
     return table
 

@@ -14,7 +14,6 @@ the one its generator gives alone.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -109,8 +108,6 @@ def solve_ols_pruned(O: np.ndarray, V: np.ndarray,
     diag = np.diag(O)
     scale = max(float(diag.max(initial=0.0)), 1.0)
     keep = np.where(diag > 1e-12 * scale)[0]
-    if len(keep) == len(diag):
-        return solve_ols(O, V, condition_limit)
     eta = np.zeros(len(diag))
     eta[keep] = solve_ols(O[np.ix_(keep, keep)], V[keep], condition_limit)
     return eta
@@ -141,28 +138,29 @@ def _check_normalized(O: np.ndarray, V: np.ndarray) -> None:
             "normalize inputs before applying the privacy mechanism")
 
 
-def functional_mechanism(O: np.ndarray, V: np.ndarray, d: int, epsilon: float,
+def functional_mechanism(O: np.ndarray, V: np.ndarray, epsilon: float,
                          rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Epsilon-differentially-private coefficients via objective
     perturbation, one row per generator in *rngs*.
 
     Each generator draws its own noise: Laplace(:func:`sensitivity_bound`
-    / epsilon) for every entry of O (the upper triangle is mirrored to
-    keep O symmetric), then for every entry of V.  The perturbed O's are
-    eigenvalue-floored at ``PD_FLOOR`` to restore positive definiteness
-    and solved in one batched pass; row i equals what the same steps
-    give for ``rngs[i]`` alone.  The solve is direct rather than going
-    through :func:`solve_ols`: the floor guarantees invertibility, and
-    heavy noise draws legitimately produce ill-conditioned systems that
-    the non-private contract would reject.  The budget and the
-    normalization are checked before any generator draws.
+    of O's width / epsilon) for every entry of O (the upper triangle is
+    mirrored to keep O symmetric), then for every entry of V.  The
+    perturbed O's are eigenvalue-floored at ``PD_FLOOR`` to restore
+    positive definiteness and solved in one batched pass; row i equals
+    what the same steps give for ``rngs[i]`` alone.  The solve is direct
+    rather than going through :func:`solve_ols`: the floor guarantees
+    invertibility, and heavy noise draws legitimately produce
+    ill-conditioned systems that the non-private contract would reject.
+    The budget and the normalization are checked before any generator
+    draws.
     """
     if epsilon <= 0:
         raise BudgetError(f"privacy budget must be positive, got {epsilon}")
     O = np.asarray(O, dtype=float)
     V = np.asarray(V, dtype=float).reshape(-1)
     _check_normalized(O, V)
-    b = sensitivity_bound(d) / epsilon
+    b = sensitivity_bound(O.shape[0]) / epsilon
 
     noise = np.empty((len(rngs), *O.shape))
     v_noise = np.empty((len(rngs), *V.shape))
@@ -217,9 +215,6 @@ class DoseModel:
             "privacy": self.privacy,
             "epsilon": self.epsilon,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def predict_dataset(model: DoseModel, ds: Dataset) -> np.ndarray:

@@ -32,14 +32,14 @@ exact bytes its receiver parses, which the leakage audit scans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
 from curie import crypto
-from curie.data import Dataset, DesignEncoding, NormalizationMap, apply_selections, \
-    normalize_columns, to_design_matrix
+from curie.data import Dataset, NormalizationMap, apply_selections, normalize_columns, \
+    to_design_matrix
 from curie.engine import EMPTY, Agreement
 from curie.errors import CurieError
 from curie.phases import phase
@@ -80,8 +80,7 @@ class LocalStats:
 
 
 def local_stats(ds: Dataset, agreement: Agreement | None = None,
-                bounds: NormalizationMap | None = None,
-                encoding: DesignEncoding | None = None) -> LocalStats:
+                bounds: NormalizationMap | None = None) -> LocalStats:
     """Apply the agreement's selections, optionally normalize numeric
     columns to [-1, 1] against *bounds*, and accumulate the sufficient
     statistics.  Raises :class:`EmptyRelease` when no rows survive, and
@@ -96,7 +95,7 @@ def local_stats(ds: Dataset, agreement: Agreement | None = None,
         raise EmptyRelease("no rows released after selections")
     if bounds is not None:
         ds = normalize_columns(ds, bounds)
-    dm = to_design_matrix(ds, encoding)
+    dm = to_design_matrix(ds)
     if bounds is not None and max(np.abs(dm.X).max(), np.abs(dm.Y).max()) > 1:
         raise OverflowAbort(f"{ds.provenance}: a normalized value leaves [-1, 1]")
     return LocalStats(dm.X.T @ dm.X, (dm.X.T @ dm.Y).reshape(-1, 1), dm.X.shape[0])
@@ -145,18 +144,8 @@ def _ring_payload(buf: bytes, pk: crypto.PublicKey, width: int) -> crypto.Cipher
 class Transcript:
     initiator: str
     ring: tuple[str, ...]
-    log: MessageLog = field(default_factory=MessageLog)
-    layout: crypto.SlotLayout | None = None
-
-    def __len__(self) -> int:
-        return len(self.log)
-
-    def to_json(self) -> dict:
-        return {
-            "initiator": self.initiator,
-            "ring": list(self.ring),
-            "messages": self.log.to_json(),
-        }
+    log: MessageLog
+    layout: crypto.SlotLayout
 
 
 @dataclass(frozen=True)
@@ -335,8 +324,8 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
     neighbors.  An honest initiator leaves nothing recoverable.
 
     Payload findings: no ring payload may carry a plaintext statistic:
-    neither a single encoded O or V entry nor, when the transcript
-    records its slot layout, one of a member's packed plaintexts.
+    neither a single encoded O or V entry nor, in the transcript's slot
+    layout, one of a member's packed plaintexts.
     Payloads are scanned byte-wise for the serialized residues, and
     suspiciously small (plaintext-range) cells are compared with them.
     A leaked value that several members hold is reported for each.
@@ -364,11 +353,10 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
             for member, stats in reference_stats.items():
                 entries = [crypto.encode_fixed(float(e), scale) for e in
                            [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
-                if transcript.layout is not None:
-                    try:
-                        entries += transcript.layout.pack(_encode_stats(stats, scale))
-                    except crypto.Overflow:
-                        pass    # a member holding these could not have sent them
+                try:
+                    entries += transcript.layout.pack(_encode_stats(stats, scale))
+                except crypto.Overflow:
+                    pass    # a member holding these could not have sent them
                 for enc in entries:
                     if enc != 0:
                         targets.setdefault(pk.from_signed(enc), set()).add(member)

@@ -571,7 +571,7 @@ def _heterogeneous_round(seed):
         helds.append(he)
     mixed = concat(helds)
 
-    stats = [local_stats(t, bounds=_HET_BOUNDS, encoding=enc) for t in trains]
+    stats = [local_stats(t, bounds=_HET_BOUNDS) for t in trains]
     global_model = DoseModel(
         solve_ols_pruned(sum(s.O for s in stats), sum(s.V for s in stats)),
         enc, _HET_BOUNDS)
@@ -579,14 +579,14 @@ def _heterogeneous_round(seed):
 
     wins = 0
     for t in trains:
-        s = local_stats(t, bounds=_HET_BOUNDS, encoding=enc)
+        s = local_stats(t, bounds=_HET_BOUNDS)
         local = DoseModel(solve_ols_pruned(s.O, s.V), enc, _HET_BOUNDS)
         if g_mae < clinical_metrics(local, mixed).mae:
             wins += 1
 
     race_filter = [RowFilter("race", "=", "Asian")]
     r_stats = [local_stats(apply_selections(t, race_filter),
-                           bounds=_HET_BOUNDS, encoding=enc)
+                           bounds=_HET_BOUNDS)
                for t in trains if apply_selections(t, race_filter).n]
     race_model = DoseModel(
         solve_ols_pruned(sum(s.O for s in r_stats),

@@ -193,6 +193,12 @@ def test_seed_env_override(monkeypatch):
         ("unknown schema key", _setting("schema", "bonds", [0, 1]), None, "schema.bonds"),
         ("unknown column key", _setting("schema", "columns", 0, "bonds", [0, 1]), None,
          "schema.columns[0].bonds"),
+        # bounds only a numeric column normalizes by, never silently ignored
+        ("bounds on a categorical column",
+         _setting("schema", "columns", 2, "bounds", [0, 1]), None, "schema.columns[2]"),
+        ("bounds on a boolean column",
+         _setting("schema", "columns", 2, {"name": "race", "type": "boolean", "bounds": [0, 1]}),
+         None, "schema.columns[2]"),
     ]])
 def test_mistyped_config_values_are_refused(tmp_path, monkeypatch, edit, env, where):
     # each is refused with its path, neither crashing nor read as
@@ -262,6 +268,20 @@ def _synth(*path_and_value):
         ("noise sigma negative", "default_dp", _synth("noise_sigma", -1), "noise_sigma"),
         ("coefficients short", "default_dp", _synth("coefficients", [30.0, 0.1]),
          "coefficients"),
+        # numbers json reads though JSON has none, refused before they
+        # reach a dose, and a floor no dose of the target may take
+        ("coefficient NaN", "default_dp",
+         _synth("coefficients", [30.0, float("nan"), 0.1, 8.0, 4.0]), "coefficients[1]"),
+        ("level coefficient NaN", "default_dp",
+         _synth("level_coefficients", "Asian", 0, float("nan")),
+         "level_coefficients.Asian[0]"),
+        ("noise sigma infinite", "default_dp", _synth("noise_sigma", float("inf")),
+         "noise_sigma"),
+        ("min dose NaN", "default_dp", _synth("min_dose", float("nan")), "min_dose"),
+        ("min dose above the target's bounds", "default_dp", _synth("min_dose", 500),
+         "min_dose"),
+        ("min dose below the target's bounds", "default_dp", _synth("min_dose", -1),
+         "min_dose"),
     ]])
 def test_mistyped_synth_profile_values_are_refused(tmp_path, name, edit, where):
     # each was read as something else ("0.5" as 0.5, true as 1.0),
@@ -522,9 +542,9 @@ def test_dp_sweep_fits_each_budget_in_one_call(monkeypatch):
     calls = []
     fit = harness.functional_mechanism
 
-    def counted(O, V, d, epsilon, rngs):
+    def counted(O, V, epsilon, rngs):
         calls.append((epsilon, len(rngs)))
-        return fit(O, V, d, epsilon, rngs)
+        return fit(O, V, epsilon, rngs)
 
     monkeypatch.setattr(harness, "functional_mechanism", counted)
     cfg = load_config(config_path("default_dp"))
@@ -827,6 +847,9 @@ def test_cli_bench_smoke(capsys):
      "argument --values: the members axis takes values of at least 2, not 0"),
     (["--axis", "members", "--values", "1"],
      "argument --values: the members axis takes values of at least 2, not 1"),
+    # the bench takes no consortium config
+    ([str(config_path("default_dp")), "--values", "200"],
+     f"unrecognized arguments: {config_path('default_dp')}"),
 ])
 def test_cli_bench_refuses_malformed_arguments(capsys, args, message):
     with pytest.raises(SystemExit) as exit_:

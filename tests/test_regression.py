@@ -126,7 +126,7 @@ def _states(rngs):
 def test_vanishing_noise_limit():
     O, V = _normalized_stats()
     eta = solve_ols(O, V)
-    eta_dp, = functional_mechanism(O, V, O.shape[0], 1e9, _rngs(1))
+    eta_dp, = functional_mechanism(O, V, 1e9, _rngs(1))
     assert np.linalg.norm(eta_dp - eta) / np.linalg.norm(eta) < 1e-3
 
 
@@ -137,7 +137,7 @@ def test_budget_must_be_positive():
     before = _states(rngs)
     for epsilon in (0.0, -1.0):
         with pytest.raises(BudgetError):
-            functional_mechanism(O, V, O.shape[0], epsilon, rngs)
+            functional_mechanism(O, V, epsilon, rngs)
     assert _states(rngs) == before
 
 
@@ -150,13 +150,13 @@ def test_unnormalized_inputs_detected():
     rngs = _rngs(0, 1, 2)
     before = _states(rngs)
     with pytest.raises(NormalizationError):
-        functional_mechanism(O, V, O.shape[0], 1.0, rngs)
+        functional_mechanism(O, V, 1.0, rngs)
     assert _states(rngs) == before
 
 
 def test_fresh_noise_per_call():
     O, V = _normalized_stats()
-    a, b = functional_mechanism(O, V, O.shape[0], 5.0, _rngs(1, 2))
+    a, b = functional_mechanism(O, V, 5.0, _rngs(1, 2))
     assert not np.array_equal(a, b)
 
 
@@ -179,10 +179,10 @@ def test_batched_rows_equal_single_generator_fits(features):
     d = O.shape[0]
     assert d == features + 1
     seeds = range(12)
-    batch = functional_mechanism(O, V, d, 5.0, _rngs(*seeds))
+    batch = functional_mechanism(O, V, 5.0, _rngs(*seeds))
     assert batch.shape == (len(seeds), d)
     for seed, row in zip(seeds, batch, strict=True):
-        alone = functional_mechanism(O, V, d, 5.0, _rngs(seed))
+        alone = functional_mechanism(O, V, 5.0, _rngs(seed))
         assert alone.shape == (1, d)
         assert row.tobytes() == alone[0].tobytes()
         assert row.tobytes() == _one_model(O, V, d, 5.0,
@@ -196,7 +196,7 @@ def test_monotone_accuracy_direction_coarse():
     eta = solve_ols(O, V)
     errs = {}
     for eps in (1.0, 100.0):
-        draws = functional_mechanism(O, V, O.shape[0], eps, _rngs(*range(40)))
+        draws = functional_mechanism(O, V, eps, _rngs(*range(40)))
         errs[eps] = np.linalg.norm(draws - eta, axis=1).mean()
     assert errs[1.0] > errs[100.0]
 

@@ -160,8 +160,9 @@ def test_message_complexity_law(small_he_params):
         members = [f"P{i}" for i in range(n)]
         _, result = _session(members, small_he_params, seed=n)
         log = result.transcript.log
-        assert log.count("public_key") == n - 1
-        assert log.count("ring_accumulate") == n
+        kinds = Counter(m.kind for m in log)
+        assert kinds["public_key"] == n - 1
+        assert kinds["ring_accumulate"] == n
         assert len(log) == 2 * n - 1
 
 
@@ -276,23 +277,11 @@ def test_plaintext_injection_is_caught(small_he_params):
     log = MessageLog()
     log.send("P1", "P2", PHASE_PUBLIC_KEY, crypto.serialize_public_key(keys.public))
     log.send("P2", "P1", PHASE_RING, crypto.serialize_cipher_matrix(leaked))
-    transcript = Transcript("P1", ("P1", "P2"), log)
+    transcript = Transcript("P1", ("P1", "P2"), log,
+                            crypto.SlotLayout.for_key(small_he_params, keys.public))
     report = audit_transcript(transcript, corrupted=set(),
                               reference_stats=stats, scale=scale)
     assert any(f.kind == "plaintext_leak" for f in report.findings)
-
-
-def test_transcript_json_export(small_he_params):
-    import json
-
-    _, result = _session(["P1", "P2", "P3"], small_he_params)
-    blob = json.dumps(result.transcript.to_json())
-    parsed = json.loads(blob)
-    assert parsed["initiator"] == "P1"
-    assert parsed["ring"] == ["P1", "P2", "P3"]
-    assert len(parsed["messages"]) == len(result.transcript)
-    for msg in parsed["messages"]:
-        bytes.fromhex(msg["payload"])  # payloads are hex-encoded bytes
 
 
 def _forward_packed_plaintext(transcript, stats, member, params):
