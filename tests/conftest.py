@@ -6,6 +6,10 @@ import os
 # the pool size is read once, when numpy loads, so pin it first
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# OpenBLAS picks its kernel for the CPU when numpy loads, and kernels
+# round sums differently in the last bits; the golden reports pin floats
+# to the last bit, so every x86-64 host runs the AVX2 (Haswell) kernel
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 from pathlib import Path  # noqa: E402
 
