@@ -675,21 +675,18 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
              for rep in range(repetitions)])
         maes = mean_absolute_errors(X, etas, y, target_bounds)
         ci_rng = np.random.default_rng(_seed_for(cfg.seed, f"dpci:{eps}"))
-
-        def ci(values: np.ndarray) -> list[float] | None:
-            return list(bootstrap_ci(values, ci_rng)) if repetitions > 1 else None
-
+        cis = repetitions > 1
         row = {
             "epsilon": eps,
             "repetitions": repetitions,
             "mean_mae": float(maes.mean()),
-            "mae_ci": ci(maes),
+            "mae_ci": list(bootstrap_ci(maes, ci_rng)) if cis else None,
         }
         if local_mae is not None:
             adv = local_mae - maes
             row["local_mae"] = local_mae
             row["advantage_mean"] = float(adv.mean())
-            row["advantage_ci"] = ci(adv)
+            row["advantage_ci"] = list(bootstrap_ci(adv, ci_rng)) if cis else None
         table.append(row)
     return table
 

@@ -144,16 +144,15 @@ def functional_mechanism(O: np.ndarray, V: np.ndarray, epsilon: float,
     perturbation, one row per generator in *rngs*.
 
     Each generator draws its own noise: Laplace(:func:`sensitivity_bound`
-    of O's width / epsilon) for every entry of O (the upper triangle is
-    mirrored to keep O symmetric), then for every entry of V.  The
-    perturbed O's are eigenvalue-floored at ``PD_FLOOR`` to restore
-    positive definiteness and solved in one batched pass; row i equals
-    what the same steps give for ``rngs[i]`` alone.  The solve is direct
-    rather than going through :func:`solve_ols`: the floor guarantees
-    invertibility, and heavy noise draws legitimately produce
-    ill-conditioned systems that the non-private contract would reject.
-    The budget and the normalization are checked before any generator
-    draws.
+    / epsilon) for every entry of O (the upper triangle is mirrored to
+    keep O symmetric), then for every entry of V.  The perturbed O's are
+    eigenvalue-floored at ``PD_FLOOR`` to restore positive definiteness
+    and solved in one batched pass; row i equals what the same steps
+    give for ``rngs[i]`` alone.  The solve is direct rather than going
+    through :func:`solve_ols`: the floor guarantees invertibility, and
+    heavy noise draws legitimately produce ill-conditioned systems that
+    the non-private contract would reject.  The budget and the
+    normalization are checked before any generator draws.
     """
     if epsilon <= 0:
         raise BudgetError(f"privacy budget must be positive, got {epsilon}")

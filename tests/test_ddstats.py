@@ -55,6 +55,11 @@ def test_pearson_errors():
         pearson([1, 2], [1, 2, 3])
     with pytest.raises(ZeroVariance):
         pearson([1, 1, 1], [1, 2, 3])
+    # a constant whose rounded mean is not itself, on either side
+    with pytest.raises(ZeroVariance):
+        pearson([1.476562] * 3, [0.0, 0.0, 1.0])
+    with pytest.raises(ZeroVariance):
+        pearson([0.0, 0.0, 1.0], [1.476562] * 3)
 
 
 def test_cosine_basics():

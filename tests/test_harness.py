@@ -848,8 +848,8 @@ def test_cli_bench_smoke(capsys):
     (["--axis", "members", "--values", "1"],
      "argument --values: the members axis takes values of at least 2, not 1"),
     # the bench takes no consortium config
-    ([str(config_path("default_dp")), "--values", "200"],
-     f"unrecognized arguments: {config_path('default_dp')}"),
+    (["consortia/default_dp/config.json", "--values", "200"],
+     "unrecognized arguments: consortia/default_dp/config.json"),
 ])
 def test_cli_bench_refuses_malformed_arguments(capsys, args, message):
     with pytest.raises(SystemExit) as exit_:
