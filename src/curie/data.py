@@ -511,22 +511,16 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
 
         cols[schema.target] = np.zeros(p.n)
         X = enc.encode(Dataset(schema, cols))
-        base = np.asarray(p.coefficients)
-        overrides = {level: np.asarray(eta)
-                     for level, eta in p.level_coefficients.items()}
-        levels = cols[p.level_column] if p.level_column is not None else None
-        # one call draws the same stream as one draw per row
-        noise = rng.normal(0.0, p.noise_sigma, p.n).tolist() if p.noise_sigma > 0 else None
-        doses = []
-        for i in range(p.n):
-            eta = base if levels is None else overrides.get(levels[i], base)
-            # one dot per row, not X @ eta: a matrix product rounds the
-            # doses differently in the last bits
-            y = float(eta @ X[i])
-            if noise is not None:
-                y += noise[i]
-            doses.append(max(y, p.min_dose))
-        cols[schema.target] = np.array(doses)
+        # each row's coefficients: the base vector, or its level's override
+        E = np.tile(np.asarray(p.coefficients, dtype=float), (p.n, 1))
+        for level, eta in p.level_coefficients.items():
+            E[cols[p.level_column] == level] = eta
+        y = np.zeros(p.n)
+        for j in range(enc.width):
+            y += X[:, j] * E[:, j]
+        if p.noise_sigma > 0:
+            y += rng.normal(0.0, p.noise_sigma, p.n)
+        cols[schema.target] = np.maximum(y, p.min_dose)
         datasets.append(Dataset(schema, cols, p.member_id))
     return datasets
 

@@ -604,7 +604,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         with phase("stats"):
             stats = _member_stats(scenario, agreements, initiator_stats)
         result = run_ring_session(
-            list(cfg.ring_order), cfg.initiator, stats,
+            list(cfg.ring_order), cfg.initiator, stats, scenario.encoding,
             _session_params(cfg.he, [ctx.profile.data_size for ctx in scenario.contexts]),
             random.Random(_seed_for(cfg.seed, "ring")))
         report.message_counts["ring"] = len(result.transcript.log)
@@ -711,7 +711,7 @@ def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
                      for ds in datasets}
         run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,
-            stats, params, random.Random(seed),
+            stats, DesignEncoding(schema), params, random.Random(seed),
             keygen_rng=random.Random(keygen_seed))
     out["encrypted_total"] = out["encrypt"] + out["evaluate"] + out["decrypt"]
     return out

@@ -7,22 +7,27 @@ across a ring of members:
    key (n - 1 messages),
 2. each member flattens its statistics into one vector, the upper
    triangle of the symmetric O row by row (m(m+1)/2 entries), then V
-   (m entries), then the count, encodes it in fixed point, and packs
-   it k entries per plaintext in the :class:`crypto.SlotLayout` that
-   every member derives from the session parameters and the public
-   key.  The initiator injects one uniform residue mask per packed
-   plaintext, encrypted by the CRT with the session's secret factors
-   (distributed exactly as a public-key encryption); every other member
-   homomorphically adds its encrypted packed vector (members with
-   nothing to contribute add encrypted zeros, so ring position does not
-   reveal participation) and forwards.  Each ring payload is one
-   vector of ceil(cells / k) ciphertexts; n ring messages return it to
-   the initiator,
+   (m entries), then the count, and encodes it in fixed point.  The
+   public design encoding fixes some of these cells for every member
+   (see :class:`CellPlan`): O[0,0] is the count, O[b,b] is O[0,b] for
+   every 0/1 column b, and two levels of one categorical never meet
+   off the diagonal.  Each member checks that its statistics hold these
+   identities, then packs only the open cells, k per plaintext, in the
+   :class:`crypto.SlotLayout` that every member derives from the
+   session parameters and the public key.  The initiator injects one
+   uniform residue mask per packed plaintext, encrypted by the CRT with
+   the session's secret factors (distributed exactly as a public-key
+   encryption); every other member homomorphically adds its encrypted
+   packed vector (members with nothing to contribute add encrypted
+   zeros, so ring position does not reveal participation) and
+   forwards.  Each ring payload is one vector of ceil(open cells / k)
+   ciphertexts; n ring messages return it to the initiator,
 3. the initiator decrypts, subtracts its masks in the residue domain,
    splits the signed plaintexts into balanced slot digits, adds its own
-   encoded entries, decodes, and mirrors the triangle into the pooled
-   O.  Every step is exact integer arithmetic, so the pooled O, V and
-   row count are bit-identical across mask and key draws.
+   encoded open cells, rebuilds the fixed cells from the open ones,
+   decodes, and mirrors the triangle into the pooled O.  Every step is
+   exact integer arithmetic, so the pooled O, V and row count are
+   bit-identical across mask and key draws.
 
 Every ring payload crossing a member boundary is a ciphertext vector.
 The transcript logs each message's sender, receiver and kind with the
@@ -33,13 +38,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
 from curie import crypto
-from curie.data import Dataset, NormalizationMap, apply_selections, normalize_columns, \
-    to_design_matrix
+from curie.data import Dataset, DesignEncoding, NormalizationMap, apply_selections, \
+    normalize_columns, to_design_matrix
 from curie.engine import EMPTY, Agreement
 from curie.errors import CurieError
 from curie.phases import phase
@@ -106,8 +112,74 @@ def zero_stats(m: int) -> LocalStats:
 
 
 def stat_cells(m: int) -> int:
-    """Entries of the pooled vector: O's upper triangle, V, the count."""
+    """Entries of the flattened statistics: O's upper triangle, V, the
+    count."""
     return m * (m + 1) // 2 + m + 1
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """Which cells of the flattened statistics the ring carries.
+
+    The design encoding fixes three kinds of cell, exactly and for
+    every member: O[0,0] is the row count (column 0 is the intercept),
+    O[b,b] is O[0,b] for a 0/1 column b (a one-hot level or a boolean),
+    and O[a,b] is 0 for two one-hot levels of one categorical.  Members
+    pack only the other, open cells; the initiator rebuilds the fixed
+    ones from the pooled open cells."""
+
+    m: int
+    open: tuple[int, ...]                       # flat indices, ascending
+    fixed: tuple[tuple[int, int | None], ...]   # (cell, its source cell or None for 0)
+
+    @classmethod
+    def for_encoding(cls, encoding: DesignEncoding) -> "CellPlan":
+        feats = encoding.features
+        m = len(feats)
+        index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(*np.triu_indices(m)))}
+        binary = [j for j, f in enumerate(feats) if f[0] in ("onehot", "boolean")]
+        fixed: dict[int, int | None] = {index[0, 0]: stat_cells(m) - 1}
+        for b in binary:
+            fixed[index[b, b]] = index[0, b]
+        for a, b in combinations(binary, 2):
+            if feats[a][0] == feats[b][0] == "onehot" and feats[a][1] == feats[b][1]:
+                fixed[index[a, b]] = None
+        return cls(m, tuple(i for i in range(stat_cells(m)) if i not in fixed),
+                   tuple(sorted(fixed.items())))
+
+    @property
+    def cells(self) -> int:
+        return len(self.open)
+
+    def select(self, entries: list[int]) -> list[int]:
+        """The open cells of a flattened vector."""
+        return [entries[i] for i in self.open]
+
+    def rebuild(self, open_entries: list[int]) -> list[int]:
+        """The flattened vector whose open cells are *open_entries*,
+        its fixed cells filled in from them."""
+        entries = [0] * stat_cells(self.m)
+        for i, e in zip(self.open, open_entries):
+            entries[i] = e
+        for cell, source in self.fixed:
+            entries[cell] = 0 if source is None else entries[source]
+        return entries
+
+
+def _open_entries(plan: CellPlan, stats: LocalStats, scale: int, member: str
+                  ) -> list[int]:
+    """*member*'s encoded open cells.  Raises :class:`ProtocolError`
+    unless its fixed cells hold what the initiator will rebuild, so a
+    contribution that breaks the encoding is never pooled."""
+    entries = _encode_stats(stats, scale)
+    open_entries = plan.select(entries)
+    rebuilt = plan.rebuild(open_entries)
+    if rebuilt != entries:
+        cell = next(i for i, (e, r) in enumerate(zip(entries, rebuilt)) if e != r)
+        a, b = (int(k[cell]) for k in np.triu_indices(plan.m))
+        raise ProtocolError(f"{member}: O[{a},{b}] is {entries[cell] / scale}, but "
+                            f"the design encoding fixes it at {rebuilt[cell] / scale}")
+    return open_entries
 
 
 def _encode_stats(stats: LocalStats, scale: int) -> list[int]:
@@ -146,6 +218,7 @@ class Transcript:
     ring: tuple[str, ...]
     log: MessageLog
     layout: crypto.SlotLayout
+    plan: CellPlan
 
 
 @dataclass(frozen=True)
@@ -157,13 +230,16 @@ class RingResult:
 
 
 class _RingMember:
-    """Non-initiator state machine: waits for the session key, then adds
-    its encrypted packed statistics to whatever arrives and forwards."""
+    """Non-initiator state machine: checks its statistics against the
+    session's cell plan, waits for the session key, then adds its
+    encrypted packed open cells to whatever arrives and forwards."""
 
-    def __init__(self, member_id: str, stats: LocalStats | None,
+    def __init__(self, member_id: str, stats: LocalStats | None, plan: CellPlan,
                  params: crypto.HEParams, rng: random.Random):
         self.member_id = member_id
-        self.stats = stats
+        self.rows = stats.n if stats is not None else 0
+        self.entries = _open_entries(plan, stats or zero_stats(plan.m),
+                                     params.scale, member_id)
         self.params = params
         self.rng = rng
         self.pk: crypto.PublicKey | None = None
@@ -179,23 +255,21 @@ class _RingMember:
         self.layout = crypto.SlotLayout.for_key(self.params, pk)
         self.pk = pk
 
-    def on_accumulate(self, payload: bytes, m: int) -> bytes:
+    def on_accumulate(self, payload: bytes) -> bytes:
         if self.pk is None:
             raise ProtocolError(f"{self.member_id}: key not yet received")
         incoming = _ring_payload(payload, self.pk,
-                                 self.layout.plaintexts(stat_cells(m)))
-        stats = self.stats or zero_stats(m)
+                                 self.layout.plaintexts(len(self.entries)))
         with phase("encrypt"):
-            entries = _encode_stats(stats, self.params.scale)
             # members within the pooled bound could still sum past a
             # slot, so each is held to the share its own rows allow; as
             # n <= n_max, that share is within the layout's slot bound
-            own = replace(self.params, n_max=stats.n).entry_bound
-            worst = max(entries, key=abs)
+            own = replace(self.params, n_max=self.rows).entry_bound
+            worst = max(self.entries, key=abs)
             if abs(worst) > own:
                 raise OverflowAbort(f"{self.member_id}: encoded entry {worst} exceeds "
-                                    f"the bound {own} its {stats.n} rows allow")
-            packed = self.layout.pack(entries)
+                                    f"the bound {own} its {self.rows} rows allow")
+            packed = self.layout.pack(self.entries)
             mine = crypto.encrypt_encoded_matrix(self.pk, packed, self.rng)
         with phase("evaluate"):
             summed = crypto.add_cipher(incoming, mine)
@@ -203,13 +277,14 @@ class _RingMember:
 
 
 def run_ring_session(ring: list[str], initiator: str,
-                     stats: Mapping[str, LocalStats | None],
+                     stats: Mapping[str, LocalStats | None], encoding: DesignEncoding,
                      params: crypto.HEParams, rng: random.Random,
                      keygen_rng: random.Random | None = None) -> RingResult:
     """Execute one pooled-statistics session.
 
     ``stats`` maps every ring member to its :class:`LocalStats`, or to
-    None for an empty contribution.  The ring is the declared order
+    None for an empty contribution, over the columns of *encoding*,
+    which fixes the cells no member sends.  The ring is the declared order
     rotated to start at the initiator.  Message complexity is exactly
     (n - 1) key broadcasts + n ring hops, and each member parses the
     bytes the transcript logs for it.
@@ -230,26 +305,29 @@ def run_ring_session(ring: list[str], initiator: str,
     given = [stats[mid] for mid in order if stats[mid] is not None]
     if not given:
         raise EmptyRelease("no member has anything to contribute")
-    m = given[0].m
-    if any(s.m != m for s in given):
-        raise ProtocolError("members disagree on design width")
+    plan = CellPlan.for_encoding(encoding)
+    if any(s.m != plan.m for s in given):
+        raise ProtocolError(f"members' statistics are not {plan.m} design "
+                            f"columns wide")
     rows = sum(s.n for s in given)
     if rows > params.n_max:
         raise OverflowAbort(f"{rows} pooled rows exceed the session bound "
                             f"n_max {params.n_max}")
+
+    # every member checks its statistics before anything is encrypted
+    own = _open_entries(plan, stats[initiator] or zero_stats(plan.m), params.scale,
+                        initiator)
+    members = {
+        mid: _RingMember(mid, stats[mid], plan, params, rng)
+        for mid in order[1:]
+    }
 
     with phase("keygen"):
         keys = crypto.keygen(params, keygen_rng or rng)
     pk, sk = keys.public, keys.secret
 
     layout = crypto.SlotLayout.for_key(params, pk)
-    cells = stat_cells(m)
-    width = layout.plaintexts(cells)
-
-    members = {
-        mid: _RingMember(mid, stats[mid], params, rng)
-        for mid in order[1:]
-    }
+    width = layout.plaintexts(plan.cells)
 
     key_payload = crypto.serialize_public_key(pk)
     for mid in order[1:]:
@@ -268,7 +346,7 @@ def run_ring_session(ring: list[str], initiator: str,
     for receiver in hops:
         payload = log.send(sender, receiver, PHASE_RING, payload).payload
         if receiver != initiator:
-            payload = members[receiver].on_accumulate(payload, m)
+            payload = members[receiver].on_accumulate(payload)
         sender = receiver
 
     with phase("decrypt"):
@@ -276,13 +354,12 @@ def run_ring_session(ring: list[str], initiator: str,
 
     try:
         sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
-                              for r, mk in zip(residues, mask)], cells)
+                              for r, mk in zip(residues, mask)], plan.cells)
     except crypto.Overflow as exc:
         raise OverflowAbort(f"pooled statistics: {exc}") from exc
-    own = _encode_stats(stats[initiator] or zero_stats(m), params.scale)
     O_pool, V_pool, n_pool = _decode_stats(
-        [s + o for s, o in zip(sums, own)], m, params.scale)
-    transcript = Transcript(initiator, tuple(order), log, layout)
+        plan.rebuild([s + o for s, o in zip(sums, own)]), plan.m, params.scale)
+    transcript = Transcript(initiator, tuple(order), log, layout, plan)
     return RingResult(O_pool, V_pool, n_pool, transcript)
 
 
@@ -325,7 +402,7 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
 
     Payload findings: no ring payload may carry a plaintext statistic:
     neither a single encoded O or V entry nor, in the transcript's slot
-    layout, one of a member's packed plaintexts.
+    layout, one of the packed plaintexts of a member's open cells.
     Payloads are scanned byte-wise for the serialized residues, and
     suspiciously small (plaintext-range) cells are compared with them.
     A leaked value that several members hold is reported for each.
@@ -354,7 +431,8 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                 entries = [crypto.encode_fixed(float(e), scale) for e in
                            [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
                 try:
-                    entries += transcript.layout.pack(_encode_stats(stats, scale))
+                    entries += transcript.layout.pack(
+                        transcript.plan.select(_encode_stats(stats, scale)))
                 except crypto.Overflow:
                     pass    # a member holding these could not have sent them
                 for enc in entries:

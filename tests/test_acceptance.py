@@ -15,6 +15,7 @@ from curie import cpl, harness
 from curie.cpl import ast as A
 from curie.crypto import HEParams, add_cipher, keygen
 from curie.data import (
+    DesignEncoding,
     RowFilter,
     apply_selections,
     concat,
@@ -275,7 +276,7 @@ def test_criterion_4_pooling_centralization_equivalence():
         stats = {ds.provenance: local_stats(ds) for ds in datasets}
         result = run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,
-            stats, params, random.Random(trial))
+            stats, DesignEncoding(schema), params, random.Random(trial))
 
         # encrypted-path pooled statistics vs plaintext sums
         O_sum = sum(s.O for s in stats.values())
@@ -310,17 +311,18 @@ def test_criterion_5_mask_and_key_properties(small_he_params):
     members = ["P1", "P2", "P3", "P4"]
     gen = np.random.default_rng(55)
     m = 5
+    schema = numeric_schema(m - 1, dose_bounds=(0.0, 40.0))
     stats = {}
     for mid in members:
         X = gen.uniform(-1, 1, (40, m))
         Y = gen.uniform(1, 30, 40)
         stats[mid] = local_stats(
-            from_rows(numeric_schema(m - 1, dose_bounds=(0.0, 40.0)),
+            from_rows(schema,
                       [dict({f"x{j}": X[i, j + 1] for j in range(m - 1)},
                             dose=float(Y[i])) for i in range(40)]))
     pools = []
     for draw in range(5):
-        result = run_ring_session(members, "P1", stats,
+        result = run_ring_session(members, "P1", stats, DesignEncoding(schema),
                                   small_he_params, random.Random(1000 + draw))
         pools.append((result.O_pool, result.V_pool))
     for O, V in pools[1:]:
@@ -354,11 +356,13 @@ def test_criterion_6_leakage_predicates(small_he_params):
         stats = {}
         for mid in members:
             X = gen.uniform(-1, 1, (30, 3))
+            X[:, 0] = 1
             Y = gen.uniform(1, 20, 30)
             from curie.ring import LocalStats
             stats[mid] = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 30)
         result = run_ring_session(list(members), members[0], stats,
-                                  small_he_params, random.Random(len(members)))
+                                  DesignEncoding(numeric_schema(2)), small_he_params,
+                                  random.Random(len(members)))
         return stats, result.transcript
 
     # honest-but-curious non-initiators: zero findings

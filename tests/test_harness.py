@@ -331,16 +331,16 @@ def test_deployment_key_session_packs_each_member_into_one_ciphertext(monkeypatc
 
 def test_session_bounds_come_from_the_consortium(monkeypatch):
     # p5_global's 3735 training rows of normalized entries make 34-bit
-    # slots, 7 per 256-bit plaintext: its 136 statistics take 20
-    # plaintexts per member (46 in 65-bit slots sized from a config)
+    # slots, 7 per 256-bit plaintext: the 112 of its 136 statistics that
+    # the design encoding leaves open take 16 plaintexts per member
     from curie import harness
 
     sessions = []
     ring = harness.run_ring_session
 
-    def recorded(ring_order, initiator, stats, params, rng):
+    def recorded(ring_order, initiator, stats, encoding, params, rng):
         sessions.append(params)
-        return ring(ring_order, initiator, stats, params, rng)
+        return ring(ring_order, initiator, stats, encoding, params, rng)
 
     monkeypatch.setattr(harness, "run_ring_session", recorded)
     calls = {"encrypt": 0, "decrypt": 0}
@@ -353,7 +353,7 @@ def test_session_bounds_come_from_the_consortium(monkeypatch):
                                  v_max=1.0)]
     assert sessions[0].slot_bits == 34
     members = len(cfg.ring_order)
-    assert calls == {"encrypt": members * 20, "decrypt": 20}
+    assert calls == {"encrypt": members * 16, "decrypt": 16}
 
 
 def _edit_training_rows(monkeypatch, member_id, edit):
@@ -429,9 +429,9 @@ def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
         computed.append((ds.provenance, agreement is None, out))
         return out
 
-    def recorded(order, initiator, member_stats, params, rng):
+    def recorded(order, initiator, member_stats, encoding, params, rng):
         contributed.append(member_stats[initiator])
-        return ring(order, initiator, member_stats, params, rng)
+        return ring(order, initiator, member_stats, encoding, params, rng)
 
     monkeypatch.setattr(harness, "local_stats", counted)
     monkeypatch.setattr(harness, "run_ring_session", recorded)
@@ -694,9 +694,9 @@ def test_bench_sizes_its_ring_as_the_pipeline_does(monkeypatch):
     sizes = []
     run = harness.run_ring_session
 
-    def recorded(order, initiator, stats, params, rng, **kwargs):
+    def recorded(order, initiator, stats, encoding, params, rng, **kwargs):
         sizes.append((params, [stats[mid].n for mid in order]))
-        return run(order, initiator, stats, params, rng, **kwargs)
+        return run(order, initiator, stats, encoding, params, rng, **kwargs)
 
     monkeypatch.setattr(harness, "run_ring_session", recorded)
     bench("members", [3], runs=1, key_bits=128, n_features=4, rows=200)

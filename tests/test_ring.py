@@ -6,27 +6,37 @@ import pytest
 
 from curie import crypto
 from curie.crypto import HEParams, MalformedPayload
-from curie.data import RowFilter
+from curie.data import DesignEncoding, RowFilter, SynthProfile, numeric_schema, \
+    synth_members
 from curie.engine import Agreement
 from curie.ring import (
     PHASE_PUBLIC_KEY,
     PHASE_RING,
+    CellPlan,
     EmptyRelease,
     LocalStats,
     OverflowAbort,
     ProtocolError,
+    _decode_stats,
+    _encode_stats,
     audit_transcript,
     local_stats,
     run_ring_session,
     stat_cells,
 )
 
-from conftest import count_crypto_calls
+from conftest import count_crypto_calls, warfarin_schema
 from worked_example import build_contexts
+
+
+def _encoding(m):
+    """The design encoding of m columns: the intercept and m - 1 numerics."""
+    return DesignEncoding(numeric_schema(m - 1))
 
 
 def _random_stats(rng, m, rows=50):
     X = rng.uniform(-1, 1, (rows, m))
+    X[:, 0] = 1
     Y = rng.uniform(0, 30, rows)
     return LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), rows)
 
@@ -35,7 +45,7 @@ def _session(members, params, seed=3, m=4, empty=()):
     gen = np.random.default_rng(seed)
     stats = {mid: (None if mid in empty else _random_stats(gen, m))
              for mid in members}
-    result = run_ring_session(list(members), members[0], stats, params,
+    result = run_ring_session(list(members), members[0], stats, _encoding(m), params,
                               random.Random(seed))
     return stats, result
 
@@ -117,9 +127,10 @@ def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
     stats = {}
     for mid in ("P1", "P2"):
         X = gen.integers(-4, 5, (10, 4)) / 4    # dyadic, so encoding is exact
+        X[:, 0] = 1
         Y = gen.integers(0, 11, 10).astype(float)
         stats[mid] = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 10)
-    result = run_ring_session(["P1", "P2"], "P1", stats, params,
+    result = run_ring_session(["P1", "P2"], "P1", stats, _encoding(4), params,
                               random.Random(0))
     assert result.transcript.layout.per_plaintext == 1
     np.testing.assert_array_equal(result.O_pool, stats["P1"].O + stats["P2"].O)
@@ -139,8 +150,8 @@ def test_more_rows_than_the_session_bound_abort_before_keygen(monkeypatch):
     calls = {"encrypt": 0, "decrypt": 0}
     count_crypto_calls(monkeypatch, calls)
     with pytest.raises(OverflowAbort, match="500 pooled rows"):
-        run_ring_session(members, "P1", dict.fromkeys(members, stats), params,
-                         random.Random(0))
+        run_ring_session(members, "P1", dict.fromkeys(members, stats), _encoding(2),
+                         params, random.Random(0))
     assert calls == {"encrypt": 0, "decrypt": 0}
 
 
@@ -172,7 +183,8 @@ def test_mask_invariance_bitwise(small_he_params):
     stats = {mid: _random_stats(gen, 3) for mid in members}
     pools = []
     for seed in (1, 22, 333, 4444, 55555):
-        result = run_ring_session(members, "P1", stats, small_he_params, random.Random(seed))
+        result = run_ring_session(members, "P1", stats, _encoding(3), small_he_params,
+                                  random.Random(seed))
         pools.append((result.O_pool, result.V_pool))
     for O, V in pools[1:]:
         assert np.array_equal(O, pools[0][0])
@@ -183,7 +195,8 @@ def test_ring_rotation_starts_at_initiator(small_he_params):
     members = ["P1", "P2", "P3", "P4"]
     gen = np.random.default_rng(5)
     stats = {mid: _random_stats(gen, 3) for mid in members}
-    result = run_ring_session(members, "P3", stats, small_he_params, random.Random(0))
+    result = run_ring_session(members, "P3", stats, _encoding(3), small_he_params,
+                              random.Random(0))
     assert result.transcript.ring == ("P3", "P4", "P1", "P2")
     O_exp = sum(s.O for s in stats.values())
     assert np.abs(result.O_pool - O_exp).max() <= 1e-5
@@ -192,9 +205,8 @@ def test_ring_rotation_starts_at_initiator(small_he_params):
 def test_every_message_parses_whole_with_its_receivers_parser(small_he_params):
     # the transcript logs the bytes each member parses: a key of the
     # session's size, then one vector of the session's width per hop
-    m = 4
-    _, result = _session(["P1", "P2", "P3", "P4"], small_he_params, m=m)
-    width = result.transcript.layout.plaintexts(stat_cells(m))
+    _, result = _session(["P1", "P2", "P3", "P4"], small_he_params)
+    width = result.transcript.layout.plaintexts(result.transcript.plan.cells)
     pk = None
     for msg in result.transcript.log:
         if msg.kind == PHASE_PUBLIC_KEY:
@@ -211,7 +223,7 @@ def test_a_missing_ring_member_is_a_protocol_error(small_he_params):
     gen = np.random.default_rng(2)
     with pytest.raises(ProtocolError, match="P3"):
         run_ring_session(["P1", "P2", "P3"], "P1",
-                         {"P1": _random_stats(gen, 2), "P2": None},
+                         {"P1": _random_stats(gen, 2), "P2": None}, _encoding(2),
                          small_he_params, random.Random(0))
 
 
@@ -278,19 +290,19 @@ def test_plaintext_injection_is_caught(small_he_params):
     log.send("P1", "P2", PHASE_PUBLIC_KEY, crypto.serialize_public_key(keys.public))
     log.send("P2", "P1", PHASE_RING, crypto.serialize_cipher_matrix(leaked))
     transcript = Transcript("P1", ("P1", "P2"), log,
-                            crypto.SlotLayout.for_key(small_he_params, keys.public))
+                            crypto.SlotLayout.for_key(small_he_params, keys.public),
+                            CellPlan.for_encoding(_encoding(2)))
     report = audit_transcript(transcript, corrupted=set(),
                               reference_stats=stats, scale=scale)
     assert any(f.kind == "plaintext_leak" for f in report.findings)
 
 
-def _forward_packed_plaintext(transcript, stats, member, params):
-    """The transcript with *member*'s ring payload replaced by its packed
-    plaintexts, as a buggy member forwarding them would send it."""
-    from curie.ring import Transcript, _encode_stats
+def _with_ring_payload(transcript, member, cells):
+    """The transcript with *member*'s ring payload replaced by the
+    ciphertext vector ``cells(pk, payload)`` returns."""
+    from curie.ring import Transcript
     from curie.transport import MessageLog
 
-    layout = transcript.layout
     pk = None
     log = MessageLog()
     for msg in transcript.log:
@@ -298,11 +310,21 @@ def _forward_packed_plaintext(transcript, stats, member, params):
         if msg.kind == PHASE_PUBLIC_KEY:
             pk = crypto.parse_public_key(payload)
         elif msg.sender == member:
-            packed = layout.pack(_encode_stats(stats[member], params.scale))
-            leaked = crypto.CipherMatrix(pk, tuple(pk.from_signed(P) for P in packed))
-            payload = crypto.serialize_cipher_matrix(leaked)
+            payload = crypto.serialize_cipher_matrix(
+                crypto.CipherMatrix(pk, tuple(cells(pk, payload))))
         log.send(msg.sender, msg.receiver, msg.kind, payload)
-    return Transcript(transcript.initiator, transcript.ring, log, layout)
+    return Transcript(transcript.initiator, transcript.ring, log, transcript.layout,
+                      transcript.plan)
+
+
+def _forward_packed_plaintext(transcript, stats, member, params):
+    """The transcript with *member*'s ring payload replaced by the packed
+    plaintexts of its open cells, as a buggy member forwarding them
+    would send it."""
+    packed = transcript.layout.pack(
+        transcript.plan.select(_encode_stats(stats[member], params.scale)))
+    return _with_ring_payload(transcript, member,
+                              lambda pk, _: (pk.from_signed(P) for P in packed))
 
 
 def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
@@ -333,7 +355,7 @@ def test_a_leak_of_a_shared_plaintext_names_every_holder(small_he_params):
     gen = np.random.default_rng(5)
     shared = _random_stats(gen, 4)
     stats = {"P1": _random_stats(gen, 4, rows=40), "P2": shared, "P3": shared}
-    result = run_ring_session(["P1", "P2", "P3"], "P1", stats,
+    result = run_ring_session(["P1", "P2", "P3"], "P1", stats, _encoding(4),
                               small_he_params, random.Random(5))
     forged = _forward_packed_plaintext(result.transcript, stats, "P2",
                                        small_he_params)
@@ -343,11 +365,12 @@ def test_a_leak_of_a_shared_plaintext_names_every_holder(small_he_params):
     assert set(named) == {"P2", "P3"} and named["P2"] == named["P3"]
 
 
-def _member_with_key(small_he_params, stats):
+def _member_with_key(small_he_params, m):
     from curie.ring import _RingMember
 
     keys = crypto.keygen(small_he_params, random.Random(0))
-    member = _RingMember("P2", stats, small_he_params, random.Random(1))
+    member = _RingMember("P2", None, CellPlan.for_encoding(_encoding(m)),
+                         small_he_params, random.Random(1))
     member.on_public_key(crypto.serialize_public_key(keys.public))
     return keys.public, member
 
@@ -358,7 +381,8 @@ def test_a_member_refuses_a_key_of_another_size(small_he_params):
 
     from curie.ring import _RingMember
 
-    member = _RingMember("P2", None, small_he_params, random.Random(1))
+    member = _RingMember("P2", None, CellPlan.for_encoding(_encoding(2)),
+                         small_he_params, random.Random(1))
     for bits in (64, small_he_params.key_bits + 8):
         keys = crypto.keygen(replace(small_he_params, key_bits=bits), random.Random(0))
         with pytest.raises(ProtocolError, match=f"P2: a {bits}-bit key"):
@@ -367,21 +391,20 @@ def test_a_member_refuses_a_key_of_another_size(small_he_params):
 
 
 def test_ring_payload_must_be_one_packed_matrix(small_he_params):
-    m = 3
-    pk, member = _member_with_key(small_he_params, None)
-    width = member.layout.plaintexts(stat_cells(m))
+    pk, member = _member_with_key(small_he_params, 3)
+    width = member.layout.plaintexts(len(member.entries))
 
     def payload(*lengths):
         return b"".join(crypto.serialize_cipher_matrix(crypto.encrypt_encoded_matrix(
             pk, [0] * length, random.Random(2))) for length in lengths)
 
-    member.on_accumulate(payload(width), m)
+    member.on_accumulate(payload(width))
     for lengths in ([width + 1], [width - 1], [width, width], [width, 1]):
         with pytest.raises(ProtocolError):
-            member.on_accumulate(payload(*lengths), m)
+            member.on_accumulate(payload(*lengths))
     for tail in (b"\x00", b"\x00\x00\x00\x05\x01"):
         with pytest.raises(MalformedPayload):
-            member.on_accumulate(payload(width) + tail, m)
+            member.on_accumulate(payload(width) + tail)
 
 
 def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
@@ -394,11 +417,12 @@ def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
     count_crypto_calls(monkeypatch, calls)
     stats = {"P1": None, "P2": huge, "P3": huge}
     with pytest.raises(OverflowAbort, match="P2"):
-        run_ring_session(["P1", "P2", "P3"], "P1", stats, small_he_params,
+        run_ring_session(["P1", "P2", "P3"], "P1", stats, _encoding(m), small_he_params,
                          random.Random(0))
     keys = crypto.keygen(small_he_params, random.Random(0))
     layout = crypto.SlotLayout.for_key(small_he_params, keys.public)
-    assert calls["encrypt"] == layout.plaintexts(stat_cells(m))    # the masks only
+    cells = CellPlan.for_encoding(_encoding(m)).cells
+    assert calls["encrypt"] == layout.plaintexts(cells)    # the masks only
 
 
 def test_members_within_the_pooled_bound_that_overflow_a_slot_abort():
@@ -409,16 +433,96 @@ def test_members_within_the_pooled_bound_that_overflow_a_slot_abort():
     stats = LocalStats(X.T @ X, (X.T @ np.full(100, 0.5)).reshape(-1, 1), 100)
     members = ["P1", "P2", "P3", "P4", "P5"]
     with pytest.raises(OverflowAbort, match="P2"):
-        run_ring_session(members, "P1", dict.fromkeys(members, stats), params,
-                         random.Random(0))
+        run_ring_session(members, "P1", dict.fromkeys(members, stats), _encoding(2),
+                         params, random.Random(0))
 
 
 def test_each_member_encrypts_one_packed_vector(small_he_params, monkeypatch):
     counts = {"encrypt": 0, "decrypt": 0}
     count_crypto_calls(monkeypatch, counts)
     members = ["P1", "P2", "P3", "P4"]
-    m = 4
-    _, result = _session(members, small_he_params, m=m)
-    width = result.transcript.layout.plaintexts(stat_cells(m))
-    assert width == 8    # 15 entries, two 60-bit slots per 128-bit plaintext
+    _, result = _session(members, small_he_params)
+    width = result.transcript.layout.plaintexts(result.transcript.plan.cells)
+    assert width == 7    # 14 open cells, two 60-bit slots per 128-bit plaintext
     assert counts == {"encrypt": len(members) * width, "decrypt": width}
+
+
+# ---------------------------------------------------------------------------
+# cells the design encoding fixes
+
+def _warfarin_stats(members, rows):
+    schema = warfarin_schema()
+    profiles = [SynthProfile(mid, rows, coefficients=(30.0,) + (0.0,) * 14,
+                             noise_sigma=2.0) for mid in members]
+    return DesignEncoding(schema), {
+        ds.provenance: local_stats(ds, bounds=schema.bounds)
+        for ds in synth_members(7, schema, profiles)}
+
+
+def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
+    # 15 design columns make 136 cells; the encoding fixes O[0,0], the
+    # 11 diagonal cells of 0/1 columns and the 12 level pairs within
+    # vkorc1, cyp2c9 and race: 112 open cells in 7-slot plaintexts are 16
+    members = ["P1", "P2", "P3"]
+    encoding, stats = _warfarin_stats(members, rows=400)
+    params = HEParams(key_bits=256, scale_bits=20, n_max=1200, v_max=1.0)
+    counts = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, counts)
+    result = run_ring_session(members, "P1", stats, encoding, params,
+                              random.Random(0))
+    assert result.transcript.layout.per_plaintext == 7
+    assert (stat_cells(encoding.width), result.transcript.plan.cells) == (136, 112)
+    assert counts == {"encrypt": 16 * len(members), "decrypt": 16}
+    # the rebuilt cells pool bit-identically to sums of every cell
+    summed = [sum(cells) for cells in
+              zip(*(_encode_stats(s, params.scale) for s in stats.values()))]
+    O, V, n = _decode_stats(summed, encoding.width, params.scale)
+    assert np.array_equal(result.O_pool, O) and np.array_equal(result.V_pool, V)
+    assert result.n_pool == n == 1200
+
+
+def _break_cross_term(O):
+    O[4, 5] = O[5, 4] = 1.0     # vkorc1's two one-hot levels meet
+
+
+def _break_boolean_diagonal(O):
+    O[13, 13] += 1.0            # inducer squared differs from its sum
+
+
+def _break_row_count(O):
+    O[0, 0] -= 1.0              # the intercept's square is not the count
+
+
+@pytest.mark.parametrize("member", ["P1", "P3"])
+@pytest.mark.parametrize("corrupt", [_break_cross_term, _break_boolean_diagonal,
+                                     _break_row_count])
+def test_statistics_breaking_the_encoding_are_refused_before_encrypting(
+        member, corrupt, monkeypatch):
+    members = ["P1", "P2", "P3"]
+    encoding, stats = _warfarin_stats(members, rows=40)
+    O = stats[member].O.copy()
+    corrupt(O)
+    stats[member] = LocalStats(O, stats[member].V, stats[member].n)
+    params = HEParams(key_bits=256, scale_bits=20, n_max=120, v_max=1.0)
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    with pytest.raises(ProtocolError, match=f"^{member}: O\\["):
+        run_ring_session(members, "P1", stats, encoding, params, random.Random(0))
+    assert calls == {"encrypt": 0, "decrypt": 0}
+
+
+def test_a_planted_open_cell_is_caught(small_he_params):
+    # one encoded open cell of P2's in place of a ciphertext of its payload
+    members = ["P1", "P2", "P3"]
+    stats, result = _session(members, small_he_params)
+    transcript = result.transcript
+    cell = transcript.plan.select(_encode_stats(stats["P2"], small_he_params.scale))[0]
+    forged = _with_ring_payload(
+        transcript, "P2",
+        lambda pk, payload: (pk.from_signed(cell),
+                             *crypto.parse_cipher_matrix(payload, pk).cells[1:]))
+    report = audit_transcript(forged, corrupted=set(), reference_stats=stats,
+                              scale=small_he_params.scale)
+    leaks = [f for f in report.findings if f.kind == "plaintext_leak"]
+    assert leaks and {f.member for f in leaks} == {"P2"}
+    assert all(f.detail.endswith("P2") for f in leaks)
