@@ -104,6 +104,10 @@ class DPSettings:
     def __post_init__(self) -> None:
         if not (self.epsilons and all(0 < e < math.inf for e in self.epsilons)):
             raise ConfigError("dp.epsilons", "privacy budgets must be positive and finite")
+        # a budget seeds its own noise, so a repeated budget would repeat
+        # its row rather than sample it again
+        if len(set(self.epsilons)) < len(self.epsilons):
+            raise ConfigError("dp.epsilons", "privacy budgets must be distinct")
         if self.repetitions < 1:
             raise ConfigError("dp.repetitions", "repetitions must be at least 1")
 
@@ -629,29 +633,21 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
 # --------------------------------------------------------------------------
 # differential-privacy sweep
 
-def bootstrap_ci(values: np.ndarray, rng: np.random.Generator
-                 ) -> tuple[float, float]:
-    """Percentile bootstrap ``CI_LEVEL`` CI for the mean of *values*,
-    from ``CI_DRAWS`` resamples."""
-    values = np.asarray(values, dtype=float)
-    idx = rng.integers(0, len(values), size=(CI_DRAWS, len(values)))
-    means = values[idx].mean(axis=1)
-    alpha = (1.0 - CI_LEVEL) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)
-
-
 def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
                         scenario: Scenario, local_mae: float | None) -> list[dict]:
     """Per-budget accuracy table for the private pooled model, over the
     budgets and repetitions of the scenario's ``dp`` settings.
 
-    For each epsilon, ``repetitions`` private models, each drawing its
-    noise from its own seeded generator, are fitted in one batched call
-    and scored on the mixed held-out cohort; the table carries the mean
-    MAE, plus the advantage over *local_mae*, the initiator's own
-    non-private local model's (the alternative a member always has).
-    With more than one repetition, each mean carries a bootstrap CI.
+    For each epsilon, ``repetitions`` private models are fitted in one
+    batched call, their noise drawn by one generator seeded from the
+    config seed and the budget, and scored on the mixed held-out cohort;
+    the table carries the mean MAE, plus the advantage over *local_mae*,
+    the initiator's own non-private local model's (the alternative a
+    member always has).  With more than one repetition, each mean
+    carries a ``CI_LEVEL`` percentile bootstrap CI from ``CI_DRAWS``
+    resamples.  One resample matrix serves every budget, so a budget's
+    row does not depend on the other budgets.  The advantage is a
+    constant minus the MAEs, so its CI is the MAE CI reflected.
     """
     cfg = scenario.config
     repetitions = cfg.dp.repetitions
@@ -667,26 +663,32 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
     y = validation_doses(scenario.validation)
     target_bounds = bounds[cfg.schema.target]
     V = V_pool.reshape(-1)
+    resamples = None
+    if repetitions > 1:
+        resamples = np.random.default_rng(_seed_for(cfg.seed, "dpci")).integers(
+            0, repetitions, size=(CI_DRAWS, repetitions))
+    alpha = (1.0 - CI_LEVEL) / 2.0
     table: list[dict] = []
     for eps in cfg.dp.epsilons:
         etas = functional_mechanism(
-            O_pool, V, eps,
-            [np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}:{rep}"))
-             for rep in range(repetitions)])
+            O_pool, V, eps, np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}")),
+            repetitions)
         maes = mean_absolute_errors(X, etas, y, target_bounds)
-        ci_rng = np.random.default_rng(_seed_for(cfg.seed, f"dpci:{eps}"))
-        cis = repetitions > 1
+        mae_ci = None
+        if resamples is not None:
+            lo, hi = np.quantile(maes[resamples].mean(axis=1), [alpha, 1.0 - alpha])
+            mae_ci = [float(lo), float(hi)]
         row = {
             "epsilon": eps,
             "repetitions": repetitions,
             "mean_mae": float(maes.mean()),
-            "mae_ci": list(bootstrap_ci(maes, ci_rng)) if cis else None,
+            "mae_ci": mae_ci,
         }
         if local_mae is not None:
-            adv = local_mae - maes
             row["local_mae"] = local_mae
-            row["advantage_mean"] = float(adv.mean())
-            row["advantage_ci"] = list(bootstrap_ci(adv, ci_rng)) if cis else None
+            row["advantage_mean"] = float((local_mae - maes).mean())
+            row["advantage_ci"] = (None if mae_ci is None else
+                                   [local_mae - mae_ci[1], local_mae - mae_ci[0]])
         table.append(row)
     return table
 

@@ -7,15 +7,14 @@ sufficient statistics.  The private variant perturbs every entry of O
 and V with Laplace noise scaled by the quadratic-loss sensitivity over
 [-1, 1]-normalized rows, then projects O back to positive definite
 before solving.  Smaller privacy budgets mean more noise.  One call
-fits a whole stack of private models, one per noise generator, with a
-single batched eigendecomposition and solve; each model is bit for bit
-the one its generator gives alone.
+fits a whole stack of private models from one generator: a single
+Laplace draw holds every model's noise, and a single batched
+eigendecomposition and solve fits them all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -139,33 +138,31 @@ def _check_normalized(O: np.ndarray, V: np.ndarray) -> None:
 
 
 def functional_mechanism(O: np.ndarray, V: np.ndarray, epsilon: float,
-                         rngs: Sequence[np.random.Generator]) -> np.ndarray:
+                         rng: np.random.Generator, count: int) -> np.ndarray:
     """Epsilon-differentially-private coefficients via objective
-    perturbation, one row per generator in *rngs*.
+    perturbation, *count* models in one row each.
 
-    Each generator draws its own noise: Laplace(:func:`sensitivity_bound`
-    / epsilon) for every entry of O (the upper triangle is mirrored to
-    keep O symmetric), then for every entry of V.  The perturbed O's are
-    eigenvalue-floored at ``PD_FLOOR`` to restore positive definiteness
-    and solved in one batched pass; row i equals what the same steps
-    give for ``rngs[i]`` alone.  The solve is direct rather than going
-    through :func:`solve_ols`: the floor guarantees invertibility, and
-    heavy noise draws legitimately produce ill-conditioned systems that
-    the non-private contract would reject.  The budget and the
-    normalization are checked before any generator draws.
+    *rng* draws the noise of every model in one call, a row per model:
+    Laplace(:func:`sensitivity_bound` / epsilon) for every entry of O
+    (the upper triangle is mirrored to keep O symmetric), then for every
+    entry of V.  The perturbed O's are eigenvalue-floored at
+    ``PD_FLOOR`` to restore positive definiteness and solved in one
+    batched pass; row i equals what the same steps give for row i of the
+    draw alone.  The solve is direct rather than going through
+    :func:`solve_ols`: the floor guarantees invertibility, and heavy
+    noise draws legitimately produce ill-conditioned systems that the
+    non-private contract would reject.  The budget and the normalization
+    are checked before the generator draws.
     """
     if epsilon <= 0:
         raise BudgetError(f"privacy budget must be positive, got {epsilon}")
     O = np.asarray(O, dtype=float)
     V = np.asarray(V, dtype=float).reshape(-1)
     _check_normalized(O, V)
-    b = sensitivity_bound(O.shape[0]) / epsilon
-
-    noise = np.empty((len(rngs), *O.shape))
-    v_noise = np.empty((len(rngs), *V.shape))
-    for i, rng in enumerate(rngs):
-        noise[i] = rng.laplace(0.0, b, size=O.shape)
-        v_noise[i] = rng.laplace(0.0, b, size=V.shape)
+    d = O.shape[0]
+    draw = rng.laplace(0.0, sensitivity_bound(d) / epsilon, size=(count, d * d + d))
+    noise = draw[:, :d * d].reshape(count, d, d)
+    v_noise = draw[:, d * d:]
     O_noisy = O + np.triu(noise) + np.triu(noise, 1).swapaxes(-1, -2)
     V_noisy = V + v_noise
 

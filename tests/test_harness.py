@@ -537,14 +537,25 @@ def test_dp_sweep_rows_and_reproducibility():
     assert _dp_table("default_dp", (1.0, 100.0), 5) == table
 
 
+def test_dp_sweep_advantage_ci_reflects_the_mae_ci():
+    for row in _dp_table("default_dp", (1.0, 100.0), 5):
+        lo, hi = row["mae_ci"]
+        assert row["advantage_ci"] == [row["local_mae"] - hi, row["local_mae"] - lo]
+
+
+def test_dp_sweep_row_does_not_depend_on_the_other_budgets():
+    assert (_dp_table("default_dp", (1.0, 100.0), 5)
+            == _dp_table("default_dp", (0.25, 1.0, 100.0), 5)[1:])
+
+
 def test_dp_sweep_fits_each_budget_in_one_call(monkeypatch):
     from curie import harness
     calls = []
     fit = harness.functional_mechanism
 
-    def counted(O, V, epsilon, rngs):
-        calls.append((epsilon, len(rngs)))
-        return fit(O, V, epsilon, rngs)
+    def counted(O, V, epsilon, rng, count):
+        calls.append((epsilon, count))
+        return fit(O, V, epsilon, rng, count)
 
     monkeypatch.setattr(harness, "functional_mechanism", counted)
     cfg = load_config(config_path("default_dp"))
@@ -627,6 +638,8 @@ def _never_negotiate(monkeypatch):
     ([], None, "dp.epsilons"),
     ([float("inf")], None, "dp.epsilons"),
     ([float("nan")], None, "dp.epsilons"),
+    ([1, 1], None, "dp.epsilons"),
+    ([5.0, 1.0, 5], None, "dp.epsilons"),
     (None, 0, "dp.repetitions"),
     (None, -1, "dp.repetitions"),
 ])
@@ -666,8 +679,22 @@ def test_cli_simulate_dp_refuses_malformed_budgets(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_dp_sweep_single_repetition_has_no_ci():
-    assert _dp_table("default_dp", (5.0,), 1)[0]["mae_ci"] is None
+def test_dp_sweep_single_repetition_has_no_ci(monkeypatch):
+    from curie import harness
+    labels = []
+    seed_for = harness._seed_for
+
+    def recorded(master, label):
+        labels.append(label)
+        return seed_for(master, label)
+
+    monkeypatch.setattr(harness, "_seed_for", recorded)
+    row, = _dp_table("default_dp", (5.0,), 1)
+    assert row["mae_ci"] is None and row["advantage_ci"] is None
+    assert "dp:5.0" in labels and "dpci" not in labels
+    # the probe sees the resamples when there are any
+    _dp_table("default_dp", (5.0,), 2)
+    assert "dpci" in labels
 
 
 def test_bench_axes_shape():
@@ -754,9 +781,12 @@ def test_cli_negotiate_report_matches_golden(name, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN_DIR / f"{name}.negotiate.json").read_bytes()
 
 
+DP_GOLDENS = ("default_dp", "example3", "p5_global")
+
+
 @pytest.mark.parametrize("name, mode", [
     *((p.name, MODE_FULL) for p in sorted(CONSORTIA_DIR.iterdir())),
-    *((name, MODE_FULL_DP) for name in ("default_dp", "example3", "p5_global")),
+    *((name, MODE_FULL_DP) for name in DP_GOLDENS),
 ])
 def test_full_report_matches_golden(name, mode, monkeypatch):
     # golden files: the timing-free report of `curie simulate [--dp]`
@@ -768,6 +798,18 @@ def test_full_report_matches_golden(name, mode, monkeypatch):
     text = json.dumps(report.to_json(include_timings=False), indent=2,
                       sort_keys=True) + "\n"
     assert text == (GOLDEN_DIR / f"{name}.{mode}.json").read_text()
+
+
+@pytest.mark.parametrize("name", DP_GOLDENS)
+def test_full_dp_golden_differs_from_full_only_in_the_sweep(name):
+    # the sweep runs after the pooled model and draws from its own seeds,
+    # so a full_dp golden regenerated for a sweep change carries nothing
+    # else new
+    full, dp = (json.loads((GOLDEN_DIR / f"{name}.{mode}.json").read_text())
+                for mode in (MODE_FULL, MODE_FULL_DP))
+    assert (full.pop("mode"), dp.pop("mode")) == (MODE_FULL, MODE_FULL_DP)
+    assert full.pop("dp_sweep") is None and dp.pop("dp_sweep")
+    assert dp == full
 
 
 def test_cli_runtime_failure_exit_code(tmp_path):

@@ -115,30 +115,22 @@ def test_sensitivity_closed_form_dominates_bruteforce_oracle():
         assert best == d * (d + 1)
 
 
-def _rngs(*seeds):
-    return [np.random.default_rng(s) for s in seeds]
-
-
-def _states(rngs):
-    return [rng.bit_generator.state for rng in rngs]
-
-
 def test_vanishing_noise_limit():
     O, V = _normalized_stats()
     eta = solve_ols(O, V)
-    eta_dp, = functional_mechanism(O, V, 1e9, _rngs(1))
+    eta_dp, = functional_mechanism(O, V, 1e9, np.random.default_rng(1), 1)
     assert np.linalg.norm(eta_dp - eta) / np.linalg.norm(eta) < 1e-3
 
 
 def test_budget_must_be_positive():
-    # refused before any generator draws
+    # refused before the generator draws
     O, V = _normalized_stats()
-    rngs = _rngs(0, 1, 2)
-    before = _states(rngs)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     for epsilon in (0.0, -1.0):
         with pytest.raises(BudgetError):
-            functional_mechanism(O, V, epsilon, rngs)
-    assert _states(rngs) == before
+            functional_mechanism(O, V, epsilon, rng, 3)
+    assert rng.bit_generator.state == before
 
 
 def test_unnormalized_inputs_detected():
@@ -147,46 +139,45 @@ def test_unnormalized_inputs_detected():
     stats = [local_stats(ds) for ds in datasets]
     O = sum(s.O for s in stats)
     V = sum(s.V for s in stats).reshape(-1)
-    rngs = _rngs(0, 1, 2)
-    before = _states(rngs)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(NormalizationError):
-        functional_mechanism(O, V, 1.0, rngs)
-    assert _states(rngs) == before
+        functional_mechanism(O, V, 1.0, rng, 3)
+    assert rng.bit_generator.state == before
 
 
 def test_fresh_noise_per_call():
     O, V = _normalized_stats()
-    a, b = functional_mechanism(O, V, 5.0, _rngs(1, 2))
+    a, b = functional_mechanism(O, V, 5.0, np.random.default_rng(1), 2)
     assert not np.array_equal(a, b)
 
 
-def _one_model(O, V, d, epsilon, rng):
-    """The mechanism for a single generator, step by step on one matrix."""
-    b = sensitivity_bound(d) / epsilon
-    noise = rng.laplace(0.0, b, size=O.shape)
-    O_noisy = O + np.triu(noise) + np.triu(noise, 1).T
-    V_noisy = V + rng.laplace(0.0, b, size=V.shape)
+def _one_model(O, V, noise):
+    """The mechanism step by step on one matrix, given one model's row
+    of noise: O's d * d entries, then V's d."""
+    d = O.shape[0]
+    O_noise = noise[:d * d].reshape(d, d)
+    O_noisy = O + np.triu(O_noise) + np.triu(O_noise, 1).T
+    V_noisy = V + noise[d * d:]
     eigvals, eigvecs = np.linalg.eigh(O_noisy)
     O_pd = (eigvecs * np.maximum(eigvals, PD_FLOOR)) @ eigvecs.T
     return np.linalg.solve((O_pd + O_pd.T) / 2.0, V_noisy)
 
 
 @pytest.mark.parametrize("features", [4, 9, 14], ids=["d5", "d10", "d15"])
-def test_batched_rows_equal_single_generator_fits(features):
-    # each row is bit for bit what its generator gives alone, so a
-    # budget's table does not depend on how its repetitions are batched
+def test_batched_rows_equal_single_matrix_fits(features):
+    # one draw holds every model's noise, a row per model; each row of
+    # the batch is bit for bit the single-matrix fit on that row
     O, V = _normalized_stats(features=features)
     d = O.shape[0]
     assert d == features + 1
-    seeds = range(12)
-    batch = functional_mechanism(O, V, 5.0, _rngs(*seeds))
-    assert batch.shape == (len(seeds), d)
-    for seed, row in zip(seeds, batch, strict=True):
-        alone = functional_mechanism(O, V, 5.0, _rngs(seed))
-        assert alone.shape == (1, d)
-        assert row.tobytes() == alone[0].tobytes()
-        assert row.tobytes() == _one_model(O, V, d, 5.0,
-                                           np.random.default_rng(seed)).tobytes()
+    count = 12
+    batch = functional_mechanism(O, V, 5.0, np.random.default_rng(7), count)
+    assert batch.shape == (count, d)
+    draw = np.random.default_rng(7).laplace(0.0, sensitivity_bound(d) / 5.0,
+                                            size=(count, d * d + d))
+    for row, noise in zip(batch, draw, strict=True):
+        assert row.tobytes() == _one_model(O, V, noise).tobytes()
 
 
 def test_monotone_accuracy_direction_coarse():
@@ -196,7 +187,7 @@ def test_monotone_accuracy_direction_coarse():
     eta = solve_ols(O, V)
     errs = {}
     for eps in (1.0, 100.0):
-        draws = functional_mechanism(O, V, eps, _rngs(*range(40)))
+        draws = functional_mechanism(O, V, eps, np.random.default_rng(0), 40)
         errs[eps] = np.linalg.norm(draws - eta, axis=1).mean()
     assert errs[1.0] > errs[100.0]
 
