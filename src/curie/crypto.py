@@ -131,7 +131,7 @@ def decode_fixed(k: int, scale: int) -> float:
 # keys
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
-_SIEVE_BOUND = 1 << 18     # candidates are sieved by the odd primes below this
+_SIEVE_BOUND = 1 << 18     # no candidate is sieved by a prime above this
 _SIEVE_WINDOW = 1 << 11    # odd candidates sieved after each random start
 _LIMB_BITS = 30            # residue * 2^30 stays inside int64 for primes < 2^33
 _ERROR_BITS = 100          # a prime is composite with probability at most 2^-100
@@ -155,6 +155,17 @@ def _odd_primes_below(limit: int) -> np.ndarray:
 
 
 _SIEVE_PRIMES = _odd_primes_below(_SIEVE_BOUND)
+
+
+def _sieve_bound(bits: int) -> int:
+    """The bound below which odd primes sieve *bits*-bit candidates:
+    below the candidate range, so tiny test keys still find primes, and
+    below bits^2 / 4, as for smaller primes a longer table costs more to
+    sieve by than the primality tests it spares; 1024-bit primes take
+    all of ``_SIEVE_PRIMES``.  A smaller bound only leaves composites
+    for the primality test to turn away, so the first prime of a
+    window, and so the key drawn, does not depend on it."""
+    return min(3 << (bits - 2), bits * bits // 4, _SIEVE_BOUND)
 
 
 def _residues(value: int, primes: np.ndarray) -> np.ndarray:
@@ -243,7 +254,8 @@ def _miller_rabin_rounds(k: int) -> int:
     search (Brandt and Damgard, "On generation of probable primes by
     incremental search", CRYPTO 1992): up to 2^11 candidates a window,
     2^3.5 for sieving, as about 9% of odd numbers have no odd factor
-    below 2^18, and 2 for drawing only the top quarter of k-bit numbers.
+    below 2^18 (more survive a smaller sieve bound, which conditions
+    less), and 2 for drawing only the top quarter of k-bit numbers.
     Smaller sizes keep 40 rounds, whose worst-case bound is 4^-40 per
     composite tested.  The bound holds for random candidates only; an
     input chosen by an adversary has only the 4^-t bound."""
@@ -289,11 +301,11 @@ def _random_prime(bits: int, rng: random.Random) -> int:
 
     Incremental search (Brandt and Damgard, CRYPTO 1992): from a random
     odd start, the window of the next odd numbers below 2^bits is sieved
-    by the small primes below the candidate range, and the survivors
+    by the small primes below :func:`_sieve_bound`, and the survivors
     are tested in order; a window without a prime is dropped for a
     fresh start."""
     low = 3 << (bits - 2)
-    primes = _SIEVE_PRIMES[:np.searchsorted(_SIEVE_PRIMES, min(low, _SIEVE_BOUND))]
+    primes = _SIEVE_PRIMES[:np.searchsorted(_SIEVE_PRIMES, _sieve_bound(bits))]
     while True:
         start = rng.getrandbits(bits) | low | 1
         width = min(_SIEVE_WINDOW, ((1 << bits) + 1 - start) // 2)

@@ -3,10 +3,12 @@ synthetic patient-style data generation.
 
 A dataset stores each schema column as one read-only numpy array typed
 by its declared kind (float64 for integer and real, bool for boolean,
-level strings for categorical), checked once when the dataset is built;
-every operation returns a new dataset.  Categorical levels are declared
-in the schema (not inferred from data) so all members of a consortium
-share one design encoding.
+level strings for categorical).  Cells are checked once, where data
+enters: the constructor, which synthesis, CSV loading and
+:func:`from_rows` go through.  Every operation returns a new dataset
+over arrays derived from checked ones, which is not checked again.
+Categorical levels are declared in the schema (not inferred from data)
+so all members of a consortium share one design encoding.
 """
 
 from __future__ import annotations
@@ -166,8 +168,12 @@ def _stored(name: str, ctype: ColumnType, values) -> np.ndarray:
             bad = stored[stored != np.round(stored)].tolist()
     if bad:
         raise SchemaMismatch(f"{ctype.kind} column {name!r} refuses the cell {bad[0]!r}")
-    stored.setflags(write=False)
-    return stored
+    return _frozen(stored)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +196,18 @@ class Dataset:
             raise SchemaMismatch("ragged columns")
         object.__setattr__(self, "columns", cols)
 
+    @classmethod
+    def _derived(cls, schema: Schema, columns: dict[str, np.ndarray],
+                 provenance: str | None) -> "Dataset":
+        """A dataset over *columns*, new read-only arrays of one length,
+        each computed from a checked column of the same stored dtype as
+        *schema* stores it; its cells are not checked again."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "schema", schema)
+        object.__setattr__(ds, "columns", columns)
+        object.__setattr__(ds, "provenance", provenance)
+        return ds
+
     @property
     def n(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -201,8 +219,8 @@ class Dataset:
 
     def take(self, rows: np.ndarray | Sequence[int]) -> "Dataset":
         """The rows at *rows*: indices, or a boolean mask over all rows."""
-        cols = {name: vals[rows] for name, vals in self.columns.items()}
-        return Dataset(self.schema, cols, self.provenance)
+        cols = {name: _frozen(vals[rows]) for name, vals in self.columns.items()}
+        return Dataset._derived(self.schema, cols, self.provenance)
 
     def split(self, fraction: float, rng: np.random.Generator) -> tuple["Dataset", "Dataset"]:
         """Random (1-fraction, fraction) split; second part is the holdout."""
@@ -218,11 +236,15 @@ def from_rows(schema: Schema, rows: Iterable[Mapping], provenance: str | None = 
 
 
 def concat(datasets: Sequence[Dataset]) -> Dataset:
+    """The rows of *datasets* in order, which must share one schema."""
     if not datasets:
         raise ValueError("nothing to concatenate")
-    return Dataset(datasets[0].schema, {
-        name: np.concatenate([ds.column(name) for ds in datasets])
-        for name in datasets[0].columns})
+    schema = datasets[0].schema
+    if any(ds.schema != schema for ds in datasets):
+        raise SchemaMismatch("cannot concatenate datasets of different schemas")
+    return Dataset._derived(schema, {
+        name: _frozen(np.concatenate([ds.columns[name] for ds in datasets]))
+        for name in datasets[0].columns}, None)
 
 
 def _coerce_cell(raw: str, ctype: ColumnType, where: str):
@@ -324,16 +346,23 @@ def _selected(cells: np.ndarray, f: RowFilter, ctype: ColumnType) -> np.ndarray:
     return ~hit if f.op == "!=" else hit
 
 
-def apply_selections(ds: Dataset, filters: Sequence[RowFilter]) -> Dataset:
-    """Rows satisfying the conjunction of *filters*; empty list is
-    identity.  A mistyped filter is refused even when no row reaches it."""
-    if not filters:
-        return ds
+def selection_mask(ds: Dataset, filters: Sequence[RowFilter]) -> np.ndarray:
+    """The mask of the rows satisfying the conjunction of *filters*, every
+    row for an empty list.  A mistyped filter is refused even when no row
+    reaches it."""
     ctypes = [ds.schema.column(f.column).ctype for f in filters]
     keep = np.ones(ds.n, dtype=bool)
     for f, ctype in zip(filters, ctypes):
         keep &= _selected(ds.column(f.column), f, ctype)
-    return ds.take(keep)
+    return keep
+
+
+def apply_selections(ds: Dataset, filters: Sequence[RowFilter]) -> Dataset:
+    """Rows satisfying the conjunction of *filters*; empty list is
+    identity."""
+    if not filters:
+        return ds
+    return ds.take(selection_mask(ds, filters))
 
 
 # --------------------------------------------------------------------------
@@ -375,9 +404,9 @@ def normalize_columns(ds: Dataset, bounds: NormalizationMap) -> Dataset:
             lo, hi = bounds[c.name]
             if hi <= lo:
                 raise DegenerateColumn(f"column {c.name!r}: max ({hi}) <= min ({lo})")
-            vals = normalize_value(vals, lo, hi)
+            vals = _frozen(normalize_value(vals, lo, hi))
         new_cols[c.name] = vals
-    return Dataset(normalized_schema(ds.schema), new_cols, ds.provenance)
+    return Dataset._derived(normalized_schema(ds.schema), new_cols, ds.provenance)
 
 
 # --------------------------------------------------------------------------
@@ -505,12 +534,15 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
                     levels = tuple(mix.keys())
                     probs = np.asarray(list(mix.values()))
                     probs = probs / probs.sum()
-                cols[c.name] = rng.choice(levels, size=p.n, p=probs).astype(object)
+                # drawing indices takes the same draws as drawing levels
+                cols[c.name] = np.array(levels, dtype=object)[
+                    rng.choice(len(levels), size=p.n, p=probs)]
             else:
                 cols[c.name] = rng.random(p.n) < p.boolean_probs.get(c.name, 0.5)
 
         cols[schema.target] = np.zeros(p.n)
-        X = enc.encode(Dataset(schema, cols))
+        features = Dataset(schema, cols)
+        X = enc.encode(features)
         # each row's coefficients: the base vector, or its level's override
         E = np.tile(np.asarray(p.coefficients, dtype=float), (p.n, 1))
         for level, eta in p.level_coefficients.items():
@@ -520,8 +552,10 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
             y += X[:, j] * E[:, j]
         if p.noise_sigma > 0:
             y += rng.normal(0.0, p.noise_sigma, p.n)
-        cols[schema.target] = np.maximum(y, p.min_dose)
-        datasets.append(Dataset(schema, cols, p.member_id))
+        # the doses are float64, as the checked real column would hold them
+        datasets.append(Dataset._derived(schema, {
+            **features.columns, schema.target: _frozen(np.maximum(y, p.min_dose))},
+            p.member_id))
     return datasets
 
 

@@ -43,26 +43,32 @@ from curie.data import (
     UnknownColumn,
     concat,
     load_dataset,
-    normalize_columns,
     normalized_schema,
     synth_members,
     synth_numeric_members,
-    to_design_matrix,
 )
 from curie.engine import Agreement, MemberContext, negotiate_consortium
 from curie.errors import CurieError
 from curie.phases import phase, recording
 from curie.regression import (
     ClinicalReport,
+    Cohort,
     DoseModel,
     SingularMatrix,
     clinical_metrics,
+    encode_cohort,
     functional_mechanism,
     mean_absolute_errors,
     solve_ols_pruned,
-    validation_doses,
 )
-from curie.ring import EmptyRelease, LocalStats, local_stats, run_ring_session
+from curie.ring import (
+    EmptyRelease,
+    LocalStats,
+    MemberRows,
+    local_stats,
+    member_rows,
+    run_ring_session,
+)
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -98,6 +104,10 @@ class MemberSpec:
 
 @dataclass(frozen=True)
 class DPSettings:
+    """The privacy budgets to sweep, stored as floats (a budget seeds its
+    noise by its text, so 1 and 1.0 must be one budget), and the private
+    models fitted per budget."""
+
     epsilons: tuple[float, ...] = (0.25, 1.0, 5.0, 20.0, 50.0, 100.0)
     repetitions: int = 100
 
@@ -110,6 +120,7 @@ class DPSettings:
             raise ConfigError("dp.epsilons", "privacy budgets must be distinct")
         if self.repetitions < 1:
             raise ConfigError("dp.repetitions", "repetitions must be at least 1")
+        object.__setattr__(self, "epsilons", tuple(map(float, self.epsilons)))
 
 
 @dataclass(frozen=True)
@@ -368,7 +379,7 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     _entries(dp_raw, "dp", _DP_KEYS)
     epsilons = _typed_items(dp_raw.get("epsilons", [*DPSettings.epsilons]), "number",
                             "dp.epsilons")
-    dp = DPSettings(tuple(map(float, epsilons)), _typed(
+    dp = DPSettings(tuple(epsilons), _typed(
         dp_raw.get("repetitions", DPSettings.repetitions), "integer", "dp.repetitions"))
 
     seed = _typed(raw.get("seed", 0), "integer", "seed")
@@ -506,36 +517,38 @@ class ScenarioReport:
                           separators=(",", ":"))
 
 
-def _local_clinical(scenario: Scenario, stats: LocalStats | None) -> ClinicalReport | None:
-    """The scores of the model a member fits from *stats*, its
-    statistics over its own rows; None without rows, without a unique
-    fit or without a validation cohort."""
-    if stats is None or scenario.validation is None:
+def _local_clinical(scenario: Scenario, validation: Cohort | None,
+                    stats: LocalStats | None) -> ClinicalReport | None:
+    """The scores on *validation* of the model a member fits from
+    *stats*, its statistics over its own rows; None without rows,
+    without a unique fit or without a validation cohort."""
+    if stats is None or validation is None:
         return None
     try:
         eta = solve_ols_pruned(stats.O, stats.V)
     except SingularMatrix:
         return None
     return clinical_metrics(DoseModel(eta, scenario.encoding, scenario.config.schema.bounds),
-                            scenario.validation)
+                            validation)
 
 
 def _member_stats(scenario: Scenario, agreements: Sequence[Agreement],
-                  own: LocalStats) -> dict[str, LocalStats | None]:
+                  own: LocalStats, rows: Mapping[str, MemberRows | None]
+                  ) -> dict[str, LocalStats | None]:
     """Each ring member's statistics for the initiator's session: *own*,
     the initiator's over its own rows, and what each owner's agreement
-    releases to it (None where nothing is released)."""
+    releases to it from the owner's encoded *rows* (None where nothing
+    is released)."""
     cfg = scenario.config
     by_owner = {a.owner: a for a in agreements if a.requester == cfg.initiator}
 
     def member(member_id: str) -> LocalStats | None:
         if member_id == cfg.initiator:
             return own
-        if member_id not in by_owner:
+        if member_id not in by_owner or rows[member_id] is None:
             return None
         try:
-            return local_stats(scenario.context(member_id).dataset, by_owner[member_id],
-                               bounds=cfg.schema.bounds)
+            return local_stats(rows[member_id], by_owner[member_id])
         except EmptyRelease:    # an empty agreement, or no row selected
             return None
 
@@ -588,25 +601,31 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
             raise ConfigError("initiator", f"{cfg.initiator!r} acquires nothing, "
                                            "so there is no pooled model to sweep")
 
-        # each member's statistics over its own rows, computed once, fit
-        # its local model; the initiator's are its ring contribution
+        # each member's rows and the validation cohort are encoded once;
+        # a member's statistics over its own rows fit its local model,
+        # and the initiator's are its ring contribution
         with phase("local_models"):
+            validation = (None if scenario.validation is None else
+                          encode_cohort(scenario.validation, scenario.encoding, bounds))
+            rows: dict[str, MemberRows | None] = {}
             for ctx in scenario.contexts:
                 try:
-                    own = local_stats(ctx.dataset, bounds=bounds)
+                    encoded = member_rows(ctx.dataset, bounds)
                 except EmptyRelease:    # no training rows
                     if pools and ctx.member_id == cfg.initiator:
                         raise
-                    own = None
+                    encoded = None
+                rows[ctx.member_id] = encoded
+                own = None if encoded is None else local_stats(encoded)
                 if ctx.member_id == cfg.initiator:
                     initiator_stats = own
                 report.local_rows[ctx.member_id] = ctx.dataset.n
-                report.local_clinical[ctx.member_id] = _local_clinical(scenario, own)
+                report.local_clinical[ctx.member_id] = _local_clinical(scenario, validation, own)
         if not pools:
             return report
 
         with phase("stats"):
-            stats = _member_stats(scenario, agreements, initiator_stats)
+            stats = _member_stats(scenario, agreements, initiator_stats, rows)
         result = run_ring_session(
             list(cfg.ring_order), cfg.initiator, stats, scenario.encoding,
             _session_params(cfg.he, [ctx.profile.data_size for ctx in scenario.contexts]),
@@ -617,15 +636,14 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         with phase("pooled_model"):
             eta = solve_ols_pruned(result.O_pool, result.V_pool)
             report.pooled_model = DoseModel(eta, scenario.encoding, bounds)
-            if scenario.validation is not None:
-                report.pooled_clinical = clinical_metrics(report.pooled_model,
-                                                          scenario.validation)
+            if validation is not None:
+                report.pooled_clinical = clinical_metrics(report.pooled_model, validation)
 
         if mode == MODE_FULL_DP:
             local = report.local_clinical[cfg.initiator]
             with phase("dp_sweep"):
                 report.dp_table = dp_sweep_from_stats(
-                    result.O_pool, result.V_pool, scenario,
+                    result.O_pool, result.V_pool, scenario, validation,
                     local.mae if local is not None else None)
         return report
 
@@ -633,14 +651,15 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
 # --------------------------------------------------------------------------
 # differential-privacy sweep
 
-def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
-                        scenario: Scenario, local_mae: float | None) -> list[dict]:
+def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray, scenario: Scenario,
+                        validation: Cohort | None, local_mae: float | None) -> list[dict]:
     """Per-budget accuracy table for the private pooled model, over the
     budgets and repetitions of the scenario's ``dp`` settings.
 
     For each epsilon, ``repetitions`` private models are fitted in one
     batched call, their noise drawn by one generator seeded from the
-    config seed and the budget, and scored on the mixed held-out cohort;
+    config seed and the budget, and scored together on *validation*, the
+    mixed held-out cohort;
     the table carries the mean MAE, plus the advantage over *local_mae*,
     the initiator's own non-private local model's (the alternative a
     member always has).  With more than one repetition, each mean
@@ -651,17 +670,11 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
     """
     cfg = scenario.config
     repetitions = cfg.dp.repetitions
-    if scenario.validation is None:
+    if validation is None:
         raise ConfigError("holdout_fraction",
                           "dp sweep needs a held-out validation cohort")
 
-    # the cohort is encoded once; each budget's repetitions are scored
-    # together against it
-    bounds = cfg.schema.bounds
-    X = to_design_matrix(normalize_columns(scenario.validation, bounds),
-                         scenario.encoding).X
-    y = validation_doses(scenario.validation)
-    target_bounds = bounds[cfg.schema.target]
+    target_bounds = cfg.schema.bounds[cfg.schema.target]
     V = V_pool.reshape(-1)
     resamples = None
     if repetitions > 1:
@@ -673,7 +686,7 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray,
         etas = functional_mechanism(
             O_pool, V, eps, np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}")),
             repetitions)
-        maes = mean_absolute_errors(X, etas, y, target_bounds)
+        maes = mean_absolute_errors(validation.X, etas, validation.y, target_bounds)
         mae_ci = None
         if resamples is not None:
             lo, hi = np.quantile(maes[resamples].mean(axis=1), [alpha, 1.0 - alpha])
@@ -709,7 +722,7 @@ def _bench_session(n_members: int, n_features: int, rows: int, seed: int,
                             [ds.n for ds in datasets])
     with recording() as out:
         with phase("stats"):
-            stats = {ds.provenance: local_stats(ds, bounds=bounds)
+            stats = {ds.provenance: local_stats(member_rows(ds, bounds))
                      for ds in datasets}
         run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,

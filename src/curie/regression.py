@@ -202,6 +202,12 @@ class DoseModel:
                 f"bounds must cover the target column "
                 f"{self.encoding.schema.target!r} for denormalization")
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Dose predictions in original units, one per row of the
+        normalized design matrix *X*."""
+        lo, hi = self.bounds[self.encoding.schema.target]
+        return denormalize_value(X @ self.eta, lo, hi)
+
     def to_json(self) -> dict:
         return {
             "coefficients": [float(v) for v in self.eta],
@@ -211,13 +217,6 @@ class DoseModel:
             "privacy": self.privacy,
             "epsilon": self.epsilon,
         }
-
-
-def predict_dataset(model: DoseModel, ds: Dataset) -> np.ndarray:
-    """Dose predictions in original units, one per raw row of *ds*."""
-    X = to_design_matrix(normalize_columns(ds, model.bounds), model.encoding).X
-    lo, hi = model.bounds[model.encoding.schema.target]
-    return denormalize_value(X @ model.eta, lo, hi)
 
 
 def mean_absolute_errors(X: np.ndarray, etas: np.ndarray, y: np.ndarray,
@@ -250,26 +249,45 @@ class ClinicalReport:
         }
 
 
-def validation_doses(validation: Dataset) -> np.ndarray:
-    """The cohort's true doses; raises :class:`EmptyValidation` when
-    there are none or one is not positive."""
-    if validation.n == 0:
+@dataclass(frozen=True)
+class Cohort:
+    """Rows to score models on, encoded once: ``X`` is their design
+    matrix, normalized as the models' inputs are, and ``y`` their true
+    doses in original units, every one positive."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.y)
+
+
+def encode_cohort(ds: Dataset, encoding: DesignEncoding,
+                  bounds: NormalizationMap) -> Cohort:
+    """*ds*'s rows normalized against *bounds* and encoded under
+    *encoding*, one cohort for every model these fit; raises
+    :class:`EmptyValidation` when there are no rows or a dose is not
+    positive."""
+    if ds.n == 0:
         raise EmptyValidation("validation cohort is empty")
-    y = validation.column(validation.schema.target)
+    y = ds.column(ds.schema.target)
     if np.any(y <= 0):
         raise EmptyValidation("validation doses must be positive")
-    return y
+    return Cohort(to_design_matrix(normalize_columns(ds, bounds), encoding).X, y)
 
 
-def clinical_metrics(model: DoseModel, validation: Dataset) -> ClinicalReport:
-    """MAE, MAPE, and the weekly-dose safety-window partition.
+def clinical_metrics(model: DoseModel, validation: Cohort) -> ClinicalReport:
+    """MAE, MAPE, and the weekly-dose safety-window partition of
+    *model* on *validation*, encoded under the model's encoding and
+    bounds.
 
     A prediction is in the safety window when the weekly dose (7x the
     daily dose) falls within 20% of the weekly true dose; below the
     window is under-prescription, above is over-prescription.
     """
-    y = validation_doses(validation)
-    yhat = predict_dataset(model, validation)
+    y = validation.y
+    yhat = model.predict(validation.X)
     err = np.abs(yhat - y)
     mae = float(err.mean())
     mape = float((err / y).mean() * 100.0)

@@ -44,8 +44,8 @@ from typing import Mapping
 import numpy as np
 
 from curie import crypto
-from curie.data import Dataset, DesignEncoding, NormalizationMap, apply_selections, \
-    normalize_columns, to_design_matrix
+from curie.data import Dataset, DesignEncoding, NormalizationMap, normalize_columns, \
+    selection_mask, to_design_matrix
 from curie.engine import EMPTY, Agreement
 from curie.errors import CurieError
 from curie.phases import phase
@@ -85,26 +85,46 @@ class LocalStats:
         return self.O.shape[0]
 
 
-def local_stats(ds: Dataset, agreement: Agreement | None = None,
-                bounds: NormalizationMap | None = None) -> LocalStats:
-    """Apply the agreement's selections, optionally normalize numeric
-    columns to [-1, 1] against *bounds*, and accumulate the sufficient
-    statistics.  Raises :class:`EmptyRelease` when no rows survive, and
+@dataclass(frozen=True, eq=False)
+class MemberRows:
+    """A member's rows as the ring pools them, encoded once: row i of
+    the design matrix ``X`` and of the target ``Y`` is row i of
+    ``dataset``, whose selections pick the rows an agreement releases."""
+
+    dataset: Dataset
+    X: np.ndarray
+    Y: np.ndarray
+
+
+def member_rows(ds: Dataset, bounds: NormalizationMap | None) -> MemberRows:
+    """Normalize *ds*'s numeric columns to [-1, 1] against *bounds*
+    (None leaves them raw) and encode its rows.  Raises
+    :class:`EmptyRelease` when *ds* has no rows, and
     :class:`OverflowAbort` when a value outside *bounds* would leave the
     [-1, 1] the ring's slots are sized for."""
+    if ds.n == 0:
+        raise EmptyRelease(f"{ds.provenance}: no rows to release")
+    dm = to_design_matrix(ds if bounds is None else normalize_columns(ds, bounds))
+    if bounds is not None and max(np.abs(dm.X).max(), np.abs(dm.Y).max()) > 1:
+        raise OverflowAbort(f"{ds.provenance}: a normalized value leaves [-1, 1]")
+    return MemberRows(ds, dm.X, dm.Y)
+
+
+def local_stats(rows: MemberRows, agreement: Agreement | None = None) -> LocalStats:
+    """The sufficient statistics of the rows the agreement's selections
+    keep, every row without an agreement.  Raises :class:`EmptyRelease`
+    for an empty agreement and when no row is kept."""
+    X, Y = rows.X, rows.Y
     if agreement is not None:
         if agreement.status == EMPTY:
             raise EmptyRelease(
                 f"agreement {agreement.owner}->{agreement.requester} is empty")
-        ds = apply_selections(ds, agreement.selections)
-    if ds.n == 0:
+        if agreement.selections:
+            keep = selection_mask(rows.dataset, agreement.selections)
+            X, Y = X[keep], Y[keep]
+    if len(Y) == 0:
         raise EmptyRelease("no rows released after selections")
-    if bounds is not None:
-        ds = normalize_columns(ds, bounds)
-    dm = to_design_matrix(ds)
-    if bounds is not None and max(np.abs(dm.X).max(), np.abs(dm.Y).max()) > 1:
-        raise OverflowAbort(f"{ds.provenance}: a normalized value leaves [-1, 1]")
-    return LocalStats(dm.X.T @ dm.X, (dm.X.T @ dm.Y).reshape(-1, 1), dm.X.shape[0])
+    return LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), len(Y))
 
 
 def zero_stats(m: int) -> LocalStats:

@@ -28,7 +28,7 @@ from curie.ddstats import compute_statistic
 from curie.engine import MemberContext, negotiate_consortium, negotiate_pair
 from curie.harness import MODE_FULL_DP, bench, load_config, run_scenario
 from curie.regression import solve_ols, solve_ols_pruned
-from curie.ring import audit_transcript, local_stats, run_ring_session
+from curie.ring import audit_transcript, local_stats, member_rows, run_ring_session
 
 from cipher_matrices import decrypt_matrix, encrypt_matrix
 from conftest import CORPUS_DIR, config_path
@@ -273,7 +273,7 @@ def test_criterion_4_pooling_centralization_equivalence():
         schema, datasets, _ = synth_numeric_members(
             int(gen.integers(0, 2**31)), n_members, features,
             [rows] * n_members, noise_sigma=0.5)
-        stats = {ds.provenance: local_stats(ds) for ds in datasets}
+        stats = {ds.provenance: local_stats(member_rows(ds, None)) for ds in datasets}
         result = run_ring_session(
             [ds.provenance for ds in datasets], datasets[0].provenance,
             stats, DesignEncoding(schema), params, random.Random(trial))
@@ -316,10 +316,10 @@ def test_criterion_5_mask_and_key_properties(small_he_params):
     for mid in members:
         X = gen.uniform(-1, 1, (40, m))
         Y = gen.uniform(1, 30, 40)
-        stats[mid] = local_stats(
+        stats[mid] = local_stats(member_rows(
             from_rows(schema,
                       [dict({f"x{j}": X[i, j + 1] for j in range(m - 1)},
-                            dose=float(Y[i])) for i in range(40)]))
+                            dose=float(Y[i])) for i in range(40)]), None))
     pools = []
     for draw in range(5):
         result = run_ring_session(members, "P1", stats, DesignEncoding(schema),
@@ -532,7 +532,7 @@ from curie.data import (  # noqa: E402
     normalized_schema,
     synth_members,
 )
-from curie.regression import DoseModel, clinical_metrics  # noqa: E402
+from curie.regression import DoseModel, clinical_metrics, encode_cohort  # noqa: E402
 
 _HET_SCHEMA = Schema((
     Column("age", ColumnType("integer", bounds=(20, 80))),
@@ -574,28 +574,29 @@ def _heterogeneous_round(seed):
         trains.append(tr)
         helds.append(he)
     mixed = concat(helds)
+    cohort = encode_cohort(mixed, enc, _HET_BOUNDS)
 
-    stats = [local_stats(t, bounds=_HET_BOUNDS) for t in trains]
+    stats = [local_stats(member_rows(t, _HET_BOUNDS)) for t in trains]
     global_model = DoseModel(
         solve_ols_pruned(sum(s.O for s in stats), sum(s.V for s in stats)),
         enc, _HET_BOUNDS)
-    g_mae = clinical_metrics(global_model, mixed).mae
+    g_mae = clinical_metrics(global_model, cohort).mae
 
     wins = 0
     for t in trains:
-        s = local_stats(t, bounds=_HET_BOUNDS)
+        s = local_stats(member_rows(t, _HET_BOUNDS))
         local = DoseModel(solve_ols_pruned(s.O, s.V), enc, _HET_BOUNDS)
-        if g_mae < clinical_metrics(local, mixed).mae:
+        if g_mae < clinical_metrics(local, cohort).mae:
             wins += 1
 
     race_filter = [RowFilter("race", "=", "Asian")]
-    r_stats = [local_stats(apply_selections(t, race_filter),
-                           bounds=_HET_BOUNDS)
+    r_stats = [local_stats(member_rows(apply_selections(t, race_filter),
+                                       _HET_BOUNDS))
                for t in trains if apply_selections(t, race_filter).n]
     race_model = DoseModel(
         solve_ols_pruned(sum(s.O for s in r_stats),
                          sum(s.V for s in r_stats)), enc, _HET_BOUNDS)
-    asian_held = apply_selections(mixed, race_filter)
+    asian_held = encode_cohort(apply_selections(mixed, race_filter), enc, _HET_BOUNDS)
     race_mae = clinical_metrics(race_model, asian_held).mae
     global_on_race = clinical_metrics(global_model, asian_held).mae
     return wins, len(trains), race_mae < global_on_race

@@ -464,6 +464,27 @@ def test_keygen_is_deterministic_with_the_requested_size(key_bits, monkeypatch):
         assert a.public.n.bit_length() == key_bits
 
 
+@pytest.mark.parametrize("key_bits", [128, 192, 256])
+def test_the_scaled_sieve_bound_draws_the_keys_of_the_full_sieve(key_bits, monkeypatch):
+    # a smaller sieve only leaves composites for the primality test, so
+    # the same rng gives the same primes and leaves the same state
+    params = HEParams(key_bits=key_bits, scale_bits=1, n_max=1, v_max=1.0)
+    assert crypto._sieve_bound(key_bits // 2) < _SIEVE_BOUND
+
+    def keys():
+        out = []
+        for seed in range(20):
+            rng = random.Random(seed)
+            pair = keygen(params, rng)
+            out.append((pair.public.n, pair.secret.p, pair.secret.q, rng.getstate()))
+        return out
+
+    scaled = keys()
+    monkeypatch.setattr(crypto, "_sieve_bound",
+                        lambda bits: min(3 << (bits - 2), _SIEVE_BOUND))
+    assert keys() == scaled
+
+
 def test_keygen_skips_factors_sharing_a_divisor_with_phi():
     # 17-bit keys take an 8-bit p and a 9-bit q, so q = 2p + 1 can occur
     # (233 and 467); gcd(n, phi) = p then leaves lam without an inverse

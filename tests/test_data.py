@@ -22,6 +22,7 @@ from curie.data import (
     load_dataset,
     normalize_columns,
     normalize_value,
+    normalized_schema,
     synth_members,
     to_design_matrix,
 )
@@ -236,6 +237,49 @@ def test_columns_are_typed_read_only_arrays():
     weights[0] = -1.0
     assert held.column("weight").tolist() == source
     assert held.take([0]).column("weight").flags.writeable is False
+
+
+_STORED_DTYPES = {"integer": np.float64, "real": np.float64,
+                  "boolean": np.bool_, "categorical": object}
+
+
+def _assert_stored(ds, schema):
+    assert ds.schema == schema
+    for c in schema.columns:
+        vals = ds.column(c.name)
+        assert vals.dtype == _STORED_DTYPES[c.ctype.kind], c.name
+        assert not vals.flags.writeable, c.name
+
+
+def test_derived_datasets_keep_read_only_typed_columns():
+    ds = load_dataset(WARFARIN_CSV, warfarin_schema())
+    first, rest = ds.split(0.5, np.random.default_rng(0))
+    derived = [ds.take([2, 0]), ds.take(np.array([True, False, True])), first, rest,
+               apply_selections(ds, [RowFilter("race", "!=", "Asian")]),
+               concat([rest, first])]
+    for part in derived:
+        _assert_stored(part, ds.schema)
+    assert derived[-1].column("race").tolist() == [
+        *rest.column("race").tolist(), *first.column("race").tolist()]
+    normed = normalize_columns(ds, ds.schema.bounds)
+    _assert_stored(normed, normalized_schema(ds.schema))
+    _assert_stored(concat([normed, normed.take([1])]), normalized_schema(ds.schema))
+
+
+def test_concat_refuses_datasets_of_different_schemas():
+    ds = load_dataset(WARFARIN_CSV, warfarin_schema())
+    with pytest.raises(SchemaMismatch, match="different schemas"):
+        concat([ds, normalize_columns(ds, ds.schema.bounds)])
+
+
+def test_a_bad_cell_entering_through_the_constructor_is_refused():
+    # derived datasets skip the check, so a cell only enters checked
+    ds = apply_selections(load_dataset(WARFARIN_CSV, warfarin_schema()),
+                          [RowFilter("race", "!=", "Asian")])
+    for column, bad in (("race", "Martian"), ("age", 63.5), ("inducer", 2.0)):
+        cells = [*ds.column(column).tolist()[:-1], bad]
+        with pytest.raises(SchemaMismatch, match=column):
+            Dataset(ds.schema, {**ds.columns, column: cells})
 
 
 @pytest.mark.parametrize("bad", ["12", True, None, np.bool_(False)])

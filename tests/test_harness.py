@@ -424,9 +424,9 @@ def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
     computed, contributed = [], []
     stats, ring = harness.local_stats, harness.run_ring_session
 
-    def counted(ds, agreement=None, **kwargs):
-        out = stats(ds, agreement, **kwargs)
-        computed.append((ds.provenance, agreement is None, out))
+    def counted(rows, agreement=None):
+        out = stats(rows, agreement)
+        computed.append((rows.dataset.provenance, agreement is None, out))
         return out
 
     def recorded(order, initiator, member_stats, encoding, params, rng):
@@ -444,6 +444,33 @@ def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
     own = next(out for mid, is_own, out in computed
                if is_own and mid == cfg.initiator)
     assert contributed == [own]
+
+
+def test_a_run_encodes_each_member_and_the_cohort_once(monkeypatch):
+    # after the build, which encodes while synthesizing, one design
+    # matrix per member's training rows and one for the validation cohort
+    from curie import harness
+    from curie.data import DesignEncoding
+
+    built, encoded = [], []
+    build, encode = harness.build_scenario, DesignEncoding.encode
+
+    def counted(self, ds):
+        if built:
+            encoded.append(ds.provenance)
+        return encode(self, ds)
+
+    def built_scenario(cfg):
+        scenario = build(cfg)
+        built.append(scenario)
+        return scenario
+
+    monkeypatch.setattr(harness, "build_scenario", built_scenario)
+    monkeypatch.setattr(DesignEncoding, "encode", counted)
+    cfg = load_config(config_path("example3"))
+    run_scenario(cfg, MODE_FULL_DP)
+    assert sorted(encoded, key=str) == sorted(
+        [m.member_id for m in cfg.members] + [None], key=str)
 
 
 def test_a_negotiation_builds_each_member_profile_once(monkeypatch):
@@ -843,7 +870,7 @@ def test_scenario_pooled_model_matches_centralization_oracle():
         to_design_matrix
     from curie.engine import EMPTY, negotiate_consortium
     from curie.harness import _seed_for, build_scenario
-    from curie.regression import DoseModel, predict_dataset
+    from curie.regression import DoseModel, encode_cohort
 
     cfg = load_config(config_path("example3"))
     report = run_scenario(cfg, MODE_FULL)
@@ -862,8 +889,10 @@ def test_scenario_pooled_model_matches_centralization_oracle():
 
     assert report.pooled_rows == dm.X.shape[0]
     cat_model = DoseModel(eta_cat, scenario.encoding, scenario.config.schema.bounds)
-    pred_ring = predict_dataset(report.pooled_model, scenario.validation)
-    pred_cat = predict_dataset(cat_model, scenario.validation)
+    cohort = encode_cohort(scenario.validation, scenario.encoding,
+                           scenario.config.schema.bounds)
+    pred_ring = report.pooled_model.predict(cohort.X)
+    pred_cat = cat_model.predict(cohort.X)
     rel = np.abs(pred_ring - pred_cat).max() / np.abs(pred_cat).mean()
     assert rel < 1e-6
 
@@ -919,6 +948,14 @@ def test_cli_simulate_with_dp(tmp_path):
     assert payload["mode"] == "full_dp"
     assert len(payload["dp_sweep"]) == 2
     assert "timings" in payload
+
+
+def test_a_budget_given_as_an_int_sweeps_as_the_same_float():
+    cfg = load_config(config_path("example3"))
+    tables = [run_scenario(dataclasses.replace(cfg, dp=DPSettings(eps, 5)),
+                           MODE_FULL_DP).dp_table for eps in ((1,), (1.0,))]
+    assert tables[0] == tables[1]
+    assert type(tables[0][0]["epsilon"]) is float
 
 
 def test_dp_sweep_large_budget_close_to_non_private():

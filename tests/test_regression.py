@@ -20,12 +20,12 @@ from curie.regression import (
     PD_FLOOR,
     SingularMatrix,
     clinical_metrics,
+    encode_cohort,
     functional_mechanism,
-    predict_dataset,
     sensitivity_bound,
     solve_ols,
 )
-from curie.ring import local_stats
+from curie.ring import local_stats, member_rows
 
 from conftest import warfarin_schema
 
@@ -41,7 +41,7 @@ def test_identity_system():
 def test_noiseless_synthetic_recovers_ground_truth():
     schema, datasets, eta_true = synth_numeric_members(5, 3, 4, [200] * 3,
                                                        noise_sigma=0.0)
-    stats = [local_stats(ds) for ds in datasets]
+    stats = [local_stats(member_rows(ds, None)) for ds in datasets]
     O = sum(s.O for s in stats)
     V = sum(s.V for s in stats).reshape(-1)
     eta = solve_ols(O, V)
@@ -74,7 +74,7 @@ def test_centralization_equivalence_chain():
     schema, datasets, _ = synth_numeric_members(9, 5, 8, [150, 250, 100, 300, 200],
                                                 noise_sigma=0.7)
     bounds = schema.bounds
-    stats = [local_stats(ds, bounds=bounds) for ds in datasets]
+    stats = [local_stats(member_rows(ds, bounds)) for ds in datasets]
     eta_pool = solve_ols(sum(s.O for s in stats),
                          sum(s.V for s in stats).reshape(-1))
     normed = [normalize_columns(ds, bounds) for ds in datasets]
@@ -91,7 +91,7 @@ def _normalized_stats(seed=0, members=3, features=4, rows=150):
     schema, datasets, _ = synth_numeric_members(
         seed, members, features, [rows] * members, noise_sigma=0.5)
     bounds = schema.bounds
-    stats = [local_stats(ds, bounds=bounds) for ds in datasets]
+    stats = [local_stats(member_rows(ds, bounds)) for ds in datasets]
     O = sum(s.O for s in stats)
     V = sum(s.V for s in stats).reshape(-1)
     return O, V
@@ -136,7 +136,7 @@ def test_budget_must_be_positive():
 def test_unnormalized_inputs_detected():
     schema, datasets, _ = synth_numeric_members(3, 2, 3, [100, 100])
     # raw stats without normalization: dose column far exceeds [-1, 1]
-    stats = [local_stats(ds) for ds in datasets]
+    stats = [local_stats(member_rows(ds, None)) for ds in datasets]
     O = sum(s.O for s in stats)
     V = sum(s.V for s in stats).reshape(-1)
     rng = np.random.default_rng(0)
@@ -207,16 +207,20 @@ def _trained_model(sigma=0.0, seed=21):
         coefficients=eta, noise_sigma=sigma)
     (ds,) = synth_members(seed, schema, [profile])
     bounds = schema.bounds
-    stats = local_stats(ds, bounds=bounds)
+    stats = local_stats(member_rows(ds, bounds))
     model = DoseModel(solve_ols(stats.O, stats.V),
                       DesignEncoding(normalize_columns(ds, bounds).schema),
                       bounds)
     return model, ds
 
 
+def _cohort(model, ds):
+    return encode_cohort(ds, model.encoding, model.bounds)
+
+
 def test_noiseless_model_predicts_exactly():
     model, ds = _trained_model(sigma=0.0)
-    yhat = predict_dataset(model, ds)
+    yhat = model.predict(_cohort(model, ds).X)
     y = np.asarray(ds.column("dose"))
     assert np.abs(yhat - y).max() < 1e-9
 
@@ -230,10 +234,10 @@ def test_out_of_schema_row_rejected():
     without_age = Dataset(narrow, {k: v for k, v in first.columns.items()
                                    if k != "age"})
     with pytest.raises(SchemaMismatch):
-        predict_dataset(model, without_age)
+        _cohort(model, without_age)
 
 
-def test_predict_dataset_matches_hand_computed_dose():
+def test_predict_matches_hand_computed_dose():
     from curie.data import Column, ColumnType, Schema, from_rows
     sch = Schema((
         Column("age", ColumnType("integer")),
@@ -250,13 +254,13 @@ def test_predict_dataset_matches_hand_computed_dose():
     # row 1: age 65 -> 2 * 45 / 60 - 1 = 0.5;
     #        y = 0.1 + 0.5 * 0.5 - 0.2 + 0.3 = 0.45 -> 1.45 / 2 * 60 = 43.5
     # row 2: age 20 -> -1;  y = 0.1 - 0.5 = -0.4 -> 0.6 / 2 * 60 = 18.0
-    np.testing.assert_allclose(predict_dataset(model, ds), [43.5, 18.0],
+    np.testing.assert_allclose(model.predict(_cohort(model, ds).X), [43.5, 18.0],
                                rtol=1e-12)
 
 
 def test_perfect_model_metrics():
     model, ds = _trained_model(sigma=0.0)
-    report = clinical_metrics(model, ds)
+    report = clinical_metrics(model, _cohort(model, ds))
     assert report.mae == pytest.approx(0.0, abs=1e-9)
     assert report.mape == pytest.approx(0.0, abs=1e-9)
     assert report.in_window == 1.0
@@ -269,7 +273,7 @@ def test_constant_overprediction_lands_over_window():
     from curie.data import Dataset
     deflated = Dataset(ds.schema, {
         **ds.columns, "dose": tuple(d / 1.3 for d in ds.column("dose"))})
-    report = clinical_metrics(model, deflated)
+    report = clinical_metrics(model, _cohort(model, deflated))
     assert report.over == 1.0
     assert report.in_window == 0.0
     assert report.under == 0.0
@@ -278,7 +282,7 @@ def test_constant_overprediction_lands_over_window():
 
 def test_partition_sums_to_one():
     model, ds = _trained_model(sigma=3.0)
-    report = clinical_metrics(model, ds)
+    report = clinical_metrics(model, _cohort(model, ds))
     assert report.under + report.in_window + report.over == pytest.approx(1.0)
     assert 0.0 <= report.under <= 1.0
 
@@ -286,7 +290,7 @@ def test_partition_sums_to_one():
 def test_empty_validation_rejected():
     model, ds = _trained_model()
     with pytest.raises(EmptyValidation):
-        clinical_metrics(model, ds.take([]))
+        clinical_metrics(model, _cohort(model, ds.take([])))
 
 
 def test_model_json_roundtrip_fields():

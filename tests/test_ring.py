@@ -21,6 +21,7 @@ from curie.ring import (
     _encode_stats,
     audit_transcript,
     local_stats,
+    member_rows,
     run_ring_session,
     stat_cells,
 )
@@ -56,7 +57,7 @@ def _session(members, params, seed=3, m=4, empty=()):
 def test_single_row_stats_are_rank_one_outer_product():
     m1, _, _ = build_contexts()
     ds = m1.dataset.take([0])
-    stats = local_stats(ds)
+    stats = local_stats(member_rows(ds, None))
     dm_x = stats.O
     assert stats.n == 1
     assert np.linalg.matrix_rank(dm_x) == 1
@@ -65,7 +66,7 @@ def test_single_row_stats_are_rank_one_outer_product():
 
 def test_stats_match_row_loop_oracle():
     m1, _, _ = build_contexts()
-    stats = local_stats(m1.dataset)
+    stats = local_stats(member_rows(m1.dataset, None))
     from curie.data import to_design_matrix
     dm = to_design_matrix(m1.dataset)
     O = np.zeros((dm.X.shape[1], dm.X.shape[1]))
@@ -82,17 +83,17 @@ def test_empty_release_raises():
     agreement = Agreement("M1", "M3", "partial",
                           selections=(RowFilter("age", ">", 999),))
     with pytest.raises(EmptyRelease):
-        local_stats(m1.dataset, agreement)
+        local_stats(member_rows(m1.dataset, None), agreement)
     empty = Agreement("M1", "M3", "empty")
     with pytest.raises(EmptyRelease):
-        local_stats(m1.dataset, empty)
+        local_stats(member_rows(m1.dataset, None), empty)
 
 
 def test_agreement_filters_are_applied():
     m1, _, _ = build_contexts()
     agreement = Agreement("M1", "M3", "partial",
                           selections=(RowFilter("race", "=", "Asian"),))
-    stats = local_stats(m1.dataset, agreement)
+    stats = local_stats(member_rows(m1.dataset, None), agreement)
     expected_rows = sum(1 for race in m1.dataset.column("race") if race == "Asian")
     assert stats.n == expected_rows
 
@@ -455,7 +456,7 @@ def _warfarin_stats(members, rows):
     profiles = [SynthProfile(mid, rows, coefficients=(30.0,) + (0.0,) * 14,
                              noise_sigma=2.0) for mid in members]
     return DesignEncoding(schema), {
-        ds.provenance: local_stats(ds, bounds=schema.bounds)
+        ds.provenance: local_stats(member_rows(ds, schema.bounds))
         for ds in synth_members(7, schema, profiles)}
 
 
