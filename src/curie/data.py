@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from curie.errors import CurieError, PolicyTypeError
+from curie.errors import CurieError, OverflowAbort, PolicyTypeError
 
 
 class SchemaMismatch(CurieError):
@@ -467,17 +467,39 @@ class DesignEncoding:
         return [list(f) for f in self.features]
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+@dataclass(frozen=True, eq=False)
+class EncodedRows:
+    """Rows as the models take them, encoded once: row i of the design
+    matrix ``X`` and of the target ``Y``, both normalized, is row i of
+    ``dataset``, the rows as given, whose columns selections and true
+    doses are read from."""
+
+    dataset: Dataset
     X: np.ndarray
     Y: np.ndarray
 
+    @property
+    def n(self) -> int:
+        return len(self.Y)
 
-def to_design_matrix(ds: Dataset, encoding: DesignEncoding | None = None) -> DesignMatrix:
+
+def to_design_matrix(ds: Dataset, bounds: NormalizationMap | None) -> EncodedRows:
+    """*ds*'s rows normalized against *bounds* (None leaves them raw)
+    and encoded under the encoding their schema derives.  Raises
+    :class:`OverflowAbort` when a value outside *bounds* would leave
+    [-1, 1], the range the privacy mechanism's sensitivity and the
+    ring's slots are sized for."""
     if ds.n == 0:
         raise SchemaMismatch("cannot build a design matrix from an empty dataset")
-    enc = encoding or DesignEncoding(ds.schema)
-    return DesignMatrix(enc.encode(ds), ds.column(ds.schema.target))
+    normed = ds if bounds is None else normalize_columns(ds, bounds)
+    rows = EncodedRows(ds, DesignEncoding(normed.schema).encode(normed),
+                       normed.column(ds.schema.target))
+    if bounds is not None and max(np.abs(rows.X).max(), np.abs(rows.Y).max()) > 1:
+        name = next(name for name, vals in normed.columns.items()
+                    if name in bounds and np.abs(vals).max() > 1)
+        raise OverflowAbort(f"{ds.provenance or 'rows'}: column {name!r} leaves its "
+                            f"declared bounds {bounds[name]}")
+    return rows
 
 
 # --------------------------------------------------------------------------

@@ -18,3 +18,8 @@ class PolicyTypeError(CurieError, TypeError):
     """A policy compares or filters operands of incompatible kinds: an
     error in member input, typed so negotiation can turn it into an
     empty agreement while genuine ``TypeError`` bugs still surface."""
+
+
+class OverflowAbort(CurieError):
+    """A value leaves the range its encoding is sized for: a normalized
+    value past [-1, 1], or pooled statistics past a ring slot."""

@@ -37,6 +37,7 @@ from curie.data import (
     ColumnType,
     Dataset,
     DesignEncoding,
+    EncodedRows,
     Schema,
     SchemaMismatch,
     SynthProfile,
@@ -44,15 +45,15 @@ from curie.data import (
     concat,
     load_dataset,
     normalized_schema,
+    selection_mask,
     synth_members,
     synth_numeric_members,
 )
-from curie.engine import Agreement, MemberContext, negotiate_consortium
+from curie.engine import EMPTY, Agreement, MemberContext, negotiate_consortium
 from curie.errors import CurieError
 from curie.phases import phase, recording
 from curie.regression import (
     ClinicalReport,
-    Cohort,
     DoseModel,
     SingularMatrix,
     clinical_metrics,
@@ -64,7 +65,6 @@ from curie.regression import (
 from curie.ring import (
     EmptyRelease,
     LocalStats,
-    MemberRows,
     local_stats,
     member_rows,
     run_ring_session,
@@ -414,12 +414,6 @@ class Scenario:
     validation: Dataset | None             # all held-out rows (mixed cohort)
     encoding: DesignEncoding
 
-    def context(self, member_id: str) -> MemberContext:
-        for ctx in self.contexts:
-            if ctx.member_id == member_id:
-                return ctx
-        raise KeyError(member_id)
-
 
 def build_scenario(cfg: ConsortiumConfig) -> Scenario:
     """Materialize datasets and validated policies for a config."""
@@ -517,7 +511,7 @@ class ScenarioReport:
                           separators=(",", ":"))
 
 
-def _local_clinical(scenario: Scenario, validation: Cohort | None,
+def _local_clinical(scenario: Scenario, validation: EncodedRows | None,
                     stats: LocalStats | None) -> ClinicalReport | None:
     """The scores on *validation* of the model a member fits from
     *stats*, its statistics over its own rows; None without rows,
@@ -532,27 +526,27 @@ def _local_clinical(scenario: Scenario, validation: Cohort | None,
                             validation)
 
 
+def _release(rows: EncodedRows | None, agreement: Agreement | None
+             ) -> LocalStats | None:
+    """The statistics *agreement* releases of an owner's encoded *rows*:
+    None without an agreement, for an empty one, for an owner without
+    rows, and when its selections keep no row."""
+    if agreement is None or agreement.status == EMPTY or rows is None:
+        return None
+    keep = selection_mask(rows.dataset, agreement.selections)
+    return local_stats(rows, keep) if keep.any() else None
+
+
 def _member_stats(scenario: Scenario, agreements: Sequence[Agreement],
-                  own: LocalStats, rows: Mapping[str, MemberRows | None]
+                  own: LocalStats, rows: Mapping[str, EncodedRows | None]
                   ) -> dict[str, LocalStats | None]:
     """Each ring member's statistics for the initiator's session: *own*,
     the initiator's over its own rows, and what each owner's agreement
-    releases to it from the owner's encoded *rows* (None where nothing
-    is released)."""
-    cfg = scenario.config
-    by_owner = {a.owner: a for a in agreements if a.requester == cfg.initiator}
-
-    def member(member_id: str) -> LocalStats | None:
-        if member_id == cfg.initiator:
-            return own
-        if member_id not in by_owner or rows[member_id] is None:
-            return None
-        try:
-            return local_stats(rows[member_id], by_owner[member_id])
-        except EmptyRelease:    # an empty agreement, or no row selected
-            return None
-
-    return {mid: member(mid) for mid in cfg.ring_order}
+    releases to it from the owner's encoded *rows*."""
+    initiator = scenario.config.initiator
+    by_owner = {a.owner: a for a in agreements if a.requester == initiator}
+    return {mid: own if mid == initiator else _release(rows[mid], by_owner.get(mid))
+            for mid in scenario.config.ring_order}
 
 
 def _session_params(he: HEParams, rows: Sequence[int]) -> HEParams:
@@ -571,7 +565,8 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
     one config+seed (serialize with ``include_timings=False``).  Its
     ``timings`` are the run's phases; ``dd`` is a part of ``negotiation``.
     ``full_dp`` raises :class:`ConfigError` when the initiator acquires
-    nothing, as there is then no pooled model to sweep.
+    nothing, as there is then no pooled model to sweep, and when no row
+    is held out, as there is then no cohort to score it on.
     """
     if mode not in (MODE_NEGOTIATE, MODE_FULL, MODE_FULL_DP):
         raise ValueError(f"unknown mode {mode!r}")
@@ -600,14 +595,17 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         if mode == MODE_FULL_DP and not pools:
             raise ConfigError("initiator", f"{cfg.initiator!r} acquires nothing, "
                                            "so there is no pooled model to sweep")
+        if mode == MODE_FULL_DP and scenario.validation is None:
+            raise ConfigError("holdout_fraction", "no row is held out, so there is "
+                                                  "no cohort to score the sweep on")
 
         # each member's rows and the validation cohort are encoded once;
         # a member's statistics over its own rows fit its local model,
         # and the initiator's are its ring contribution
         with phase("local_models"):
             validation = (None if scenario.validation is None else
-                          encode_cohort(scenario.validation, scenario.encoding, bounds))
-            rows: dict[str, MemberRows | None] = {}
+                          encode_cohort(scenario.validation, bounds))
+            rows: dict[str, EncodedRows | None] = {}
             for ctx in scenario.contexts:
                 try:
                     encoded = member_rows(ctx.dataset, bounds)
@@ -652,7 +650,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
 # differential-privacy sweep
 
 def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray, scenario: Scenario,
-                        validation: Cohort | None, local_mae: float | None) -> list[dict]:
+                        validation: EncodedRows, local_mae: float | None) -> list[dict]:
     """Per-budget accuracy table for the private pooled model, over the
     budgets and repetitions of the scenario's ``dp`` settings.
 
@@ -670,11 +668,9 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray, scenario: Scenar
     """
     cfg = scenario.config
     repetitions = cfg.dp.repetitions
-    if validation is None:
-        raise ConfigError("holdout_fraction",
-                          "dp sweep needs a held-out validation cohort")
 
     target_bounds = cfg.schema.bounds[cfg.schema.target]
+    doses = validation.dataset.column(cfg.schema.target)
     V = V_pool.reshape(-1)
     resamples = None
     if repetitions > 1:
@@ -686,7 +682,7 @@ def dp_sweep_from_stats(O_pool: np.ndarray, V_pool: np.ndarray, scenario: Scenar
         etas = functional_mechanism(
             O_pool, V, eps, np.random.default_rng(_seed_for(cfg.seed, f"dp:{eps}")),
             repetitions)
-        maes = mean_absolute_errors(validation.X, etas, validation.y, target_bounds)
+        maes = mean_absolute_errors(validation.X, etas, doses, target_bounds)
         mae_ci = None
         if resamples is not None:
             lo, hi = np.quantile(maes[resamples].mean(axis=1), [alpha, 1.0 - alpha])

@@ -21,10 +21,10 @@ import numpy as np
 from curie.data import (
     Dataset,
     DesignEncoding,
+    EncodedRows,
     NormalizationMap,
     SchemaMismatch,
     denormalize_value,
-    normalize_columns,
     to_design_matrix,
 )
 from curie.errors import CurieError
@@ -249,44 +249,29 @@ class ClinicalReport:
         }
 
 
-@dataclass(frozen=True)
-class Cohort:
-    """Rows to score models on, encoded once: ``X`` is their design
-    matrix, normalized as the models' inputs are, and ``y`` their true
-    doses in original units, every one positive."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-
-def encode_cohort(ds: Dataset, encoding: DesignEncoding,
-                  bounds: NormalizationMap) -> Cohort:
-    """*ds*'s rows normalized against *bounds* and encoded under
-    *encoding*, one cohort for every model these fit; raises
-    :class:`EmptyValidation` when there are no rows or a dose is not
-    positive."""
+def encode_cohort(ds: Dataset, bounds: NormalizationMap) -> EncodedRows:
+    """*ds*'s rows encoded by :func:`curie.data.to_design_matrix`, one
+    cohort for every model these score; raises :class:`EmptyValidation`
+    when there are no rows or a dose is not positive."""
     if ds.n == 0:
         raise EmptyValidation("validation cohort is empty")
-    y = ds.column(ds.schema.target)
-    if np.any(y <= 0):
+    if np.any(ds.column(ds.schema.target) <= 0):
         raise EmptyValidation("validation doses must be positive")
-    return Cohort(to_design_matrix(normalize_columns(ds, bounds), encoding).X, y)
+    return to_design_matrix(ds, bounds)
 
 
-def clinical_metrics(model: DoseModel, validation: Cohort) -> ClinicalReport:
+def clinical_metrics(model: DoseModel, validation: EncodedRows) -> ClinicalReport:
     """MAE, MAPE, and the weekly-dose safety-window partition of
-    *model* on *validation*, encoded under the model's encoding and
-    bounds.
+    *model* on *validation*, whose design columns must be the model's.
 
     A prediction is in the safety window when the weekly dose (7x the
     daily dose) falls within 20% of the weekly true dose; below the
     window is under-prescription, above is over-prescription.
     """
-    y = validation.y
+    schema = validation.dataset.schema
+    if DesignEncoding(schema).features != model.encoding.features:
+        raise SchemaMismatch("the cohort's design columns are not the model's")
+    y = validation.dataset.column(schema.target)
     yhat = model.predict(validation.X)
     err = np.abs(yhat - y)
     mae = float(err.mean())

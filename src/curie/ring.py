@@ -44,19 +44,14 @@ from typing import Mapping
 import numpy as np
 
 from curie import crypto
-from curie.data import Dataset, DesignEncoding, NormalizationMap, normalize_columns, \
-    selection_mask, to_design_matrix
-from curie.engine import EMPTY, Agreement
-from curie.errors import CurieError
+from curie.data import Dataset, DesignEncoding, EncodedRows, NormalizationMap, \
+    to_design_matrix
+from curie.errors import CurieError, OverflowAbort
 from curie.phases import phase
 from curie.transport import MessageLog
 
 
 class EmptyRelease(CurieError):
-    pass
-
-
-class OverflowAbort(CurieError):
     pass
 
 
@@ -73,8 +68,7 @@ PHASE_RING = "ring_accumulate"
 
 @dataclass(frozen=True)
 class LocalStats:
-    """O = X'X (m x m), V = X'y (m x 1), and the contributing row count,
-    computed from the agreement-filtered dataset only."""
+    """O = X'X (m x m), V = X'y (m x 1), and the contributing row count."""
 
     O: np.ndarray
     V: np.ndarray
@@ -85,45 +79,19 @@ class LocalStats:
         return self.O.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class MemberRows:
-    """A member's rows as the ring pools them, encoded once: row i of
-    the design matrix ``X`` and of the target ``Y`` is row i of
-    ``dataset``, whose selections pick the rows an agreement releases."""
-
-    dataset: Dataset
-    X: np.ndarray
-    Y: np.ndarray
-
-
-def member_rows(ds: Dataset, bounds: NormalizationMap | None) -> MemberRows:
-    """Normalize *ds*'s numeric columns to [-1, 1] against *bounds*
-    (None leaves them raw) and encode its rows.  Raises
-    :class:`EmptyRelease` when *ds* has no rows, and
-    :class:`OverflowAbort` when a value outside *bounds* would leave the
-    [-1, 1] the ring's slots are sized for."""
+def member_rows(ds: Dataset, bounds: NormalizationMap | None) -> EncodedRows:
+    """*ds*'s rows as the ring pools them, encoded by
+    :func:`curie.data.to_design_matrix`.  Raises :class:`EmptyRelease`
+    when *ds* has no rows."""
     if ds.n == 0:
         raise EmptyRelease(f"{ds.provenance}: no rows to release")
-    dm = to_design_matrix(ds if bounds is None else normalize_columns(ds, bounds))
-    if bounds is not None and max(np.abs(dm.X).max(), np.abs(dm.Y).max()) > 1:
-        raise OverflowAbort(f"{ds.provenance}: a normalized value leaves [-1, 1]")
-    return MemberRows(ds, dm.X, dm.Y)
+    return to_design_matrix(ds, bounds)
 
 
-def local_stats(rows: MemberRows, agreement: Agreement | None = None) -> LocalStats:
-    """The sufficient statistics of the rows the agreement's selections
-    keep, every row without an agreement.  Raises :class:`EmptyRelease`
-    for an empty agreement and when no row is kept."""
-    X, Y = rows.X, rows.Y
-    if agreement is not None:
-        if agreement.status == EMPTY:
-            raise EmptyRelease(
-                f"agreement {agreement.owner}->{agreement.requester} is empty")
-        if agreement.selections:
-            keep = selection_mask(rows.dataset, agreement.selections)
-            X, Y = X[keep], Y[keep]
-    if len(Y) == 0:
-        raise EmptyRelease("no rows released after selections")
+def local_stats(rows: EncodedRows, keep: np.ndarray | None = None) -> LocalStats:
+    """The sufficient statistics of the rows the boolean mask *keep*
+    keeps, every row without one."""
+    X, Y = (rows.X, rows.Y) if keep is None else (rows.X[keep], rows.Y[keep])
     return LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), len(Y))
 
 

@@ -289,7 +289,7 @@ def test_criterion_4_pooling_centralization_equivalence():
         worst_stat = max(worst_stat, stat_err / bound)
 
         # pooled OLS vs concatenated-data OLS (independent lstsq path)
-        dm = to_design_matrix(concat(datasets))
+        dm = to_design_matrix(concat(datasets), None)
         eta_cat, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
         eta_ring = solve_ols(result.O_pool, result.V_pool,
                              condition_limit=1e10)
@@ -574,7 +574,7 @@ def _heterogeneous_round(seed):
         trains.append(tr)
         helds.append(he)
     mixed = concat(helds)
-    cohort = encode_cohort(mixed, enc, _HET_BOUNDS)
+    cohort = encode_cohort(mixed, _HET_BOUNDS)
 
     stats = [local_stats(member_rows(t, _HET_BOUNDS)) for t in trains]
     global_model = DoseModel(
@@ -596,7 +596,7 @@ def _heterogeneous_round(seed):
     race_model = DoseModel(
         solve_ols_pruned(sum(s.O for s in r_stats),
                          sum(s.V for s in r_stats)), enc, _HET_BOUNDS)
-    asian_held = encode_cohort(apply_selections(mixed, race_filter), enc, _HET_BOUNDS)
+    asian_held = encode_cohort(apply_selections(mixed, race_filter), _HET_BOUNDS)
     race_mae = clinical_metrics(race_model, asian_held).mae
     global_on_race = clinical_metrics(global_model, asian_held).mae
     return wins, len(trains), race_mae < global_on_race

@@ -392,7 +392,7 @@ def test_single_numeric_column_design():
     sch = Schema((Column("x", ColumnType("real")),
                   Column("dose", ColumnType("real"))), target="dose")
     ds = from_rows(sch, [dict(x=2.0, dose=1.0), dict(x=3.0, dose=2.0)])
-    dm = to_design_matrix(ds)
+    dm = to_design_matrix(ds, None)
     assert dm.X.shape == (2, 2)
     np.testing.assert_array_equal(dm.X[:, 0], [1.0, 1.0])
     np.testing.assert_array_equal(dm.X[:, 1], [2.0, 3.0])
@@ -404,7 +404,7 @@ def test_constant_categorical_contributes_zero_onehots():
         Column("dose", ColumnType("real")),
     ), target="dose")
     ds = from_rows(sch, [dict(c="a", dose=1.0)] * 3)
-    dm = to_design_matrix(ds)
+    dm = to_design_matrix(ds, None)
     # reference level rows: both one-hot columns all zero
     np.testing.assert_array_equal(dm.X[:, 1:], np.zeros((3, 2)))
 
@@ -412,7 +412,7 @@ def test_constant_categorical_contributes_zero_onehots():
 def test_design_row_count_tracks_filtering():
     ds = _mixed_dataset()
     filtered = apply_selections(ds, [RowFilter("age", ">", 25)])
-    assert to_design_matrix(filtered).X.shape[0] == filtered.n
+    assert to_design_matrix(filtered, None).X.shape[0] == filtered.n
 
 
 def test_unknown_level_rejected():
@@ -533,7 +533,7 @@ def test_same_seed_reproduces_datasets():
 def test_noiseless_pooled_ols_recovers_ground_truth():
     profiles = _profiles(0.0)
     datasets = synth_members(3, warfarin_schema(), profiles)
-    dm = to_design_matrix(concat(datasets))
+    dm = to_design_matrix(concat(datasets), None)
     eta, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
     np.testing.assert_allclose(eta, profiles[0].coefficients, atol=1e-9)
 
@@ -542,7 +542,7 @@ def test_disjoint_mixes_make_local_models_differ():
     datasets = synth_members(11, warfarin_schema(), _profiles(1.0))
     etas = []
     for ds in datasets:
-        dm = to_design_matrix(ds)
+        dm = to_design_matrix(ds, None)
         eta, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
         etas.append(eta)
     assert np.linalg.norm(etas[0] - etas[1]) > 1e-3

@@ -8,18 +8,21 @@ import pytest
 
 from curie.cli import main as cli_main
 from curie.crypto import HEParams
-from curie.data import Dataset
+from curie.data import Dataset, RowFilter, apply_selections, synth_members
+from curie.engine import EMPTY, Agreement
 from curie.harness import (
     MODE_FULL,
     MODE_FULL_DP,
     MODE_NEGOTIATE,
     ConfigError,
     DPSettings,
+    _release,
     bench,
+    build_scenario,
     load_config,
     run_scenario,
 )
-from curie.ring import EmptyRelease, OverflowAbort
+from curie.ring import EmptyRelease, OverflowAbort, local_stats, member_rows
 
 from conftest import CONSORTIA_DIR, config_path, count_crypto_calls
 
@@ -413,6 +416,115 @@ def test_an_initiator_without_training_rows_stops_a_pooling_run(monkeypatch):
         run_scenario(cfg, MODE_FULL)
 
 
+def _csv_member_out_of_bounds(tmp_path):
+    """A copy of default_dp whose member D2 loads its rows from a CSV in
+    which one age lies past the declared bounds; returns its config path."""
+    cfg = load_config(config_path("default_dp"))
+    spec = next(m for m in cfg.members if m.member_id == "D2")
+    (ds,) = synth_members(0, cfg.schema, [spec.synth])
+    cells = {c.name: [str(int(v)) if c.ctype.kind == "integer" else str(v)
+                      for v in ds.column(c.name)] for c in cfg.schema.columns}
+    cells["age"][0] = str(int(cfg.schema.bounds["age"][1]) + 15)
+
+    def edit(raw):
+        member = next(m for m in raw["members"] if m["id"] == "D2")
+        del member["synth"]
+        member["dataset"] = "d2.csv"
+        return raw
+
+    path = _write_config(tmp_path, "default_dp", edit)
+    (path.parent / "d2.csv").write_text("\n".join(
+        ",".join(row) for row in [list(cells), *zip(*cells.values())]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_a_row_outside_its_bounds_is_refused_wherever_the_split_puts_it(
+        tmp_path, monkeypatch, seed):
+    # the seed decides whether the row trains D2's model or is held out
+    # for scoring; either way it is refused before anything is scored
+    path = _csv_member_out_of_bounds(tmp_path)
+    monkeypatch.setenv("CURIE_SEED", str(seed))
+    with pytest.raises(OverflowAbort, match="'age' leaves its declared bounds"):
+        run_scenario(load_config(path), MODE_FULL)
+
+
+def test_a_sweep_without_held_out_rows_is_refused_before_the_ring(
+        tmp_path, monkeypatch):
+    cfg = load_config(_write_config(tmp_path, "default_dp",
+                                    _setting("holdout_fraction", 0)))
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    with pytest.raises(ConfigError) as err:
+        run_scenario(cfg, MODE_FULL_DP)
+    assert err.value.field_path == "holdout_fraction"
+    assert calls == {"encrypt": 0, "decrypt": 0}
+    # without the sweep, the run pools and leaves the model unscored
+    assert run_scenario(cfg, MODE_FULL).pooled_clinical is None
+
+
+# ---------------------------------------------------------------------------
+# releases
+
+def _worked_example_rows():
+    from worked_example import build_contexts
+
+    m1, _, _ = build_contexts()
+    return m1.dataset, member_rows(m1.dataset, None)
+
+
+def test_nothing_is_released_without_an_agreement_or_rows():
+    _, rows = _worked_example_rows()
+    assert _release(rows, None) is None
+    assert _release(None, Agreement("M1", "M3", "full")) is None
+
+
+def test_an_empty_agreement_or_no_kept_row_releases_nothing():
+    _, rows = _worked_example_rows()
+    assert _release(rows, Agreement("M1", "M3", EMPTY)) is None
+    agreement = Agreement("M1", "M3", "partial",
+                          selections=(RowFilter("age", ">", 999),))
+    assert _release(rows, agreement) is None
+
+
+def test_a_release_holds_the_rows_its_selections_keep():
+    ds, rows = _worked_example_rows()
+    agreement = Agreement("M1", "M3", "partial",
+                          selections=(RowFilter("race", "=", "Asian"),))
+    assert _release(rows, agreement).n == np.sum(ds.column("race") == "Asian") > 0
+
+
+@pytest.mark.parametrize("name", ["example3", "race_select"])
+def test_each_release_is_the_statistics_of_the_selected_rows(monkeypatch, name):
+    # both consortia release partially; between them their selections
+    # use =, in and >
+    from curie import harness
+
+    sessions = []
+    ring = harness.run_ring_session
+
+    def recorded(order, initiator, stats, encoding, params, rng):
+        sessions.append(stats)
+        return ring(order, initiator, stats, encoding, params, rng)
+
+    monkeypatch.setattr(harness, "run_ring_session", recorded)
+    cfg = load_config(config_path(name))
+    report = run_scenario(cfg, MODE_FULL)
+    train = {ctx.member_id: ctx.dataset for ctx in build_scenario(cfg).contexts}
+    released = {a.owner: a for a in report.agreements
+                if a.requester == cfg.initiator and a.status != EMPTY}
+    assert any(a.selections for a in released.values())
+    (stats,) = sessions
+    assert {mid for mid, s in stats.items() if s is not None} == \
+        {cfg.initiator, *released}
+    for owner, a in released.items():
+        expected = local_stats(member_rows(apply_selections(train[owner], a.selections),
+                                           cfg.schema.bounds))
+        assert stats[owner].n == expected.n
+        assert np.array_equal(stats[owner].O, expected.O)
+        assert np.array_equal(stats[owner].V, expected.V)
+
+
 @pytest.mark.parametrize("name, mode", [("example3", MODE_FULL_DP),
                                         ("p5_global", MODE_FULL)])
 def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
@@ -424,9 +536,9 @@ def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
     computed, contributed = [], []
     stats, ring = harness.local_stats, harness.run_ring_session
 
-    def counted(rows, agreement=None):
-        out = stats(rows, agreement)
-        computed.append((rows.dataset.provenance, agreement is None, out))
+    def counted(rows, keep=None):
+        out = stats(rows, keep)
+        computed.append((rows.dataset.provenance, out))
         return out
 
     def recorded(order, initiator, member_stats, encoding, params, rng):
@@ -438,12 +550,9 @@ def test_a_run_computes_each_members_statistics_once(monkeypatch, name, mode):
     cfg = load_config(config_path(name))
     run_scenario(cfg, mode)
     members = [m.member_id for m in cfg.members]
-    assert [(mid, own) for mid, own, _ in computed] == [
-        *((mid, True) for mid in members),
-        *((mid, False) for mid in cfg.ring_order if mid != cfg.initiator)]
-    own = next(out for mid, is_own, out in computed
-               if is_own and mid == cfg.initiator)
-    assert contributed == [own]
+    assert [mid for mid, _ in computed] == [
+        *members, *(mid for mid in cfg.ring_order if mid != cfg.initiator)]
+    assert contributed == [computed[members.index(cfg.initiator)][1]]
 
 
 def test_a_run_encodes_each_member_and_the_cohort_once(monkeypatch):
@@ -866,8 +975,7 @@ def test_scenario_pooled_model_matches_centralization_oracle():
 
     import numpy as np
 
-    from curie.data import apply_selections, concat, normalize_columns, \
-        to_design_matrix
+    from curie.data import apply_selections, concat, to_design_matrix
     from curie.engine import EMPTY, negotiate_consortium
     from curie.harness import _seed_for, build_scenario
     from curie.regression import DoseModel, encode_cohort
@@ -878,19 +986,17 @@ def test_scenario_pooled_model_matches_centralization_oracle():
     scenario = build_scenario(cfg)
     agreements, _ = negotiate_consortium(
         scenario.contexts, rng=random.Random(_seed_for(cfg.seed, "negotiate")))
-    pieces = [scenario.context(cfg.initiator).dataset]
+    train = {ctx.member_id: ctx.dataset for ctx in scenario.contexts}
+    pieces = [train[cfg.initiator]]
     for a in agreements:
         if a.requester == cfg.initiator and a.status != EMPTY:
-            owner_ds = scenario.context(a.owner).dataset
-            pieces.append(apply_selections(owner_ds, a.selections))
-    big = concat([normalize_columns(p, scenario.config.schema.bounds) for p in pieces])
-    dm = to_design_matrix(big, scenario.encoding)
+            pieces.append(apply_selections(train[a.owner], a.selections))
+    dm = to_design_matrix(concat(pieces), cfg.schema.bounds)
     eta_cat, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
 
     assert report.pooled_rows == dm.X.shape[0]
-    cat_model = DoseModel(eta_cat, scenario.encoding, scenario.config.schema.bounds)
-    cohort = encode_cohort(scenario.validation, scenario.encoding,
-                           scenario.config.schema.bounds)
+    cat_model = DoseModel(eta_cat, scenario.encoding, cfg.schema.bounds)
+    cohort = encode_cohort(scenario.validation, cfg.schema.bounds)
     pred_ring = report.pooled_model.predict(cohort.X)
     pred_cat = cat_model.predict(cohort.X)
     rel = np.abs(pred_ring - pred_cat).max() / np.abs(pred_cat).mean()

@@ -78,7 +78,7 @@ def test_centralization_equivalence_chain():
     eta_pool = solve_ols(sum(s.O for s in stats),
                          sum(s.V for s in stats).reshape(-1))
     normed = [normalize_columns(ds, bounds) for ds in datasets]
-    dm = to_design_matrix(concat(normed))
+    dm = to_design_matrix(concat(normed), None)
     eta_cat, *_ = np.linalg.lstsq(dm.X, dm.Y, rcond=None)
     rel = np.linalg.norm(eta_pool - eta_cat) / np.linalg.norm(eta_cat)
     assert rel < 1e-6
@@ -215,7 +215,7 @@ def _trained_model(sigma=0.0, seed=21):
 
 
 def _cohort(model, ds):
-    return encode_cohort(ds, model.encoding, model.bounds)
+    return encode_cohort(ds, model.bounds)
 
 
 def test_noiseless_model_predicts_exactly():
@@ -234,7 +234,7 @@ def test_out_of_schema_row_rejected():
     without_age = Dataset(narrow, {k: v for k, v in first.columns.items()
                                    if k != "age"})
     with pytest.raises(SchemaMismatch):
-        _cohort(model, without_age)
+        clinical_metrics(model, _cohort(model, without_age))
 
 
 def test_predict_matches_hand_computed_dose():

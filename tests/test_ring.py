@@ -6,9 +6,8 @@ import pytest
 
 from curie import crypto
 from curie.crypto import HEParams, MalformedPayload
-from curie.data import DesignEncoding, RowFilter, SynthProfile, numeric_schema, \
-    synth_members
-from curie.engine import Agreement
+from curie.data import DesignEncoding, SynthProfile, numeric_schema, synth_members, \
+    to_design_matrix
 from curie.ring import (
     PHASE_PUBLIC_KEY,
     PHASE_RING,
@@ -67,8 +66,7 @@ def test_single_row_stats_are_rank_one_outer_product():
 def test_stats_match_row_loop_oracle():
     m1, _, _ = build_contexts()
     stats = local_stats(member_rows(m1.dataset, None))
-    from curie.data import to_design_matrix
-    dm = to_design_matrix(m1.dataset)
+    dm = to_design_matrix(m1.dataset, None)
     O = np.zeros((dm.X.shape[1], dm.X.shape[1]))
     V = np.zeros(dm.X.shape[1])
     for i in range(dm.X.shape[0]):
@@ -78,24 +76,20 @@ def test_stats_match_row_loop_oracle():
     np.testing.assert_allclose(stats.V.reshape(-1), V, atol=1e-12)
 
 
-def test_empty_release_raises():
+def test_member_rows_refuses_no_rows():
     m1, _, _ = build_contexts()
-    agreement = Agreement("M1", "M3", "partial",
-                          selections=(RowFilter("age", ">", 999),))
-    with pytest.raises(EmptyRelease):
-        local_stats(member_rows(m1.dataset, None), agreement)
-    empty = Agreement("M1", "M3", "empty")
-    with pytest.raises(EmptyRelease):
-        local_stats(member_rows(m1.dataset, None), empty)
+    with pytest.raises(EmptyRelease, match="M1"):
+        member_rows(m1.dataset.take([]), None)
 
 
-def test_agreement_filters_are_applied():
+def test_stats_of_a_mask_are_the_stats_of_its_rows():
     m1, _, _ = build_contexts()
-    agreement = Agreement("M1", "M3", "partial",
-                          selections=(RowFilter("race", "=", "Asian"),))
-    stats = local_stats(member_rows(m1.dataset, None), agreement)
-    expected_rows = sum(1 for race in m1.dataset.column("race") if race == "Asian")
-    assert stats.n == expected_rows
+    keep = m1.dataset.column("race") == "Asian"
+    stats = local_stats(member_rows(m1.dataset, None), keep)
+    kept = local_stats(member_rows(m1.dataset.take(keep), None))
+    assert stats.n == kept.n == keep.sum() > 0
+    np.testing.assert_array_equal(stats.O, kept.O)
+    np.testing.assert_array_equal(stats.V, kept.V)
 
 
 # ---------------------------------------------------------------------------
