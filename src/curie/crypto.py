@@ -9,14 +9,18 @@ holder's encryption.  Reals are encoded as
 round(x * S) with a power-of-two scale S; signed values wrap modulo n
 and are recovered from the upper half of the residue range.
 
-A :class:`SlotLayout` packs k signed encoded entries into one
-plaintext, P = sum(s_i * B^i) with B = 2^w.  The slot width w is the
-bit length of :attr:`HEParams.entry_bound`, set by the session's row
-count and entry magnitude, plus a sign bit and a carry bit, so
-slot-wise sums of in-contract entries never spill into the next slot;
-k is as many slots as the key's signed capacity n/3 holds.  Adding
-packed ciphertexts adds every slot at once, and balanced base-B digits
-recover the signed sums.
+A :class:`SlotLayout` packs signed encoded entries into plaintexts,
+each entry in a slot of its own width: P = sum(s_i * 2^(o_i)), where
+o_i sums the widths of the slots below entry i.  A slot is its entry's
+bound's bit length plus a sign bit and a carry bit wide, so slot-wise
+sums of in-contract entries never spill into the next slot.  An entry
+of O, V or the count in fixed point is bounded by
+:attr:`HEParams.entry_bound`, set by the session's row count and entry
+magnitude; an entry that is a whole row count, sent unscaled, by the
+row count ``n_max`` alone, so its slot is narrower.  Entries fill the
+plaintexts in order, each as many as the key's signed capacity n/3
+holds.  Adding packed ciphertexts adds every slot at once, and
+balanced digits recover the signed sums.
 
 A :class:`CipherMatrix` is a flat vector of ciphertexts; the ring sends
 one of packed plaintexts.  On the wire a ciphertext vector is its
@@ -74,9 +78,11 @@ class HEParams:
 
     :attr:`entry_bound` is the per-entry bound the ring's slot layout is
     sized from: the largest encoded O, V or count entry a session within
-    these bounds can pool.  ``validate`` proves the no-overflow condition
-    before any session starts: the key must hold at least one slot wide
-    enough for it, so slot-wise sums never spill.
+    these bounds can pool; a cell that is a whole row count is bounded
+    by ``n_max`` (:meth:`cell_bound`).  ``validate`` proves the
+    no-overflow condition before any session starts: the key must hold
+    at least one slot wide enough for the entry bound, so slot-wise sums
+    never spill.
     """
 
     key_bits: int = DEFAULT_KEY_BITS
@@ -98,6 +104,12 @@ class HEParams:
     @property
     def slot_bits(self) -> int:
         return self.entry_bound.bit_length() + 2
+
+    def cell_bound(self, count: bool) -> int:
+        """The largest pooled entry of a cell: a whole row count of at
+        most ``n_max`` for a *count* cell, :attr:`entry_bound` for any
+        other."""
+        return self.n_max if count else self.entry_bound
 
     def validate(self) -> None:
         if self.key_bits < MIN_KEY_BITS:
@@ -432,65 +444,97 @@ def keygen(params: HEParams, rng: random.Random) -> KeyPair:
 
 @dataclass(frozen=True)
 class SlotLayout:
-    """k signed entries of at most *entry_bound* per plaintext, each in
-    a *width*-bit slot: P = sum(s_i * 2^(width*i)), first entry in the
-    least significant slot.
+    """Signed entries packed into plaintexts, each in a slot of its own
+    width.  A plaintext holding entries s_0, s_1, ... in slots of widths
+    w_0, w_1, ... is P = sum(s_i * 2^(w_0 + ... + w_(i-1))), first entry
+    in the least significant slot; the entries fill plaintexts in order,
+    each plaintext as many as fit in *capacity* bits.
 
-    Slot-wise sums stay inside (-2^(width-1), 2^(width-1)) while the
-    pooled entries honour the bound, and |P| < 2^(width*k-1) never
-    exceeds the key's signed capacity, so a packed plaintext survives
-    the ring's homomorphic additions and its residue mask exactly.
+    Entry i is at most ``bounds[i]`` in magnitude, and :meth:`for_key`
+    makes its slot w_i two bits wider than that bound's bit length, a
+    sign bit and a carry bit, so slot-wise sums stay inside
+    (-2^(w_i-1), 2^(w_i-1)) while the pooled entries honour their
+    bounds, and |P| < 2^(capacity-1) never exceeds the key's signed
+    capacity: a packed plaintext survives the ring's homomorphic
+    additions and its residue mask exactly.
     """
 
-    entry_bound: int
-    width: int
-    per_plaintext: int
+    bounds: tuple[int, ...]
+    widths: tuple[int, ...]
+    capacity: int
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.bounds) != len(self.widths):
+            raise DimMismatch(f"{len(self.bounds)} bounds for {len(self.widths)} slots")
+        if any(w > self.capacity for w in self.widths):
+            raise ParamError(f"a {max(self.widths)}-bit slot in a "
+                             f"{self.capacity}-bit plaintext")
+        starts, used = [], self.capacity
+        for i, w in enumerate(self.widths):
+            if used + w > self.capacity:
+                starts.append(i)
+                used = 0
+            used += w
+        object.__setattr__(self, "spans", tuple(zip(starts, [*starts[1:], len(self.widths)])))
 
     @classmethod
-    def for_key(cls, params: HEParams, pk: PublicKey) -> "SlotLayout":
-        """The session's layout: from the parameters every member
-        validated and the public key the initiator broadcast."""
-        width = params.slot_bits
-        k = pk.max_int.bit_length() // width
-        if k < 1:
-            raise ParamError(f"public key holds no {width}-bit slot")
-        return cls(params.entry_bound, width, k)
+    def for_key(cls, params: HEParams, pk: PublicKey,
+                counts: Sequence[bool]) -> "SlotLayout":
+        """The session's layout of one entry per flag of *counts*, True
+        where the entry is a whole row count: from the parameters every
+        member validated and the public key the initiator broadcast.
+        A count's slot is as wide as ``n_max`` needs, any other entry's
+        :attr:`HEParams.slot_bits` wide, so a layout without counts packs
+        :attr:`per_plaintext` entries to a plaintext, and no layout
+        needs more plaintexts than that uniform one."""
+        capacity = pk.max_int.bit_length()
+        bounds = (params.cell_bound(False), params.cell_bound(True))
+        widths = tuple(b.bit_length() + 2 for b in bounds)
+        if capacity < widths[False]:
+            raise ParamError(f"public key holds no {widths[False]}-bit slot")
+        return cls(tuple(bounds[c] for c in counts), tuple(widths[c] for c in counts),
+                   capacity)
 
-    def plaintexts(self, entries: int) -> int:
-        return -(-entries // self.per_plaintext)
+    @property
+    def per_plaintext(self) -> int:
+        """How many slots of the widest entry's width a plaintext holds."""
+        return self.capacity // max(self.widths)
+
+    @property
+    def plaintexts(self) -> int:
+        return len(self.spans)
 
     def pack(self, entries: Sequence[int]) -> list[int]:
-        """Signed plaintexts holding *entries*.  Every entry is checked
-        before any is packed; one past the bound raises
-        :class:`Overflow`."""
-        for e in entries:
-            if abs(e) > self.entry_bound:
-                raise Overflow(f"encoded entry {e} exceeds the slot bound "
-                               f"{self.entry_bound}")
-        k, w = self.per_plaintext, self.width
+        """Signed plaintexts holding *entries*, one per slot.  Every
+        entry is checked before any is packed; one past its bound
+        raises :class:`Overflow`."""
+        if len(entries) != len(self.widths):
+            raise DimMismatch(f"{len(entries)} entries for {len(self.widths)} slots")
+        for e, bound in zip(entries, self.bounds):
+            if abs(e) > bound:
+                raise Overflow(f"encoded entry {e} exceeds its slot bound {bound}")
         out = []
-        for start in range(0, len(entries), k):
+        for lo, hi in self.spans:
             P = 0
-            for e in reversed(entries[start:start + k]):
-                P = (P << w) + int(e)
+            for i in range(hi - 1, lo - 1, -1):
+                P = (P << self.widths[i]) + int(entries[i])
             out.append(P)
         return out
 
-    def unpack(self, plaintexts: Sequence[int], count: int) -> list[int]:
-        """Balanced base-2^width digits of signed (summed) plaintexts:
-        the inverse of :meth:`pack` on slot-wise sums.  Raises
+    def unpack(self, plaintexts: Sequence[int]) -> list[int]:
+        """Balanced digits of signed (summed) plaintexts, each as wide as
+        its slot: the inverse of :meth:`pack` on slot-wise sums.  Raises
         :class:`Overflow` when a plaintext has digits past its slots,
         which in-contract sums never produce."""
-        if len(plaintexts) != self.plaintexts(count):
-            raise DimMismatch(f"{len(plaintexts)} plaintexts cannot hold "
-                              f"exactly {count} entries")
-        k, w = self.per_plaintext, self.width
-        low, half = (1 << w) - 1, 1 << (w - 1)
+        if len(plaintexts) != self.plaintexts:
+            raise DimMismatch(f"{len(plaintexts)} plaintexts for a layout "
+                              f"of {self.plaintexts}")
         out: list[int] = []
-        for P in plaintexts:
-            for _ in range(min(k, count - len(out))):
-                digit = P & low
-                if digit >= half:
+        for P, (lo, hi) in zip(plaintexts, self.spans):
+            for w in self.widths[lo:hi]:
+                digit = P & ((1 << w) - 1)
+                if digit >= 1 << (w - 1):
                     digit -= 1 << w
                 out.append(digit)
                 P = (P - digit) >> w

@@ -38,6 +38,7 @@ from curie.data import (
     Dataset,
     DesignEncoding,
     EncodedRows,
+    NormalizationMap,
     Schema,
     SchemaMismatch,
     SynthProfile,
@@ -48,9 +49,10 @@ from curie.data import (
     selection_mask,
     synth_members,
     synth_numeric_members,
+    to_design_matrix,
 )
 from curie.engine import EMPTY, Agreement, MemberContext, negotiate_consortium
-from curie.errors import CurieError
+from curie.errors import CurieError, OverflowAbort
 from curie.phases import phase, recording
 from curie.regression import (
     ClinicalReport,
@@ -413,6 +415,7 @@ class Scenario:
     contexts: list[MemberContext]          # training data
     validation: Dataset | None             # all held-out rows (mixed cohort)
     encoding: DesignEncoding
+    held_out: list[tuple[str, int]]        # (member, rows) of validation's parts, in order
 
 
 def build_scenario(cfg: ConsortiumConfig) -> Scenario:
@@ -454,7 +457,8 @@ def build_scenario(cfg: ConsortiumConfig) -> Scenario:
 
     validation = concat(held_out) if held_out else None
     return Scenario(cfg, contexts, validation,
-                    DesignEncoding(normalized_schema(cfg.schema)))
+                    DesignEncoding(normalized_schema(cfg.schema)),
+                    [(ds.provenance, ds.n) for ds in held_out])
 
 
 # --------------------------------------------------------------------------
@@ -549,6 +553,24 @@ def _member_stats(scenario: Scenario, agreements: Sequence[Agreement],
             for mid in scenario.config.ring_order}
 
 
+def _encode_validation(scenario: Scenario, bounds: NormalizationMap
+                       ) -> EncodedRows | None:
+    """The held-out cohort, encoded once.  A row outside its declared
+    bounds is refused naming its member, as a training row is: only a
+    refused cohort is encoded again, member by member, to find it."""
+    if scenario.validation is None:
+        return None
+    try:
+        return encode_cohort(scenario.validation, bounds)
+    except OverflowAbort:
+        start = 0
+        for member, rows in scenario.held_out:
+            part = scenario.validation.take(np.arange(start, start + rows))
+            to_design_matrix(Dataset(part.schema, part.columns, member), bounds)
+            start += rows
+        raise
+
+
 def _session_params(he: HEParams, rows: Sequence[int]) -> HEParams:
     """The ring session's bounds for members holding *rows* rows each:
     at most every row pools, normalized into [-1, 1] against the
@@ -603,8 +625,7 @@ def run_scenario(cfg: ConsortiumConfig, mode: str = MODE_FULL) -> ScenarioReport
         # a member's statistics over its own rows fit its local model,
         # and the initiator's are its ring contribution
         with phase("local_models"):
-            validation = (None if scenario.validation is None else
-                          encode_cohort(scenario.validation, bounds))
+            validation = _encode_validation(scenario, bounds)
             rows: dict[str, EncodedRows | None] = {}
             for ctx in scenario.contexts:
                 try:

@@ -11,23 +11,30 @@ across a ring of members:
    public design encoding fixes some of these cells for every member
    (see :class:`CellPlan`): O[0,0] is the count, O[b,b] is O[0,b] for
    every 0/1 column b, and two levels of one categorical never meet
-   off the diagonal.  Each member checks that its statistics hold these
-   identities, then packs only the open cells, k per plaintext, in the
+   off the diagonal.  The encoding also makes some open cells whole
+   row counts: O[0,b], and O[a,b] for 0/1 columns a and b.  Each member
+   checks that its statistics hold these identities, then packs only
+   the open cells, its count cells unscaled, in plan order into the
    :class:`crypto.SlotLayout` that every member derives from the
-   session parameters and the public key.  The initiator injects one
+   session parameters, the public key and the plan: a count cell's
+   slot is as wide as the session's row count needs, any other cell's
+   as wide as its fixed-point bound needs, and each plaintext holds as
+   many slots as fit in the key's capacity.  The initiator injects one
    uniform residue mask per packed plaintext, encrypted by the CRT with
    the session's secret factors (distributed exactly as a public-key
    encryption); every other member homomorphically adds its encrypted
    packed vector (members with nothing to contribute add encrypted
    zeros, so ring position does not reveal participation) and
-   forwards.  Each ring payload is one vector of ceil(open cells / k)
-   ciphertexts; n ring messages return it to the initiator,
+   forwards.  Each ring payload is one vector of packed ciphertexts, no
+   more than ceil(open cells / k) for the k full-width slots a
+   plaintext holds; n ring messages return it to the initiator,
 3. the initiator decrypts, subtracts its masks in the residue domain,
    splits the signed plaintexts into balanced slot digits, adds its own
-   encoded open cells, rebuilds the fixed cells from the open ones,
-   decodes, and mirrors the triangle into the pooled O.  Every step is
-   exact integer arithmetic, so the pooled O, V and row count are
-   bit-identical across mask and key draws.
+   open cells, scales the pooled counts back into fixed point, rebuilds
+   the fixed cells from the open ones, decodes, and mirrors the
+   triangle into the pooled O.  Every step is exact integer arithmetic,
+   so the pooled O, V and row count are bit-identical across mask and
+   key draws.
 
 Every ring payload crossing a member boundary is a ciphertext vector.
 The transcript logs each message's sender, receiver and kind with the
@@ -114,11 +121,14 @@ class CellPlan:
     O[b,b] is O[0,b] for a 0/1 column b (a one-hot level or a boolean),
     and O[a,b] is 0 for two one-hot levels of one categorical.  Members
     pack only the other, open cells; the initiator rebuilds the fixed
-    ones from the pooled open cells."""
+    ones from the pooled open cells.  Of the open cells, O[0,b] and
+    O[a,b] for 0/1 columns a and b count rows, so every member's are
+    whole numbers: members send them unscaled, in narrower slots."""
 
     m: int
     open: tuple[int, ...]                       # flat indices, ascending
     fixed: tuple[tuple[int, int | None], ...]   # (cell, its source cell or None for 0)
+    counts: tuple[bool, ...]                    # per open cell: a whole row count
 
     @classmethod
     def for_encoding(cls, encoding: DesignEncoding) -> "CellPlan":
@@ -129,11 +139,15 @@ class CellPlan:
         fixed: dict[int, int | None] = {index[0, 0]: stat_cells(m) - 1}
         for b in binary:
             fixed[index[b, b]] = index[0, b]
+        counts = {index[0, b] for b in binary}
         for a, b in combinations(binary, 2):
             if feats[a][0] == feats[b][0] == "onehot" and feats[a][1] == feats[b][1]:
                 fixed[index[a, b]] = None
-        return cls(m, tuple(i for i in range(stat_cells(m)) if i not in fixed),
-                   tuple(sorted(fixed.items())))
+            else:
+                counts.add(index[a, b])
+        cells = tuple(i for i in range(stat_cells(m)) if i not in fixed)
+        return cls(m, cells, tuple(sorted(fixed.items())),
+                   tuple(i in counts for i in cells))
 
     @property
     def cells(self) -> int:
@@ -153,21 +167,39 @@ class CellPlan:
             entries[cell] = 0 if source is None else entries[source]
         return entries
 
+    def scaled(self, open_entries: list[int], scale: int) -> list[int]:
+        """*open_entries* with their count cells, which members send as
+        whole counts, back in fixed point."""
+        return [e * scale if count else e for e, count in zip(open_entries, self.counts)]
+
+    def name(self, cell: int) -> str:
+        """The entry of O a flat index into its upper triangle stands for."""
+        a, b = (int(k[cell]) for k in np.triu_indices(self.m))
+        return f"O[{a},{b}]"
+
 
 def _open_entries(plan: CellPlan, stats: LocalStats, scale: int, member: str
                   ) -> list[int]:
-    """*member*'s encoded open cells.  Raises :class:`ProtocolError`
-    unless its fixed cells hold what the initiator will rebuild, so a
-    contribution that breaks the encoding is never pooled."""
+    """*member*'s open cells as it packs them: in fixed point, its count
+    cells divided exactly by the scale.  Raises :class:`ProtocolError`
+    unless its fixed cells hold what the initiator will rebuild and its
+    count cells are whole counts, so a contribution that breaks the
+    encoding is never pooled."""
     entries = _encode_stats(stats, scale)
     open_entries = plan.select(entries)
     rebuilt = plan.rebuild(open_entries)
     if rebuilt != entries:
         cell = next(i for i, (e, r) in enumerate(zip(entries, rebuilt)) if e != r)
-        a, b = (int(k[cell]) for k in np.triu_indices(plan.m))
-        raise ProtocolError(f"{member}: O[{a},{b}] is {entries[cell] / scale}, but "
-                            f"the design encoding fixes it at {rebuilt[cell] / scale}")
-    return open_entries
+        raise ProtocolError(f"{member}: {plan.name(cell)} is {entries[cell] / scale}, "
+                            f"but the design encoding fixes it at {rebuilt[cell] / scale}")
+    sent = []
+    for cell, e, count in zip(plan.open, open_entries, plan.counts):
+        whole, part = divmod(e, scale)
+        if count and part:
+            raise ProtocolError(f"{member}: {plan.name(cell)} is {e / scale}, but the "
+                                f"design encoding makes it a whole count of rows")
+        sent.append(whole if count else e)
+    return sent
 
 
 def _encode_stats(stats: LocalStats, scale: int) -> list[int]:
@@ -228,6 +260,7 @@ class _RingMember:
         self.rows = stats.n if stats is not None else 0
         self.entries = _open_entries(plan, stats or zero_stats(plan.m),
                                      params.scale, member_id)
+        self.counts = plan.counts
         self.params = params
         self.rng = rng
         self.pk: crypto.PublicKey | None = None
@@ -240,23 +273,23 @@ class _RingMember:
         if pk.n.bit_length() != self.params.key_bits:
             raise ProtocolError(f"{self.member_id}: a {pk.n.bit_length()}-bit key "
                                 f"for a {self.params.key_bits}-bit session")
-        self.layout = crypto.SlotLayout.for_key(self.params, pk)
+        self.layout = crypto.SlotLayout.for_key(self.params, pk, self.counts)
         self.pk = pk
 
     def on_accumulate(self, payload: bytes) -> bytes:
         if self.pk is None:
             raise ProtocolError(f"{self.member_id}: key not yet received")
-        incoming = _ring_payload(payload, self.pk,
-                                 self.layout.plaintexts(len(self.entries)))
+        incoming = _ring_payload(payload, self.pk, self.layout.plaintexts)
         with phase("encrypt"):
             # members within the pooled bound could still sum past a
             # slot, so each is held to the share its own rows allow; as
             # n <= n_max, that share is within the layout's slot bound
-            own = replace(self.params, n_max=self.rows).entry_bound
-            worst = max(self.entries, key=abs)
-            if abs(worst) > own:
-                raise OverflowAbort(f"{self.member_id}: encoded entry {worst} exceeds "
-                                    f"the bound {own} its {self.rows} rows allow")
+            own = replace(self.params, n_max=self.rows)
+            bounds = (own.cell_bound(False), own.cell_bound(True))
+            for e, count in zip(self.entries, self.counts):
+                if abs(e) > bounds[count]:
+                    raise OverflowAbort(f"{self.member_id}: encoded entry {e} exceeds the "
+                                        f"bound {bounds[count]} its {self.rows} rows allow")
             packed = self.layout.pack(self.entries)
             mine = crypto.encrypt_encoded_matrix(self.pk, packed, self.rng)
         with phase("evaluate"):
@@ -314,8 +347,8 @@ def run_ring_session(ring: list[str], initiator: str,
         keys = crypto.keygen(params, keygen_rng or rng)
     pk, sk = keys.public, keys.secret
 
-    layout = crypto.SlotLayout.for_key(params, pk)
-    width = layout.plaintexts(plan.cells)
+    layout = crypto.SlotLayout.for_key(params, pk, plan.counts)
+    width = layout.plaintexts
 
     key_payload = crypto.serialize_public_key(pk)
     for mid in order[1:]:
@@ -342,11 +375,11 @@ def run_ring_session(ring: list[str], initiator: str,
 
     try:
         sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
-                              for r, mk in zip(residues, mask)], plan.cells)
+                              for r, mk in zip(residues, mask)])
     except crypto.Overflow as exc:
         raise OverflowAbort(f"pooled statistics: {exc}") from exc
-    O_pool, V_pool, n_pool = _decode_stats(
-        plan.rebuild([s + o for s, o in zip(sums, own)]), plan.m, params.scale)
+    pooled = plan.scaled([s + o for s, o in zip(sums, own)], params.scale)
+    O_pool, V_pool, n_pool = _decode_stats(plan.rebuild(pooled), plan.m, params.scale)
     transcript = Transcript(initiator, tuple(order), log, layout, plan)
     return RingResult(O_pool, V_pool, n_pool, transcript)
 
@@ -389,8 +422,10 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
     neighbors.  An honest initiator leaves nothing recoverable.
 
     Payload findings: no ring payload may carry a plaintext statistic:
-    neither a single encoded O or V entry nor, in the transcript's slot
-    layout, one of the packed plaintexts of a member's open cells.
+    not a single encoded O or V entry, not one of a member's open cells
+    as it packs them, and not one of the plaintexts it packs them into,
+    built by the members' own encoding and the transcript's slot
+    layout.
     Payloads are scanned byte-wise for the serialized residues, and
     suspiciously small (plaintext-range) cells are compared with them.
     A leaked value that several members hold is reported for each.
@@ -419,9 +454,9 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                 entries = [crypto.encode_fixed(float(e), scale) for e in
                            [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
                 try:
-                    entries += transcript.layout.pack(
-                        transcript.plan.select(_encode_stats(stats, scale)))
-                except crypto.Overflow:
+                    sent = _open_entries(transcript.plan, stats, scale, member)
+                    entries += sent + transcript.layout.pack(sent)
+                except (ProtocolError, crypto.Overflow):
                     pass    # a member holding these could not have sent them
                 for enc in entries:
                     if enc != 0:

@@ -519,7 +519,7 @@ def test_secret_factors_stay_out_of_repr(keys):
 
 def _layout(params, bits):
     """Layouts for the smallest and the largest modulus of *bits* bits."""
-    return {SlotLayout.for_key(params, PublicKey(n)).per_plaintext
+    return {SlotLayout.for_key(params, PublicKey(n), [False]).per_plaintext
             for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1)}
 
 
@@ -553,48 +553,80 @@ _PACK_PARAMS = HEParams(key_bits=128, n_max=6000, v_max=6000.0)
 
 @st.composite
 def _slot_vectors(draw):
-    """1-3 members' entry vectors whose slot-wise sums stay in bound,
-    extremes included."""
-    bound = _PACK_PARAMS.entry_bound
+    """Flags marking which of 1-9 entries are whole row counts, and 1-3
+    members' entry vectors whose slot-wise sums stay in bound, extremes
+    included."""
     members = draw(st.integers(1, 3))
-    size = draw(st.integers(1, 9))
-    cap = bound // members
-    entry = st.one_of(st.integers(-cap, cap), st.sampled_from([-cap, cap, 0]))
-    return [draw(st.lists(entry, min_size=size, max_size=size))
-            for _ in range(members)]
+    counts = draw(st.lists(st.booleans(), min_size=1, max_size=9))
+    caps = [_PACK_PARAMS.cell_bound(c) // members for c in counts]
+    return counts, [[draw(st.one_of(st.integers(-cap, cap), st.sampled_from([-cap, cap, 0])))
+                     for cap in caps] for _ in range(members)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(vectors=_slot_vectors(), seed=st.integers(0, 2**32))
-def test_packed_sums_survive_encryption_and_masks_exactly(vectors, seed):
+@given(drawn=_slot_vectors(), seed=st.integers(0, 2**32))
+def test_packed_sums_survive_encryption_and_masks_exactly(drawn, seed):
+    counts, vectors = drawn
     keys = _cached_keys()
     pk, sk = keys.public, keys.secret
-    layout = SlotLayout.for_key(_PACK_PARAMS, pk)
+    layout = SlotLayout.for_key(_PACK_PARAMS, pk, counts)
     rand = random.Random(seed)
-    size = len(vectors[0])
-    mask = [rand.randrange(pk.n) for _ in range(layout.plaintexts(size))]
+    mask = [rand.randrange(pk.n) for _ in range(layout.plaintexts)]
     acc = encrypt_residue_matrix(sk, mask, rand)
     for entries in vectors:
         acc = add_cipher(acc, encrypt_encoded_matrix(pk, layout.pack(entries), rand))
     residues = decrypt_residue_matrix(sk, acc)
     sums = layout.unpack([pk.to_signed((r - m) % pk.n)
-                          for r, m in zip(residues, mask)], size)
+                          for r, m in zip(residues, mask)])
     assert sums == [sum(column) for column in zip(*vectors)]
 
 
+def test_count_slots_are_as_wide_as_the_row_count_needs():
+    # 3735 rows: a count needs 12 bits plus sign and carry, an entry in
+    # fixed point 32 bits plus the same
+    params = HEParams(n_max=3735, v_max=1.0)
+    layout = SlotLayout.for_key(params, PublicKey((1 << 255) + 1),
+                                [False, True, True, False])
+    assert layout.widths == (34, 14, 14, 34)
+    assert layout.bounds == (params.entry_bound, 3735, 3735, params.entry_bound)
+
+
+def test_plaintexts_fill_in_order_up_to_the_capacity():
+    # 10-bit plaintexts: 4 + 4 fit, the next 4 starts a second, then
+    # 2 + 2 + 2 fit beside it and the last 2 starts a third
+    layout = SlotLayout(bounds=(3, 3, 3, 1, 1, 1, 1), widths=(4, 4, 4, 2, 2, 2, 2),
+                        capacity=10)
+    assert layout.spans == ((0, 2), (2, 6), (6, 7))
+    entries = [3, -3, -2, 1, -1, 0, 1]
+    assert layout.unpack(layout.pack(entries)) == entries
+
+
 def test_pack_rejects_an_entry_past_the_bound():
-    layout = SlotLayout.for_key(_PACK_PARAMS, _cached_keys().public)
-    bound = layout.entry_bound
-    assert layout.unpack(layout.pack([bound, -bound, 1]), 3) == [bound, -bound, 1]
-    for bad in (bound + 1, -bound - 1):
+    layout = SlotLayout.for_key(_PACK_PARAMS, _cached_keys().public,
+                                [False, False, True, True])
+    bound, rows = _PACK_PARAMS.entry_bound, _PACK_PARAMS.n_max
+    entries = [bound, -bound, rows, -rows]
+    assert layout.unpack(layout.pack(entries)) == entries
+    for bad in ([bound + 1, 0, 0, 0], [0, -bound - 1, 0, 0], [0, 0, rows + 1, 0],
+                [0, 0, 0, -rows - 1]):
         with pytest.raises(Overflow):
-            layout.pack([0, bad])
+            layout.pack(bad)
+    with pytest.raises(DimMismatch):
+        layout.pack(entries[:3])
 
 
 def test_unpack_rejects_spilled_digits_and_wrong_counts():
-    layout = SlotLayout(entry_bound=5, width=5, per_plaintext=2)
-    assert layout.unpack([3 + (-4 << 5)], 2) == [3, -4]
+    layout = SlotLayout(bounds=(5, 5), widths=(5, 5), capacity=10)
+    assert layout.unpack([3 + (-4 << 5)]) == [3, -4]
     with pytest.raises(Overflow):
-        layout.unpack([1 << 10], 2)     # a digit past the second slot
+        layout.unpack([1 << 10])     # a digit past the second slot
     with pytest.raises(DimMismatch):
-        layout.unpack([0, 0], 2)
+        layout.unpack([0, 0])
+
+
+def test_a_slot_wider_than_the_plaintext_is_refused():
+    with pytest.raises(ParamError):
+        SlotLayout(bounds=(5,), widths=(11,), capacity=10)
+    with pytest.raises(ParamError):
+        SlotLayout.for_key(HEParams(n_max=3735, v_max=1.0), PublicKey((1 << 31) + 1),
+                           [True])

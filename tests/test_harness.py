@@ -334,8 +334,9 @@ def test_deployment_key_session_packs_each_member_into_one_ciphertext(monkeypatc
 
 def test_session_bounds_come_from_the_consortium(monkeypatch):
     # p5_global's 3735 training rows of normalized entries make 34-bit
-    # slots, 7 per 256-bit plaintext: the 112 of its 136 statistics that
-    # the design encoding leaves open take 16 plaintexts per member
+    # slots, 7 per 256-bit plaintext, and its row counts 14-bit ones: the
+    # 112 of its 136 statistics that the design encoding leaves open, 54
+    # of them row counts, take 12 plaintexts per member
     from curie import harness
 
     sessions = []
@@ -356,7 +357,7 @@ def test_session_bounds_come_from_the_consortium(monkeypatch):
                                  v_max=1.0)]
     assert sessions[0].slot_bits == 34
     members = len(cfg.ring_order)
-    assert calls == {"encrypt": members * 16, "decrypt": 16}
+    assert calls == {"encrypt": members * 12, "decrypt": 12}
 
 
 def _edit_training_rows(monkeypatch, member_id, edit):
@@ -442,10 +443,12 @@ def _csv_member_out_of_bounds(tmp_path):
 def test_a_row_outside_its_bounds_is_refused_wherever_the_split_puts_it(
         tmp_path, monkeypatch, seed):
     # the seed decides whether the row trains D2's model or is held out
-    # for scoring; either way it is refused before anything is scored
+    # for scoring; either way it is refused, naming D2, before anything
+    # is scored
     path = _csv_member_out_of_bounds(tmp_path)
     monkeypatch.setenv("CURIE_SEED", str(seed))
-    with pytest.raises(OverflowAbort, match="'age' leaves its declared bounds"):
+    with pytest.raises(OverflowAbort,
+                       match=r"^D2: column 'age' leaves its declared bounds \(20.0, 80.0\)$"):
         run_scenario(load_config(path), MODE_FULL)
 
 

@@ -3,11 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curie import crypto
 from curie.crypto import HEParams, MalformedPayload
-from curie.data import DesignEncoding, SynthProfile, numeric_schema, synth_members, \
-    to_design_matrix
+from curie.data import Column, ColumnType, Dataset, DesignEncoding, Schema, SynthProfile, \
+    numeric_schema, synth_members, to_design_matrix
 from curie.ring import (
     PHASE_PUBLIC_KEY,
     PHASE_RING,
@@ -18,6 +19,7 @@ from curie.ring import (
     ProtocolError,
     _decode_stats,
     _encode_stats,
+    _open_entries,
     audit_transcript,
     local_stats,
     member_rows,
@@ -25,7 +27,7 @@ from curie.ring import (
     stat_cells,
 )
 
-from conftest import count_crypto_calls, warfarin_schema
+from conftest import CONSORTIA_DIR, config_path, count_crypto_calls, warfarin_schema
 from worked_example import build_contexts
 
 
@@ -201,7 +203,7 @@ def test_every_message_parses_whole_with_its_receivers_parser(small_he_params):
     # the transcript logs the bytes each member parses: a key of the
     # session's size, then one vector of the session's width per hop
     _, result = _session(["P1", "P2", "P3", "P4"], small_he_params)
-    width = result.transcript.layout.plaintexts(result.transcript.plan.cells)
+    width = result.transcript.layout.plaintexts
     pk = None
     for msg in result.transcript.log:
         if msg.kind == PHASE_PUBLIC_KEY:
@@ -284,9 +286,10 @@ def test_plaintext_injection_is_caught(small_he_params):
     log = MessageLog()
     log.send("P1", "P2", PHASE_PUBLIC_KEY, crypto.serialize_public_key(keys.public))
     log.send("P2", "P1", PHASE_RING, crypto.serialize_cipher_matrix(leaked))
+    plan = CellPlan.for_encoding(_encoding(2))
     transcript = Transcript("P1", ("P1", "P2"), log,
-                            crypto.SlotLayout.for_key(small_he_params, keys.public),
-                            CellPlan.for_encoding(_encoding(2)))
+                            crypto.SlotLayout.for_key(small_he_params, keys.public,
+                                                      plan.counts), plan)
     report = audit_transcript(transcript, corrupted=set(),
                               reference_stats=stats, scale=scale)
     assert any(f.kind == "plaintext_leak" for f in report.findings)
@@ -317,7 +320,7 @@ def _forward_packed_plaintext(transcript, stats, member, params):
     plaintexts of its open cells, as a buggy member forwarding them
     would send it."""
     packed = transcript.layout.pack(
-        transcript.plan.select(_encode_stats(stats[member], params.scale)))
+        _open_entries(transcript.plan, stats[member], params.scale, member))
     return _with_ring_payload(transcript, member,
                               lambda pk, _: (pk.from_signed(P) for P in packed))
 
@@ -387,7 +390,7 @@ def test_a_member_refuses_a_key_of_another_size(small_he_params):
 
 def test_ring_payload_must_be_one_packed_matrix(small_he_params):
     pk, member = _member_with_key(small_he_params, 3)
-    width = member.layout.plaintexts(len(member.entries))
+    width = member.layout.plaintexts
 
     def payload(*lengths):
         return b"".join(crypto.serialize_cipher_matrix(crypto.encrypt_encoded_matrix(
@@ -415,9 +418,9 @@ def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
         run_ring_session(["P1", "P2", "P3"], "P1", stats, _encoding(m), small_he_params,
                          random.Random(0))
     keys = crypto.keygen(small_he_params, random.Random(0))
-    layout = crypto.SlotLayout.for_key(small_he_params, keys.public)
-    cells = CellPlan.for_encoding(_encoding(m)).cells
-    assert calls["encrypt"] == layout.plaintexts(cells)    # the masks only
+    layout = crypto.SlotLayout.for_key(small_he_params, keys.public,
+                                       CellPlan.for_encoding(_encoding(m)).counts)
+    assert calls["encrypt"] == layout.plaintexts    # the masks only
 
 
 def test_members_within_the_pooled_bound_that_overflow_a_slot_abort():
@@ -437,7 +440,7 @@ def test_each_member_encrypts_one_packed_vector(small_he_params, monkeypatch):
     count_crypto_calls(monkeypatch, counts)
     members = ["P1", "P2", "P3", "P4"]
     _, result = _session(members, small_he_params)
-    width = result.transcript.layout.plaintexts(result.transcript.plan.cells)
+    width = result.transcript.layout.plaintexts
     assert width == 7    # 14 open cells, two 60-bit slots per 128-bit plaintext
     assert counts == {"encrypt": len(members) * width, "decrypt": width}
 
@@ -457,7 +460,9 @@ def _warfarin_stats(members, rows):
 def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
     # 15 design columns make 136 cells; the encoding fixes O[0,0], the
     # 11 diagonal cells of 0/1 columns and the 12 level pairs within
-    # vkorc1, cyp2c9 and race: 112 open cells in 7-slot plaintexts are 16
+    # vkorc1, cyp2c9 and race: of the 112 open cells, 54 are row counts
+    # in 13-bit slots beside 58 in 33-bit ones, 12 plaintexts where
+    # 7 uniform slots per plaintext would take 16
     members = ["P1", "P2", "P3"]
     encoding, stats = _warfarin_stats(members, rows=400)
     params = HEParams(key_bits=256, scale_bits=20, n_max=1200, v_max=1.0)
@@ -467,7 +472,7 @@ def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
                               random.Random(0))
     assert result.transcript.layout.per_plaintext == 7
     assert (stat_cells(encoding.width), result.transcript.plan.cells) == (136, 112)
-    assert counts == {"encrypt": 16 * len(members), "decrypt": 16}
+    assert counts == {"encrypt": 12 * len(members), "decrypt": 12}
     # the rebuilt cells pool bit-identically to sums of every cell
     summed = [sum(cells) for cells in
               zip(*(_encode_stats(s, params.scale) for s in stats.values()))]
@@ -521,3 +526,143 @@ def test_a_planted_open_cell_is_caught(small_he_params):
     leaks = [f for f in report.findings if f.kind == "plaintext_leak"]
     assert leaks and {f.member for f in leaks} == {"P2"}
     assert all(f.detail.endswith("P2") for f in leaks)
+
+
+def test_a_count_cell_that_is_not_a_whole_count_is_refused_before_encrypting(
+        monkeypatch):
+    # O[0,13] = O[13,13] keeps the fixed-cell identity, so only the
+    # count check stands between 3.5 rows and the ring
+    members = ["P1", "P2", "P3"]
+    encoding, stats = _warfarin_stats(members, rows=40)
+    O = stats["P2"].O.copy()
+    O[0, 13] = O[13, 0] = O[13, 13] = 3.5     # inducer on three and a half rows
+    stats["P2"] = LocalStats(O, stats["P2"].V, stats["P2"].n)
+    params = HEParams(key_bits=256, scale_bits=20, n_max=120, v_max=1.0)
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    with pytest.raises(ProtocolError,
+                       match=r"^P2: O\[0,13\] is 3.5, but the design encoding makes "
+                             r"it a whole count of rows"):
+        run_ring_session(members, "P1", stats, encoding, params, random.Random(0))
+    assert calls == {"encrypt": 0, "decrypt": 0}
+
+
+def test_a_member_forwarding_its_mixed_width_plaintexts_is_caught():
+    # warfarin members pack row counts in narrow slots beside wide ones;
+    # the audit packs each member's statistics as the member does
+    members = ["P1", "P2", "P3"]
+    encoding, stats = _warfarin_stats(members, rows=40)
+    params = HEParams(key_bits=256, scale_bits=20, n_max=120, v_max=1.0)
+    result = run_ring_session(members, "P1", stats, encoding, params,
+                              random.Random(0))
+    assert len(set(result.transcript.layout.widths)) == 2
+    assert audit_transcript(result.transcript, corrupted=set(), reference_stats=stats,
+                            scale=params.scale).ok
+    forged = _forward_packed_plaintext(result.transcript, stats, "P2", params)
+    report = audit_transcript(forged, corrupted=set(), reference_stats=stats,
+                              scale=params.scale)
+    leaks = [f for f in report.findings if f.kind == "plaintext_leak"]
+    assert "P2" in {f.member for f in leaks}
+    assert all(f.detail.endswith("P2") for f in leaks)    # all in P2's payload
+    assert any("bytes appear" in f.detail for f in leaks)
+    assert any("plaintext-range cell" in f.detail for f in leaks)
+    # one whole count of P2's, as P2 packs it, in place of a ciphertext
+    plan = result.transcript.plan
+    count = next(e for e, c in zip(_open_entries(plan, stats["P2"], params.scale, "P2"),
+                                   plan.counts) if c and e)
+    planted = _with_ring_payload(
+        result.transcript, "P2",
+        lambda pk, payload: (pk.from_signed(count),
+                             *crypto.parse_cipher_matrix(payload, pk).cells[1:]))
+    report = audit_transcript(planted, corrupted=set(), reference_stats=stats,
+                              scale=params.scale)
+    assert "P2" in {f.member for f in report.findings if f.kind == "plaintext_leak"}
+
+
+# ---------------------------------------------------------------------------
+# per-cell slot widths
+
+_KINDS = st.sampled_from(["numeric", "categorical", "boolean"])
+
+
+def _drawn_schema(kinds, levels):
+    columns = []
+    for i, (kind, count) in enumerate(zip(kinds, levels)):
+        if kind == "numeric":
+            columns.append(Column(f"c{i}", ColumnType("real", bounds=(-1.0, 1.0))))
+        elif kind == "categorical":
+            columns.append(Column(f"c{i}", ColumnType(
+                "categorical", tuple(f"l{j}" for j in range(count)))))
+        else:
+            columns.append(Column(f"c{i}", ColumnType("boolean")))
+    columns.append(Column("y", ColumnType("real", bounds=(-1.0, 1.0))))
+    return Schema(tuple(columns), target="y")
+
+
+def _rows_at_bounds(schema, rows, gen):
+    """*rows* rows whose numeric values are all -1 or 1 and whose
+    booleans all hold, so every O, V and count entry is at its bound
+    or its sign's."""
+    columns = {}
+    for c in schema.columns:
+        if c.ctype.kind == "real":
+            columns[c.name] = gen.choice([-1.0, 1.0], rows)
+        elif c.ctype.kind == "categorical":
+            columns[c.name] = gen.choice(list(c.ctype.levels), rows).astype(object)
+        else:
+            columns[c.name] = np.ones(rows, dtype=bool)
+    return Dataset(schema, columns)
+
+
+def _pool_in_residues(layout, pk, vectors, rand):
+    """Pack each vector, add the packed plaintexts to a residue mask mod
+    n as the ring's ciphertexts add them, and unpack the sums."""
+    mask = [rand.randrange(pk.n) for _ in range(layout.plaintexts)]
+    acc = list(mask)
+    for entries in vectors:
+        acc = [(a + pk.from_signed(P)) % pk.n for a, P in zip(acc, layout.pack(entries))]
+    return layout.unpack([pk.to_signed((a - m) % pk.n) for a, m in zip(acc, mask)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(kinds=st.lists(_KINDS, max_size=6), levels=st.lists(st.integers(2, 4),
+                                                            min_size=6, max_size=6),
+       rows=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+       bits=st.sampled_from([128, 256, 1024]), data=st.data())
+def test_mixed_widths_pool_as_the_uniform_layout_does(kinds, levels, rows, bits, data):
+    schema = _drawn_schema(kinds, levels)
+    plan = CellPlan.for_encoding(DesignEncoding(schema))
+    params = HEParams(key_bits=bits, scale_bits=20, n_max=sum(rows), v_max=1.0)
+    pk = crypto.PublicKey(data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1)
+    mixed = crypto.SlotLayout.for_key(params, pk, plan.counts)
+    uniform = crypto.SlotLayout.for_key(params, pk, [False] * plan.cells)
+    assert mixed.plaintexts <= uniform.plaintexts
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    stats = [local_stats(to_design_matrix(_rows_at_bounds(schema, r, gen), None))
+             for r in rows]
+    sent = [_open_entries(plan, s, params.scale, "P") for s in stats]
+    rand = random.Random(0)
+    pooled = _pool_in_residues(mixed, pk, sent, rand)
+    assert pooled == [sum(column) for column in zip(*sent)]
+    assert plan.scaled(pooled, params.scale) == _pool_in_residues(
+        uniform, pk, [plan.select(_encode_stats(s, params.scale)) for s in stats], rand)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONSORTIA_DIR.iterdir()
+                                        if (p / "config.json").exists()))
+def test_no_shipped_consortium_needs_more_plaintexts_than_uniform_slots(name):
+    # layout arithmetic only: a modulus of each size, no key or encryption
+    from dataclasses import replace
+
+    from curie.harness import _session_params, build_scenario, load_config
+
+    scenario = build_scenario(load_config(config_path(name)))
+    plan = CellPlan.for_encoding(scenario.encoding)
+    for bits in (256, 1024, 2048):
+        params = _session_params(replace(scenario.config.he, key_bits=bits),
+                                 [ctx.dataset.n for ctx in scenario.contexts])
+        for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1):
+            layout = crypto.SlotLayout.for_key(params, crypto.PublicKey(n), plan.counts)
+            k = layout.capacity // params.slot_bits
+            assert layout.per_plaintext == k
+            assert layout.plaintexts <= -(-plan.cells // k), (name, bits)
