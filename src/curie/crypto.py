@@ -11,16 +11,14 @@ and are recovered from the upper half of the residue range.
 
 A :class:`SlotLayout` packs signed encoded entries into plaintexts,
 each entry in a slot of its own width: P = sum(s_i * 2^(o_i)), where
-o_i sums the widths of the slots below entry i.  A slot is its entry's
-bound's bit length plus a sign bit and a carry bit wide, so slot-wise
-sums of in-contract entries never spill into the next slot.  An entry
-of O, V or the count in fixed point is bounded by
-:attr:`HEParams.entry_bound`, set by the session's row count and entry
-magnitude; an entry that is a whole row count, sent unscaled, by the
-row count ``n_max`` alone, so its slot is narrower.  Entries fill the
-plaintexts in order, each as many as the key's signed capacity n/3
-holds.  Adding packed ciphertexts adds every slot at once, and
-balanced digits recover the signed sums.
+o_i sums the widths of the slots below entry i.  The caller bounds each
+entry; its slot is that bound's bit length plus a sign bit and a carry
+bit wide, so slot-wise sums of in-contract entries never spill into
+the next slot.  :attr:`HEParams.entry_bound` bounds an entry of O or V
+in fixed point, set by the session's row count and entry magnitude.
+Entries fill the plaintexts in order, each as many as the key's signed
+capacity n/3 holds.  Adding packed ciphertexts adds every slot at once,
+and balanced digits recover the signed sums.
 
 A :class:`CipherMatrix` is a flat vector of ciphertexts; the ring sends
 one of packed plaintexts.  On the wire a ciphertext vector is its
@@ -76,10 +74,8 @@ class HEParams:
     the members' public row counts, and ``v_max`` is 1 for rows
     normalized into [-1, 1].
 
-    :attr:`entry_bound` is the per-entry bound the ring's slot layout is
-    sized from: the largest encoded O, V or count entry a session within
-    these bounds can pool; a cell that is a whole row count is bounded
-    by ``n_max`` (:meth:`cell_bound`).  ``validate`` proves the
+    :attr:`entry_bound` is the largest entry of O or V in fixed point a
+    session within these bounds can pool.  ``validate`` proves the
     no-overflow condition before any session starts: the key must hold
     at least one slot wide enough for the entry bound, so slot-wise sums
     never spill.
@@ -97,19 +93,13 @@ class HEParams:
     @property
     def entry_bound(self) -> int:
         # every pooled row adds at most v_max^2 to an entry of O or V,
-        # and 1 to the count; computed exactly from the float v_max
+        # and 1 to the intercept's; computed exactly from the float v_max
         v = max(Fraction(self.v_max), Fraction(1))
         return math.ceil(self.n_max * v * v * self.scale) + 1
 
     @property
     def slot_bits(self) -> int:
         return self.entry_bound.bit_length() + 2
-
-    def cell_bound(self, count: bool) -> int:
-        """The largest pooled entry of a cell: a whole row count of at
-        most ``n_max`` for a *count* cell, :attr:`entry_bound` for any
-        other."""
-        return self.n_max if count else self.entry_bound
 
     def validate(self) -> None:
         if self.key_bits < MIN_KEY_BITS:
@@ -448,53 +438,34 @@ class SlotLayout:
     width.  A plaintext holding entries s_0, s_1, ... in slots of widths
     w_0, w_1, ... is P = sum(s_i * 2^(w_0 + ... + w_(i-1))), first entry
     in the least significant slot; the entries fill plaintexts in order,
-    each plaintext as many as fit in *capacity* bits.
+    each plaintext as many as fit in *capacity* bits, for a key the bit
+    length of its signed capacity (``PublicKey.max_int``).
 
-    Entry i is at most ``bounds[i]`` in magnitude, and :meth:`for_key`
-    makes its slot w_i two bits wider than that bound's bit length, a
-    sign bit and a carry bit, so slot-wise sums stay inside
-    (-2^(w_i-1), 2^(w_i-1)) while the pooled entries honour their
-    bounds, and |P| < 2^(capacity-1) never exceeds the key's signed
-    capacity: a packed plaintext survives the ring's homomorphic
-    additions and its residue mask exactly.
+    Entry i is at most ``bounds[i]`` in magnitude, and its slot w_i is
+    two bits wider than that bound's bit length, a sign bit and a carry
+    bit, so slot-wise sums stay inside (-2^(w_i-1), 2^(w_i-1)) while the
+    pooled entries honour their bounds, and |P| < 2^(capacity-1) never
+    exceeds the key's signed capacity: a packed plaintext survives the
+    ring's homomorphic additions and its residue mask exactly.
     """
 
     bounds: tuple[int, ...]
-    widths: tuple[int, ...]
     capacity: int
+    widths: tuple[int, ...] = field(init=False, repr=False)
     spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.bounds) != len(self.widths):
-            raise DimMismatch(f"{len(self.bounds)} bounds for {len(self.widths)} slots")
-        if any(w > self.capacity for w in self.widths):
-            raise ParamError(f"a {max(self.widths)}-bit slot in a "
-                             f"{self.capacity}-bit plaintext")
+        widths = tuple(b.bit_length() + 2 for b in self.bounds)
+        if any(w > self.capacity for w in widths):
+            raise ParamError(f"a {max(widths)}-bit slot in a {self.capacity}-bit plaintext")
         starts, used = [], self.capacity
-        for i, w in enumerate(self.widths):
+        for i, w in enumerate(widths):
             if used + w > self.capacity:
                 starts.append(i)
                 used = 0
             used += w
-        object.__setattr__(self, "spans", tuple(zip(starts, [*starts[1:], len(self.widths)])))
-
-    @classmethod
-    def for_key(cls, params: HEParams, pk: PublicKey,
-                counts: Sequence[bool]) -> "SlotLayout":
-        """The session's layout of one entry per flag of *counts*, True
-        where the entry is a whole row count: from the parameters every
-        member validated and the public key the initiator broadcast.
-        A count's slot is as wide as ``n_max`` needs, any other entry's
-        :attr:`HEParams.slot_bits` wide, so a layout without counts packs
-        :attr:`per_plaintext` entries to a plaintext, and no layout
-        needs more plaintexts than that uniform one."""
-        capacity = pk.max_int.bit_length()
-        bounds = (params.cell_bound(False), params.cell_bound(True))
-        widths = tuple(b.bit_length() + 2 for b in bounds)
-        if capacity < widths[False]:
-            raise ParamError(f"public key holds no {widths[False]}-bit slot")
-        return cls(tuple(bounds[c] for c in counts), tuple(widths[c] for c in counts),
-                   capacity)
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "spans", tuple(zip(starts, [*starts[1:], len(widths)])))
 
     @property
     def per_plaintext(self) -> int:

@@ -53,6 +53,10 @@ class EmptyUnion(CurieError):
     pass
 
 
+class UndefinedStatistic(CurieError):
+    pass
+
+
 # --------------------------------------------------------------------------
 # plain statistics
 
@@ -177,6 +181,10 @@ class BlindedColumn:
         if not isinstance(scaled, list) or not all(
                 type(v) in (int, float) for v in scaled):
             raise MalformedPayload("masked values are not a list of numbers")
+        try:
+            scaled = [float(v) for v in scaled]
+        except OverflowError:
+            raise MalformedPayload("a masked value overflows a float") from None
         if len(scaled) not in (0, size):
             raise MalformedPayload("masked value counts do not match the size")
         if not isinstance(obj["hashes"], list):
@@ -204,8 +212,22 @@ def blind_column(column: str, kind: str, values: Sequence,
 def evaluate_blinded(algorithm: Algorithm, blinded: BlindedColumn,
                      owner_values: Sequence, kind: str) -> float:
     """Owner-side statistic from a blinded requester column and the
-    owner's raw values of that column, whose declared kind is *kind*."""
+    owner's raw values of that column, whose declared kind is *kind*.
+    Raises :class:`UndefinedStatistic` for a vector statistic of a
+    column the owner does not hold as numbers, and for one whose value
+    is not finite, so the owner never decides on it."""
     if algorithm in _SET_ALGORITHMS:
         owner_hashes = salted_hashes(owner_values, blinded.salt, kind)
         return float(STATISTICS[algorithm](blinded.hashes, owner_hashes))
-    return STATISTICS[algorithm](blinded.scaled, owner_values)
+    if kind not in ("integer", "real"):
+        raise UndefinedStatistic(f"{algorithm.value} of a {kind} column")
+    # as Python floats, values past the float range overflow to inf or
+    # make fsum and ** raise, where numpy's would warn
+    owner = np.asarray(owner_values, dtype=float).tolist()
+    try:
+        stat = STATISTICS[algorithm](blinded.scaled, owner)
+    except (OverflowError, ValueError):
+        stat = math.nan
+    if not math.isfinite(stat):
+        raise UndefinedStatistic(f"{algorithm.value} of these values is not finite")
+    return stat

@@ -187,12 +187,8 @@ class DoseModel:
     eta: np.ndarray
     encoding: DesignEncoding
     bounds: NormalizationMap
-    privacy: str = "none"          # "none" | "dp"
-    epsilon: float | None = None
 
     def __post_init__(self):
-        if self.privacy == "dp" and (self.epsilon is None or self.epsilon <= 0):
-            raise BudgetError("dp-labelled model requires a positive epsilon")
         if len(self.eta) != self.encoding.width:
             raise SchemaMismatch(
                 f"coefficient length {len(self.eta)} != design width "
@@ -214,8 +210,10 @@ class DoseModel:
             "encoding": self.encoding.to_json(),
             "schema": self.encoding.schema.to_json(),
             "bounds": {k: list(v) for k, v in self.bounds.items()},
-            "privacy": self.privacy,
-            "epsilon": self.epsilon,
+            # a DoseModel is never noised: the DP sweep scores rows of
+            # coefficients, not models
+            "privacy": "none",
+            "epsilon": None,
         }
 
 

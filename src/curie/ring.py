@@ -1,27 +1,27 @@
 """Masked, encrypted ring accumulation of local regression statistics.
 
-One session pools O = X'X and V = X'y (plus the contributed row count)
-across a ring of members:
+One session pools O = X'X and V = X'y across a ring of members; the
+intercept column makes O[0,0] the pooled row count:
 
 1. the initiator generates a session keypair and broadcasts the public
    key (n - 1 messages),
-2. each member flattens its statistics into one vector, the upper
-   triangle of the symmetric O row by row (m(m+1)/2 entries), then V
-   (m entries), then the count, and encodes it in fixed point.  The
-   public design encoding fixes some of these cells for every member
-   (see :class:`CellPlan`): O[0,0] is the count, O[b,b] is O[0,b] for
-   every 0/1 column b, and two levels of one categorical never meet
-   off the diagonal.  The encoding also makes some open cells whole
-   row counts: O[0,b], and O[a,b] for 0/1 columns a and b.  Each member
-   checks that its statistics hold these identities, then packs only
-   the open cells, its count cells unscaled, in plan order into the
-   :class:`crypto.SlotLayout` that every member derives from the
-   session parameters, the public key and the plan: a count cell's
-   slot is as wide as the session's row count needs, any other cell's
-   as wide as its fixed-point bound needs, and each plaintext holds as
-   many slots as fit in the key's capacity.  The initiator injects one
-   uniform residue mask per packed plaintext, encrypted by the CRT with
-   the session's secret factors (distributed exactly as a public-key
+2. each member encodes its statistics with the session's
+   :class:`CellPlan`, over one flattened vector: the upper triangle of
+   the symmetric O row by row (m(m+1)/2 entries), then V (m entries).
+   The public design encoding fixes some of these cells for every
+   member: O[b,b] is O[0,b] for every 0/1 column b, and two levels of
+   one categorical never meet off the diagonal.  It also makes some
+   open cells whole row counts: O[0,0], O[0,b], and O[a,b] for 0/1
+   columns a and b.  Each member checks that its statistics hold these
+   identities, then packs only the open cells, its count cells as whole
+   numbers and the rest in fixed point, in plan order into the
+   :class:`crypto.SlotLayout` that every member derives from the plan,
+   the session parameters and the public key: a count cell's slot is as
+   wide as the session's row count needs, any other cell's as wide as
+   its fixed-point bound needs, and each plaintext holds as many slots
+   as fit in the key's capacity.  The initiator injects one uniform
+   residue mask per packed plaintext, encrypted by the CRT with the
+   session's secret factors (distributed exactly as a public-key
    encryption); every other member homomorphically adds its encrypted
    packed vector (members with nothing to contribute add encrypted
    zeros, so ring position does not reveal participation) and
@@ -30,11 +30,10 @@ across a ring of members:
    plaintext holds; n ring messages return it to the initiator,
 3. the initiator decrypts, subtracts its masks in the residue domain,
    splits the signed plaintexts into balanced slot digits, adds its own
-   open cells, scales the pooled counts back into fixed point, rebuilds
-   the fixed cells from the open ones, decodes, and mirrors the
-   triangle into the pooled O.  Every step is exact integer arithmetic,
-   so the pooled O, V and row count are bit-identical across mask and
-   key draws.
+   open cells and decodes them with the plan, which rebuilds the fixed
+   cells and mirrors the triangle into the pooled O.  Every step is
+   exact integer arithmetic, so the pooled O and V, and with O[0,0] the
+   row count, are bit-identical across mask and key draws.
 
 Every ring payload crossing a member boundary is a ciphertext vector.
 The transcript logs each message's sender, receiver and kind with the
@@ -75,7 +74,8 @@ PHASE_RING = "ring_accumulate"
 
 @dataclass(frozen=True)
 class LocalStats:
-    """O = X'X (m x m), V = X'y (m x 1), and the contributing row count."""
+    """O = X'X (m x m), V = X'y (m x 1), and the contributing row count,
+    which the intercept column makes O[0,0]."""
 
     O: np.ndarray
     V: np.ndarray
@@ -102,28 +102,20 @@ def local_stats(rows: EncodedRows, keep: np.ndarray | None = None) -> LocalStats
     return LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), len(Y))
 
 
-def zero_stats(m: int) -> LocalStats:
-    return LocalStats(np.zeros((m, m)), np.zeros((m, 1)), 0)
-
-
-def stat_cells(m: int) -> int:
-    """Entries of the flattened statistics: O's upper triangle, V, the
-    count."""
-    return m * (m + 1) // 2 + m + 1
-
-
 @dataclass(frozen=True)
 class CellPlan:
-    """Which cells of the flattened statistics the ring carries.
+    """How the ring carries the flattened statistics, O's upper triangle
+    then V: the codec every member encodes with and the initiator
+    decodes with.
 
-    The design encoding fixes three kinds of cell, exactly and for
-    every member: O[0,0] is the row count (column 0 is the intercept),
-    O[b,b] is O[0,b] for a 0/1 column b (a one-hot level or a boolean),
-    and O[a,b] is 0 for two one-hot levels of one categorical.  Members
-    pack only the other, open cells; the initiator rebuilds the fixed
-    ones from the pooled open cells.  Of the open cells, O[0,b] and
-    O[a,b] for 0/1 columns a and b count rows, so every member's are
-    whole numbers: members send them unscaled, in narrower slots."""
+    The design encoding fixes two kinds of cell, exactly and for every
+    member: O[b,b] is O[0,b] for a 0/1 column b (a one-hot level or a
+    boolean), and O[a,b] is 0 for two one-hot levels of one categorical.
+    Members pack only the other, open cells; the initiator rebuilds the
+    fixed ones from the pooled open cells.  Of the open cells, O[0,0]
+    (column 0 is the intercept), O[0,b] and O[a,b] for 0/1 columns a and
+    b count rows, so every member's are whole numbers: members send them
+    unscaled, in narrower slots."""
 
     m: int
     open: tuple[int, ...]                       # flat indices, ascending
@@ -136,16 +128,14 @@ class CellPlan:
         m = len(feats)
         index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(*np.triu_indices(m)))}
         binary = [j for j, f in enumerate(feats) if f[0] in ("onehot", "boolean")]
-        fixed: dict[int, int | None] = {index[0, 0]: stat_cells(m) - 1}
-        for b in binary:
-            fixed[index[b, b]] = index[0, b]
-        counts = {index[0, b] for b in binary}
+        fixed: dict[int, int | None] = {index[b, b]: index[0, b] for b in binary}
+        counts = {index[0, 0], *(index[0, b] for b in binary)}
         for a, b in combinations(binary, 2):
             if feats[a][0] == feats[b][0] == "onehot" and feats[a][1] == feats[b][1]:
                 fixed[index[a, b]] = None
             else:
                 counts.add(index[a, b])
-        cells = tuple(i for i in range(stat_cells(m)) if i not in fixed)
+        cells = tuple(i for i in range(len(index) + m) if i not in fixed)
         return cls(m, cells, tuple(sorted(fixed.items())),
                    tuple(i in counts for i in cells))
 
@@ -153,72 +143,69 @@ class CellPlan:
     def cells(self) -> int:
         return len(self.open)
 
-    def select(self, entries: list[int]) -> list[int]:
-        """The open cells of a flattened vector."""
-        return [entries[i] for i in self.open]
-
-    def rebuild(self, open_entries: list[int]) -> list[int]:
-        """The flattened vector whose open cells are *open_entries*,
-        its fixed cells filled in from them."""
-        entries = [0] * stat_cells(self.m)
-        for i, e in zip(self.open, open_entries):
-            entries[i] = e
-        for cell, source in self.fixed:
-            entries[cell] = 0 if source is None else entries[source]
-        return entries
-
-    def scaled(self, open_entries: list[int], scale: int) -> list[int]:
-        """*open_entries* with their count cells, which members send as
-        whole counts, back in fixed point."""
-        return [e * scale if count else e for e, count in zip(open_entries, self.counts)]
-
     def name(self, cell: int) -> str:
         """The entry of O a flat index into its upper triangle stands for."""
         a, b = (int(k[cell]) for k in np.triu_indices(self.m))
         return f"O[{a},{b}]"
 
+    def bounds(self, params: crypto.HEParams) -> tuple[int, ...]:
+        """Each open cell's largest pooled entry in a session within
+        *params*: ``n_max`` for a count, the fixed-point entry bound for
+        any other cell."""
+        rows, fixed = params.n_max, params.entry_bound
+        return tuple(rows if count else fixed for count in self.counts)
 
-def _open_entries(plan: CellPlan, stats: LocalStats, scale: int, member: str
-                  ) -> list[int]:
-    """*member*'s open cells as it packs them: in fixed point, its count
-    cells divided exactly by the scale.  Raises :class:`ProtocolError`
-    unless its fixed cells hold what the initiator will rebuild and its
-    count cells are whole counts, so a contribution that breaks the
-    encoding is never pooled."""
-    entries = _encode_stats(stats, scale)
-    open_entries = plan.select(entries)
-    rebuilt = plan.rebuild(open_entries)
-    if rebuilt != entries:
-        cell = next(i for i, (e, r) in enumerate(zip(entries, rebuilt)) if e != r)
-        raise ProtocolError(f"{member}: {plan.name(cell)} is {entries[cell] / scale}, "
-                            f"but the design encoding fixes it at {rebuilt[cell] / scale}")
-    sent = []
-    for cell, e, count in zip(plan.open, open_entries, plan.counts):
-        whole, part = divmod(e, scale)
-        if count and part:
-            raise ProtocolError(f"{member}: {plan.name(cell)} is {e / scale}, but the "
-                                f"design encoding makes it a whole count of rows")
-        sent.append(whole if count else e)
-    return sent
+    def layout(self, params: crypto.HEParams, pk: crypto.PublicKey) -> crypto.SlotLayout:
+        """The session's slot layout, from the parameters every member
+        validated and the public key the initiator broadcast."""
+        return crypto.SlotLayout(self.bounds(params), pk.max_int.bit_length())
 
+    def encode(self, stats: LocalStats | None, scale: int, member: str) -> list[int]:
+        """*member*'s open cells as it packs them: its count cells as
+        whole numbers, the rest in fixed point, and all zeros for no
+        statistics.  Raises :class:`ProtocolError` unless O[0,0] is its
+        row count, its fixed cells hold what :meth:`decode` rebuilds and
+        its count cells are whole counts, so a contribution that breaks
+        the encoding is never pooled."""
+        if stats is None:
+            return [0] * self.cells
+        values = [*stats.O[np.triu_indices(self.m)].tolist(),
+                  *np.asarray(stats.V).reshape(-1).tolist()]
+        if values[0] != stats.n:
+            raise ProtocolError(f"{member}: O[0,0] is {values[0]}, but its statistics "
+                                f"count {stats.n} rows")
+        for cell, source in self.fixed:
+            have = crypto.encode_fixed(values[cell], scale)
+            want = 0 if source is None else crypto.encode_fixed(values[source], scale)
+            if have != want:
+                raise ProtocolError(f"{member}: {self.name(cell)} is {have / scale}, but "
+                                    f"the design encoding fixes it at {want / scale}")
+        sent = []
+        for cell, count in zip(self.open, self.counts):
+            v = values[cell]
+            if not count:
+                sent.append(crypto.encode_fixed(v, scale))
+            elif float(v).is_integer():
+                sent.append(int(v))
+            else:
+                raise ProtocolError(f"{member}: {self.name(cell)} is {v}, but the design "
+                                    f"encoding makes it a whole count of rows")
+        return sent
 
-def _encode_stats(stats: LocalStats, scale: int) -> list[int]:
-    upper = stats.O[np.triu_indices(stats.m)]
-    values = [*upper.tolist(), *np.asarray(stats.V).reshape(-1).tolist(),
-              float(stats.n)]
-    return [crypto.encode_fixed(v, scale) for v in values]
-
-
-def _decode_stats(entries: list[int], m: int, scale: int
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    values = [crypto.decode_fixed(e, scale) for e in entries]
-    t = m * (m + 1) // 2
-    O = np.empty((m, m))
-    upper = np.triu_indices(m)
-    O[upper] = values[:t]
-    O.T[upper] = values[:t]
-    V = np.array(values[t:t + m]).reshape(-1, 1)
-    return O, V, int(round(values[-1]))
+    def decode(self, sums: list[int], scale: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pooled O and V whose open cells sum to *sums*, as
+        :meth:`encode` sends them, with the fixed cells rebuilt."""
+        values = [0.0] * (self.m * (self.m + 1) // 2 + self.m)
+        for cell, e, count in zip(self.open, sums, self.counts):
+            values[cell] = float(e) if count else crypto.decode_fixed(e, scale)
+        for cell, source in self.fixed:
+            values[cell] = 0.0 if source is None else values[source]
+        t = len(values) - self.m
+        O = np.empty((self.m, self.m))
+        upper = np.triu_indices(self.m)
+        O[upper] = values[:t]
+        O.T[upper] = values[:t]
+        return O, np.array(values[t:]).reshape(-1, 1)
 
 
 def _ring_payload(buf: bytes, pk: crypto.PublicKey, width: int) -> crypto.CipherMatrix:
@@ -258,9 +245,8 @@ class _RingMember:
                  params: crypto.HEParams, rng: random.Random):
         self.member_id = member_id
         self.rows = stats.n if stats is not None else 0
-        self.entries = _open_entries(plan, stats or zero_stats(plan.m),
-                                     params.scale, member_id)
-        self.counts = plan.counts
+        self.entries = plan.encode(stats, params.scale, member_id)
+        self.plan = plan
         self.params = params
         self.rng = rng
         self.pk: crypto.PublicKey | None = None
@@ -273,7 +259,7 @@ class _RingMember:
         if pk.n.bit_length() != self.params.key_bits:
             raise ProtocolError(f"{self.member_id}: a {pk.n.bit_length()}-bit key "
                                 f"for a {self.params.key_bits}-bit session")
-        self.layout = crypto.SlotLayout.for_key(self.params, pk, self.counts)
+        self.layout = self.plan.layout(self.params, pk)
         self.pk = pk
 
     def on_accumulate(self, payload: bytes) -> bytes:
@@ -285,11 +271,10 @@ class _RingMember:
             # slot, so each is held to the share its own rows allow; as
             # n <= n_max, that share is within the layout's slot bound
             own = replace(self.params, n_max=self.rows)
-            bounds = (own.cell_bound(False), own.cell_bound(True))
-            for e, count in zip(self.entries, self.counts):
-                if abs(e) > bounds[count]:
+            for e, bound in zip(self.entries, self.plan.bounds(own)):
+                if abs(e) > bound:
                     raise OverflowAbort(f"{self.member_id}: encoded entry {e} exceeds the "
-                                        f"bound {bounds[count]} its {self.rows} rows allow")
+                                        f"bound {bound} its {self.rows} rows allow")
             packed = self.layout.pack(self.entries)
             mine = crypto.encrypt_encoded_matrix(self.pk, packed, self.rng)
         with phase("evaluate"):
@@ -336,8 +321,7 @@ def run_ring_session(ring: list[str], initiator: str,
                             f"n_max {params.n_max}")
 
     # every member checks its statistics before anything is encrypted
-    own = _open_entries(plan, stats[initiator] or zero_stats(plan.m), params.scale,
-                        initiator)
+    own = plan.encode(stats[initiator], params.scale, initiator)
     members = {
         mid: _RingMember(mid, stats[mid], plan, params, rng)
         for mid in order[1:]
@@ -347,7 +331,7 @@ def run_ring_session(ring: list[str], initiator: str,
         keys = crypto.keygen(params, keygen_rng or rng)
     pk, sk = keys.public, keys.secret
 
-    layout = crypto.SlotLayout.for_key(params, pk, plan.counts)
+    layout = plan.layout(params, pk)
     width = layout.plaintexts
 
     key_payload = crypto.serialize_public_key(pk)
@@ -378,10 +362,9 @@ def run_ring_session(ring: list[str], initiator: str,
                               for r, mk in zip(residues, mask)])
     except crypto.Overflow as exc:
         raise OverflowAbort(f"pooled statistics: {exc}") from exc
-    pooled = plan.scaled([s + o for s, o in zip(sums, own)], params.scale)
-    O_pool, V_pool, n_pool = _decode_stats(plan.rebuild(pooled), plan.m, params.scale)
+    O_pool, V_pool = plan.decode([s + o for s, o in zip(sums, own)], params.scale)
     transcript = Transcript(initiator, tuple(order), log, layout, plan)
-    return RingResult(O_pool, V_pool, n_pool, transcript)
+    return RingResult(O_pool, V_pool, int(O_pool[0, 0]), transcript)
 
 
 # --------------------------------------------------------------------------
@@ -454,7 +437,7 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                 entries = [crypto.encode_fixed(float(e), scale) for e in
                            [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
                 try:
-                    sent = _open_entries(transcript.plan, stats, scale, member)
+                    sent = transcript.plan.encode(stats, scale, member)
                     entries += sent + transcript.layout.pack(sent)
                 except (ProtocolError, crypto.Overflow):
                     pass    # a member holding these could not have sent them

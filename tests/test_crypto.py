@@ -519,8 +519,8 @@ def test_secret_factors_stay_out_of_repr(keys):
 
 def _layout(params, bits):
     """Layouts for the smallest and the largest modulus of *bits* bits."""
-    return {SlotLayout.for_key(params, PublicKey(n), [False]).per_plaintext
-            for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1)}
+    return {SlotLayout((params.entry_bound,), PublicKey(n).max_int.bit_length())
+            .per_plaintext for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1)}
 
 
 def test_slots_per_plaintext_for_the_repo_params(small_he_params):
@@ -553,23 +553,26 @@ _PACK_PARAMS = HEParams(key_bits=128, n_max=6000, v_max=6000.0)
 
 @st.composite
 def _slot_vectors(draw):
-    """Flags marking which of 1-9 entries are whole row counts, and 1-3
+    """Bounds of 1-9 entries, up to the fixed-point entry bound, and 1-3
     members' entry vectors whose slot-wise sums stay in bound, extremes
     included."""
     members = draw(st.integers(1, 3))
-    counts = draw(st.lists(st.booleans(), min_size=1, max_size=9))
-    caps = [_PACK_PARAMS.cell_bound(c) // members for c in counts]
-    return counts, [[draw(st.one_of(st.integers(-cap, cap), st.sampled_from([-cap, cap, 0])))
+    bounds = draw(st.lists(st.one_of(st.integers(0, _PACK_PARAMS.entry_bound),
+                                     st.sampled_from([_PACK_PARAMS.entry_bound,
+                                                      _PACK_PARAMS.n_max])),
+                           min_size=1, max_size=9))
+    caps = [b // members for b in bounds]
+    return bounds, [[draw(st.one_of(st.integers(-cap, cap), st.sampled_from([-cap, cap, 0])))
                      for cap in caps] for _ in range(members)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(drawn=_slot_vectors(), seed=st.integers(0, 2**32))
 def test_packed_sums_survive_encryption_and_masks_exactly(drawn, seed):
-    counts, vectors = drawn
+    bounds, vectors = drawn
     keys = _cached_keys()
     pk, sk = keys.public, keys.secret
-    layout = SlotLayout.for_key(_PACK_PARAMS, pk, counts)
+    layout = SlotLayout(tuple(bounds), pk.max_int.bit_length())
     rand = random.Random(seed)
     mask = [rand.randrange(pk.n) for _ in range(layout.plaintexts)]
     acc = encrypt_residue_matrix(sk, mask, rand)
@@ -582,29 +585,30 @@ def test_packed_sums_survive_encryption_and_masks_exactly(drawn, seed):
 
 
 def test_count_slots_are_as_wide_as_the_row_count_needs():
-    # 3735 rows: a count needs 12 bits plus sign and carry, an entry in
-    # fixed point 32 bits plus the same
+    # a slot is its bound's bit length plus sign and carry: a count of
+    # 3735 rows needs 12 bits, an entry in fixed point 32 bits
     params = HEParams(n_max=3735, v_max=1.0)
-    layout = SlotLayout.for_key(params, PublicKey((1 << 255) + 1),
-                                [False, True, True, False])
+    layout = SlotLayout((params.entry_bound, 3735, 3735, params.entry_bound),
+                        PublicKey((1 << 255) + 1).max_int.bit_length())
     assert layout.widths == (34, 14, 14, 34)
     assert layout.bounds == (params.entry_bound, 3735, 3735, params.entry_bound)
 
 
 def test_plaintexts_fill_in_order_up_to_the_capacity():
-    # 10-bit plaintexts: 4 + 4 fit, the next 4 starts a second, then
-    # 2 + 2 + 2 fit beside it and the last 2 starts a third
-    layout = SlotLayout(bounds=(3, 3, 3, 1, 1, 1, 1), widths=(4, 4, 4, 2, 2, 2, 2),
-                        capacity=10)
-    assert layout.spans == ((0, 2), (2, 6), (6, 7))
+    # 10-bit plaintexts of 4-bit slots (bound 3) and 3-bit ones (bound
+    # 1): 4 + 4 fit, the next 4 starts a second, then 3 + 3 fit beside
+    # it and the next 3 starts a third
+    layout = SlotLayout(bounds=(3, 3, 3, 1, 1, 1, 1), capacity=10)
+    assert layout.widths == (4, 4, 4, 3, 3, 3, 3)
+    assert layout.spans == ((0, 2), (2, 5), (5, 7))
     entries = [3, -3, -2, 1, -1, 0, 1]
     assert layout.unpack(layout.pack(entries)) == entries
 
 
 def test_pack_rejects_an_entry_past_the_bound():
-    layout = SlotLayout.for_key(_PACK_PARAMS, _cached_keys().public,
-                                [False, False, True, True])
     bound, rows = _PACK_PARAMS.entry_bound, _PACK_PARAMS.n_max
+    layout = SlotLayout((bound, bound, rows, rows),
+                        _cached_keys().public.max_int.bit_length())
     entries = [bound, -bound, rows, -rows]
     assert layout.unpack(layout.pack(entries)) == entries
     for bad in ([bound + 1, 0, 0, 0], [0, -bound - 1, 0, 0], [0, 0, rows + 1, 0],
@@ -616,7 +620,8 @@ def test_pack_rejects_an_entry_past_the_bound():
 
 
 def test_unpack_rejects_spilled_digits_and_wrong_counts():
-    layout = SlotLayout(bounds=(5, 5), widths=(5, 5), capacity=10)
+    layout = SlotLayout(bounds=(5, 5), capacity=10)
+    assert layout.widths == (5, 5)
     assert layout.unpack([3 + (-4 << 5)]) == [3, -4]
     with pytest.raises(Overflow):
         layout.unpack([1 << 10])     # a digit past the second slot
@@ -625,8 +630,10 @@ def test_unpack_rejects_spilled_digits_and_wrong_counts():
 
 
 def test_a_slot_wider_than_the_plaintext_is_refused():
+    # a bound of 300 needs an 11-bit slot; p5_global's fixed-point
+    # entries need 34 bits, which no 32-bit key holds
     with pytest.raises(ParamError):
-        SlotLayout(bounds=(5,), widths=(11,), capacity=10)
+        SlotLayout(bounds=(300,), capacity=10)
     with pytest.raises(ParamError):
-        SlotLayout.for_key(HEParams(n_max=3735, v_max=1.0), PublicKey((1 << 31) + 1),
-                           [True])
+        SlotLayout((HEParams(n_max=3735, v_max=1.0).entry_bound,),
+                   PublicKey((1 << 31) + 1).max_int.bit_length())

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from curie.ddstats import (
     jaccard,
     pearson,
 )
-from curie.engine import negotiate_consortium, negotiate_pair
+from curie.engine import AcquireRequest, answer_request, build_request, \
+    negotiate_consortium, negotiate_pair
+from curie.errors import CurieError, MalformedPayload
 
 from dd_pair import dd_members
 
@@ -243,3 +246,40 @@ def test_equal_values_hash_alike_whatever_type_holds_them(kind, requester, owner
     for algorithm in (Algorithm.INTERSECTION_SIZE, Algorithm.JACCARD_INDEX):
         assert evaluate_blinded(algorithm, blinded, owner, kind) == \
             compute_statistic(algorithm, requester, owner)
+
+
+# ---------------------------------------------------------------------------
+# bad blinded numbers in a parsed request
+
+def _request_with_scaled(algorithm, requester_values, owner_values, scaled):
+    """The owner of a dd pair, and the payload of its requester's request
+    with the blinded column's ``scaled`` vector replaced by *scaled*."""
+    requester, owner = dd_members(algorithm, 0.5, requester_values, owner_values)
+    body = json.loads(build_request(requester, owner.profile, random.Random(0)).to_payload())
+    body["blinded"]["col"]["scaled"] = scaled
+    return owner, json.dumps(body).encode()
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.PEARSON_CORRELATION,
+                                       Algorithm.COSINE_SIMILARITY])
+def test_a_masked_value_past_every_float_is_malformed(algorithm):
+    _, payload = _request_with_scaled(algorithm, [1.0, 2.0, 3.0], [1.0, 2.0, 4.0],
+                                      [10**400, 1.0, 2.0])
+    with pytest.raises(MalformedPayload, match="overflows a float"):
+        AcquireRequest.from_payload(payload)
+
+
+@pytest.mark.parametrize("algorithm, values, scaled", [
+    # a masked vector for a column the owner holds as categories
+    (Algorithm.PEARSON_CORRELATION, ["a", "b", "c"], [1.0, 2.0, 3.0]),
+    # finite masked values whose products leave the float range
+    (Algorithm.COSINE_SIMILARITY, [1.0, 2.0, 3.0], [1e308, -1e308, 1e308]),
+    (Algorithm.PEARSON_CORRELATION, [1.0, 2.0, 3.0], [1e308, -1e308, 1e308]),
+])
+def test_an_owner_refuses_a_statistic_it_cannot_compute(algorithm, values, scaled):
+    owner, payload = _request_with_scaled(algorithm, values, values, scaled)
+    request = AcquireRequest.from_payload(payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CurieError, match="^" + algorithm.value):
+            answer_request(owner, request)

@@ -12,6 +12,7 @@ from curie.data import Column, ColumnType, Schema, apply_selections, from_rows
 from curie.ddstats import compute_statistic
 from curie.engine import (
     AcquireRequest,
+    Agreement,
     CycleError,
     EnvError,
     EvalEnv,
@@ -534,14 +535,23 @@ def _field_mutations(draw):
     return json.dumps(body).encode()
 
 
+_OWNER = build_contexts()[2]     # M3, whom _REQUEST is sent to
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(byte_mutations(_REQUEST), _field_mutations()))
 def test_acquire_request_parser_total_on_arbitrary_bytes(blob):
+    # whatever parses, the owner answers with an agreement or refuses
+    # with a CurieError
     try:
         request = AcquireRequest.from_payload(blob)
     except CurieError:
         return
     assert AcquireRequest.from_payload(request.to_payload()) == request
+    try:
+        assert isinstance(answer_request(_OWNER, request), Agreement)
+    except CurieError:
+        pass
 
 
 def test_consortium_records_per_pair_type_errors_as_empty():

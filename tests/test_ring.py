@@ -17,14 +17,10 @@ from curie.ring import (
     LocalStats,
     OverflowAbort,
     ProtocolError,
-    _decode_stats,
-    _encode_stats,
-    _open_entries,
     audit_transcript,
     local_stats,
     member_rows,
     run_ring_session,
-    stat_cells,
 )
 
 from conftest import CONSORTIA_DIR, config_path, count_crypto_calls, warfarin_schema
@@ -288,8 +284,7 @@ def test_plaintext_injection_is_caught(small_he_params):
     log.send("P2", "P1", PHASE_RING, crypto.serialize_cipher_matrix(leaked))
     plan = CellPlan.for_encoding(_encoding(2))
     transcript = Transcript("P1", ("P1", "P2"), log,
-                            crypto.SlotLayout.for_key(small_he_params, keys.public,
-                                                      plan.counts), plan)
+                            plan.layout(small_he_params, keys.public), plan)
     report = audit_transcript(transcript, corrupted=set(),
                               reference_stats=stats, scale=scale)
     assert any(f.kind == "plaintext_leak" for f in report.findings)
@@ -320,7 +315,7 @@ def _forward_packed_plaintext(transcript, stats, member, params):
     plaintexts of its open cells, as a buggy member forwarding them
     would send it."""
     packed = transcript.layout.pack(
-        _open_entries(transcript.plan, stats[member], params.scale, member))
+        transcript.plan.encode(stats[member], params.scale, member))
     return _with_ring_payload(transcript, member,
                               lambda pk, _: (pk.from_signed(P) for P in packed))
 
@@ -418,8 +413,7 @@ def test_entry_past_the_slot_bound_aborts_before_encrypting(small_he_params,
         run_ring_session(["P1", "P2", "P3"], "P1", stats, _encoding(m), small_he_params,
                          random.Random(0))
     keys = crypto.keygen(small_he_params, random.Random(0))
-    layout = crypto.SlotLayout.for_key(small_he_params, keys.public,
-                                       CellPlan.for_encoding(_encoding(m)).counts)
+    layout = CellPlan.for_encoding(_encoding(m)).layout(small_he_params, keys.public)
     assert calls["encrypt"] == layout.plaintexts    # the masks only
 
 
@@ -448,6 +442,17 @@ def test_each_member_encrypts_one_packed_vector(small_he_params, monkeypatch):
 # ---------------------------------------------------------------------------
 # cells the design encoding fixes
 
+def _fixed_point_sums(stats, scale):
+    """The plain reference for a pool: every entry of O and V summed
+    over *stats* in fixed point, then divided by the scale."""
+    def pooled(arrays):
+        cells = zip(*(np.asarray(a).reshape(-1).tolist() for a in arrays))
+        sums = [sum(crypto.encode_fixed(v, scale) for v in cell) / scale for cell in cells]
+        return np.array(sums).reshape(np.shape(arrays[0]))
+    stats = list(stats)
+    return pooled([s.O for s in stats]), pooled([s.V for s in stats])
+
+
 def _warfarin_stats(members, rows):
     schema = warfarin_schema()
     profiles = [SynthProfile(mid, rows, coefficients=(30.0,) + (0.0,) * 14,
@@ -458,11 +463,11 @@ def _warfarin_stats(members, rows):
 
 
 def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
-    # 15 design columns make 136 cells; the encoding fixes O[0,0], the
-    # 11 diagonal cells of 0/1 columns and the 12 level pairs within
-    # vkorc1, cyp2c9 and race: of the 112 open cells, 54 are row counts
-    # in 13-bit slots beside 58 in 33-bit ones, 12 plaintexts where
-    # 7 uniform slots per plaintext would take 16
+    # 15 design columns make 135 cells; the encoding fixes the 11
+    # diagonal cells of 0/1 columns and the 12 level pairs within
+    # vkorc1, cyp2c9 and race: of the 112 open cells, 55 are row counts
+    # (O[0,0] among them) in 13-bit slots beside 57 in 33-bit ones,
+    # 11 plaintexts where 7 uniform slots per plaintext would take 16
     members = ["P1", "P2", "P3"]
     encoding, stats = _warfarin_stats(members, rows=400)
     params = HEParams(key_bits=256, scale_bits=20, n_max=1200, v_max=1.0)
@@ -471,14 +476,13 @@ def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
     result = run_ring_session(members, "P1", stats, encoding, params,
                               random.Random(0))
     assert result.transcript.layout.per_plaintext == 7
-    assert (stat_cells(encoding.width), result.transcript.plan.cells) == (136, 112)
-    assert counts == {"encrypt": 12 * len(members), "decrypt": 12}
+    plan = result.transcript.plan
+    assert (plan.cells, len(plan.fixed), sum(plan.counts)) == (112, 23, 55)
+    assert counts == {"encrypt": 11 * len(members), "decrypt": 11}
     # the rebuilt cells pool bit-identically to sums of every cell
-    summed = [sum(cells) for cells in
-              zip(*(_encode_stats(s, params.scale) for s in stats.values()))]
-    O, V, n = _decode_stats(summed, encoding.width, params.scale)
+    O, V = _fixed_point_sums(stats.values(), params.scale)
     assert np.array_equal(result.O_pool, O) and np.array_equal(result.V_pool, V)
-    assert result.n_pool == n == 1200
+    assert result.n_pool == O[0, 0] == 1200
 
 
 def _break_cross_term(O):
@@ -512,11 +516,14 @@ def test_statistics_breaking_the_encoding_are_refused_before_encrypting(
 
 
 def test_a_planted_open_cell_is_caught(small_he_params):
-    # one encoded open cell of P2's in place of a ciphertext of its payload
+    # one open fixed-point cell of P2's in place of a ciphertext of its
+    # payload (its row count, O[0,0], is every member's)
     members = ["P1", "P2", "P3"]
     stats, result = _session(members, small_he_params)
     transcript = result.transcript
-    cell = transcript.plan.select(_encode_stats(stats["P2"], small_he_params.scale))[0]
+    plan = transcript.plan
+    cell = next(e for e, count in zip(plan.encode(stats["P2"], small_he_params.scale, "P2"),
+                                      plan.counts) if not count)
     forged = _with_ring_payload(
         transcript, "P2",
         lambda pk, payload: (pk.from_signed(cell),
@@ -568,7 +575,7 @@ def test_a_member_forwarding_its_mixed_width_plaintexts_is_caught():
     assert any("plaintext-range cell" in f.detail for f in leaks)
     # one whole count of P2's, as P2 packs it, in place of a ciphertext
     plan = result.transcript.plan
-    count = next(e for e, c in zip(_open_entries(plan, stats["P2"], params.scale, "P2"),
+    count = next(e for e, c in zip(plan.encode(stats["P2"], params.scale, "P2"),
                                    plan.counts) if c and e)
     planted = _with_ring_payload(
         result.transcript, "P2",
@@ -630,39 +637,60 @@ def _pool_in_residues(layout, pk, vectors, rand):
        rows=st.lists(st.integers(1, 60), min_size=1, max_size=4),
        bits=st.sampled_from([128, 256, 1024]), data=st.data())
 def test_mixed_widths_pool_as_the_uniform_layout_does(kinds, levels, rows, bits, data):
+    # members' rows at their bounds, encoded by the plan, packed in
+    # mixed-width slots, added in residues and decoded, pool exactly
+    # what every cell summed in fixed point pools, in no more plaintexts
+    # than slots all as wide as a fixed-point cell's take
     schema = _drawn_schema(kinds, levels)
     plan = CellPlan.for_encoding(DesignEncoding(schema))
     params = HEParams(key_bits=bits, scale_bits=20, n_max=sum(rows), v_max=1.0)
     pk = crypto.PublicKey(data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1)
-    mixed = crypto.SlotLayout.for_key(params, pk, plan.counts)
-    uniform = crypto.SlotLayout.for_key(params, pk, [False] * plan.cells)
-    assert mixed.plaintexts <= uniform.plaintexts
+    layout = plan.layout(params, pk)
+    uniform = crypto.SlotLayout((params.entry_bound,) * plan.cells, layout.capacity)
+    assert layout.plaintexts <= uniform.plaintexts
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     stats = [local_stats(to_design_matrix(_rows_at_bounds(schema, r, gen), None))
              for r in rows]
-    sent = [_open_entries(plan, s, params.scale, "P") for s in stats]
-    rand = random.Random(0)
-    pooled = _pool_in_residues(mixed, pk, sent, rand)
+    sent = [plan.encode(s, params.scale, "P") for s in stats]
+    pooled = _pool_in_residues(layout, pk, sent, random.Random(0))
     assert pooled == [sum(column) for column in zip(*sent)]
-    assert plan.scaled(pooled, params.scale) == _pool_in_residues(
-        uniform, pk, [plan.select(_encode_stats(s, params.scale)) for s in stats], rand)
+    O, V = plan.decode(pooled, params.scale)
+    O_ref, V_ref = _fixed_point_sums(stats, params.scale)
+    assert np.array_equal(O, O_ref) and np.array_equal(V, V_ref)
+    assert int(O[0, 0]) == sum(rows)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONSORTIA_DIR.iterdir()
                                         if (p / "config.json").exists()))
 def test_no_shipped_consortium_needs_more_plaintexts_than_uniform_slots(name):
-    # layout arithmetic only: a modulus of each size, no key or encryption
+    # layout arithmetic only: the smallest and largest modulus of each
+    # size, no key or encryption; the ciphertexts per member at 256,
+    # 1024 and 2048 bits
     from dataclasses import replace
 
     from curie.harness import _session_params, build_scenario, load_config
 
+    expected = {"default_dp": (3, 1, 1), "example3": (6, 2, 1)}.get(name, (12, 3, 2))
     scenario = build_scenario(load_config(config_path(name)))
     plan = CellPlan.for_encoding(scenario.encoding)
-    for bits in (256, 1024, 2048):
+    for bits, plaintexts in zip((256, 1024, 2048), expected):
         params = _session_params(replace(scenario.config.he, key_bits=bits),
                                  [ctx.dataset.n for ctx in scenario.contexts])
         for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1):
-            layout = crypto.SlotLayout.for_key(params, crypto.PublicKey(n), plan.counts)
-            k = layout.capacity // params.slot_bits
-            assert layout.per_plaintext == k
-            assert layout.plaintexts <= -(-plan.cells // k), (name, bits)
+            layout = plan.layout(params, crypto.PublicKey(n))
+            assert layout.plaintexts == plaintexts, (name, bits)
+
+
+def test_a_row_count_other_than_o00_is_refused_before_encrypting(monkeypatch):
+    # O[0,0] is the intercept's square, so it is the member's row count;
+    # a member claiming another count is refused, naming it
+    members = ["P1", "P2", "P3"]
+    encoding, stats = _warfarin_stats(members, rows=40)
+    stats["P2"] = LocalStats(stats["P2"].O, stats["P2"].V, 41)
+    params = HEParams(key_bits=256, scale_bits=20, n_max=121, v_max=1.0)
+    calls = {"encrypt": 0, "decrypt": 0}
+    count_crypto_calls(monkeypatch, calls)
+    with pytest.raises(ProtocolError,
+                       match=r"^P2: O\[0,0\] is 40.0, but its statistics count 41 rows$"):
+        run_ring_session(members, "P1", stats, encoding, params, random.Random(0))
+    assert calls == {"encrypt": 0, "decrypt": 0}
