@@ -19,7 +19,7 @@ from curie.errors import CurieError
 
 
 def _read_policy(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return harness.read_text(Path(path), path)
 
 
 def cmd_parse(args) -> int:

@@ -1,25 +1,28 @@
 """Lexer for the CPL policy language.
 
-Tokenizes a policy source string into a flat token list.  Every byte of
-the input is covered by exactly one token or by a whitespace/comment
-span; tokens carry both line/column and absolute-offset locations so
-diagnostics and coverage checks can point back into the source.
+Tokenizes a policy source string into a flat token list ending in EOF.
+Every character lies in exactly one token or in a blank/comment gap, and
+tokens carry line/column and offset locations for diagnostics.
 
-Lexical conventions:
+The pattern ``_TOKEN`` is the lexical conventions, one alternative each:
 
-* keywords ``share``, ``acquire``, ``evaluate`` and the operation
-  keyword ``in`` are reserved and lowercase,
-* identifiers start with a letter (ASCII or not) or ``_`` and may
-  contain letters, digits, ``_`` and interior hyphens (``fine-select``),
-* strings take single or double quotes, without escapes,
-* an integer literal may take a ``K`` suffix meaning a factor of 1000
-  (``1K`` lexes as 1000),
-* comments run from ``#`` to end of line,
-* whitespace is insignificant outside strings.
+* blanks (space, tab, CR, FF, VT) and ``#`` comments to end of line
+  separate tokens; operators take the longest match (``::`` over ``:``),
+* a string takes single or double quotes, has no escapes and cannot
+  span lines,
+* a number is ASCII digits; a ``-`` directly before the first digit
+  starts it, a ``.`` after the digits makes it a float (``1.`` is 1.0),
+  and a ``K`` scales only an integer by 1000 (``1.K`` is 1.0 then ``K``),
+* an identifier starts with an ASCII letter, ``_`` or any non-ASCII
+  character, goes on with those and ASCII digits, and may hold single
+  interior hyphens (``fine-select``); ``share``, ``acquire``,
+  ``evaluate`` and ``in`` are keywords,
+* any other character is a :class:`LexError`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
@@ -72,18 +75,13 @@ KEYWORDS = {
     "in": TokenKind.IN,
 }
 
-_SINGLE_CHAR = {
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "=": TokenKind.EQ,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "&": TokenKind.AMP,
-    "$": TokenKind.DOLLAR,
+_OPERATORS = {
+    ":": TokenKind.COLON, "::": TokenKind.DCOLON, ":=": TokenKind.DEFINE,
+    ";": TokenKind.SEMI, ",": TokenKind.COMMA,
+    "(": TokenKind.LPAREN, ")": TokenKind.RPAREN,
+    "{": TokenKind.LBRACE, "}": TokenKind.RBRACE,
+    "=": TokenKind.EQ, "!=": TokenKind.NEQ, "<": TokenKind.LT, ">": TokenKind.GT,
+    "&": TokenKind.AMP, "$": TokenKind.DOLLAR,
 }
 
 
@@ -111,16 +109,17 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}@{self.span})"
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_" or ord(ch) >= 0x80
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_" or ord(ch) >= 0x80
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | [ \t\r\f\v]+ | \#[^\n]*
+  | (?P<op>::|:=|!=|[:;,(){}=<>&$])
+  | (?P<string>'[^'\n]*'|"[^"\n]*")
+  | (?P<float>-?[0-9]+\.[0-9]*)
+  | (?P<thousands>-?[0-9]+)K
+  | (?P<int>-?[0-9]+)
+  | (?P<ident>[A-Za-z_\x80-\U0010FFFF](?:-?[A-Za-z0-9_\x80-\U0010FFFF])*)
+  | (?P<error>.)
+""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -130,119 +129,37 @@ def tokenize(text: str) -> list[Token]:
     grammar's letter/digit/operator sets in non-string context.
     """
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-
-    def col(p: int) -> int:
-        return p - line_start + 1
-
-    while pos < n:
-        ch = text[pos]
-
-        if ch == "\n":
-            pos += 1
-            line += 1
-            line_start = pos
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        cls = m.lastgroup
+        if cls is None:
             continue
-        if ch in " \t\r\f\v":
-            pos += 1
+        start, end = m.span()
+        if cls == "newline":
+            line, line_start = line + 1, end
             continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-
-        start = pos
-        start_line, start_col = line, col(pos)
-
-        if ch == ":":
-            if text.startswith("::", pos):
-                pos += 2
-                kind, lex = TokenKind.DCOLON, "::"
-            elif text.startswith(":=", pos):
-                pos += 2
-                kind, lex = TokenKind.DEFINE, ":="
-            else:
-                pos += 1
-                kind, lex = TokenKind.COLON, ":"
-            tokens.append(Token(kind, lex, Span(start_line, start_col, start, pos)))
-            continue
-
-        if ch == "!":
-            if text.startswith("!=", pos):
-                pos += 2
-                tokens.append(Token(TokenKind.NEQ, "!=", Span(start_line, start_col, start, pos)))
-                continue
-            raise LexError("'!' must be followed by '='", start_line, start_col)
-
-        if ch in _SINGLE_CHAR:
-            pos += 1
-            tokens.append(Token(_SINGLE_CHAR[ch], ch, Span(start_line, start_col, start, pos)))
-            continue
-
-        if ch in "'\"":
-            quote = ch
-            pos += 1
-            while pos < n and text[pos] != quote:
-                if text[pos] == "\n":
-                    raise LexError("unterminated string literal", start_line, start_col)
-                pos += 1
-            if pos >= n:
-                raise LexError("unterminated string literal", start_line, start_col)
-            pos += 1
-            raw = text[start:pos]
-            tokens.append(
-                Token(TokenKind.STRING, raw, Span(start_line, start_col, start, pos), raw[1:-1])
-            )
-            continue
-
-        if _is_ascii_digit(ch) or (ch == "-" and pos + 1 < n
-                                   and _is_ascii_digit(text[pos + 1])):
-            pos += 1
-            while pos < n and _is_ascii_digit(text[pos]):
-                pos += 1
-            is_float = False
-            if (pos < n and text[pos] == "." and pos + 1 < n
-                    and _is_ascii_digit(text[pos + 1])):
-                is_float = True
-                pos += 1
-                while pos < n and _is_ascii_digit(text[pos]):
-                    pos += 1
-            elif pos < n and text[pos] == ".":
-                # BNF permits a bare trailing dot in floats ("1." is 1.0)
-                is_float = True
-                pos += 1
-            lex = text[start:pos]
-            if not is_float and pos < n and text[pos] == "K":
-                pos += 1
-                lex = text[start:pos]
-                val: object = int(lex[:-1]) * 1000
-            elif is_float:
-                val = float(lex)
-            else:
-                val = int(lex)
-            tokens.append(Token(TokenKind.FLOAT if is_float else TokenKind.INT,
-                                lex, Span(start_line, start_col, start, pos), val))
-            continue
-
-        if _is_ident_start(ch):
-            pos += 1
-            while pos < n:
-                c = text[pos]
-                if _is_ident_char(c):
-                    pos += 1
-                elif c == "-" and pos + 1 < n and _is_ident_char(text[pos + 1]):
-                    pos += 2
-                else:
-                    break
-            lex = text[start:pos]
+        lex = m.group()
+        col = start - line_start + 1
+        if cls == "error":
+            if lex in "'\"":
+                raise LexError("unterminated string literal", line, col)
+            if lex == "!":
+                raise LexError("'!' must be followed by '='", line, col)
+            raise LexError(f"unexpected character {lex!r}", line, col)
+        value: object = None
+        if cls == "op":
+            kind = _OPERATORS[lex]
+        elif cls == "ident":
             kind = KEYWORDS.get(lex, TokenKind.IDENT)
-            tokens.append(Token(kind, lex, Span(start_line, start_col, start, pos)))
-            continue
-
-        raise LexError(f"unexpected character {ch!r}", start_line, start_col)
-
-    tokens.append(Token(TokenKind.EOF, "", Span(line, col(pos), pos, pos)))
+        elif cls == "string":
+            kind, value = TokenKind.STRING, lex[1:-1]
+        elif cls == "float":
+            kind, value = TokenKind.FLOAT, float(lex)
+        elif cls == "thousands":
+            kind, value = TokenKind.INT, int(m.group(cls)) * 1000
+        else:
+            kind, value = TokenKind.INT, int(lex)
+        tokens.append(Token(kind, lex, Span(line, col, start, end), value))
+    end = len(text)
+    tokens.append(Token(TokenKind.EOF, "", Span(line, end - line_start + 1, end, end)))
     return tokens

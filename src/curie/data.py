@@ -62,6 +62,8 @@ class ColumnType:
             raise SchemaMismatch("categorical column needs >= 2 levels")
         if self.kind != "categorical" and self.levels:
             raise SchemaMismatch(f"{self.kind} column cannot declare levels")
+        if len(set(self.levels)) < len(self.levels):
+            raise SchemaMismatch(f"categorical column repeats a level: {list(self.levels)}")
         if not self.is_numeric and self.bounds is not None:
             raise SchemaMismatch(f"{self.kind} column cannot declare bounds")
 

@@ -20,6 +20,7 @@ Scenario modes:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -305,6 +306,20 @@ def _seed_for(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def read_text(path: Path, where: str, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at *path*, read with *newline* as
+    :func:`open` takes it.  A file that cannot be opened, read or
+    decoded is a :class:`ConfigError` at *where*."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(where, f"cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(where, f"not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                                 f"at offset {exc.start}") from None
+
+
 def load_config(path: str | Path) -> ConsortiumConfig:
     """Load and validate a consortium config file.
 
@@ -313,10 +328,9 @@ def load_config(path: str | Path) -> ConsortiumConfig:
     for any synthesis profile value the schema refuses.
     """
     path = Path(path)
+    text = read_text(path, str(path))
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(str(path), "config file not found") from None
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
 
@@ -430,16 +444,18 @@ def build_scenario(cfg: ConsortiumConfig) -> Scenario:
     contexts: list[MemberContext] = []
     held_out: list[Dataset] = []
     for spec in cfg.members:
-        policy = cpl.parse_policy(spec.policy_path.read_text())
+        where = f"members.{spec.member_id}"
+        policy = cpl.parse_policy(read_text(spec.policy_path, f"{where}.policy"))
         diags = cpl.validate(policy)
         errors = [d for d in diags if d.severity is cpl.Severity.ERROR]
         if errors:
             listing = "; ".join(d.format(str(spec.policy_path)) for d in errors)
-            raise ConfigError(f"members.{spec.member_id}.policy", listing)
+            raise ConfigError(f"{where}.policy", listing)
 
         if spec.dataset_path is not None:
-            with open(spec.dataset_path, newline="") as fh:
-                ds = load_dataset(fh, cfg.schema, provenance=spec.member_id)
+            csv_text = read_text(spec.dataset_path, f"{where}.dataset", newline="")
+            ds = load_dataset(io.StringIO(csv_text, newline=""), cfg.schema,
+                              provenance=spec.member_id)
         else:
             ds = synth_data[spec.member_id]
 

@@ -408,10 +408,10 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
     not a single encoded O or V entry, not one of a member's open cells
     as it packs them, and not one of the plaintexts it packs them into,
     built by the members' own encoding and the transcript's slot
-    layout.
-    Payloads are scanned byte-wise for the serialized residues, and
-    suspiciously small (plaintext-range) cells are compared with them.
-    A leaked value that several members hold is reported for each.
+    layout.  Each such value is a residue below n and a ring payload
+    parses into exactly its cells, so looking each cell up among them
+    finds every leak.  A leaked value that several members hold is
+    reported for each.
     """
     findings: list[LeakageFinding] = []
     ring = transcript.ring
@@ -444,22 +444,12 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
                 for enc in entries:
                     if enc != 0:
                         targets.setdefault(pk.from_signed(enc), set()).add(member)
-            patterns = {
-                crypto.serialize_cipher_matrix(crypto.CipherMatrix(pk, (residue,))): holders
-                for residue, holders in targets.items()}
             for msg in transcript.log:
                 if msg.kind != PHASE_RING:
                     continue
-                for pat, holders in patterns.items():
-                    if pat in msg.payload:
-                        findings.extend(LeakageFinding(
-                            "plaintext_leak", member,
-                            f"encoded statistic bytes appear in a ring payload "
-                            f"sent by {msg.sender}") for member in sorted(holders))
                 for cell in crypto.parse_cipher_matrix(msg.payload, pk).cells:
-                    if cell < pk.n:
-                        findings.extend(LeakageFinding(
-                            "plaintext_leak", member,
-                            f"plaintext-range cell in payload from {msg.sender}")
-                            for member in sorted(targets.get(cell, ())))
+                    findings.extend(LeakageFinding(
+                        "plaintext_leak", member,
+                        f"plaintext-range cell in payload from {msg.sender}")
+                        for member in sorted(targets.get(cell, ())))
     return LeakageReport(tuple(findings))

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curie.cpl.tokens import LexError, TokenKind, tokenize
 
@@ -93,3 +96,57 @@ def test_negative_number_after_operator():
     toks = tokenize("height > -2")
     assert toks[2].kind is TokenKind.INT
     assert toks[2].value == -2
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1.", [(TokenKind.FLOAT, "1.", 1.0)]),
+    ("1.K", [(TokenKind.FLOAT, "1.", 1.0), (TokenKind.IDENT, "K", None)]),
+    ("1.5K", [(TokenKind.FLOAT, "1.5", 1.5), (TokenKind.IDENT, "K", None)]),
+    ("-1K", [(TokenKind.INT, "-1K", -1000)]),
+    ("a-1", [(TokenKind.IDENT, "a-1", None)]),
+    ("é-é", [(TokenKind.IDENT, "é-é", None)]),
+    ("\ud800", [(TokenKind.IDENT, "\ud800", None)]),
+    # a no-break space is a non-ASCII character, so it joins the name
+    ("M1\xa0;", [(TokenKind.IDENT, "M1\xa0", None), (TokenKind.SEMI, ";", None)]),
+    ("a--b", ("unexpected character '-'", 1, 2)),
+    ("--1", ("unexpected character '-'", 1, 1)),
+    ("'x\ny'", ("unterminated string literal", 1, 1)),
+    ("!x", ("'!' must be followed by '='", 1, 1)),
+])
+def test_lexical_edge_cases(text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(LexError) as err:
+            tokenize(text)
+        assert (err.value.message, err.value.line, err.value.col) == expected
+    else:
+        toks = tokenize(text)
+        assert [(t.kind, t.text, t.value) for t in toks[:-1]] == expected
+        assert [type(t.value) for t in toks[:-1]] == [type(v) for _, _, v in expected]
+
+
+def test_eof_after_a_trailing_newline_starts_the_next_line():
+    eof = tokenize("share\n")[-1]
+    assert eof.kind is TokenKind.EOF
+    assert (eof.span.line, eof.span.col, eof.span.start, eof.span.end) == (2, 1, 6, 6)
+
+
+_GAP = re.compile(r"(?:[ \t\r\f\v\n]|#[^\n]*)*")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=":;,<>!=$&(){}#'\" \n\t\r.abcK19-é\xa0")))
+def test_tokens_tile_the_text_with_blank_or_comment_gaps(text):
+    try:
+        toks = tokenize(text)
+    except LexError:
+        return
+    assert toks[-1].kind is TokenKind.EOF and toks[-1].span.start == len(text)
+    pos = 0
+    for tok in toks:
+        start, end = tok.span.start, tok.span.end
+        assert pos <= start <= end
+        assert text[start:end] == tok.text
+        assert _GAP.fullmatch(text, pos, start)
+        assert tok.span.line == text.count("\n", 0, start) + 1
+        assert tok.span.col == start - text.rfind("\n", 0, start)
+        pos = end

@@ -193,6 +193,10 @@ def test_seed_env_override(monkeypatch):
          None, "schema.columns[0].bounds"),
         ("levels a string", _setting("schema", "columns", 2, "levels", "Asi"), None,
          "schema.columns[2].levels"),
+        # a repeated level would give one level two design columns
+        ("a repeated level",
+         _setting("schema", "columns", 2, "levels", ["Asian", "Black", "Black"]), None,
+         "schema.columns[2]"),
         ("unknown schema key", _setting("schema", "bonds", [0, 1]), None, "schema.bonds"),
         ("unknown column key", _setting("schema", "columns", 0, "bonds", [0, 1]), None,
          "schema.columns[0].bonds"),
@@ -954,6 +958,52 @@ def test_full_dp_golden_differs_from_full_only_in_the_sweep(name):
 def test_cli_runtime_failure_exit_code(tmp_path):
     missing = tmp_path / "none.json"
     assert cli_main(["negotiate", str(missing)]) == 2
+
+
+def _unreadable(case, tmp_path):
+    """The CLI arguments of one unreadable-input *case* and the field its
+    error names."""
+    c = tmp_path / "c"
+    shutil.copytree(config_path("example3").parent, c)
+    config = c / "config.json"
+    raw = json.loads(config.read_text())
+    command, what = case.split(" ", 1)
+    if command in ("parse", "lint"):
+        target = {"non-UTF-8": c / "m1.cpl", "missing": c / "ghost.cpl",
+                  "a directory": c}[what]
+        if what == "non-UTF-8":
+            target.write_bytes(target.read_bytes() + b"# caf\xe9\n")
+        return [command, str(target)], str(target)
+    if what == "config non-UTF-8":
+        config.write_bytes(json.dumps({**raw, "name": "caf\xe9"}, ensure_ascii=False)
+                           .encode("latin-1"))
+        return [command, str(config)], str(config)
+    if what == "config a directory":
+        return [command, str(c)], str(c)
+    if what == "policy non-UTF-8":
+        (c / "m2.cpl").write_bytes((c / "m2.cpl").read_bytes() + b"# caf\xe9\n")
+        return [command, str(config)], "members.M2.policy"
+    del raw["members"][0]["synth"]
+    raw["members"][0]["dataset"] = "m1.csv"
+    (c / "m1.csv").write_bytes(b"age,race,genotype,weight,country,dose\n"
+                               b"40,Asian,A/A,150.0,US,30.0\xff\n")
+    config.write_text(json.dumps(raw))
+    return [command, str(config)], "members.M1.dataset"
+
+
+@pytest.mark.parametrize("case", [
+    "parse non-UTF-8", "parse missing", "parse a directory",
+    "lint non-UTF-8", "lint missing", "lint a directory",
+    "negotiate config non-UTF-8", "negotiate config a directory",
+    "negotiate policy non-UTF-8", "simulate dataset non-UTF-8",
+])
+def test_an_unreadable_input_is_a_one_line_error(case, tmp_path, capsys):
+    # every input file is read as UTF-8, and one that cannot be opened
+    # or decoded is a runtime error naming its file or config field
+    argv, field = _unreadable(case, tmp_path)
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
 
 def test_cli_reports_a_malformed_csv_cell(tmp_path, capsys):
