@@ -14,10 +14,12 @@ The pattern ``_TOKEN`` is the lexical conventions, one alternative each:
   starts it, a ``.`` after the digits makes it a float (``1.`` is 1.0),
   and a ``K`` scales only an integer by 1000 (``1.K`` is 1.0 then ``K``),
 * an identifier starts with an ASCII letter, ``_`` or any non-ASCII
-  character, goes on with those and ASCII digits, and may hold single
-  interior hyphens (``fine-select``); ``share``, ``acquire``,
-  ``evaluate`` and ``in`` are keywords,
-* any other character is a :class:`LexError`.
+  character but a blank, goes on with those and ASCII digits, and may
+  hold single interior hyphens (``fine-select``); ``share``,
+  ``acquire``, ``evaluate`` and ``in`` are keywords,
+* any other character is a :class:`LexError`; one that ``str.isspace``
+  calls a blank (U+00A0, U+3000, ...) is named by its code point, as it
+  cannot be seen in the source.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ _TOKEN = re.compile(r"""
   | (?P<float>-?[0-9]+\.[0-9]*)
   | (?P<thousands>-?[0-9]+)K
   | (?P<int>-?[0-9]+)
-  | (?P<ident>[A-Za-z_\x80-\U0010FFFF](?:-?[A-Za-z0-9_\x80-\U0010FFFF])*)
+  | (?P<ident>(?:[A-Za-z_]|[^\s\x00-\x7f])(?:-?(?:[A-Za-z0-9_]|[^\s\x00-\x7f]))*)
   | (?P<error>.)
 """, re.VERBOSE | re.DOTALL)
 
@@ -145,6 +147,9 @@ def tokenize(text: str) -> list[Token]:
                 raise LexError("unterminated string literal", line, col)
             if lex == "!":
                 raise LexError("'!' must be followed by '='", line, col)
+            if lex.isspace():
+                raise LexError(f"blank U+{ord(lex):04X} does not separate "
+                               "tokens", line, col)
             raise LexError(f"unexpected character {lex!r}", line, col)
         value: object = None
         if cls == "op":

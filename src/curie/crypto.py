@@ -5,7 +5,10 @@ Paillier with the g = n + 1 simplification: ciphertext of m is
 (1 + m*n) * r^n mod n^2, so adding plaintexts is multiplying
 ciphertexts.  Decryption works modulo p^2 and q^2 and recombines by
 the CRT (Paillier, EUROCRYPT 1999, section 7), and so does the key
-holder's encryption.  Reals are encoded as
+holder's encryption.  Their modular exponentiations, and the
+primality tests', run on libcrypto's ``BN_mod_exp`` where the
+interpreter can load it (:func:`_powmod`); the integers are the builtin
+``pow``'s, so keys and ciphertexts do not depend on it.  Reals are encoded as
 round(x * S) with a power-of-two scale S; signed values wrap modulo n
 and are recovered from the upper half of the residue range.
 
@@ -33,13 +36,13 @@ depend on the modulus size).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,6 +63,10 @@ class DimMismatch(CurieError):
 
 class KeyMismatch(CurieError):
     pass
+
+
+class NativeArithmeticError(CurieError):
+    """libcrypto refused a BIGNUM operation of :func:`_powmod`."""
 
 
 DEFAULT_KEY_BITS = 2048
@@ -94,8 +101,10 @@ class HEParams:
     def entry_bound(self) -> int:
         # every pooled row adds at most v_max^2 to an entry of O or V,
         # and 1 to the intercept's; computed exactly from the float v_max
-        v = max(Fraction(self.v_max), Fraction(1))
-        return math.ceil(self.n_max * v * v * self.scale) + 1
+        num, den = self.v_max.as_integer_ratio()
+        if num < den:
+            num = den = 1
+        return -(-self.n_max * num * num * self.scale // (den * den)) + 1
 
     @property
     def slot_bits(self) -> int:
@@ -127,6 +136,94 @@ def encode_fixed(x: float, scale: int) -> int:
 
 def decode_fixed(k: int, scale: int) -> float:
     return k / scale
+
+
+# --------------------------------------------------------------------------
+# modular exponentiation
+
+_PTR, _INT = ctypes.c_void_p, ctypes.c_int
+
+# (restype, argtypes) of each libcrypto function _powmod calls
+_BN_SIGNATURES = {
+    "BN_CTX_new": (_PTR, []),
+    "BN_CTX_free": (None, [_PTR]),
+    "BN_new": (_PTR, []),
+    "BN_clear_free": (None, [_PTR]),
+    "BN_bin2bn": (_PTR, [ctypes.c_char_p, _INT, _PTR]),
+    "BN_bn2binpad": (_INT, [_PTR, _PTR, _INT]),
+    "BN_mod_exp": (_INT, [_PTR, _PTR, _PTR, _PTR, _PTR]),
+}
+
+
+def _library_paths() -> Iterator[str]:
+    """Where to look for libcrypto, in order: the interpreter's own
+    ``_hashlib`` extension, whose handle resolves the symbols of the
+    libcrypto it links, then the system's ``libcrypto``, which is only
+    searched for when the first does not serve."""
+    try:
+        import _hashlib
+        yield _hashlib.__file__
+    except (ImportError, AttributeError):  # no OpenSSL, or linked in statically
+        pass
+    import ctypes.util
+    system = ctypes.util.find_library("crypto")
+    if system:
+        yield system
+
+
+@functools.cache
+def _libcrypto() -> ctypes.CDLL | None:
+    """The first of :func:`_library_paths` that loads and has every
+    function of ``_BN_SIGNATURES``, those typed, or None when none
+    does.  Loaded on first use, never at import."""
+    for path in _library_paths():
+        try:
+            lib = ctypes.CDLL(path)
+            for name, (restype, argtypes) in _BN_SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.restype, fn.argtypes = restype, argtypes
+        except (OSError, AttributeError):
+            continue
+        return lib
+    return None
+
+
+def _powmod(base: int, exp: int, mod: int) -> int:
+    """base^exp mod *mod*, for base, exp >= 0 and mod >= 1: the integer
+    the builtin ``pow`` returns, computed by libcrypto's ``BN_mod_exp``,
+    or by ``pow`` itself where libcrypto cannot be loaded.  Each call
+    has its own ``BN_CTX`` and clears every BIGNUM it made, as secret
+    factors and exponents pass through.  Raises
+    :class:`NativeArithmeticError` when libcrypto fails an operation."""
+    bn = _libcrypto()
+    if bn is None:
+        return pow(base, exp, mod)
+    ctx = bn.BN_CTX_new()
+    nums = []
+    try:
+        if not ctx:
+            raise NativeArithmeticError("BN_CTX_new returned NULL")
+        for v in (base, exp, mod):
+            raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
+            nums.append(bn.BN_bin2bn(raw, len(raw), None))
+            if not nums[-1]:
+                raise NativeArithmeticError("BN_bin2bn returned NULL")
+        nums.append(bn.BN_new())
+        if not nums[-1]:
+            raise NativeArithmeticError("BN_new returned NULL")
+        a, p, m, r = nums
+        if bn.BN_mod_exp(r, a, p, m, ctx) != 1:
+            raise NativeArithmeticError(
+                f"BN_mod_exp failed for a {mod.bit_length()}-bit modulus")
+        width = (mod.bit_length() + 7) // 8
+        out = ctypes.create_string_buffer(width)
+        if bn.BN_bn2binpad(r, out, width) != width:
+            raise NativeArithmeticError("BN_mod_exp result wider than its modulus")
+        return int.from_bytes(out.raw, "big")
+    finally:
+        for v in nums:
+            bn.BN_clear_free(v)
+        bn.BN_CTX_free(ctx)
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +366,7 @@ def _miller_rabin_rounds(k: int) -> int:
 
 def _strong_probable_prime(n: int, d: int, r: int, a: int) -> bool:
     """One Miller-Rabin round to base *a*, for odd n - 1 = d * 2^r."""
-    x = pow(a, d, n)
+    x = _powmod(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(r - 1):
@@ -336,7 +433,7 @@ class PublicKey:
         r = rng.randrange(1, self.n)
         while math.gcd(r, self.n) != 1:
             r = rng.randrange(1, self.n)
-        return (nude * pow(r, self.n, self.nsquare)) % self.nsquare
+        return (nude * _powmod(r, self.n, self.nsquare)) % self.nsquare
 
     def add_raw(self, c1: int, c2: int) -> int:
         return (c1 * c2) % self.nsquare
@@ -393,15 +490,15 @@ class SecretKey:
             raise Overflow(f"plaintext residue {m} outside [0, n)")
         p, q = self.p, self.q
         pp, qq = p * p, q * q
-        rp = pow(rng.randrange(1, p), p, pp)
-        rq = pow(rng.randrange(1, q), q, qq)
+        rp = _powmod(rng.randrange(1, p), p, pp)
+        rq = _powmod(rng.randrange(1, q), q, qq)
         rho = rp + (rq - rp) * self.p2_inv % qq * pp
         return (1 + m * pk.n) * rho % pk.nsquare
 
     def decrypt_raw(self, c: int) -> int:
         p, q = self.p, self.q
-        mp = (pow(c, p - 1, p * p) - 1) // p * self.hp % p
-        mq = (pow(c, q - 1, q * q) - 1) // q * self.hq % q
+        mp = (_powmod(c, p - 1, p * p) - 1) // p * self.hp % p
+        mq = (_powmod(c, q - 1, q * q) - 1) // q * self.hq % q
         return mp + (mq - mp) * self.p_inv % q * p
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 # BLAS worker threads make timings and the criterion-10 benchmark noisy;
 # the pool size is read once, when numpy loads, so pin it first
@@ -34,6 +35,22 @@ def corpus_files() -> list[Path]:
 def small_he_params() -> HEParams:
     # tiny keys keep the homomorphic identities while making tests fast
     return HEParams(key_bits=128, n_max=6000, v_max=6000.0)
+
+
+@contextmanager
+def libcrypto_at(paths: list[str]):
+    """``crypto._powmod`` with the loader looking for libcrypto only at
+    *paths*; with ``[]`` it runs as on an interpreter without libcrypto.
+    The first call after the block loads the real library again."""
+    from curie import crypto
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto, "_library_paths", lambda: paths)
+        crypto._libcrypto.cache_clear()
+        try:
+            yield
+        finally:
+            crypto._libcrypto.cache_clear()
 
 
 def config_path(name: str) -> Path:

@@ -106,12 +106,15 @@ def test_negative_number_after_operator():
     ("a-1", [(TokenKind.IDENT, "a-1", None)]),
     ("é-é", [(TokenKind.IDENT, "é-é", None)]),
     ("\ud800", [(TokenKind.IDENT, "\ud800", None)]),
-    # a no-break space is a non-ASCII character, so it joins the name
-    ("M1\xa0;", [(TokenKind.IDENT, "M1\xa0", None), (TokenKind.SEMI, ";", None)]),
+    # a no-break space is a blank, so it cannot join the name
+    ("M1\xa0;", ("blank U+00A0 does not separate tokens", 1, 3)),
     ("a--b", ("unexpected character '-'", 1, 2)),
     ("--1", ("unexpected character '-'", 1, 1)),
     ("'x\ny'", ("unterminated string literal", 1, 1)),
     ("!x", ("'!' must be followed by '='", 1, 1)),
+    ("share\u3000:", ("blank U+3000 does not separate tokens", 1, 6)),
+    ("\x85", ("blank U+0085 does not separate tokens", 1, 1)),
+    ("a\x1cb", ("blank U+001C does not separate tokens", 1, 2)),
 ])
 def test_lexical_edge_cases(text, expected):
     if isinstance(expected, tuple):
@@ -122,6 +125,19 @@ def test_lexical_edge_cases(text, expected):
         toks = tokenize(text)
         assert [(t.kind, t.text, t.value) for t in toks[:-1]] == expected
         assert [type(t.value) for t in toks[:-1]] == [type(v) for _, _, v in expected]
+
+
+_NON_ASCII_BLANKS = [c for c in map(chr, range(0x80, 0x110000)) if c.isspace()]
+
+
+@pytest.mark.parametrize("blank", _NON_ASCII_BLANKS, ids=lambda c: f"U+{ord(c):04X}")
+def test_a_non_ascii_blank_is_refused_by_its_code_point(blank):
+    with pytest.raises(LexError) as err:
+        tokenize(f"share : M1{blank}: :: ;")
+    assert (err.value.message, err.value.col) == (
+        f"blank U+{ord(blank):04X} does not separate tokens", 11)
+    # inside a string or a comment it is text like any other
+    assert tokenize(f"'{blank}' #{blank}")[0].value == blank
 
 
 def test_eof_after_a_trailing_newline_starts_the_next_line():

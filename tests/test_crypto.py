@@ -1,10 +1,12 @@
+import ctypes.util
 import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curie import crypto
 from curie.crypto import (
@@ -34,6 +36,7 @@ from curie.crypto import (
 from curie.errors import CurieError
 
 from cipher_matrices import decrypt_matrix, encrypt_matrix
+from conftest import libcrypto_at
 from wire_fuzz import byte_mutations
 
 
@@ -86,6 +89,22 @@ def test_params_validator_rejects_undersized_modulus():
 
 def test_params_validator_accepts_default():
     HEParams().validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_max=st.integers(-10, 10**9), scale_bits=st.integers(0, 64),
+       v_max=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(0.5, 4.0), st.integers(-3, 10**6)))
+@example(n_max=720, scale_bits=20, v_max=1.0)
+@example(n_max=6000, scale_bits=20, v_max=6000.0)
+@example(n_max=5001, scale_bits=40, v_max=1.2e6)
+@example(n_max=3, scale_bits=1, v_max=1.0000000000000002)
+@example(n_max=1, scale_bits=64, v_max=5e-324)
+@example(n_max=10**9, scale_bits=64, v_max=1.7976931348623157e308)
+def test_entry_bound_equals_the_exact_rational_formula(n_max, scale_bits, v_max):
+    v = max(Fraction(v_max), Fraction(1))
+    expected = math.ceil(n_max * v * v * (1 << scale_bits)) + 1
+    assert HEParams(n_max=n_max, scale_bits=scale_bits, v_max=v_max).entry_bound == expected
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +514,90 @@ def test_keygen_skips_factors_sharing_a_divisor_with_phi():
         assert math.gcd(sk.public.n, _lam(sk)) == 1
         m = rand.randrange(sk.public.n)
         assert sk.decrypt_raw(sk.encrypt_raw(m, rand)) == m
+
+
+# ---------------------------------------------------------------------------
+# modular exponentiation
+
+@st.composite
+def _powmod_args(draw):
+    """A modulus of 1 to 4096 bits, odd or even, an exponent of up to 600
+    bits, and a base below the modulus or past it, up to its square, as
+    decryption passes a residue mod n^2 against p^2."""
+    bits = draw(st.integers(1, 4096))
+    mod = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    exp = draw(st.one_of(st.sampled_from([0, 1, 2]),
+                         st.integers(0, (1 << draw(st.integers(1, 600))) - 1)))
+    base = draw(st.one_of(st.sampled_from([0, 1, mod - 1, mod, mod + 1]),
+                          st.integers(0, mod - 1), st.integers(mod, mod * mod)))
+    return base, exp, mod
+
+
+@settings(max_examples=400, deadline=None)
+@given(_powmod_args())
+@example((0, 0, 1))
+@example((5, 3, 1))
+@example((7, 0, 1))
+@example((0, 0, 2))
+@example((9, 0, 10))
+@example((9, 1, 10))
+@example((2, 1000, 1 << 64))
+@example((3 ** 200, 65537, 2 ** 521 - 1))
+def test_powmod_equals_the_builtin_pow(args):
+    assert crypto._powmod(*args) == pow(*args)
+
+
+@pytest.mark.parametrize("paths", [
+    [],                                 # no library found at all
+    ["/nonexistent/libcrypto.so.3"],    # a path that does not load
+    [ctypes.util.find_library("c")],    # a library without BN_mod_exp
+])
+def test_powmod_falls_back_to_pow_when_no_library_loads(paths):
+    n = _keys_of_size(256).public.n
+    with libcrypto_at(paths):
+        assert crypto._libcrypto() is None
+        assert crypto._powmod(n - 2, n, n * n) == pow(n - 2, n, n * n)
+
+
+class _FailingBignums:
+    """A stand-in for libcrypto whose *failing* call fails; it records
+    which BIGNUMs and contexts it handed out and which were freed."""
+
+    def __init__(self, failing):
+        self.failing, self.live, self.handles = failing, set(), iter(range(1, 100))
+
+    def _alloc(self, name):
+        if name == self.failing:
+            return None
+        handle = next(self.handles)
+        self.live.add(handle)
+        return handle
+
+    def BN_CTX_new(self):
+        return self._alloc("BN_CTX_new")
+
+    def BN_new(self):
+        return self._alloc("BN_new")
+
+    def BN_bin2bn(self, raw, size, ret):
+        return self._alloc("BN_bin2bn")
+
+    def BN_mod_exp(self, r, a, p, m, ctx):
+        return 0 if self.failing == "BN_mod_exp" else 1
+
+    def BN_clear_free(self, handle):
+        self.live.discard(handle)
+
+    BN_CTX_free = BN_clear_free
+
+
+@pytest.mark.parametrize("failing", ["BN_CTX_new", "BN_bin2bn", "BN_new", "BN_mod_exp"])
+def test_a_failing_libcrypto_call_raises_and_frees_every_bignum(failing, monkeypatch):
+    fake = _FailingBignums(failing)
+    monkeypatch.setattr(crypto, "_libcrypto", lambda: fake)
+    with pytest.raises(crypto.NativeArithmeticError, match=failing):
+        crypto._powmod(3, 5, 7)
+    assert fake.live == set()
 
 
 def test_public_key_randomizer_is_a_unit_under_tiny_keys():

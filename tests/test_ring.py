@@ -23,7 +23,8 @@ from curie.ring import (
     run_ring_session,
 )
 
-from conftest import CONSORTIA_DIR, config_path, count_crypto_calls, warfarin_schema
+from conftest import CONSORTIA_DIR, config_path, count_crypto_calls, libcrypto_at, \
+    warfarin_schema
 from worked_example import build_contexts
 
 
@@ -481,6 +482,24 @@ def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
     O, V = _fixed_point_sums(stats.values(), params.scale)
     assert np.array_equal(result.O_pool, O) and np.array_equal(result.V_pool, V)
     assert result.n_pool == O[0, 0] == 1200
+
+
+def test_a_session_without_libcrypto_pools_and_sends_the_same_bytes():
+    members = ["P1", "P2", "P3"]
+    encoding, stats = _warfarin_stats(members, rows=400)
+    params = HEParams(key_bits=256, scale_bits=20, n_max=1200, v_max=1.0)
+
+    def session():
+        return run_ring_session(members, "P1", stats, encoding, params,
+                                random.Random(5))
+
+    native = session()
+    with libcrypto_at([]):
+        assert crypto._libcrypto() is None
+        fallback = session()
+    assert np.array_equal(fallback.O_pool, native.O_pool)
+    assert np.array_equal(fallback.V_pool, native.V_pool)
+    assert list(fallback.transcript.log) == list(native.transcript.log)
 
 
 def _break_cross_term(O):
