@@ -8,9 +8,11 @@ this).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
 from curie.cpl.tokens import Span
 
@@ -169,30 +171,46 @@ Statement = Union[Attribute, Clause]
 
 @dataclass(frozen=True)
 class PolicyAst:
-    """A parsed policy document, statement order preserved."""
+    """A parsed policy document, statement order preserved.
+
+    Its views (the share and acquire clauses, the tagged sub-clauses,
+    the attributes and the read-only map of attributes by name) are
+    derived once, when the policy is made, and take no part in equality,
+    hashing or repr.  Negotiation reads them for every pair.
+    """
 
     statements: tuple[Statement, ...]
+    clauses: tuple[Clause, ...] = field(init=False, compare=False, repr=False)
+    sub_clauses: tuple[tuple[str, Clause], ...] = field(
+        init=False, compare=False, repr=False)
+    attributes: tuple[Attribute, ...] = field(init=False, compare=False, repr=False)
+    _attribute_map: dict[str, tuple[Value, ...]] = field(
+        init=False, compare=False, repr=False)
 
-    @property
-    def attributes(self) -> tuple[Attribute, ...]:
-        return tuple(s for s in self.statements if isinstance(s, Attribute))
-
-    @property
-    def clauses(self) -> tuple[Clause, ...]:
-        return tuple(
+    def __post_init__(self) -> None:
+        attributes = tuple(s for s in self.statements if isinstance(s, Attribute))
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "clauses", tuple(
             s for s in self.statements
-            if isinstance(s, Clause) and s.kind is not ClauseKind.SUB
-        )
-
-    @property
-    def sub_clauses(self) -> tuple[tuple[str, Clause], ...]:
-        return tuple(
+            if isinstance(s, Clause) and s.kind is not ClauseKind.SUB))
+        object.__setattr__(self, "sub_clauses", tuple(
             (s.tag, s) for s in self.statements
-            if isinstance(s, Clause) and s.kind is ClauseKind.SUB
-        )
+            if isinstance(s, Clause) and s.kind is ClauseKind.SUB))
+        object.__setattr__(self, "_attribute_map",
+                           {a.name: a.values for a in attributes})
 
-    def attribute_map(self) -> dict[str, tuple[Value, ...]]:
-        return {a.name: a.values for a in self.attributes}
+    def attribute_map(self) -> Mapping[str, tuple[Value, ...]]:
+        """The attributes by name, a later declaration of a name winning,
+        as a read-only view: every holder of this policy shares the map."""
+        return MappingProxyType(self._attribute_map)
+
+    @functools.cached_property
+    def canonical_text(self) -> str:
+        """The policy as :func:`curie.cpl.serializer.serialize` renders
+        it, rendered once: every request a member sends carries it."""
+        from curie.cpl.serializer import serialize
+
+        return serialize(self)
 
 
 class Severity(Enum):

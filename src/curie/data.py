@@ -202,8 +202,9 @@ class Dataset:
     def _derived(cls, schema: Schema, columns: dict[str, np.ndarray],
                  provenance: str | None) -> "Dataset":
         """A dataset over *columns*, new read-only arrays of one length,
-        each computed from a checked column of the same stored dtype as
-        *schema* stores it; its cells are not checked again."""
+        each of the dtype *schema* stores its column in and computed
+        from a checked column, or drawn by :func:`synth_members` from
+        checked levels and ranges; its cells are not checked again."""
         ds = object.__new__(cls)
         object.__setattr__(ds, "schema", schema)
         object.__setattr__(ds, "columns", columns)
@@ -543,6 +544,7 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
     for p, ss in zip(profiles, master.spawn(len(profiles))):
         rng = np.random.default_rng(ss)
         cols: dict[str, np.ndarray] = {}
+        drawn: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}  # levels, indices
         for c in schema.feature_columns:
             if c.ctype.is_numeric:
                 lo, hi = p.numeric_ranges.get(
@@ -559,18 +561,25 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
                     probs = np.asarray(list(mix.values()))
                     probs = probs / probs.sum()
                 # drawing indices takes the same draws as drawing levels
-                cols[c.name] = np.array(levels, dtype=object)[
-                    rng.choice(len(levels), size=p.n, p=probs)]
+                indices = rng.choice(len(levels), size=p.n, p=probs)
+                drawn[c.name] = levels, indices
+                cols[c.name] = np.array(levels, dtype=object)[indices]
             else:
                 cols[c.name] = rng.random(p.n) < p.boolean_probs.get(c.name, 0.5)
+            _frozen(cols[c.name])
 
-        cols[schema.target] = np.zeros(p.n)
-        features = Dataset(schema, cols)
-        X = enc.encode(features)
+        # every column is drawn in the dtype its kind is stored in, from
+        # the profile's levels and ranges, which load_config has checked
+        cols[schema.target] = _frozen(np.zeros(p.n))
+        X = enc.encode(Dataset._derived(schema, cols, p.member_id))
         # each row's coefficients: the base vector, or its level's override
+        # (a level the member's mix leaves out has no row to override)
         E = np.tile(np.asarray(p.coefficients, dtype=float), (p.n, 1))
-        for level, eta in p.level_coefficients.items():
-            E[cols[p.level_column] == level] = eta
+        if p.level_coefficients:
+            levels, indices = drawn[p.level_column]
+            for level, eta in p.level_coefficients.items():
+                if level in levels:
+                    E[indices == levels.index(level)] = eta
         y = np.zeros(p.n)
         for j in range(enc.width):
             y += X[:, j] * E[:, j]
@@ -578,8 +587,7 @@ def synth_members(seed: int, schema: Schema, profiles: Sequence[SynthProfile]
             y += rng.normal(0.0, p.noise_sigma, p.n)
         # the doses are float64, as the checked real column would hold them
         datasets.append(Dataset._derived(schema, {
-            **features.columns, schema.target: _frozen(np.maximum(y, p.min_dose))},
-            p.member_id))
+            **cols, schema.target: _frozen(np.maximum(y, p.min_dose))}, p.member_id))
     return datasets
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from curie.cpl import ast
 from curie.cpl.parser import parse_policy
-from curie.cpl.serializer import format_conditional, serialize
+from curie.cpl.serializer import format_conditional
 from curie.data import (Dataset, RowFilter, SchemaMismatch, apply_selections,
                         check_shared_schema)
 from curie.ddstats import BlindedColumn, blind_column, evaluate_blinded
@@ -359,7 +359,7 @@ class AcquireRequest:
     def to_payload(self) -> bytes:
         return json.dumps({
             "requester": self.requester.to_json(),
-            "policy": serialize(self.policy),
+            "policy": self.policy.canonical_text,
             "blinded": {c: b.to_payload() for c, b in sorted(self.blinded.items())},
         }, sort_keys=True).encode()
 

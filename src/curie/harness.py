@@ -432,8 +432,21 @@ class Scenario:
     held_out: list[tuple[str, int]]        # (member, rows) of validation's parts, in order
 
 
+def _load_policy(path: Path, where: str) -> cpl.PolicyAst:
+    """The policy in the file at *path*, parsed and validated; an error
+    diagnostic is a :class:`ConfigError` at *where*."""
+    policy = cpl.parse_policy(read_text(path, where))
+    errors = [d for d in cpl.validate(policy) if d.severity is cpl.Severity.ERROR]
+    if errors:
+        raise ConfigError(where, "; ".join(d.format(str(path)) for d in errors))
+    return policy
+
+
 def build_scenario(cfg: ConsortiumConfig) -> Scenario:
-    """Materialize datasets and validated policies for a config."""
+    """Materialize datasets and validated policies for a config.  Each
+    distinct policy file is read, parsed and validated once, and the
+    members that name it share its (immutable) policy; an invalid file
+    is refused at the first member that names it."""
     synth_profiles = [m.synth for m in cfg.members if m.synth is not None]
     synth_data: dict[str, Dataset] = {}
     if synth_profiles:
@@ -441,16 +454,15 @@ def build_scenario(cfg: ConsortiumConfig) -> Scenario:
                                   synth_profiles)
         synth_data = {ds.provenance: ds for ds in generated}
 
+    policies: dict[Path, cpl.PolicyAst] = {}
     contexts: list[MemberContext] = []
     held_out: list[Dataset] = []
     for spec in cfg.members:
         where = f"members.{spec.member_id}"
-        policy = cpl.parse_policy(read_text(spec.policy_path, f"{where}.policy"))
-        diags = cpl.validate(policy)
-        errors = [d for d in diags if d.severity is cpl.Severity.ERROR]
-        if errors:
-            listing = "; ".join(d.format(str(spec.policy_path)) for d in errors)
-            raise ConfigError(f"{where}.policy", listing)
+        policy = policies.get(spec.policy_path)
+        if policy is None:
+            policy = policies[spec.policy_path] = _load_policy(
+                spec.policy_path, f"{where}.policy")
 
         if spec.dataset_path is not None:
             csv_text = read_text(spec.dataset_path, f"{where}.dataset", newline="")

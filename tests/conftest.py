@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 from contextlib import contextmanager
 
@@ -17,7 +18,7 @@ from pathlib import Path  # noqa: E402
 import pytest  # noqa: E402
 
 from curie.crypto import HEParams  # noqa: E402
-from curie.data import Column, ColumnType, Schema  # noqa: E402
+from curie.data import Column, ColumnType, Dataset, Schema  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO / "corpus"
@@ -89,3 +90,21 @@ def warfarin_schema() -> Schema:
         Column("amiodarone", ColumnType("boolean")),
         Column("dose", ColumnType("real", bounds=(0.0, 90.0))),
     ), target="dose")
+
+
+def dataset_digest(ds: Dataset) -> str:
+    """SHA-256 over the provenance, then each column in schema order: its
+    name, then its dtype and its cells (raw, or for a categorical column
+    each level's text), each length-prefixed.  One digest pins every
+    column of one member."""
+    h = hashlib.sha256(f"{ds.provenance}".encode())
+    for c in ds.schema.columns:
+        values = ds.columns[c.name]
+        if values.dtype == object:
+            cells = b"".join(len(v.encode()).to_bytes(4, "big") + v.encode() for v in values)
+        else:
+            cells = values.tobytes()
+        body = values.dtype.str.encode() + b"\0" + cells
+        h.update(len(c.name).to_bytes(4, "big") + c.name.encode())
+        h.update(len(body).to_bytes(8, "big") + body)
+    return h.hexdigest()

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from curie.cpl import LexError, ParseError, PolicyAst, parse_policy, serialize
 from curie.cpl import ast as A
 
+from conftest import CONSORTIA_DIR
 from grammar_coverage import REQUIRED_PRODUCTIONS, productions_used
 
 
@@ -34,6 +35,35 @@ def test_empty_members_and_conditionals_serialize_and_reparse():
 def test_attribute_value_list_roundtrip():
     policy = parse_policy('x := <"a", "b"> ;')
     assert parse_policy(serialize(policy)) == policy
+
+
+def _fresh_views(policy: PolicyAst) -> tuple:
+    """The clause views and attribute map of *policy*, derived anew from
+    its statements."""
+    stmts = policy.statements
+    clauses = tuple(s for s in stmts if isinstance(s, A.Clause)
+                    and s.kind is not A.ClauseKind.SUB)
+    subs = tuple((s.tag, s) for s in stmts if isinstance(s, A.Clause)
+                 and s.kind is A.ClauseKind.SUB)
+    attributes = tuple(s for s in stmts if isinstance(s, A.Attribute))
+    return clauses, subs, attributes, {a.name: a.values for a in attributes}
+
+
+def test_stored_views_match_their_statements(corpus_files):
+    # the views are derived once per parsed policy; they must be the
+    # views its statements give, and leave equality, hash and repr to
+    # the statements alone
+    shipped = sorted(CONSORTIA_DIR.glob("*/*.cpl"))
+    assert shipped
+    for path in [*corpus_files, *shipped]:
+        text = path.read_text()
+        policy, again = parse_policy(text), parse_policy(text)
+        assert (policy.clauses, policy.sub_clauses, policy.attributes,
+                dict(policy.attribute_map())) == _fresh_views(policy), path.name
+        assert policy == again and hash(policy) == hash(again), path.name
+        assert repr(policy) == f"PolicyAst(statements={policy.statements!r})"
+        assert policy.canonical_text == serialize(policy)
+        assert policy.canonical_text is policy.canonical_text
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +125,13 @@ _policy = st.builds(
 @given(_policy)
 def test_serializer_output_always_reparses_to_equal_ast(policy):
     assert parse_policy(serialize(policy)) == policy
+
+
+@settings(max_examples=100, deadline=None)
+@given(_policy)
+def test_stored_views_match_their_statements_on_generated_policies(policy):
+    assert (policy.clauses, policy.sub_clauses, policy.attributes,
+            dict(policy.attribute_map())) == _fresh_views(policy)
 
 
 # ---------------------------------------------------------------------------

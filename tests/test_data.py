@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -24,11 +25,12 @@ from curie.data import (
     normalize_value,
     normalized_schema,
     synth_members,
+    synth_numeric_members,
     to_design_matrix,
 )
 from curie.errors import PolicyTypeError
 
-from conftest import warfarin_schema
+from conftest import dataset_digest, warfarin_schema
 
 WARFARIN_CSV = """age,height,weight,vkorc1,cyp2c9,race,inducer,amiodarone,dose
 63,170.5,80.2,A/A,*1/*1,White,no,no,31.5
@@ -600,6 +602,54 @@ def test_synthetic_doses_match_the_row_loop_bit_for_bit(sigma, overrides):
         assert ds.columns["dose"].tobytes() == doses.tobytes()
     if overrides:
         assert any((ds.columns["dose"] == 20.0).any() for ds in datasets)
+
+
+def _digest(datasets) -> str:
+    return hashlib.sha256("".join(map(dataset_digest, datasets)).encode()).hexdigest()
+
+
+def _race_profile(mix, level_column):
+    """A warfarin profile drawing race from *mix*; with *level_column*,
+    White and Asian rows take their own coefficients."""
+    width = DesignEncoding(warfarin_schema()).width
+    overrides = {"White": (40.0,) + (-1.0,) * (width - 1),
+                 "Asian": (10.0,) + (0.5,) * (width - 1)} if level_column else {}
+    return SynthProfile(
+        member_id="M", n=300,
+        numeric_ranges={"age": (20, 90), "height": (150.0, 195.0), "weight": (45.0, 130.0)},
+        categorical_mixes={"race": mix},
+        coefficients=tuple([30.0, -0.1, 0.01, 0.08] + [2.0] * (width - 4)),
+        level_column=level_column, level_coefficients=overrides, noise_sigma=2.0)
+
+
+# digests recorded before synthesis reused its drawn level indices and
+# stopped re-checking the columns it draws
+@pytest.mark.parametrize("mix, level_column, digest", [
+    pytest.param({"Asian": 0.5, "Black": 0.5}, "race",
+                 "22be4878a36b2864a86e391e65c282e961c3727219ecebffe6bf5b352f3dbe45",
+                 id="override-level-absent-from-mix"),
+    pytest.param({"White": 0.6, "Asian": 0.3, "Black": 0.1}, "race",
+                 "e33b158df20fc86b0ed62589ea70d050fbc011df8ef1e931c89d09c4b3cf947c",
+                 id="mix-out-of-schema-order"),
+    pytest.param({"Asian": 0.2, "Black": 0.3, "White": 0.5}, None,
+                 "707a28d4f7a509a8eee6e9991187db10622ac7bfadf21ce5a3935a0f96d7977e",
+                 id="no-level-column"),
+])
+def test_synthetic_members_are_pinned(mix, level_column, digest):
+    profile = _race_profile(mix, level_column)
+    schema = warfarin_schema()
+    datasets = synth_members(29, schema, [profile])
+    assert _digest(datasets) == digest
+    (ds,) = datasets
+    assert set(ds.columns["race"]) == set(mix)
+    expected = _row_loop_doses(29, schema, [profile], datasets)[0]
+    assert ds.columns["dose"].tobytes() == expected.tobytes()
+
+
+def test_synthetic_numeric_members_are_pinned():
+    _, datasets, _ = synth_numeric_members(31, 3, 4, [50, 60, 70])
+    assert _digest(datasets) == \
+        "19208c341aec323f9fd85a2a365dd7bd36afc154b42f5d681a780a0a6dd6d978"
 
 
 # ---------------------------------------------------------------------------

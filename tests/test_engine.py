@@ -360,6 +360,22 @@ def test_acquire_request_wire_roundtrip():
     assert direct.provenance == via_wire.provenance
 
 
+def test_a_policys_shared_attribute_map_is_read_only():
+    # every member holding one parsed policy reads one attribute map, so
+    # what attribute_map() hands out must not let a caller change it
+    contexts = build_contexts()
+    before = negotiate_consortium(contexts, random.Random(3))
+    m2 = contexts[1]
+    assert dict(m2.policy.attribute_map())["natoeu"]
+    with pytest.raises(TypeError):
+        m2.policy.attribute_map()["natoeu"] = (Value("FR", quoted=True),)
+    with pytest.raises(TypeError):
+        del m2.policy.attribute_map()["natoeu"]
+    after = negotiate_consortium(contexts, random.Random(3))
+    assert [a.to_json() for a in after[0]] == [a.to_json() for a in before[0]]
+    assert [m.payload for m in after[1]] == [m.payload for m in before[1]]
+
+
 def test_profiles_list_evaluated_columns_and_requests_blind_only_those():
     # profiles list only what share clauses evaluate; a request adds the
     # columns its own acquire clauses naming the owner evaluate

@@ -252,6 +252,9 @@ def _synth(*path_and_value):
          "level_column"),
         ("range decreasing", "default_dp", _synth("numeric_ranges", "age", [80, 20]),
          "numeric_ranges.age"),
+        ("mix level unknown", "default_dp",
+         _synth("categorical_mixes", "race", {"Asian": 0.5, "Martian": 0.5}),
+         "categorical_mixes.race.Martian"),
         ("mix weight negative", "default_dp",
          _synth("categorical_mixes", "race", {"Asian": -0.5, "Black": 1.5}),
          "categorical_mixes.race.Asian"),
@@ -606,6 +609,46 @@ def test_a_negotiation_builds_each_member_profile_once(monkeypatch):
     cfg = load_config(config_path("p5_global"))
     run_scenario(cfg, MODE_NEGOTIATE)
     assert len(builds) == len(cfg.members) == 10
+
+
+@pytest.mark.parametrize("name, parses", [
+    ("p5_global", 1), ("example3", 3), ("default_dp", 1)])
+def test_a_build_parses_each_policy_file_once(monkeypatch, name, parses):
+    # members that name one file share its one parsed policy; a second
+    # build reads and parses the files again, as nothing is kept between
+    # builds
+    from curie import cpl
+
+    texts = []
+    parse = cpl.parse_policy
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cpl, "parse_policy", counted)
+    cfg = load_config(config_path(name))
+    scenario = build_scenario(cfg)
+    assert len(texts) == parses
+    shared: dict = {}
+    for spec, ctx in zip(cfg.members, scenario.contexts):
+        assert shared.setdefault(spec.policy_path, ctx.policy) is ctx.policy
+    assert len(shared) == parses
+    build_scenario(cfg)
+    assert len(texts) == 2 * parses
+
+
+def test_an_invalid_shared_policy_file_is_refused_at_its_first_member(tmp_path):
+    # default_dp's four members all name global.cpl
+    target = _write_config(tmp_path, "default_dp", lambda raw: raw)
+    policy = target.parent / "global.cpl"
+    policy.write_text("acquire : : :: ;\nshare : : :: nowhere ;\n")
+    with pytest.raises(ConfigError) as err:
+        build_scenario(load_config(target))
+    assert str(err.value) == (
+        f"members.D1.policy: {policy}:2:14: error[E001]: "
+        "selections reference undeclared sub-clause 'nowhere'")
+    assert err.value.field_path == "members.D1.policy"
 
 
 def test_single_source_scenario_has_no_pooled_model():
