@@ -18,16 +18,19 @@ from curie import cpl, harness
 from curie.errors import CurieError
 
 
-def _read_policy(path: str) -> str:
-    return harness.read_text(Path(path), path)
+def _read_policy(path: str) -> cpl.PolicyAst | None:
+    """The policy parsed from the file at *path*, or None after
+    printing its lex or parse error."""
+    try:
+        return cpl.parse_policy(harness.read_text(Path(path), path))
+    except (cpl.ParseError, cpl.LexError) as exc:
+        print(f"{path}:{exc}", file=sys.stderr)
+        return None
 
 
 def cmd_parse(args) -> int:
-    try:
-        text = _read_policy(args.file)
-        policy = cpl.parse_policy(text)
-    except (cpl.ParseError, cpl.LexError) as exc:
-        print(f"{args.file}:{exc}", file=sys.stderr)
+    policy = _read_policy(args.file)
+    if policy is None:
         return 1
     if args.json:
         stmts = [{"kind": type(s).__name__} for s in policy.statements]
@@ -39,11 +42,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    try:
-        text = _read_policy(args.file)
-        policy = cpl.parse_policy(text)
-    except (cpl.ParseError, cpl.LexError) as exc:
-        print(f"{args.file}:{exc}", file=sys.stderr)
+    policy = _read_policy(args.file)
+    if policy is None:
         return 1
     diags = cpl.validate(policy)
     for d in diags:

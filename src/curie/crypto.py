@@ -565,11 +565,6 @@ class SlotLayout:
         object.__setattr__(self, "spans", tuple(zip(starts, [*starts[1:], len(widths)])))
 
     @property
-    def per_plaintext(self) -> int:
-        """How many slots of the widest entry's width a plaintext holds."""
-        return self.capacity // max(self.widths)
-
-    @property
     def plaintexts(self) -> int:
         return len(self.spans)
 

@@ -20,7 +20,8 @@ a secret positive factor, which leaves both cosine similarity and
 Pearson correlation unchanged.  No raw value travels in clear text, but
 the owner can recover the requester's column: the salt travels with the
 request, so hashes over a bounded domain invert by trying every value,
-and the scaled vector de-scales (ROADMAP item 4).
+and the scaled vector de-scales (see the ROADMAP item "Make
+data-dependent conditionals private").
 """
 
 from __future__ import annotations

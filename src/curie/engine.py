@@ -510,16 +510,6 @@ def _exchange(requester: MemberContext, owner: MemberContext,
     return agreement
 
 
-def negotiate_pair(requester: MemberContext, owner: MemberContext,
-                   rng: random.Random) -> Agreement:
-    """Negotiate one directed pair (requester acquires from owner), as
-    :func:`negotiate_consortium` does for each pair it runs."""
-    report = check_shared_schema(requester.dataset.schema, owner.dataset.schema)
-    if report:
-        raise SchemaMismatch("; ".join(report))
-    return _exchange(requester, owner, rng, MessageLog())
-
-
 def _names_counterparty(policy: ast.PolicyAst, owner_id: str) -> bool:
     return any(c.kind is ast.ClauseKind.ACQUIRE and _covers(c, owner_id)
                for c in policy.clauses)

@@ -538,10 +538,6 @@ class ScenarioReport:
             out["timings"] = dict(self.timings)
         return out
 
-    def dumps(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json(include_timings), sort_keys=True,
-                          separators=(",", ":"))
-
 
 def _local_clinical(scenario: Scenario, validation: EncodedRows | None,
                     stats: LocalStats | None) -> ClinicalReport | None:

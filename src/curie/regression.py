@@ -94,21 +94,19 @@ def solve_ols(O: np.ndarray, V: np.ndarray,
     return eta
 
 
-def solve_ols_pruned(O: np.ndarray, V: np.ndarray,
-                     condition_limit: float = DEFAULT_CONDITION_LIMIT,
-                     ) -> np.ndarray:
-    """Like :func:`solve_ols`, but tolerant of structurally-empty design
-    columns (a one-hot level or boolean no released row carries): those
-    columns have a zero O diagonal, are dropped from the solve, and get
-    zero coefficients; they never activate for rows the model can
-    legitimately score."""
+def solve_ols_pruned(O: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Like :func:`solve_ols` at its default condition limit, but
+    tolerant of structurally-empty design columns (a one-hot level or
+    boolean no released row carries): those columns have a zero O
+    diagonal, are dropped from the solve, and get zero coefficients;
+    they never activate for rows the model can legitimately score."""
     O = np.asarray(O, dtype=float)
     V = np.asarray(V, dtype=float).reshape(-1)
     diag = np.diag(O)
     scale = max(float(diag.max(initial=0.0)), 1.0)
     keep = np.where(diag > 1e-12 * scale)[0]
     eta = np.zeros(len(diag))
-    eta[keep] = solve_ols(O[np.ix_(keep, keep)], V[keep], condition_limit)
+    eta[keep] = solve_ols(O[np.ix_(keep, keep)], V[keep])
     return eta
 
 

@@ -265,7 +265,8 @@ class _RingMember:
     def on_accumulate(self, payload: bytes) -> bytes:
         if self.pk is None:
             raise ProtocolError(f"{self.member_id}: key not yet received")
-        incoming = _ring_payload(payload, self.pk, self.layout.plaintexts)
+        with phase("evaluate"):
+            incoming = _ring_payload(payload, self.pk, self.layout.plaintexts)
         with phase("encrypt"):
             # members within the pooled bound could still sum past a
             # slot, so each is held to the share its own rows allow; as
@@ -278,8 +279,7 @@ class _RingMember:
             packed = self.layout.pack(self.entries)
             mine = crypto.encrypt_encoded_matrix(self.pk, packed, self.rng)
         with phase("evaluate"):
-            summed = crypto.add_cipher(incoming, mine)
-        return crypto.serialize_cipher_matrix(summed)
+            return crypto.serialize_cipher_matrix(crypto.add_cipher(incoming, mine))
 
 
 def run_ring_session(ring: list[str], initiator: str,
@@ -311,41 +311,45 @@ def run_ring_session(ring: list[str], initiator: str,
     given = [stats[mid] for mid in order if stats[mid] is not None]
     if not given:
         raise EmptyRelease("no member has anything to contribute")
-    plan = CellPlan.for_encoding(encoding)
-    if any(s.m != plan.m for s in given):
-        raise ProtocolError(f"members' statistics are not {plan.m} design "
-                            f"columns wide")
-    rows = sum(s.n for s in given)
-    if rows > params.n_max:
-        raise OverflowAbort(f"{rows} pooled rows exceed the session bound "
-                            f"n_max {params.n_max}")
+    # the phases name all of a session's work: "encrypt" also times the
+    # plan, the members' checks, the slot layouts and the key broadcast,
+    # "evaluate" the hops' parsing and "decrypt" the unpacking and decoding
+    with phase("encrypt"):
+        plan = CellPlan.for_encoding(encoding)
+        if any(s.m != plan.m for s in given):
+            raise ProtocolError(f"members' statistics are not {plan.m} design "
+                                f"columns wide")
+        rows = sum(s.n for s in given)
+        if rows > params.n_max:
+            raise OverflowAbort(f"{rows} pooled rows exceed the session bound "
+                                f"n_max {params.n_max}")
 
-    # every member checks its statistics before anything is encrypted
-    own = plan.encode(stats[initiator], params.scale, initiator)
-    members = {
-        mid: _RingMember(mid, stats[mid], plan, params, rng)
-        for mid in order[1:]
-    }
+        # every member checks its statistics before anything is encrypted
+        own = plan.encode(stats[initiator], params.scale, initiator)
+        members = {
+            mid: _RingMember(mid, stats[mid], plan, params, rng)
+            for mid in order[1:]
+        }
 
     with phase("keygen"):
         keys = crypto.keygen(params, keygen_rng or rng)
     pk, sk = keys.public, keys.secret
 
-    layout = plan.layout(params, pk)
-    width = layout.plaintexts
-
-    key_payload = crypto.serialize_public_key(pk)
-    for mid in order[1:]:
-        members[mid].on_public_key(log.send(initiator, mid, PHASE_PUBLIC_KEY,
-                                            key_payload).payload)
-
-    # one uniform residue mask per packed plaintext; subtracted mod n at
-    # the end, so the pooled output is independent of the draw
-    mask = [rng.randrange(pk.n) for _ in range(width)]
     with phase("encrypt"):
-        acc = crypto.encrypt_residue_matrix(sk, mask, rng)
+        layout = plan.layout(params, pk)
+        width = layout.plaintexts
 
-    payload = crypto.serialize_cipher_matrix(acc)
+        key_payload = crypto.serialize_public_key(pk)
+        for mid in order[1:]:
+            members[mid].on_public_key(log.send(initiator, mid, PHASE_PUBLIC_KEY,
+                                                key_payload).payload)
+
+        # one uniform residue mask per packed plaintext; subtracted mod n
+        # at the end, so the pooled output is independent of the draw
+        mask = [rng.randrange(pk.n) for _ in range(width)]
+        acc = crypto.encrypt_residue_matrix(sk, mask, rng)
+        payload = crypto.serialize_cipher_matrix(acc)
+
     hops = order[1:] + [initiator]
     sender = initiator
     for receiver in hops:
@@ -356,13 +360,12 @@ def run_ring_session(ring: list[str], initiator: str,
 
     with phase("decrypt"):
         residues = crypto.decrypt_residue_matrix(sk, _ring_payload(payload, pk, width))
-
-    try:
-        sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
-                              for r, mk in zip(residues, mask)])
-    except crypto.Overflow as exc:
-        raise OverflowAbort(f"pooled statistics: {exc}") from exc
-    O_pool, V_pool = plan.decode([s + o for s, o in zip(sums, own)], params.scale)
+        try:
+            sums = layout.unpack([pk.to_signed((r - mk) % pk.n)
+                                  for r, mk in zip(residues, mask)])
+        except crypto.Overflow as exc:
+            raise OverflowAbort(f"pooled statistics: {exc}") from exc
+        O_pool, V_pool = plan.decode([s + o for s, o in zip(sums, own)], params.scale)
     transcript = Transcript(initiator, tuple(order), log, layout, plan)
     return RingResult(O_pool, V_pool, int(O_pool[0, 0]), transcript)
 
@@ -434,8 +437,8 @@ def audit_transcript(transcript: Transcript, corrupted: set[str],
         if pk is not None:
             targets: dict[int, set[str]] = {}    # residue -> its holders
             for member, stats in reference_stats.items():
-                entries = [crypto.encode_fixed(float(e), scale) for e in
-                           [*np.asarray(stats.O).flat, *np.asarray(stats.V).flat]]
+                entries = (crypto.encode_matrix(stats.O, scale)
+                           + crypto.encode_matrix(stats.V, scale))
                 try:
                     sent = transcript.plan.encode(stats, scale, member)
                     entries += sent + transcript.layout.pack(sent)

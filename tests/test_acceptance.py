@@ -25,7 +25,8 @@ from curie.data import (
     to_design_matrix,
 )
 from curie.ddstats import compute_statistic
-from curie.engine import MemberContext, negotiate_consortium, negotiate_pair
+from curie.engine import (MemberContext, answer_request, build_request,
+                          negotiate_consortium)
 from curie.harness import MODE_FULL_DP, bench, load_config, run_scenario
 from curie.regression import solve_ols, solve_ols_pruned
 from curie.ring import audit_transcript, local_stats, member_rows, run_ring_session
@@ -195,7 +196,8 @@ def test_criterion_2_negotiation_fidelity():
     by_id = {"M1": m1, "M2": m2, "M3": m3}
     checked = 0
     for (req, own), expect in EXPECTED_DEFAULT.items():
-        got = negotiate_pair(by_id[req], by_id[own], rng=random.Random(2))
+        got = answer_request(by_id[own], build_request(by_id[req], by_id[own].profile,
+                                                       random.Random(2)))
         assert got.status == expect["status"], (req, own)
         assert filter_triples(got) == expect["filters"], (req, own)
         oracle = _oracle_agreement(by_id[req], by_id[own])
@@ -206,7 +208,7 @@ def test_criterion_2_negotiation_fidelity():
 
     # fine-select branch flip: c3 false routes to s3
     m1e, m2e, m3e = build_contexts(m1_continent="Europe")
-    got = negotiate_pair(m1e, m2e, rng=random.Random(2))
+    got = answer_request(m2e, build_request(m1e, m2e.profile, random.Random(2)))
     expect = EXPECTED_M1_EUROPE[("M1", "M2")]
     assert filter_triples(got) == expect["filters"]
     assert got.status == expect["status"]
@@ -216,7 +218,7 @@ def test_criterion_2_negotiation_fidelity():
 
     # intersection-size failure routes to the fallback share clause
     m1l, m2l, m3l = build_contexts(genotype_overlap="large")
-    got = negotiate_pair(m1l, m3l, rng=random.Random(2))
+    got = answer_request(m3l, build_request(m1l, m3l.profile, random.Random(2)))
     expect = EXPECTED_LARGE_OVERLAP[("M1", "M3")]
     assert filter_triples(got) == expect["filters"]
     assert got.provenance[0] == expect["provenance_owner_clause"]

@@ -8,10 +8,13 @@ requests are encoded or cohorts are drawn must leave both unchanged.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from curie import harness
+from curie.engine import EMPTY, AcquireRequest, Agreement, answer_request
+from curie.errors import CurieError
 
 from conftest import CONSORTIA_DIR, config_path, dataset_digest
 
@@ -27,16 +30,18 @@ def log_digest(log) -> str:
     return h.hexdigest()
 
 
-def negotiated(monkeypatch, name: str) -> tuple[str, dict[str, str]]:
-    """The negotiation log digest of consortium *name* at its config
-    seed, and the digest of each member its synthesis draws."""
+def captured(monkeypatch, name: str) -> dict:
+    """What the negotiate run of consortium *name* at its config seed
+    negotiates and synthesizes: its member ``contexts``, its
+    ``agreements`` and negotiation ``log``, and its ``synth`` members."""
     monkeypatch.delenv("CURIE_SEED", raising=False)
     seen: dict = {}
     negotiate, synth = harness.negotiate_consortium, harness.synth_members
 
-    def negotiate_consortium(*args, **kwargs):
-        agreements, seen["log"] = negotiate(*args, **kwargs)
-        return agreements, seen["log"]
+    def negotiate_consortium(contexts, *args, **kwargs):
+        seen["contexts"] = contexts
+        seen["agreements"], seen["log"] = negotiate(contexts, *args, **kwargs)
+        return seen["agreements"], seen["log"]
 
     def synth_members(*args, **kwargs):
         seen["synth"] = synth(*args, **kwargs)
@@ -45,6 +50,13 @@ def negotiated(monkeypatch, name: str) -> tuple[str, dict[str, str]]:
     monkeypatch.setattr(harness, "negotiate_consortium", negotiate_consortium)
     monkeypatch.setattr(harness, "synth_members", synth_members)
     harness.run_scenario(harness.load_config(config_path(name)), harness.MODE_NEGOTIATE)
+    return seen
+
+
+def negotiated(monkeypatch, name: str) -> tuple[str, dict[str, str]]:
+    """The negotiation log digest of consortium *name* at its config
+    seed, and the digest of each member its synthesis draws."""
+    seen = captured(monkeypatch, name)
     return (log_digest(seen["log"]),
             {ds.provenance: dataset_digest(ds) for ds in seen.get("synth", [])})
 
@@ -166,3 +178,29 @@ def test_negotiation_bytes_and_synthesized_columns_are_pinned(monkeypatch, name)
     log, members = negotiated(monkeypatch, name)
     assert log == NEGOTIATION_LOGS[name]
     assert members == SYNTH_MEMBERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(NEGOTIATION_LOGS))
+def test_negotiation_replays_from_its_logged_bytes(monkeypatch, name):
+    # each logged request parses and re-encodes to its own bytes, and the
+    # owner's answer to the parsed request, a CurieError taken as an
+    # empty "negotiation error" agreement as a consortium run takes it,
+    # serializes to exactly the logged answer
+    seen = captured(monkeypatch, name)
+    owners = {ctx.member_id: ctx for ctx in seen["contexts"]}
+    messages, agreements = list(seen["log"]), seen["agreements"]
+    assert len(messages) == 2 * len(agreements)
+    for sent, answered, agreement in zip(messages[::2], messages[1::2], agreements):
+        assert (sent.kind, answered.kind) == ("acquire_request", "negotiation_output")
+        assert (sent.sender, sent.receiver) == (answered.receiver, answered.sender)
+        request = AcquireRequest.from_payload(sent.payload)
+        assert request.to_payload() == sent.payload
+        assert request.requester.member_id == sent.sender
+        owner = owners[sent.receiver]
+        try:
+            answer = answer_request(owner, request)
+        except CurieError as exc:
+            answer = Agreement(owner.member_id, sent.sender, EMPTY,
+                               reason=f"negotiation error: {exc}")
+        assert json.dumps(answer.to_json(), sort_keys=True).encode() == answered.payload
+        assert answer == agreement

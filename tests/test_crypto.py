@@ -621,9 +621,12 @@ def test_secret_factors_stay_out_of_repr(keys):
 # slot packing
 
 def _layout(params, bits):
-    """Layouts for the smallest and the largest modulus of *bits* bits."""
-    return {SlotLayout((params.entry_bound,), PublicKey(n).max_int.bit_length())
-            .per_plaintext for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1)}
+    """How many slots the first plaintext packs, in layouts of 100
+    entries at the entry bound for the smallest and the largest modulus
+    of *bits* bits."""
+    layouts = (SlotLayout((params.entry_bound,) * 100, PublicKey(n).max_int.bit_length())
+               for n in ((1 << (bits - 1)) + 1, (1 << bits) - 1))
+    return {hi - lo for layout in layouts for lo, hi in layout.spans[:1]}
 
 
 def test_slots_per_plaintext_for_the_repo_params(small_he_params):

@@ -22,7 +22,7 @@ from curie.ddstats import (
     pearson,
 )
 from curie.engine import AcquireRequest, answer_request, build_request, \
-    negotiate_consortium, negotiate_pair
+    negotiate_consortium
 from curie.errors import CurieError, MalformedPayload
 
 from dd_pair import dd_members
@@ -152,7 +152,8 @@ def test_vector_statistic_invariances(a, b, alpha, beta):
 
 def _decision(algorithm, threshold, a_values, b_values, rng=None):
     requester, owner = dd_members(algorithm, threshold, a_values, b_values)
-    agreement = negotiate_pair(requester, owner, rng=rng or random.Random(0))
+    agreement = answer_request(owner, build_request(
+        requester, owner.profile, rng or random.Random(0)))
     [entry] = agreement.dd_trace
     assert (agreement.status == "full") is entry["decision"]
     return entry["decision"]

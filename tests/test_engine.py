@@ -23,7 +23,6 @@ from curie.engine import (
     eval_conditional,
     evaluated_columns,
     negotiate_consortium,
-    negotiate_pair,
     resolve_clause,
 )
 from curie.errors import CurieError, MalformedPayload, PolicyTypeError
@@ -130,11 +129,13 @@ def test_subclause_cycle_is_detected():
 
 
 # ---------------------------------------------------------------------------
-# negotiate_pair: the worked example and its traced variants
+# one directed pair: the worked example and its traced variants
 
-def _agreement(requester, owner, **kwargs):
-    rng = random.Random(13)
-    return negotiate_pair(requester, owner, rng=rng, **kwargs)
+def _agreement(requester, owner, seed=13):
+    """The owner's answer to the requester's request, as one pair of a
+    consortium negotiation computes it."""
+    return answer_request(owner, build_request(requester, owner.profile,
+                                               random.Random(seed)))
 
 
 def test_worked_example_default_trace():
@@ -254,7 +255,7 @@ def test_conservativeness_owner_filters_always_hold(threshold, op, values):
     # matched share selections
     owner = _member("B", f"share : A : :: a > 40 ;", values)
     requester = _member("A", f"acquire : B : :: a {op} {threshold} ;", [1])
-    agreement = negotiate_pair(requester, owner, rng=random.Random(0))
+    agreement = _agreement(requester, owner, 0)
     released = apply_selections(owner.dataset, agreement.selections)
     assert all(v > 40 for v in released.column("a"))
 
@@ -272,8 +273,8 @@ def test_monotonicity_extra_conditional_never_enlarges_release(threshold, values
     owner_gated = _member(
         "B", f"share : A : size(data) > {threshold} :: a > 10 ;", values)
     requester = _member("A", "acquire : B : :: ;", [1] * 5)
-    base = negotiate_pair(requester, owner_plain, rng=random.Random(0))
-    gated = negotiate_pair(requester, owner_gated, rng=random.Random(0))
+    base = _agreement(requester, owner_plain, 0)
+    gated = _agreement(requester, owner_gated, 0)
     base_rows = apply_selections(owner_plain.dataset, base.selections).n
     gated_rows = (0 if gated.status == "empty"
                   else apply_selections(owner_gated.dataset, gated.selections).n)
@@ -310,15 +311,13 @@ def test_dd_conditional_inside_subclause_negotiates():
         "A", parse_policy("acquire : B : :: ;"),
         from_rows(sch, [dict(a=v, dose=5.0) for v in (7, 8, 9)], "A"))
     # intersection of {1,2,60,95} and {7,8,9} is 0 < 3: first branch
-    agreement = negotiate_pair(requester, owner_small_overlap,
-                               rng=random.Random(0))
+    agreement = _agreement(requester, owner_small_overlap, 0)
     assert filter_triples(agreement) == [("a", ">", 50)]
 
     overlap = MemberContext(
         "A", requester.policy,
         from_rows(sch, [dict(a=v, dose=5.0) for v in (1, 2, 60, 95)], "A"))
-    agreement = negotiate_pair(overlap, owner_small_overlap,
-                               rng=random.Random(0))
+    agreement = _agreement(overlap, owner_small_overlap, 0)
     # intersection 4 >= 3: fallback branch
     assert filter_triples(agreement) == [("a", ">", 90)]
 
@@ -332,14 +331,14 @@ def test_unconditional_share_with_restricting_acquire_is_partial():
         "B", parse_policy("share : A : :: ;"),
         from_rows(sch, [dict(a=v, dose=9.0) for v in (20, 30, 40)], "B"))
     requester = _member("A", "acquire : B : :: a > 25 ;", [1])
-    agreement = negotiate_pair(requester, owner, rng=random.Random(0))
+    agreement = _agreement(requester, owner, 0)
     assert agreement.status == "partial"
     assert filter_triples(agreement) == [("a", ">", 25)]
     assert agreement.released_rows == 2
 
     # and with no restriction at all, the same pair negotiates full
     wide = _member("A", "acquire : B : :: ;", [1])
-    agreement = negotiate_pair(wide, owner, rng=random.Random(0))
+    agreement = _agreement(wide, owner, 0)
     assert agreement.status == "full"
     assert agreement.released_rows == 3
 
@@ -462,7 +461,8 @@ def test_consortium_records_a_request_lacking_a_column_as_empty(monkeypatch):
     assert by_pair[("M1", "M2")].status == "partial"    # nothing evaluated
     # one pair exchange: negotiating the pair alone answers it alike
     m1, _, m3 = build_contexts()
-    assert negotiate_pair(m1, m3, rng=random.Random(5)) == failed
+    alone, _ = negotiate_consortium([m1, m3], rng=random.Random(5))
+    assert [a for a in alone if a.owner == "M3"] == [failed]
 
 
 def _request_payload():

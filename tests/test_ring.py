@@ -114,7 +114,7 @@ def test_two_member_session(small_he_params):
 
 
 def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
-    # a 72-bit slot in a 128-bit key: one slot per plaintext
+    # a 72-bit slot in a 128-bit key: one such slot per plaintext
     params = HEParams(key_bits=128, scale_bits=56, n_max=100, v_max=10.0)
     params.validate()
     gen = np.random.default_rng(4)
@@ -126,7 +126,8 @@ def test_a_slot_that_fits_its_key_validates_and_pools_exactly():
         stats[mid] = LocalStats(X.T @ X, (X.T @ Y).reshape(-1, 1), 10)
     result = run_ring_session(["P1", "P2"], "P1", stats, _encoding(4), params,
                               random.Random(0))
-    assert result.transcript.layout.per_plaintext == 1
+    layout = result.transcript.layout
+    assert all(layout.widths[lo:hi].count(72) == 1 for lo, hi in layout.spans)
     np.testing.assert_array_equal(result.O_pool, stats["P1"].O + stats["P2"].O)
     np.testing.assert_array_equal(result.V_pool, stats["P1"].V + stats["P2"].V)
     assert result.n_pool == 20
@@ -328,7 +329,7 @@ def test_member_forwarding_its_packed_plaintext_is_caught(small_he_params):
     stats, result = _session(members, small_he_params)
     transcript = result.transcript
     layout = transcript.layout
-    assert layout is not None and layout.per_plaintext > 1
+    assert layout is not None and max(hi - lo for lo, hi in layout.spans) > 1
     forged = _forward_packed_plaintext(transcript, stats, "P2", small_he_params)
     report = audit_transcript(forged, corrupted=set(), reference_stats=stats,
                               scale=small_he_params.scale)
@@ -474,7 +475,10 @@ def test_a_warfarin_session_encrypts_only_the_open_cells(monkeypatch):
     count_crypto_calls(monkeypatch, counts)
     result = run_ring_session(members, "P1", stats, encoding, params,
                               random.Random(0))
-    assert result.transcript.layout.per_plaintext == 7
+    # the slots each plaintext packs: at most 7 of the 33-bit ones
+    layout = result.transcript.layout
+    assert [hi - lo for lo, hi in layout.spans] == [14, 8, 7, 7, 7, 7, 13, 19, 16, 7, 7]
+    assert max(layout.widths[lo:hi].count(33) for lo, hi in layout.spans) == 7
     plan = result.transcript.plan
     assert (plan.cells, len(plan.fixed), sum(plan.counts)) == (112, 23, 55)
     assert counts == {"encrypt": 11 * len(members), "decrypt": 11}
